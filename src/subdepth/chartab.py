@@ -55,10 +55,10 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _dixon_primes(exponent: int, order: int):
-    bound = 2 * order ** 0.5
     p = exponent + 1
     while True:
-        if p > bound and _is_prime(p):
+        # p > 2 sqrt(|G|), tested exactly
+        if p * p > 4 * order and _is_prime(p):
             yield p
         p += exponent
 

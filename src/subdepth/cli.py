@@ -179,7 +179,8 @@ def _run_mackey(req: AnalysisRequest) -> int:
     H = subs["H"]
     ms = q_tensor_decomposition(G, H, req.power)
     print(f"Q^(x{req.power}) of index-{G.order // H.order} subgroup decomposes as:")
-    for rep_sub, mult in ms.merged():
+    merged = ms.merged()
+    for rep_sub, mult in merged:
         print(f"  {mult} x Q_S with |S| = {rep_sub.order} "
               f"(index {G.order // rep_sub.order})")
     char = ms.character()
@@ -187,7 +188,7 @@ def _run_mackey(req: AnalysisRequest) -> int:
     want = tuple(v ** req.power for v in pc)
     assert char == want, "decomposition character differs from (eps induced)^n"
     print(f"character = {list(char)} = (induced trivial)^{req.power}")
-    data = {"power": req.power, "summands": ms.to_json(),
+    data = {"power": req.power, "summands": ms.to_json(merged),
             "character": list(char)}
     if "K" in subs:
         mr = mackey_restrict(G, subs["K"], H)

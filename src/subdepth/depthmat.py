@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .chartab import (CharacterTable, InclusionMatrix, class_fusion,
-                      compute_character_table, inclusion_matrix)
+from .chartab import InclusionMatrix
 from .exactalg import (ExactMatrix, ExactPolynomial, factor_rational_roots,
                        is_indecomposable, minimal_polynomial,
                        pattern_stabilization_index)
@@ -149,8 +148,13 @@ def _bipartite_diameters(M: InclusionMatrix) -> tuple[Optional[int], Optional[in
 
 
 def mckay_quiver(C: ExactMatrix, labels: Optional[list[str]] = None,
-                 pf_candidate: Optional[Fraction] = None) -> McKayQuiver:
-    """Weighted digraph on the group irreducibles with adjacency C."""
+                 pf_candidate: Optional[Fraction] = None,
+                 minpoly: Optional[ExactPolynomial] = None) -> McKayQuiver:
+    """Weighted digraph on the group irreducibles with adjacency C.
+
+    ``minpoly`` is the minimal polynomial of C when the caller already has
+    it; otherwise it is computed here.
+    """
     grid = C.to_int_grid()
     q = len(grid)
     if labels is None:
@@ -158,7 +162,7 @@ def mckay_quiver(C: ExactMatrix, labels: Optional[list[str]] = None,
     edges = [(i, j, grid[i][j]) for i in range(q) for j in range(q) if grid[i][j] > 0]
     indec = is_indecomposable(C)
     pf_root = None
-    mp = minimal_polynomial(C)
+    mp = minpoly if minpoly is not None else minimal_polynomial(C)
     roots, _ = factor_rational_roots(mp)
     if roots:
         pf_root = max(roots)
@@ -230,10 +234,10 @@ def depth_report(M: InclusionMatrix,
                     and pf_value == index)
         tags["pf_check"] = "minpoly_C vanishes at |G:H|"
 
-    labels = None
-    quiver = mckay_quiver(C, labels,
+    quiver = mckay_quiver(C, None,
                           pf_candidate=Fraction(group_data[0].order, group_data[1].order)
-                          if group_data is not None else None)
+                          if group_data is not None else None,
+                          minpoly=mp_c)
     white_d, black_d = _bipartite_diameters(M)
 
     return DepthReport(M=M, B=B, C=C, d_odd=d_odd, d_ev=d_ev, d_0=d_0, d_h=d_h,
@@ -243,17 +247,6 @@ def depth_report(M: InclusionMatrix,
                        white_diameter_plus_one=white_d,
                        black_diameter_plus_one=black_d,
                        method_tags=tags)
-
-
-def depth_report_for_pair(G: GroupHandle, H: SubgroupHandle,
-                          tabG: Optional[CharacterTable] = None,
-                          tabH: Optional[CharacterTable] = None) -> DepthReport:
-    if tabG is None:
-        tabG = compute_character_table(G)
-    if tabH is None:
-        tabH = compute_character_table(H.as_group())
-    M = inclusion_matrix(tabG, tabH, class_fusion(G, H))
-    return depth_report(M, group_data=(G, H))
 
 
 def eigenvalues_via_class_formula(G: GroupHandle, H: SubgroupHandle) -> EigenvalueSet:

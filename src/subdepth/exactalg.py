@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -98,12 +99,22 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _rat(c) -> Rat:
+    """An exact rational coordinate as an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Cyc:
     """An exact element of Q(zeta_n), the single scalar type for all linear
     algebra in this package.
 
     ``order`` is n and ``coeffs`` the phi(n) rational coordinates in the
-    power basis of Q[x]/Phi_n(x).  Order-1 scalars are plain rationals.
+    power basis of Q[x]/Phi_n(x), each an ``int`` when integral and a
+    ``Fraction`` otherwise.  Order-1 scalars are plain rationals.
     Mixed-order arithmetic lifts both operands to Q(zeta_lcm) first.
     """
 
@@ -115,46 +126,49 @@ class Cyc:
         phi = euler_phi(order)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(coeffs)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        _set_order(self, order)
+        _set_coeffs(self, tuple(map(_rat, coeffs)))
 
     def __setattr__(self, *a):  # immutable
+        raise AttributeError("Cyc is immutable")
+
+    def __delattr__(self, *a):
         raise AttributeError("Cyc is immutable")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rational(r: Rat) -> "Cyc":
-        return Cyc(1, (Fraction(r),))
+        return _cyc(1, (_rat(r),))
 
     @staticmethod
     def zero() -> "Cyc":
-        return Cyc(1, (_ZERO,))
+        return _CYC_ZERO
 
     @staticmethod
     def one() -> "Cyc":
-        return Cyc(1, (_ONE,))
+        return _CYC_ONE
 
     @staticmethod
     def root_of_unity(n: int, k: int = 1) -> "Cyc":
         """zeta_n^k."""
-        return Cyc.from_power_sum(n, {k % n: _ONE})
+        return Cyc.from_power_sum(n, {k % n: 1})
 
     @staticmethod
     def from_power_sum(n: int, powers: dict[int, Rat]) -> "Cyc":
         """Sum of c * zeta_n^e over the given exponent -> coefficient map."""
         phi = euler_phi(n)
         table = _xpow_table(n)
-        acc = [_ZERO] * phi
+        acc = [0] * phi
         for e, c in powers.items():
-            c = Fraction(c)
-            if c == 0:
+            c = _rat(c)
+            if not c:
                 continue
             row = table[e % n]
             for j in range(phi):
                 if row[j]:
                     acc[j] += c * row[j]
-        return Cyc(n, acc)
+        return _cyc(n, tuple(map(_rat, acc)))
 
     # -- coercion ----------------------------------------------------------
 
@@ -164,71 +178,89 @@ class Cyc:
             return self
         if n % self.order != 0:
             raise ValueError("can only lift to a multiple of the order")
+        if self.order == 1:
+            return _cyc(n, self.coeffs + (0,) * (euler_phi(n) - 1))
         step = n // self.order
         return Cyc.from_power_sum(
-            n, {i * step: c for i, c in enumerate(self.coeffs) if c != 0})
+            n, {i * step: c for i, c in enumerate(self.coeffs) if c})
 
     @staticmethod
     def _pair(a: "Cyc", b: "Cyc") -> tuple["Cyc", "Cyc"]:
         if a.order == b.order:
             return a, b
-        n = _lcm(a.order, b.order)
+        n = lcm(a.order, b.order)
         return a.lift(n), b.lift(n)
 
     # -- predicates / conversions ------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        if self.order == 1:
+            return not self.coeffs[0]
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "Cyc":
-        other = as_cyc(other)
-        a, b = Cyc._pair(self, other)
-        return Cyc(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if type(other) is Cyc and self.order == 1 == other.order:
+            x = self.coeffs[0] + other.coeffs[0]
+            return _cyc(1, (x if type(x) is int else _rat(x),))
+        a, b = Cyc._pair(self, as_cyc(other))
+        return _cyc(a.order, tuple(_rat(x + y) for x, y in zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.order, tuple(-c for c in self.coeffs))
+        return _cyc(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> "Cyc":
-        return self + (-as_cyc(other))
+        if type(other) is Cyc and self.order == 1 == other.order:
+            x = self.coeffs[0] - other.coeffs[0]
+            return _cyc(1, (x if type(x) is int else _rat(x),))
+        a, b = Cyc._pair(self, as_cyc(other))
+        return _cyc(a.order, tuple(_rat(x - y) for x, y in zip(a.coeffs, b.coeffs)))
 
     def __rsub__(self, other) -> "Cyc":
-        return as_cyc(other) + (-self)
+        return as_cyc(other) - self
 
     def __mul__(self, other) -> "Cyc":
-        other = as_cyc(other)
-        a, b = Cyc._pair(self, other)
+        if type(other) is Cyc and self.order == 1 == other.order:
+            x = self.coeffs[0] * other.coeffs[0]
+            return _cyc(1, (x if type(x) is int else _rat(x),))
+        a, b = Cyc._pair(self, as_cyc(other))
         if a.order == 1:
-            return Cyc(1, (a.coeffs[0] * b.coeffs[0],))
+            return _cyc(1, (_rat(a.coeffs[0] * b.coeffs[0]),))
+        # multiply integer numerators over one common denominator per operand
+        xs, da = _common_denominator(a.coeffs)
+        ys, db = _common_denominator(b.coeffs)
         phi = euler_phi(a.order)
-        conv = [_ZERO] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
+        conv = [0] * (2 * phi - 1)
+        for i, x in enumerate(xs):
+            if not x:
                 continue
-            for j, y in enumerate(b.coeffs):
-                if y != 0:
+            for j, y in enumerate(ys):
+                if y:
                     conv[i + j] += x * y
         table = _xpow_table(a.order)
         acc = conv[:phi]
         for m in range(phi, 2 * phi - 1):
             c = conv[m]
-            if c != 0:
+            if c:
                 row = table[m]
                 for j in range(phi):
                     if row[j]:
                         acc[j] += c * row[j]
-        return Cyc(a.order, acc)
+        den = da * db
+        if den == 1:
+            return _cyc(a.order, tuple(acc))
+        return _cyc(a.order, tuple(_rat(Fraction(x, den)) for x in acc))
 
     __rmul__ = __mul__
 
@@ -236,13 +268,13 @@ class Cyc:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         if self.order == 1:
-            return Cyc(1, (1 / self.coeffs[0],))
+            return _cyc(1, (_rat(_ONE / self.coeffs[0]),))
         # extended Euclid against Phi_n, which is irreducible over Q
         mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
         inv = _poly_modular_inverse(list(self.coeffs), mod)
         phi = euler_phi(self.order)
-        inv = inv + [_ZERO] * (phi - len(inv))
-        return Cyc(self.order, inv[:phi])
+        inv = inv + [0] * (phi - len(inv))
+        return _cyc(self.order, tuple(map(_rat, inv[:phi])))
 
     def __truediv__(self, other) -> "Cyc":
         return self * as_cyc(other).inverse()
@@ -268,7 +300,7 @@ class Cyc:
             return self
         n = self.order
         return Cyc.from_power_sum(
-            n, {(n - i) % n: c for i, c in enumerate(self.coeffs) if c != 0})
+            n, {(n - i) % n: c for i, c in enumerate(self.coeffs) if c})
 
     def galois(self, k: int) -> "Cyc":
         """The field map zeta -> zeta^k; requires gcd(k, order) = 1."""
@@ -276,11 +308,11 @@ class Cyc:
         if gcd(k, self.order) != 1:
             raise ValueError("galois exponent must be coprime to the order")
         n = self.order
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Rat] = {}
         for i, c in enumerate(self.coeffs):
-            if c != 0:
+            if c:
                 e = (i * k) % n
-                acc[e] = acc.get(e, _ZERO) + c
+                acc[e] = acc.get(e, 0) + c
         return Cyc.from_power_sum(n, acc)
 
     # -- canonical form, comparison, hashing ---------------------------------
@@ -302,6 +334,9 @@ class Cyc:
             other = Cyc.rational(other)
         if not isinstance(other, Cyc):
             return NotImplemented
+        if self.order == other.order:
+            # the power-basis coordinates of a fixed order are unique
+            return self.coeffs == other.coeffs
         return (self - other).is_zero()
 
     def __hash__(self):
@@ -314,17 +349,43 @@ class Cyc:
         return f"Cyc({scalar_to_string(self)!r})"
 
 
+def _common_denominator(coeffs: tuple) -> tuple[Sequence[int], int]:
+    """(nums, den) with integers nums and coeffs[i] == nums[i] / den."""
+    den = 1
+    for c in coeffs:
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
+    if den == 1:
+        return coeffs, 1
+    return [c * den if type(c) is int else c.numerator * (den // c.denominator)
+            for c in coeffs], den
+
+
+_new_cyc = object.__new__
+_set_order = Cyc.order.__set__
+_set_coeffs = Cyc.coeffs.__set__
+
+
+def _cyc(order: int, coeffs: tuple) -> Cyc:
+    # trusted constructor for arithmetic results: coeffs is already a tuple of
+    # phi(order) normalized coordinates (see _rat)
+    z = _new_cyc(Cyc)
+    _set_order(z, order)
+    _set_coeffs(z, coeffs)
+    return z
+
+
+# Cyc is immutable, so every zero() and one() can share one instance
+_CYC_ZERO = _cyc(1, (0,))
+_CYC_ONE = _cyc(1, (1,))
+
+
 def as_cyc(x) -> Cyc:
     if isinstance(x, Cyc):
         return x
     if isinstance(x, (int, Fraction)):
         return Cyc.rational(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Cyc")
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a // gcd(a, b) * b
 
 
 def _coords_in_subfield(z: Cyc, d: int) -> Optional[tuple[Fraction, ...]]:
@@ -339,7 +400,7 @@ def _coords_in_subfield(z: Cyc, d: int) -> Optional[tuple[Fraction, ...]]:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
+        inv = _ONE / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
         for i in range(phi_n):
             if i != r and rows[i][c] != 0:
@@ -365,10 +426,10 @@ def _poly_strip(p: list[Fraction]) -> list[Fraction]:
 def _poly_divmod(a: list[Fraction], b: list[Fraction]):
     a = list(a)
     _poly_strip(a)
-    db, lead = len(b) - 1, b[-1]
+    db, inv_lead = len(b) - 1, _ONE / b[-1]
     q = [_ZERO] * max(0, len(a) - db)
     while len(a) - 1 >= db and a:
-        c = a[-1] / lead
+        c = a[-1] * inv_lead
         k = len(a) - 1 - db
         q[k] = c
         for j in range(db + 1):
@@ -392,8 +453,8 @@ def _poly_modular_inverse(a: list[Fraction], mod: list[Fraction]) -> list[Fracti
         s0, s1 = s1, _poly_strip(s)
     # r0 is the gcd, a nonzero constant since Phi_n is irreducible
     assert len(r0) == 1
-    c = r0[0]
-    return [x / c for x in s0]
+    inv_c = _ONE / r0[0]
+    return [x * inv_c for x in s0]
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +498,7 @@ class ExactMatrix:
             raise ValueError("entry count does not match dimensions")
         order = 1
         for e in ents:
-            order = _lcm(order, e.order)
+            order = lcm(order, e.order)
         ents = [e.lift(order) for e in ents]
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -994,7 +1055,7 @@ def factor_rational_roots(p: ExactPolynomial):
     # integerize the square-free part for the rational root test
     den = 1
     for c in sf.coeffs:
-        den = _lcm(den, c.denominator)
+        den = lcm(den, c.denominator)
     ic = [int(c * den) for c in sf.coeffs]
     cands: set[Fraction] = set()
     for num in _int_divisors(ic[0]):

@@ -973,21 +973,12 @@ def _right_integrals(H: HopfAlgebraData) -> list[Vec]:
         for h in range(d):
             eps_h = H.counit[h]
             for k, v in H.mult[i][h].items():
-                _vadd_pos(col, h * d + k, v)
+                _vadd(col, h * d + k, v)
             if not eps_h.is_zero():
-                _vadd_pos(col, h * d + i, -eps_h)
+                _vadd(col, h * d + i, -eps_h)
         columns.append(col)
     kern = kernel_of_sparse_columns(columns)
     return [{i: c for i, c in enumerate(v) if not c.is_zero()} for v in kern]
-
-
-def _vadd_pos(col: dict[int, Cyc], pos: int, val: Cyc) -> None:
-    cur = col.get(pos)
-    nv = val if cur is None else cur + val
-    if nv.is_zero():
-        col.pop(pos, None)
-    else:
-        col[pos] = nv
 
 
 def _modular_function(H: HopfAlgebraData, t: Vec) -> list[Cyc]:
@@ -1039,10 +1030,10 @@ def integrals_and_modular(H: HopfAlgebraData, R: SubalgebraEmbedding,
         for h in range(H.dim):
             img = Q.act({b: Cyc.one()}, H.basis_vec(h))
             for rr, v in img.items():
-                _vadd_pos(col, h * dq + rr, v)
+                _vadd(col, h * dq + rr, v)
             eps_h = H.counit[h]
             if not eps_h.is_zero():
-                _vadd_pos(col, h * dq + b, -eps_h)
+                _vadd(col, h * dq + b, -eps_h)
         columns.append(col)
     kern = kernel_of_sparse_columns(columns)
     q_ints = [{i: c for i, c in enumerate(v) if not c.is_zero()} for v in kern]
@@ -1087,13 +1078,13 @@ def module_hom_basis(Q: QuotientModule, tp: TensorPowerModule) -> list[list[Vec]
             # term + A_h[c_row, b_col] * f_{c_row, m} at positions (b_col, h, m)
             for m in range(d):
                 pos = (b_col * d + h) * d + m
-                _vadd_pos(columns[c_row * d + m], pos, v)
+                _vadd(columns[c_row * d + m], pos, v)
     for h in range(d):
         for b in range(dqn):
             for k in range(d):
                 for m, w in H.mult[k][h].items():
                     pos = (b * d + h) * d + m
-                    _vadd_pos(columns[b * d + k], pos, -w)
+                    _vadd(columns[b * d + k], pos, -w)
     kern = kernel_of_sparse_columns(columns)
     homs = []
     for vec in kern:
@@ -1179,7 +1170,7 @@ def idealizer_and_endQ(H: HopfAlgebraData, R: SubalgebraEmbedding,
         for widx, w in enumerate(w_basis):
             img = Q.project(H.mult_vec(H.basis_vec(i), w))
             for rr, v in img.items():
-                _vadd_pos(col, widx * dq + rr, v)
+                _vadd(col, widx * dq + rr, v)
         columns.append(col)
     kern = kernel_of_sparse_columns(columns)
     T_basis = [{i: c for i, c in enumerate(v) if not c.is_zero()} for v in kern]
@@ -1213,9 +1204,9 @@ def center_basis(H: HopfAlgebraData) -> list[Vec]:
         col: dict[int, Cyc] = {}
         for i in range(d):
             for k, v in H.mult[j][i].items():
-                _vadd_pos(col, i * d + k, v)
+                _vadd(col, i * d + k, v)
             for k, v in H.mult[i][j].items():
-                _vadd_pos(col, i * d + k, -v)
+                _vadd(col, i * d + k, -v)
         columns.append(col)
     kern = kernel_of_sparse_columns(columns)
     return [{i: c for i, c in enumerate(v) if not c.is_zero()} for v in kern]
@@ -1431,9 +1422,9 @@ def ulbrich_verify(H: HopfAlgebraData, R: SubalgebraEmbedding,
     for b in range(dim_x):
         col: dict[int, Cyc] = {}
         for (rx, rq), c in coact[b].items():
-            _vadd_pos(col, rx * dq + rq, c)
+            _vadd(col, rx * dq + rq, c)
         for rq, c in one_bar.items():
-            _vadd_pos(col, b * dq + rq, -c)
+            _vadd(col, b * dq + rq, -c)
         columns.append(col)
     kern = kernel_of_sparse_columns(columns)
     coinv = [{i: c for i, c in enumerate(v) if not c.is_zero()} for v in kern]

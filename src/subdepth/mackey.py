@@ -42,23 +42,30 @@ class QSummandMultiset:
             out[label] = out.get(label, 0) + 1
         return out
 
-    def character(self) -> tuple[int, ...]:
-        cache: dict[tuple, tuple[int, ...]] = {}
-        acc = [0] * len(self.ambient.conjugacy_classes())
+    def _permutation_characters(self) -> dict[tuple, tuple[int, ...]]:
+        """The permutation character of each distinct summand subgroup, by key."""
+        chars: dict[tuple, tuple[int, ...]] = {}
         for _, s in self.entries:
             k = s.key()
-            if k not in cache:
-                cache[k] = permutation_character(self.ambient, s)
-            for i, v in enumerate(cache[k]):
+            if k not in chars:
+                chars[k] = permutation_character(self.ambient, s)
+        return chars
+
+    def character(self) -> tuple[int, ...]:
+        chars = self._permutation_characters()
+        acc = [0] * len(self.ambient.conjugacy_classes())
+        for _, s in self.entries:
+            for i, v in enumerate(chars[s.key()]):
                 acc[i] += v
         return tuple(acc)
 
     def merged(self) -> list[tuple[SubgroupHandle, int]]:
         """Group summands that are conjugate with equal permutation
         characters; returns (representative, multiplicity) pairs."""
+        chars = self._permutation_characters()
         buckets: list[tuple[SubgroupHandle, tuple[int, ...], list]] = []
         for _, s in self.entries:
-            char = permutation_character(self.ambient, s)
+            char = chars[s.key()]
             placed = False
             for rep, rchar, members in buckets:
                 if rchar != char or rep.order != s.order:
@@ -71,9 +78,11 @@ class QSummandMultiset:
                 buckets.append((s, char, [s]))
         return [(rep, len(members)) for rep, _, members in buckets]
 
-    def to_json(self) -> list[dict]:
+    def to_json(self, merged: Optional[list[tuple[SubgroupHandle, int]]] = None) -> list[dict]:
+        """The merged summands as JSON; pass ``merged`` when the caller
+        already holds ``self.merged()``."""
         out = []
-        for rep, mult in self.merged():
+        for rep, mult in merged if merged is not None else self.merged():
             gens = rep.generating_set()
             out.append({
                 "subgroup_generators": [list(p.images) for p in gens],

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,103 @@ def test_field_axioms_sampled(e1, e2, c1, c2):
     assert (a + b) * (a - b) == a * a - b * b
     if not b.is_zero():
         assert (a / b) * b == a
+
+
+# -- int-first coordinates ----------------------------------------------------
+
+ORDERS = [1, 3, 4, 5, 8, 12]
+
+
+@st.composite
+def cyc_elements(draw, orders=ORDERS):
+    n = draw(st.sampled_from(orders))
+    return Cyc(n, draw(st.lists(small_rationals, min_size=euler_phi(n),
+                                max_size=euler_phi(n))))
+
+
+scalars = st.one_of(cyc_elements(), small_rationals, st.integers(-6, 6))
+
+
+def assert_exact_coords(z):
+    """Every coordinate is an int when integral and a Fraction otherwise, and
+    z equals the value the public constructor builds from its coordinates."""
+    assert isinstance(z, Cyc)
+    for c in z.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+    public = Cyc(z.order, z.coeffs)
+    assert public == z and public.coeffs == z.coeffs
+    assert [type(c) for c in public.coeffs] == [type(c) for c in z.coeffs]
+
+
+def reference_product(a, b):
+    # schoolbook product of the coordinate polynomials mod Phi_n, over Fraction
+    n = a.order
+    conv = [Fraction(0)] * (2 * euler_phi(n) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            conv[i + j] += Fraction(x) * Fraction(y)
+    mod = cyclotomic_polynomial(n)
+    for m in range(len(conv) - 1, euler_phi(n) - 1, -1):
+        c, conv[m] = conv[m], Fraction(0)
+        for j, p in enumerate(mod[:-1]):
+            conv[m - euler_phi(n) + j] -= c * p
+    return conv[:euler_phi(n)]
+
+
+@given(cyc_elements(), scalars)
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_results_have_exact_coordinates(a, b):
+    results = [a + b, b + a, a - b, b - a, -a, a * b, b * a, a.canonical()]
+    if not a.is_zero():
+        results += [a.inverse(), b / a]
+    if not Cyc.rational(0) == b:
+        results.append(a / b)
+    results += [a.lift(a.order * k) for k in (1, 2, 3)]
+    results += [a.galois(k) for k in range(1, 13) if gcd(k, a.order) == 1]
+    for z in results:
+        assert_exact_coords(z)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_product_matches_fraction_reference(data):
+    a = data.draw(cyc_elements())
+    b = data.draw(cyc_elements(orders=[a.order]))
+    assert list((a * b).coeffs) == reference_product(a, b)
+    assert list((a + b).coeffs) == [Fraction(x) + y for x, y in zip(a.coeffs, b.coeffs)]
+    if not a.is_zero():
+        assert a * a.inverse() == 1 and (b / a) * a == b
+
+
+@given(small_rationals)
+@settings(max_examples=60, deadline=None)
+def test_as_fraction_returns_fraction(r):
+    for z in (Cyc.rational(r), Cyc.rational(r) * 3, Cyc(4, (r, 0)), Cyc.rational(r).lift(12)):
+        f = z.as_fraction()
+        assert type(f) is Fraction
+        assert f == z.coeffs[0]
+
+
+def test_shared_zero_and_one_are_immutable():
+    assert Cyc.zero() is Cyc.zero() and Cyc.one() is Cyc.one()
+    for z in (Cyc.zero(), Cyc.one()):
+        with pytest.raises(AttributeError):
+            z.order = 3
+        with pytest.raises(AttributeError):
+            z.coeffs = (5,)
+        with pytest.raises(AttributeError):
+            del z.coeffs
+    assert Cyc.zero().coeffs == (0,) and Cyc.one().coeffs == (1,)
+    assert Cyc.zero().order == Cyc.one().order == 1
+
+
+def test_integral_coordinates_are_ints():
+    assert Cyc(3, (Fraction(4, 2), Fraction(1, 3))).coeffs == (2, Fraction(1, 3))
+    assert type(Cyc.rational(Fraction(6, 3)).coeffs[0]) is int
+    half = Cyc.rational(Fraction(1, 2))
+    assert type((half + half).coeffs[0]) is int
+    assert type((Cyc.rational(2) / 2).coeffs[0]) is int
+    assert type(Cyc.rational(7).inverse().coeffs[0]) is Fraction
 
 
 # -- kernels ------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from helpers import cached_group_algebra, perm
@@ -59,6 +61,34 @@ def test_quantum_group_dimensions(uq2, uq3):
 def test_quantum_group_bad_n():
     with pytest.raises(ValueError):
         build_small_quantum_group(4)
+
+
+def _tampered(H, mult=None, antipode=None):
+    return HopfAlgebraData(H.dim, H.field_order, H.labels, mult or H.mult, H.unit,
+                           H.comult, H.counit, antipode or H.antipode)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 2, None])
+def test_verify_rejects_one_corrupted_mult_entry(s3, value):
+    H = cached_group_algebra(s3)
+    (k, one), = H.mult[2][3].items()
+    # None moves the product to another basis element instead of rescaling it
+    bad = {k: Cyc.rational(value)} if value is not None else {(k + 1) % H.dim: one}
+    mult = [list(row) for row in H.mult]
+    mult[2][3] = bad
+    with pytest.raises(AssertionError, match="associativity"):
+        _tampered(H, mult=mult)
+
+
+@pytest.mark.parametrize("value", [Fraction(-1, 3), None])
+def test_verify_rejects_one_corrupted_antipode_entry(s3, value):
+    H = cached_group_algebra(s3)
+    g = next(i for i, row in enumerate(H.antipode) if i not in row)  # S(g) = g^-1 != g
+    (k, one), = H.antipode[g].items()
+    antipode = list(H.antipode)
+    antipode[g] = {k: Cyc.rational(value)} if value is not None else {g: one}
+    with pytest.raises(AssertionError, match="antipode axiom fails"):
+        _tampered(H, antipode=antipode)
 
 
 def test_hopf_json_round_trip(uq2):
