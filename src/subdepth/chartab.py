@@ -71,23 +71,31 @@ def _primitive_root(p: int) -> int:
     raise DixonInternalError(f"no primitive root mod {p}")
 
 
-def _modp_kernel(rows: list[list[int]], width: int, p: int) -> list[list[int]]:
-    rows = [r[:] for r in rows]
-    pivots = []
+def _modp_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over GF(p): (nonzero rows, pivot columns).
+    The single GF(p) elimination; the input rows are left untouched."""
+    rows = [[x % p for x in row] for row in rows]
+    width = len(rows[0]) if rows else 0
+    pivots: list[int] = []
     r = 0
     for c in range(width):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        prow = rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
+    return rows[:r], pivots
+
+
+def _modp_kernel(rows: list[list[int]], width: int, p: int) -> list[list[int]]:
+    red, pivots = _modp_rref(rows, p)
     pivset = set(pivots)
     basis = []
     for free in range(width):
@@ -95,8 +103,8 @@ def _modp_kernel(rows: list[list[int]], width: int, p: int) -> list[list[int]]:
             continue
         v = [0] * width
         v[free] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-rows[i][free]) % p
+        for row, c in zip(red, pivots):
+            v[c] = -row[free] % p
         basis.append(v)
     return basis
 
@@ -145,81 +153,24 @@ def _modp_minpoly(mat: list[list[int]], p: int) -> list[int]:
         return out
 
     m = [1]
-    span_rows: list[list[int]] = []
-
-    def in_span(v):
-        rows = [r[:] for r in span_rows] + [v[:]]
-        red = _modp_rank(rows, p)
-        return red == _modp_rank([r[:] for r in span_rows], p)
-
+    span: list[list[int]] = []      # reduced basis of the Krylov vectors so far
     for start in range(n):
-        e = [0] * n
-        e[start] = 1
-        if span_rows and in_span(e):
+        e = _unit(n, start)
+        if len(_modp_rref(span + [e], p)[0]) == len(span):
             continue
         krylov = [e]
-        v = e
-        while True:
-            v = [sum(mat[i][j] * v[j] for j in range(n)) % p for i in range(n)]
-            aug = krylov + [v]
-            if _modp_rank([r[:] for r in aug], p) == len(krylov):
-                coeffs = _modp_solve_combo(krylov, v, p)
-                rel = [(-c) % p for c in coeffs] + [1]
-                m = polylcm(m, rel)
-                break
-            krylov.append(v)
-        span_rows.extend(krylov)
+        for _ in range(n):
+            krylov.append(_apply_modp(mat, krylov[-1], p))
+        # rows [A^t e | tags for degrees n..0]: the relations fill the last
+        # rows, and the last one has its pivot at the least degree d, so it
+        # holds the monic relation of degree d
+        tagged = [v + _unit(n + 1, n - t) for t, v in enumerate(krylov)]
+        red, pivots = _modp_rref(tagged, p)
+        d = 2 * n - pivots[-1]
+        m = polylcm(m, red[-1][2 * n - d:][::-1])
+        span = _modp_rref(span + krylov[:d], p)[0]
     lead_inv = pow(m[-1], -1, p)
     return [c * lead_inv % p for c in m]
-
-
-def _modp_rank(rows: list[list[int]], p: int) -> int:
-    if not rows:
-        return 0
-    width = len(rows[0])
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
-
-
-def _modp_solve_combo(basis: list[list[int]], v: list[int], p: int) -> list[int]:
-    # solve v = sum c_t basis[t]; basis is independent
-    n = len(v)
-    t = len(basis)
-    rows = [[basis[j][i] for j in range(t)] + [v[i]] for i in range(n)]
-    piv = []
-    r = 0
-    for c in range(t):
-        pr = next((i for i in range(r, n) if rows[i][c] % p), None)
-        if pr is None:
-            raise DixonInternalError("dependent Krylov basis")
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, n):
-        if rows[i][t] % p:
-            raise DixonInternalError("inconsistent Krylov solve")
-    sol = [0] * t
-    for i, c in enumerate(piv):
-        sol[c] = rows[i][t]
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +305,7 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
                             for t in range(r):
                                 vec[t] = (vec[t] + c * basis[m][t]) % p
                     ambient.append(vec)
-                reduced = _modp_rref_rows(ambient, p)
+                reduced = _modp_rref(ambient, p)[0]
                 covered += len(reduced)
                 new_spaces.append(reduced)
             if covered != d:
@@ -424,25 +375,6 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
     rows.sort(key=lambda row: [v.lift(e).coeffs for v in row[1:] + row[:1]],
               reverse=True)
     return rows
-
-
-def _modp_rref_rows(rows: list[list[int]], p: int) -> list[list[int]]:
-    rows = [r[:] for r in rows]
-    width = len(rows[0])
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return rows[:r]
 
 
 def _unit(r: int, i: int) -> list[int]:

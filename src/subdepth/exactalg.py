@@ -388,33 +388,19 @@ def as_cyc(x) -> Cyc:
     raise TypeError(f"cannot coerce {type(x).__name__} to Cyc")
 
 
-def _coords_in_subfield(z: Cyc, d: int) -> Optional[tuple[Fraction, ...]]:
-    # solve z = sum c_i * lift(zeta_d^i) by Gaussian elimination over Q
-    n, phi_n, phi_d = z.order, euler_phi(z.order), euler_phi(d)
-    basis = [Cyc.root_of_unity(d, i).lift(n).coeffs for i in range(phi_d)]
-    rows = [[basis[j][i] for j in range(phi_d)] + [z.coeffs[i]] for i in range(phi_n)]
-    piv = []
-    r = 0
-    for c in range(phi_d):
-        pr = next((i for i in range(r, phi_n) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = _ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(phi_n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, phi_n):
-        if rows[i][phi_d] != 0:
-            return None
-    sol = [_ZERO] * phi_d
-    for i, c in enumerate(piv):
-        sol[c] = rows[i][phi_d]
-    return tuple(sol)
+def _coords_in_subfield(z: Cyc, d: int) -> Optional[tuple[Rat, ...]]:
+    # z = sum c_i * lift(zeta_d^i): the reduced echelon form of the matrix with
+    # columns lift(zeta_d^i) and z holds the c_i in its last column; the lifted
+    # powers are independent, so z lies in Q(zeta_d) iff that column is free
+    phi_d = euler_phi(d)
+    cols = [Cyc.root_of_unity(d, i).lift(z.order).coeffs for i in range(phi_d)]
+    cols.append(z.coeffs)
+    space = RowSpace(phi_d + 1)
+    for i in range(euler_phi(z.order)):
+        space.add({j: _cyc(1, (col[i],)) for j, col in enumerate(cols) if col[i]})
+    if phi_d in space.pivots:
+        return None
+    return tuple(space.pivots[j].get(phi_d, _CYC_ZERO).coeffs[0] for j in range(phi_d))
 
 
 def _poly_strip(p: list[Fraction]) -> list[Fraction]:
@@ -620,117 +606,49 @@ class ExactMatrix:
 # kernels and reduced row echelon machinery
 # ---------------------------------------------------------------------------
 
-def rref(rows: list[list[Cyc]]) -> tuple[list[list[Cyc]], list[int]]:
-    """In-place reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    Both the outer list and the row lists are modified in place, so callers
-    must pass fresh lists, never views of ``ExactMatrix`` storage.  Only the
-    nonzero entries of the pivot row are scaled and eliminated against; zero
-    entries are left untouched.
-    """
-    if not rows:
-        return [], []
-    width = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pr = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        inv = prow[c].inverse()
-        # columns left of c are zero in every row from r on
-        support = [j for j in range(c, width) if not prow[j].is_zero()]
-        for j in support:
-            prow[j] = prow[j] * inv
-        for i, row in enumerate(rows):
-            if i != r and not row[c].is_zero():
-                f = row[c]
-                for j in support:
-                    row[j] = row[j] - f * prow[j]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
-
-
-def solve_kernel(A: ExactMatrix) -> list[tuple[Cyc, ...]]:
-    """Basis of the right kernel {v : A v = 0}, deterministic ordering.
-
-    Vectors come out of the reduced echelon form with free columns ascending,
-    each normalized with a 1 in its free coordinate.
-    """
-    rows = A.to_lists()
-    red, pivots = rref(rows)
-    pivset = set(pivots)
-    basis = []
-    for free in range(A.cols):
-        if free in pivset:
-            continue
-        v = [Cyc.zero()] * A.cols
-        v[free] = Cyc.one()
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][free]
-        basis.append(tuple(v))
-    return basis
-
-
 class RowSpace:
     """Incremental row space over the scalar field, rows as sparse dicts.
 
-    Used for the large sparse eliminations in the Hopf-algebra module; keeps
-    a reduced echelon basis keyed by pivot column.
+    The single exact elimination engine of the package.  It keeps the reduced
+    echelon basis keyed by pivot column: each basis row is 1 at its own pivot
+    and 0 at every other pivot column, so the form is unique and does not
+    depend on the order in which rows were added.
     """
 
     def __init__(self, width: int):
         self.width = width
         self.pivots: dict[int, dict[int, Cyc]] = {}
 
-    def _reduce(self, row: dict[int, Cyc]) -> dict[int, Cyc]:
-        row = {c: v for c, v in row.items() if not v.is_zero()}
-        changed = True
-        while changed:
-            changed = False
-            for c in sorted(row):
-                if c in self.pivots:
-                    f = row[c]
-                    for cc, vv in self.pivots[c].items():
-                        nv = row.get(cc, Cyc.zero()) - f * vv
-                        if nv.is_zero():
-                            row.pop(cc, None)
-                        else:
-                            row[cc] = nv
-                    changed = True
-                    break
-        return row
+    def reduce(self, row: dict[int, Cyc]) -> dict[int, Cyc]:
+        """A new dict: row minus its part in the space, zero at every pivot
+        column and empty iff row lies in the space.
+
+        Basis rows vanish at each other's pivots, so one subtraction per
+        pivot the row hits is exact and a single pass suffices.
+        """
+        out = {c: v for c, v in row.items() if not v.is_zero()}
+        for p in sorted(c for c in out if c in self.pivots):
+            _sub_multiple(out, out[p], self.pivots[p])
+        return out
 
     def add(self, row: dict[int, Cyc]) -> bool:
         """Reduce and insert; returns True if the row enlarged the space."""
-        row = self._reduce(row)
+        row = self.reduce(row)
         if not row:
             return False
         p = min(row)
         inv = row[p].inverse()
         row = {c: v * inv for c, v in row.items()}
         # back-substitute into existing pivot rows
-        for q, prow in self.pivots.items():
-            if p in prow:
-                f = prow[p]
-                for cc, vv in row.items():
-                    nv = prow.get(cc, Cyc.zero()) - f * vv
-                    if nv.is_zero():
-                        prow.pop(cc, None)
-                    else:
-                        prow[cc] = nv
+        for prow in self.pivots.values():
+            f = prow.get(p)
+            if f is not None:
+                _sub_multiple(prow, f, row)
         self.pivots[p] = row
         return True
 
     def contains(self, row: dict[int, Cyc]) -> bool:
-        return not self._reduce(dict(row))
+        return not self.reduce(row)
 
     @property
     def rank(self) -> int:
@@ -739,54 +657,70 @@ class RowSpace:
     def basis_rows(self) -> list[dict[int, Cyc]]:
         return [dict(self.pivots[p]) for p in sorted(self.pivots)]
 
-    def dense_basis(self) -> list[tuple[Cyc, ...]]:
-        out = []
-        for p in sorted(self.pivots):
-            row = self.pivots[p]
-            out.append(tuple(row.get(c, Cyc.zero()) for c in range(self.width)))
-        return out
+    def kernel(self) -> list[tuple[Cyc, ...]]:
+        """Basis of {x : r . x = 0 for every row r}: one vector per free
+        column, ascending, with a 1 there and minus the pivot row's entry at
+        each pivot column."""
+        rows = [(p, self.pivots[p]) for p in sorted(self.pivots)]
+        basis = []
+        for free in range(self.width):
+            if free in self.pivots:
+                continue
+            v = [_CYC_ZERO] * self.width
+            v[free] = _CYC_ONE
+            for p, row in rows:
+                x = row.get(free)
+                if x is not None:
+                    v[p] = -x
+            basis.append(tuple(v))
+        return basis
 
     def __le__(self, other: "RowSpace") -> bool:
-        return all(other.contains(r) for r in self.basis_rows())
+        return all(other.contains(r) for r in self.pivots.values())
 
     def equals(self, other: "RowSpace") -> bool:
         return self.rank == other.rank and self <= other
 
 
-def kernel_of_sparse_columns(columns: list[dict[int, Cyc]]) -> list[tuple[Cyc, ...]]:
-    """Kernel of the map x -> sum x_i * col_i for sparse columns.
+def _sub_multiple(row: dict[int, Cyc], f: Cyc, other: dict[int, Cyc]) -> None:
+    # row -= f * other in place, dropping entries that become zero
+    for c, v in other.items():
+        nv = row.get(c, _CYC_ZERO) - f * v
+        if nv.is_zero():
+            row.pop(c, None)
+        else:
+            row[c] = nv
 
-    Rows of the implied matrix are deduplicated (after leading-coefficient
-    normalization) before elimination, which keeps the group-algebra
-    annihilator computations at desk scale.
+
+def rref(rows: Sequence[Sequence[Cyc]]) -> RowSpace:
+    """The reduced row echelon form of dense rows of equal length."""
+    space = RowSpace(len(rows[0]) if rows else 0)
+    for row in rows:
+        space.add({j: x for j, x in enumerate(row) if not x.is_zero()})
+    return space
+
+
+def solve_kernel(A: ExactMatrix) -> list[tuple[Cyc, ...]]:
+    """Basis of the right kernel {v : A v = 0}, deterministic ordering.
+
+    Vectors come out of the reduced echelon form with free columns ascending,
+    each normalized with a 1 in its free coordinate.
     """
-    n = len(columns)
-    rows: dict[tuple, dict[int, Cyc]] = {}
-    row_index: dict[int, dict[int, Cyc]] = {}
+    return rref(A.to_lists()).kernel()
+
+
+def kernel_of_sparse_columns(columns: list[dict[int, Cyc]]) -> list[tuple[Cyc, ...]]:
+    """Kernel of the map x -> sum x_i * col_i for sparse columns, as
+    ``solve_kernel`` orders it; the implied rows go straight into a RowSpace,
+    where repeated rows reduce to zero."""
+    rows: dict[int, dict[int, Cyc]] = {}
     for j, col in enumerate(columns):
         for pos, val in col.items():
-            row_index.setdefault(pos, {})[j] = val
-    for pos, row in row_index.items():
-        lead = row[min(row)]
-        inv = lead.inverse()
-        key = tuple(sorted((c, scalar_to_string(v * inv)) for c, v in row.items()))
-        rows.setdefault(key, row)
-    zero = Cyc.zero()  # Cyc is immutable, so one shared zero fills every empty cell
-    mat_rows = [[row.get(j, zero) for j in range(n)] for row in rows.values()]
-    if not mat_rows:
-        return [tuple(Cyc.one() if i == j else Cyc.zero() for i in range(n)) for j in range(n)]
-    red, pivots = rref(mat_rows)
-    pivset = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        v = [Cyc.zero()] * n
-        v[free] = Cyc.one()
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][free]
-        basis.append(tuple(v))
-    return basis
+            rows.setdefault(pos, {})[j] = val
+    space = RowSpace(len(columns))
+    for row in rows.values():
+        space.add(row)
+    return space.kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -968,48 +902,26 @@ def minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
     total = RowSpace(n)
     m = ExactPolynomial.one()
     for start in range(n):
-        e = {start: Cyc.one()}
+        e = {start: _CYC_ONE}
         if total.contains(e):
             continue
-        krylov: list[dict[int, Cyc]] = []
-        reduced: list[dict[int, Cyc]] = []   # echelon form of krylov
-        combos: list[list[Cyc]] = []         # reduced[r] = sum combos[r][t]*krylov[t]
-        pivots: list[int] = []
+        # rows [A^t e | e_t] with the tag e_t in column n + t: the first row
+        # that reduces to zero on the first n columns leaves the relation
+        # sum_s c_s A^s e = 0 in its tags, with c_t = 1
+        tagged = RowSpace(2 * n + 1)
         v = e
-        while True:
-            # reduce v against current echelon rows while tracking coefficients
-            w = dict(v)
-            coef = [Cyc.zero()] * len(krylov) + [Cyc.one()]
-            for r, prow in enumerate(reduced):
-                p = pivots[r]
-                if p in w and not w[p].is_zero():
-                    f = w[p]
-                    for cc, vv in prow.items():
-                        nv = w.get(cc, Cyc.zero()) - f * vv
-                        if nv.is_zero():
-                            w.pop(cc, None)
-                        else:
-                            w[cc] = nv
-                    for t in range(len(combos[r])):
-                        coef[t] = coef[t] - f * combos[r][t]
-            w = {c: x for c, x in w.items() if not x.is_zero()}
-            if not w:
-                # relation: sum coef[t] * A^t e = 0 with coef[-1] = 1
-                rel = ExactPolynomial([c.as_fraction() for c in coef])
-                m = m.lcm(rel.monic())
+        for t in range(n + 1):
+            rel = tagged.reduce({**v, n + t: _CYC_ONE})
+            if min(rel) >= n:
                 break
-            p = min(w)
-            inv = w[p].inverse()
-            w = {c: x * inv for c, x in w.items()}
-            coefn = [c * inv for c in coef]
-            krylov.append(v)
-            reduced.append(w)
-            combos.append(coefn + [Cyc.zero()] * (len(krylov) - len(coefn)))
-            for r in range(len(combos)):
-                combos[r] = combos[r] + [Cyc.zero()] * (len(krylov) - len(combos[r]))
-            pivots.append(p)
-            total.add(dict(v))
+            tagged.add(rel)
             v = apply(v)
+        m = m.lcm(ExactPolynomial([rel.get(n + s, _CYC_ZERO).as_fraction()
+                                   for s in range(t + 1)]))
+        # the Krylov parts of the tagged basis are the reduced echelon basis
+        # of the new Krylov span
+        for row in tagged.pivots.values():
+            total.add({c: x for c, x in row.items() if c < n})
     return m.monic()
 
 

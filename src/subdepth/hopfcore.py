@@ -52,8 +52,45 @@ def _veq(a: dict, b: dict) -> bool:
     return True
 
 
+def _mult_vec(mult: list[list[Vec]], a: Vec, b: Vec) -> Vec:
+    # the product a b from the structure constants mult[i][j] = e_i e_j
+    out: Vec = {}
+    for i, ca in a.items():
+        if ca.is_zero():
+            continue
+        row = mult[i]
+        for j, cb in b.items():
+            if cb.is_zero():
+                continue
+            c = ca * cb
+            for k, m in row[j].items():
+                _vadd(out, k, c * m)
+    return out
+
+
+def _tensor_mult(mult: list[list[Vec]], a: TVec, b: TVec) -> TVec:
+    # the product in H x H, slot by slot
+    out: TVec = {}
+    for (i1, i2), ca in a.items():
+        for (j1, j2), cb in b.items():
+            c = ca * cb
+            if c.is_zero():
+                continue
+            for k1, m1 in mult[i1][j1].items():
+                cm = c * m1
+                for k2, m2 in mult[i2][j2].items():
+                    _vadd(out, (k1, k2), cm * m2)
+    return out
+
+
 def _vzero(a: dict) -> bool:
     return all(x.is_zero() for x in a.values())
+
+
+def _project(space: RowSpace, sec_index: dict[int, int], v: Vec) -> Vec:
+    """v modulo the row space, in coordinates on the non-pivot columns
+    (sec_index maps each non-pivot column to its coordinate)."""
+    return {sec_index[j]: c for j, c in space.reduce(v).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -86,31 +123,10 @@ class HopfAlgebraData:
     # -- element algebra -----------------------------------------------------
 
     def mult_vec(self, a: Vec, b: Vec) -> Vec:
-        out: Vec = {}
-        for i, ca in a.items():
-            if ca.is_zero():
-                continue
-            row = self.mult[i]
-            for j, cb in b.items():
-                if cb.is_zero():
-                    continue
-                c = ca * cb
-                for k, m in row[j].items():
-                    _vadd(out, k, c * m)
-        return out
+        return _mult_vec(self.mult, a, b)
 
     def tensor_mult(self, a: TVec, b: TVec) -> TVec:
-        out: TVec = {}
-        for (i1, i2), ca in a.items():
-            for (j1, j2), cb in b.items():
-                c = ca * cb
-                if c.is_zero():
-                    continue
-                for k1, m1 in self.mult[i1][j1].items():
-                    cm = c * m1
-                    for k2, m2 in self.mult[i2][j2].items():
-                        _vadd(out, (k1, k2), cm * m2)
-        return out
+        return _tensor_mult(self.mult, a, b)
 
     def comult_vec(self, v: Vec) -> TVec:
         out: TVec = {}
@@ -256,6 +272,8 @@ class HopfAlgebraData:
         try:
             d = int(data["dim"])
             n = int(data["field_order"])
+            counit_data, antipode_data, unit_data = (
+                data["counit"], data["antipode"], data["unit"])
         except KeyError as exc:
             raise ValueError(f"Hopf JSON is missing the field {exc}")
         labels = data.get("labels") or [f"e{i}" for i in range(d)]
@@ -265,12 +283,12 @@ class HopfAlgebraData:
         comult: list[TVec] = [{} for _ in range(d)]
         for i, j, k, s in data.get("comult", []):
             comult[i][(j, k)] = scalar_from_string(s)
-        counit = [scalar_from_string(s) for s in data["counit"]]
+        counit = [scalar_from_string(s) for s in counit_data]
         antipode: list[Vec] = []
-        for row in data["antipode"]:
+        for row in antipode_data:
             v = {j: scalar_from_string(s) for j, s in enumerate(row)}
             antipode.append({j: x for j, x in v.items() if not x.is_zero()})
-        unit = {int(k): scalar_from_string(v) for k, v in data["unit"].items()}
+        unit = {int(k): scalar_from_string(v) for k, v in unit_data.items()}
         H = HopfAlgebraData(d, n, labels, mult, unit, comult, counit, antipode)
         subs = {}
         for name, rows in sorted(data.get("subalgebras", {}).items()):
@@ -401,19 +419,6 @@ def build_small_quantum_group(n: int):
         return {(i, j): x * y for i, x in v1.items() for j, y in v2.items()
                 if not (x * y).is_zero()}
 
-    def tmul(A: TVec, B: TVec) -> TVec:
-        out: TVec = {}
-        for (i1, i2), ca in A.items():
-            for (j1, j2), cb in B.items():
-                c = ca * cb
-                if c.is_zero():
-                    continue
-                for k1, m1 in mult[i1][j1].items():
-                    cm = c * m1
-                    for k2, m2 in mult[i2][j2].items():
-                        _vadd(out, (k1, k2), cm * m2)
-        return out
-
     dK: TVec = tensor_of(mono(1, 0, 0), mono(1, 0, 0))
     dE: TVec = {}
     for kk, vv in tensor_of(mono(0, 1, 0), mono(0, 0, 0)).items():
@@ -430,11 +435,11 @@ def build_small_quantum_group(n: int):
     for (a, b, c) in monomials:
         acc: TVec = {(0, 0): Cyc.one()}
         for _ in range(a):
-            acc = tmul(acc, dK)
+            acc = _tensor_mult(mult, acc, dK)
         for _ in range(b):
-            acc = tmul(acc, dE)
+            acc = _tensor_mult(mult, acc, dE)
         for _ in range(c):
-            acc = tmul(acc, dF)
+            acc = _tensor_mult(mult, acc, dF)
         comult.append(acc)
 
     counit = [Cyc.one() if (b == 0 and c == 0) else Cyc.zero()
@@ -443,29 +448,16 @@ def build_small_quantum_group(n: int):
     sK = mono(n - 1, 0, 0)
     sE = mono(n - 1, 1, 0, Cyc.rational(-1))
 
-    def vec_mul(v1: Vec, v2: Vec) -> Vec:
-        out: Vec = {}
-        for i, x in v1.items():
-            ai, rem = divmod(i, n * n)
-            bi, ci = divmod(rem, n)
-            for j, y in v2.items():
-                aj, rem2 = divmod(j, n * n)
-                bj, cj = divmod(rem2, n)
-                c = x * y
-                for k, m in mono_mul((ai, bi, ci), (aj, bj, cj)).items():
-                    _vadd(out, k, c * m)
-        return out
-
-    sF = vec_mul(mono(0, 0, 1, Cyc.rational(-1)), mono(1, 0, 0))
+    sF = _mult_vec(mult, mono(0, 0, 1, Cyc.rational(-1)), mono(1, 0, 0))
     antipode: list[Vec] = []
     for (a, b, c) in monomials:
         acc: Vec = mono(0, 0, 0)
         for _ in range(c):
-            acc = vec_mul(acc, sF)
+            acc = _mult_vec(mult, acc, sF)
         for _ in range(b):
-            acc = vec_mul(acc, sE)
+            acc = _mult_vec(mult, acc, sE)
         for _ in range(a):
-            acc = vec_mul(acc, sK)
+            acc = _mult_vec(mult, acc, sK)
         antipode.append(acc)
 
     labels = [f"K^{a}E^{b}F^{c}" for (a, b, c) in monomials]
@@ -514,12 +506,10 @@ class SubalgebraEmbedding:
 
     def coords(self, v: Vec) -> Optional[tuple[Cyc, ...]]:
         """Coordinates of v in the echelon basis, or None if v is outside."""
-        cs = tuple(v.get(p, Cyc.zero()) for p in self.pivots)
-        rec: Vec = {}
-        for c, row in zip(cs, self.basis):
-            for j, x in row.items():
-                _vadd(rec, j, c * x)
-        return cs if _veq(rec, v) else None
+        if self.space.reduce(v):
+            return None
+        # echelon basis rows vanish at each other's pivots
+        return tuple(v.get(p, Cyc.zero()) for p in self.pivots)
 
     def contains(self, v: Vec) -> bool:
         return self.coords(v) is not None
@@ -626,7 +616,6 @@ class QuotientModule:
             for h in range(H.dim):
                 space.add(H.mult_vec(rp, H.basis_vec(h)))
         self.rpH = space
-        self.rpH_pivots = sorted(space.pivots)
         self.section = [j for j in range(H.dim) if j not in space.pivots]
         self.dim_q = len(self.section)
         if self.dim_q * emb.dim != H.dim:
@@ -657,14 +646,7 @@ class QuotientModule:
 
     def project(self, v: Vec) -> Vec:
         """H -> Q: reduce modulo R+H, coordinates on the section basis."""
-        v = dict(v)
-        for p in self.rpH_pivots:
-            c = v.get(p)
-            if c is None or c.is_zero():
-                continue
-            for j, x in self.rpH.pivots[p].items():
-                _vadd(v, j, -(c * x))
-        return {self._sec_index[j]: c for j, c in v.items() if not c.is_zero()}
+        return _project(self.rpH, self._sec_index, v)
 
     def lift(self, q: Vec) -> Vec:
         return {self.section[b]: c for b, c in q.items()}
@@ -828,25 +810,13 @@ def _is_hopf_ideal(H: HopfAlgebraData, space: RowSpace) -> bool:
             return False
         if not space.contains(H.antipode_vec(b)):
             return False
-    pivots = sorted(space.pivots)
     sec = [j for j in range(H.dim) if j not in space.pivots]
     sec_index = {j: i for i, j in enumerate(sec)}
-
-    def proj(v: Vec) -> Vec:
-        v = dict(v)
-        for p in pivots:
-            c = v.get(p)
-            if c is None or c.is_zero():
-                continue
-            for j, x in space.pivots[p].items():
-                _vadd(v, j, -(c * x))
-        return {sec_index[j]: c for j, c in v.items() if not c.is_zero()}
-
     for b in basis:
         out: TVec = {}
         for (x, y), c in H.comult_vec(b).items():
-            px = proj(H.basis_vec(x))
-            py = proj(H.basis_vec(y))
+            px = _project(space, sec_index, H.basis_vec(x))
+            py = _project(space, sec_index, H.basis_vec(y))
             for rx, cx in px.items():
                 cc = c * cx
                 for ry, cy in py.items():
@@ -1391,18 +1361,6 @@ def ulbrich_verify(H: HopfAlgebraData, R: SubalgebraEmbedding,
     if dim_x * R.dim != w_dim * d:
         raise AssertionError("induced module has unexpected dimension")
     sec_index = {j: b for b, j in enumerate(section)}
-    piv = sorted(rel.pivots)
-
-    def proj_x(v: dict[int, Cyc]) -> Vec:
-        v = dict(v)
-        for p in piv:
-            c = v.get(p)
-            if c is None or c.is_zero():
-                continue
-            for j, x in rel.pivots[p].items():
-                _vadd(v, j, -(c * x))
-        return {sec_index[j]: c for j, c in v.items() if not c.is_zero()}
-
     dq = Q.dim_q
     # coaction X -> X x Q on section basis: w_a x h -> w_a x h1 x pr(h2)
     coact: list[TVec] = []
@@ -1410,7 +1368,7 @@ def ulbrich_verify(H: HopfAlgebraData, R: SubalgebraEmbedding,
         a, k = divmod(pos, d)
         out: TVec = {}
         for (h1, h2), c in H.comult[k].items():
-            px = proj_x({a * d + h1: Cyc.one()})
+            px = _project(rel, sec_index, {a * d + h1: Cyc.one()})
             pq = Q.project(H.basis_vec(h2))
             for rx, cx in px.items():
                 cc = c * cx
@@ -1441,7 +1399,7 @@ def ulbrich_verify(H: HopfAlgebraData, R: SubalgebraEmbedding,
                 a, k = divmod(section[b], d)
                 prod = H.mult[k][h]
                 for m, x in prod.items():
-                    for key, val in proj_x({a * d + m: Cyc.one()}).items():
+                    for key, val in _project(rel, sec_index, {a * d + m: Cyc.one()}).items():
                         _vadd(img, key, c * x * val)
             image.add(img)
     return image.rank == dim_x

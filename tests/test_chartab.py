@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import perm
-from subdepth.chartab import (class_fusion, compute_character_table,
+from subdepth.chartab import (_modp_kernel, _modp_minpoly, _modp_rref,
+                              class_fusion, compute_character_table,
                               induce_class_function, inclusion_matrix,
                               permutation_character, table_from_json,
                               tables_agree_up_to_row_permutation)
@@ -151,3 +154,50 @@ def test_table_import_errors(s3):
     bad3["irreducibles"][0][1] = "7"
     with pytest.raises(AssertionError):
         table_from_json(s3, bad3)
+
+
+# -- GF(p) elimination -----------------------------------------------------------
+
+@st.composite
+def modp_matrices(draw):
+    """(p, n, A): an integer n x n matrix, read mod p, for p in {7, 31, 101}."""
+    p = draw(st.sampled_from([7, 31, 101]))
+    n = draw(st.integers(1, 5))
+    # small entries make repeated eigenvalues and nilpotent parts likely
+    entry = st.integers(-2, 2) if draw(st.booleans()) else st.integers(0, p - 1)
+    A = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return p, n, A
+
+
+def _matmul_modp(A, B, p):
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)] for row in A]
+
+
+@given(modp_matrices())
+@settings(max_examples=80, deadline=None)
+def test_modp_minpoly_is_the_least_annihilator(pnA):
+    p, n, A = pnA
+    m = _modp_minpoly(A, p)
+    assert m[-1] == 1 and all(0 <= c < p for c in m)
+    # the powers I, A, ..., A^n flattened to rows; their rank is deg m
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for _ in range(n):
+        powers.append(_matmul_modp(powers[-1], A, p))
+    _, pivots = _modp_rref([[x for row in P for x in row] for P in powers], p)
+    assert len(m) - 1 == len(pivots)
+    value = [[0] * n for _ in range(n)]
+    for c, P in zip(m, powers):
+        value = [[(v + c * x) % p for v, x in zip(vr, xr)] for vr, xr in zip(value, P)]
+    assert value == [[0] * n for _ in range(n)]
+
+
+@given(modp_matrices())
+@settings(max_examples=80, deadline=None)
+def test_modp_kernel_annihilates_and_has_full_dimension(pnA):
+    p, n, A = pnA
+    kern = _modp_kernel(A, n, p)
+    for v in kern:
+        assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in A)
+    _, pivots = _modp_rref(A, p)
+    assert len(kern) == n - len(pivots)
+    assert len(_modp_rref(kern, p)[1]) == len(kern)

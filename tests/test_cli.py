@@ -99,6 +99,19 @@ def test_hopf_mode(tmp_path, capsys, uq2):
     assert "d_h" not in json.dumps(data)
 
 
+@pytest.mark.parametrize("field", ["counit", "antipode", "unit"])
+def test_hopf_mode_names_a_missing_field(field, tmp_path, capsys, uq2):
+    H8, subs8 = uq2
+    data = H8.to_json(subalgebras={"R": subs8["R2"]})
+    del data[field]
+    path = tmp_path / "uq2.json"
+    path.write_text(json.dumps(data))
+    assert main(["hopf", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: Hopf JSON is missing the field '{field}'")
+    assert "Traceback" not in err
+
+
 def test_sweep_mode_deterministic(tmp_path, capsys):
     out1 = tmp_path / "s1.json"
     out2 = tmp_path / "s2.json"

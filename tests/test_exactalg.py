@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subdepth.exactalg import (Cyc, ExactMatrix, ExactPolynomial,
-                               MalformedSequenceError, cyclotomic_polynomial,
-                               euler_phi, factor_rational_roots,
-                               is_indecomposable, minimal_polynomial,
+                               MalformedSequenceError, RowSpace,
+                               cyclotomic_polynomial, euler_phi,
+                               factor_rational_roots, is_indecomposable,
+                               kernel_of_sparse_columns, minimal_polynomial,
                                pattern_stabilization_index, scalar_from_string,
                                scalar_to_string, solve_kernel)
 
@@ -257,6 +258,88 @@ def test_kernel_invariant_under_row_scaling(rows, scales):
     B = ExactMatrix.from_rows([[Fraction(s) * x for x in row]
                                for s, row in zip(scales, rows)])
     assert solve_kernel(A) == solve_kernel(B)
+
+
+# -- the elimination engine ---------------------------------------------------
+
+ENGINE_WIDTH = 5
+
+
+@st.composite
+def field_scalars(draw, order):
+    """Scalars of Q(zeta_order), zero about a third of the time."""
+    if draw(st.integers(0, 2)) == 0:
+        return Cyc.zero()
+    return Cyc(order, draw(st.lists(small_rationals, min_size=euler_phi(order),
+                                    max_size=euler_phi(order))))
+
+
+@st.composite
+def sparse_rows(draw, min_size=0, max_size=6):
+    """(order, rows): sparse rows of width ENGINE_WIDTH over one of Q,
+    Q(zeta_3), Q(zeta_4)."""
+    order = draw(st.sampled_from([1, 3, 4]))
+    rows = draw(st.lists(st.lists(field_scalars(order), min_size=ENGINE_WIDTH,
+                                  max_size=ENGINE_WIDTH),
+                         min_size=min_size, max_size=max_size))
+    return order, [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in rows]
+
+
+def row_space(rows):
+    space = RowSpace(ENGINE_WIDTH)
+    for row in rows:
+        space.add(row)
+    return space
+
+
+def combine(coeffs, rows):
+    out = {}
+    for c, row in zip(coeffs, rows):
+        for j, x in row.items():
+            out[j] = out.get(j, Cyc.zero()) + c * x
+    return {j: x for j, x in out.items() if not x.is_zero()}
+
+
+@given(sparse_rows(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_rowspace_basis_ignores_insertion_order(order_rows, rnd):
+    # the reduced echelon form is unique, which every byte-identical output
+    # of the package rests on
+    _, rows = order_rows
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert row_space(rows).basis_rows() == row_space(shuffled).basis_rows()
+    assert row_space(rows).basis_rows() == row_space(rows[::-1]).basis_rows()
+
+
+@given(sparse_rows(min_size=1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_rowspace_reduce_is_empty_exactly_on_the_span(order_rows, data):
+    order, rows = order_rows
+    space = row_space(rows)
+    coeffs = data.draw(st.lists(field_scalars(order), min_size=len(rows),
+                                max_size=len(rows)))
+    assert space.reduce(combine(coeffs, rows)) == {}
+    dense_v = data.draw(st.lists(field_scalars(order), min_size=ENGINE_WIDTH,
+                                 max_size=ENGINE_WIDTH))
+    v = {j: x for j, x in enumerate(dense_v) if not x.is_zero()}
+    r = space.reduce(v)
+    assert all(p not in r for p in space.pivots)
+    # v - reduce(v) is the combination of basis rows read off at the pivots,
+    # so reduce(v) is empty iff v lies in the span
+    part = combine([v.get(p, Cyc.zero()) for p in sorted(space.pivots)],
+                   space.basis_rows())
+    assert combine([Cyc.one(), Cyc.rational(-1)], [v, r]) == part
+
+
+@given(sparse_rows(min_size=1))
+@settings(max_examples=60, deadline=None)
+def test_kernel_of_sparse_columns_matches_solve_kernel(order_rows):
+    # the rows drawn are read as the columns of a 5-row matrix
+    _, cols = order_rows
+    dense = ExactMatrix.from_rows([[col.get(i, Cyc.zero()) for col in cols]
+                                   for i in range(ENGINE_WIDTH)])
+    assert kernel_of_sparse_columns(cols) == solve_kernel(dense)
 
 
 # -- minimal polynomials ------------------------------------------------------

@@ -337,6 +337,21 @@ def test_trace_ideal_eight_dim(uq2):
         assert a.space <= b.space
 
 
+def test_trace_ideals_beyond_dimension_eight(uq3):
+    # the 27-dim small quantum group over Q(zeta_3) with R2 = <K, E>: every
+    # check trace_ideals makes runs, and the chain reaches H at n = ell_Q
+    H, subs = uq3
+    R = subs["R2"]
+    Q = quotient_module(H, R)
+    rep = integrals_and_modular(H, R, Q)
+    chain = annihilator_chain(Q)
+    ti = trace_ideals(H, R, Q, t_R=rep.t_R, ell_q=chain.ell_q)
+    assert ti.htrh_matches
+    assert ti.complete
+    assert ti.L_q == chain.ell_q
+    assert [i.dim for i in ti.ideals] == [7, 18, 26, 27]
+
+
 def test_trace_ideal_free_case(s3):
     H = cached_group_algebra(s3)
     triv = SubalgebraEmbedding(H, [dict(H.unit)])
