@@ -23,8 +23,9 @@ from .exactalg import scalar_to_string
 from .hopfcore import (DEFAULT_TENSOR_CAP, HopfAlgebraData, annihilator_chain,
                        idealizer_and_endQ, integrals_and_modular,
                        quotient_module, trace_ideals)
-from .mackey import (combinatorial_bound_check, core_depth_bound, hecke_algebra,
-                     mackey_restrict, q_tensor_decomposition)
+from .mackey import (BudgetExceededError, combinatorial_bound_check,
+                     core_depth_bound, hecke_algebra, mackey_restrict,
+                     q_tensor_decomposition)
 from .chartab import InclusionMatrix
 from .permgroup import DEFAULT_ORDER_CAP, load_group_file
 
@@ -384,7 +385,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         return run(req)
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, AssertionError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

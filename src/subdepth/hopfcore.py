@@ -93,6 +93,22 @@ def _project(space: RowSpace, sec_index: dict[int, int], v: Vec) -> Vec:
     return {sec_index[j]: c for j, c in space.reduce(v).items()}
 
 
+def _check_indices(field: str, d: int, *indices) -> None:
+    # input check for Hopf JSON: basis indices must lie in range(dim)
+    for x in indices:
+        if not isinstance(x, int) or not 0 <= x < d:
+            raise ValueError(f"Hopf JSON field '{field}': index {x!r} is not "
+                             f"in range({d})")
+
+
+def _check_length(field: str, d: int, *seqs) -> None:
+    # input check for Hopf JSON: each list must have one entry per basis element
+    for seq in seqs:
+        if len(seq) != d:
+            raise ValueError(f"Hopf JSON field '{field}': a list of length "
+                             f"{len(seq)}, expected dim = {d}")
+
+
 # ---------------------------------------------------------------------------
 # HopfAlgebraData
 # ---------------------------------------------------------------------------
@@ -104,6 +120,14 @@ class HopfAlgebraData:
     of e_i over basis pairs, counit[i] a scalar, antipode[i] the sparse image
     S(e_i).  The constructor verifies associativity, coassociativity, the
     unit/counit laws, bialgebra compatibility and both antipode axioms.
+
+    Associativity and bialgebra compatibility are proved on algebra
+    generators only (see `verify`), by two lemmas: the elements a with
+    (xa)y = x(ay) for all x, y form a subalgebra even before associativity
+    is known, and in an associative algebra the elements a with
+    Delta(xa) = Delta(x) Delta(a) (likewise eps) for all x form a subalgebra
+    containing 1.  Hence the order: unit laws before associativity,
+    associativity before multiplicativity.
     """
 
     def __init__(self, dim: int, field_order: int, labels: Sequence[str],
@@ -165,7 +189,57 @@ class HopfAlgebraData:
 
     # -- verification ---------------------------------------------------------
 
+    def _generators(self) -> list[int]:
+        """Basis indices that generate H as an algebra, in basis order.
+
+        e_i joins the list when it is not yet in V, the span of the
+        left-normed products (...((1 s_1) s_2)...) s_k of generators found
+        so far.  V is closed under right multiplication by every generator
+        before the walk moves on, and the walk stops only once V = H.
+        """
+        span = RowSpace(self.dim)
+        span.add(self.unit)
+        members = [self.unit]
+        gens: list[int] = []
+        for i in range(self.dim):
+            if span.rank == self.dim:
+                break
+            if span.contains(self.basis_vec(i)):
+                continue
+            gens.append(i)
+            work = [(m, i) for m in members]
+            while work:
+                m, s = work.pop()
+                p = self.mult_vec(m, self.basis_vec(s))
+                if span.add(p):
+                    members.append(p)
+                    work.extend((p, g) for g in gens)
+        return gens
+
     def verify(self) -> None:
+        """Prove every Hopf axiom exactly; raise AssertionError naming the
+        first one that fails.
+
+        The unit, counit and coassociativity laws, Delta(1), eps(1) and both
+        antipode axioms are checked on every basis element.  Associativity
+        and the multiplicativity of Delta and eps are checked against the
+        algebra generators g of `_generators` only, with the same strength:
+
+        - Associativity (Light's test): M = {a : (xa)y = x(ay) for all x, y}
+          is a subspace, and it is closed under products without assuming
+          associativity, since for a, b in M
+          (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
+          The unit laws put 1 in M, so checking (e_x g) e_y = e_x (g e_y)
+          for every generator g and all x, y puts every product of
+          generators in M, hence M = H.  The unit laws must run first.
+        - Multiplicativity: once H is associative,
+          N = {a : Delta(xa) = Delta(x) Delta(a) for all x} is a subalgebra
+          (likewise for eps), and it contains 1 by Delta(1) = 1 x 1 and
+          eps(1) = 1.  Checking Delta(e_i g) = Delta(e_i) Delta(g) and
+          eps(e_i g) = eps(e_i) eps(g) for every generator g and all i puts
+          the generators in N, hence N = H.  These checks must run after
+          associativity and after the checks on Delta(1) and eps(1).
+        """
         d = self.dim
         one = Cyc.one()
         for i in range(d):
@@ -174,14 +248,16 @@ class HopfAlgebraData:
                 raise AssertionError(f"unit law fails on the left at {i}")
             if not _veq(self.mult_vec(ei, self.unit), ei):
                 raise AssertionError(f"unit law fails on the right at {i}")
-        for i in range(d):
-            for j in range(d):
-                ij = self.mult[i][j]
-                for k in range(d):
-                    left = self.mult_vec(ij, self.basis_vec(k))
-                    right = self.mult_vec(self.basis_vec(i), self.mult[j][k])
+        gens = self._generators()
+        for s in gens:
+            for x in range(d):
+                xs = self.mult[x][s]
+                ex = self.basis_vec(x)
+                for y in range(d):
+                    left = self.mult_vec(xs, self.basis_vec(y))
+                    right = self.mult_vec(ex, self.mult[s][y])
                     if not _veq(left, right):
-                        raise AssertionError(f"associativity fails at ({i},{j},{k})")
+                        raise AssertionError(f"associativity fails at ({x},{s},{y})")
         if not (self.counit_vec(self.unit) - one).is_zero():
             raise AssertionError("counit of the unit is not 1")
         unit2 = {(a, b): ca * cb for a, ca in self.unit.items()
@@ -208,16 +284,16 @@ class HopfAlgebraData:
             if not _veq(lhs, rhs):
                 raise AssertionError(f"coassociativity fails at {i}")
         for i in range(d):
-            for j in range(d):
+            for s in gens:
                 # Delta and counit are algebra maps
-                prod = self.mult[i][j]
+                prod = self.mult[i][s]
                 dprod = self.comult_vec(prod)
-                dd = self.tensor_mult(self.comult[i], self.comult[j])
+                dd = self.tensor_mult(self.comult[i], self.comult[s])
                 if not _veq(dprod, dd):
-                    raise AssertionError(f"coproduct multiplicativity fails at ({i},{j})")
+                    raise AssertionError(f"coproduct multiplicativity fails at ({i},{s})")
                 eps_prod = self.counit_vec(prod)
-                if not (eps_prod - self.counit[i] * self.counit[j]).is_zero():
-                    raise AssertionError(f"counit multiplicativity fails at ({i},{j})")
+                if not (eps_prod - self.counit[i] * self.counit[s]).is_zero():
+                    raise AssertionError(f"counit multiplicativity fails at ({i},{s})")
         for i in range(d):
             lhs = {}
             rhs = {}
@@ -279,19 +355,25 @@ class HopfAlgebraData:
         labels = data.get("labels") or [f"e{i}" for i in range(d)]
         mult: list[list[Vec]] = [[{} for _ in range(d)] for _ in range(d)]
         for i, j, k, s in data.get("mult", []):
+            _check_indices("mult", d, i, j, k)
             mult[i][j][k] = scalar_from_string(s)
         comult: list[TVec] = [{} for _ in range(d)]
         for i, j, k, s in data.get("comult", []):
+            _check_indices("comult", d, i, j, k)
             comult[i][(j, k)] = scalar_from_string(s)
+        _check_length("counit", d, counit_data)
         counit = [scalar_from_string(s) for s in counit_data]
+        _check_length("antipode", d, antipode_data, *antipode_data)
         antipode: list[Vec] = []
         for row in antipode_data:
             v = {j: scalar_from_string(s) for j, s in enumerate(row)}
             antipode.append({j: x for j, x in v.items() if not x.is_zero()})
         unit = {int(k): scalar_from_string(v) for k, v in unit_data.items()}
+        _check_indices("unit", d, *unit)
         H = HopfAlgebraData(d, n, labels, mult, unit, comult, counit, antipode)
         subs = {}
         for name, rows in sorted(data.get("subalgebras", {}).items()):
+            _check_length("subalgebras", d, *rows)
             basis = [{j: scalar_from_string(s) for j, s in enumerate(row)
                       if scalar_from_string(s) != 0} for row in rows]
             subs[name] = SubalgebraEmbedding(H, basis)

@@ -9,7 +9,8 @@ from subdepth.chartab import (class_fusion, compute_character_table,
 from subdepth.corpus import (cached_table, corpus_groups,
                              subgroups_up_to_conjugacy)
 from subdepth.depthmat import depth_report
-from subdepth.hopfcore import build_group_algebra
+from subdepth.exactalg import Cyc
+from subdepth.hopfcore import _vadd, _veq, _vscale, build_group_algebra
 from subdepth.permgroup import Permutation, enumerate_group
 
 
@@ -89,3 +90,82 @@ def cached_group_algebra(G):
 
 def group_table(name, G):
     return cached_table(name, G)
+
+
+def full_axioms_hold(H) -> bool:
+    """Reference check of every Hopf axiom on all basis triples and pairs:
+    associativity on d^3 triples, Delta and eps multiplicativity on d^2
+    pairs.  `HopfAlgebraData.verify` must raise exactly when this is False."""
+    try:
+        _full_axiom_check(H)
+    except AssertionError:
+        return False
+    return True
+
+
+def _full_axiom_check(self) -> None:
+    d = self.dim
+    one = Cyc.one()
+    for i in range(d):
+        ei = self.basis_vec(i)
+        if not _veq(self.mult_vec(self.unit, ei), ei):
+            raise AssertionError(f"unit law fails on the left at {i}")
+        if not _veq(self.mult_vec(ei, self.unit), ei):
+            raise AssertionError(f"unit law fails on the right at {i}")
+    for i in range(d):
+        for j in range(d):
+            ij = self.mult[i][j]
+            for k in range(d):
+                left = self.mult_vec(ij, self.basis_vec(k))
+                right = self.mult_vec(self.basis_vec(i), self.mult[j][k])
+                if not _veq(left, right):
+                    raise AssertionError(f"associativity fails at ({i},{j},{k})")
+    if not (self.counit_vec(self.unit) - one).is_zero():
+        raise AssertionError("counit of the unit is not 1")
+    unit2 = {(a, b): ca * cb for a, ca in self.unit.items()
+             for b, cb in self.unit.items()}
+    if not _veq(self.comult_vec(self.unit), unit2):
+        raise AssertionError("coproduct of the unit is not unit x unit")
+    for i in range(d):
+        # counit laws
+        left = {}
+        right = {}
+        for (a, b), c in self.comult[i].items():
+            _vadd(left, b, c * self.counit[a])
+            _vadd(right, a, c * self.counit[b])
+        if not _veq(left, self.basis_vec(i)) or not _veq(right, self.basis_vec(i)):
+            raise AssertionError(f"counit law fails at {i}")
+        # coassociativity
+        lhs = {}
+        rhs = {}
+        for (a, b), c in self.comult[i].items():
+            for (x, y), m in self.comult[a].items():
+                _vadd(lhs, (x, y, b), c * m)
+            for (x, y), m in self.comult[b].items():
+                _vadd(rhs, (a, x, y), c * m)
+        if not _veq(lhs, rhs):
+            raise AssertionError(f"coassociativity fails at {i}")
+    for i in range(d):
+        for j in range(d):
+            # Delta and counit are algebra maps
+            prod = self.mult[i][j]
+            dprod = self.comult_vec(prod)
+            dd = self.tensor_mult(self.comult[i], self.comult[j])
+            if not _veq(dprod, dd):
+                raise AssertionError(f"coproduct multiplicativity fails at ({i},{j})")
+            eps_prod = self.counit_vec(prod)
+            if not (eps_prod - self.counit[i] * self.counit[j]).is_zero():
+                raise AssertionError(f"counit multiplicativity fails at ({i},{j})")
+    for i in range(d):
+        lhs = {}
+        rhs = {}
+        for (a, b), c in self.comult[i].items():
+            sa = self.antipode_vec({a: c})
+            for k, v in self.mult_vec(sa, self.basis_vec(b)).items():
+                _vadd(lhs, k, v)
+            sb = self.antipode_vec({b: c})
+            for k, v in self.mult_vec(self.basis_vec(a), sb).items():
+                _vadd(rhs, k, v)
+        want = _vscale(self.unit, self.counit[i])
+        if not _veq(lhs, want) or not _veq(rhs, want):
+            raise AssertionError(f"antipode axiom fails at {i}")

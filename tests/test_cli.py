@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from subdepth import cli
 from subdepth.cli import AnalysisRequest, main, run
+from subdepth.mackey import BudgetExceededError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -110,6 +118,68 @@ def test_hopf_mode_names_a_missing_field(field, tmp_path, capsys, uq2):
     err = capsys.readouterr().err
     assert err.startswith(f"error: Hopf JSON is missing the field '{field}'")
     assert "Traceback" not in err
+
+
+def _bad_index(data, field, value):
+    if field == "unit":
+        data["unit"] = {str(value): "1"}
+    else:
+        data[field][0][1] = value
+
+
+def _bad_length(data, field):
+    if field == "antipode":
+        data["antipode"][3] = data["antipode"][3][:-1]
+    elif field == "subalgebras":
+        data["subalgebras"]["R"][0].append("0")
+    else:
+        data[field] = data[field][:-1]
+
+
+@pytest.mark.parametrize("field, corrupt", [
+    ("mult", lambda data: _bad_index(data, "mult", 8)),
+    ("mult", lambda data: _bad_index(data, "mult", -1)),
+    ("comult", lambda data: _bad_index(data, "comult", 9)),
+    ("comult", lambda data: _bad_index(data, "comult", -1)),
+    ("unit", lambda data: _bad_index(data, "unit", 8)),
+    ("antipode", lambda data: _bad_length(data, "antipode")),
+    ("counit", lambda data: _bad_length(data, "counit")),
+    ("subalgebras", lambda data: _bad_length(data, "subalgebras")),
+], ids=["mult-8", "mult-neg", "comult-9", "comult-neg", "unit-8",
+        "antipode-row", "counit-length", "subalgebras-row"])
+def test_hopf_mode_rejects_out_of_range_data(field, corrupt, tmp_path, capsys, uq2):
+    H8, subs8 = uq2
+    data = H8.to_json(subalgebras={"R": subs8["R2"]})
+    corrupt(data)
+    path = tmp_path / "uq2.json"
+    path.write_text(json.dumps(data))
+    assert main(["hopf", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: Hopf JSON field '{field}'")
+    assert "Traceback" not in err
+
+
+def test_mackey_budget_is_an_error(s2s3_file, monkeypatch, capsys):
+    def over_budget(G, H, n):
+        raise BudgetExceededError("|H\\G/H|^(n-1) = 10 exceeds the budget 1")
+    monkeypatch.setattr(cli, "q_tensor_decomposition", over_budget)
+    assert main(["mackey", s2s3_file, "--power", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: |H\\G/H|^(n-1) = 10 exceeds the budget")
+    assert "Traceback" not in err
+
+
+def test_make_hopf_input_script_feeds_hopf_mode(tmp_path):
+    path = tmp_path / "uq2.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_hopf_input.py"),
+                    "2", str(path), "--subalgebras", "R2"],
+                   check=True, capture_output=True, env=env)
+    proc = subprocess.run([sys.executable, "-m", "subdepth.cli", "hopf", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "axioms verified" in proc.stdout
+    assert "tau(Q) = H t_R H: True" in proc.stdout
 
 
 def test_sweep_mode_deterministic(tmp_path, capsys):

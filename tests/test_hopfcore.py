@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import cached_group_algebra, perm
-from subdepth.exactalg import Cyc
+from helpers import cached_group_algebra, full_axioms_hold, perm
+from subdepth.exactalg import Cyc, RowSpace
 from subdepth.hopfcore import (HopfAlgebraData, SubalgebraEmbedding,
                                TensorCapExceededError, annihilator_chain,
                                augmentation_core_ideal, build_group_algebra,
@@ -89,6 +90,133 @@ def test_verify_rejects_one_corrupted_antipode_entry(s3, value):
     antipode[g] = {k: Cyc.rational(value)} if value is not None else {g: one}
     with pytest.raises(AssertionError, match="antipode axiom fails"):
         _tampered(H, antipode=antipode)
+
+
+def _corrupted(H, rng):
+    """An unverified copy of H with one entry of the mult, comult, counit or
+    antipode table shifted by a nonzero scalar (possibly to zero)."""
+    d = H.dim
+    shifts = [Cyc.one(), Cyc.rational(-1), Cyc.rational(Fraction(1, 2))]
+    if H.field_order > 1:
+        shifts.append(Cyc.root_of_unity(H.field_order))
+    shift = rng.choice(shifts)
+
+    def bump(entry, key):
+        out = dict(entry)
+        new = out.get(key, Cyc.zero()) + shift
+        if new.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = new
+        return out
+
+    def pick_key(entry, fresh):
+        return rng.choice(sorted(entry)) if entry and rng.random() < 0.5 else fresh()
+
+    mult, comult, counit, antipode = H.mult, H.comult, H.counit, H.antipode
+    table = rng.choice(["mult", "comult", "counit", "antipode"])
+    i = rng.randrange(d)
+    if table == "mult":
+        j = rng.randrange(d)
+        mult = [list(row) for row in H.mult]
+        mult[i][j] = bump(mult[i][j], pick_key(mult[i][j], lambda: rng.randrange(d)))
+    elif table == "comult":
+        comult = list(H.comult)
+        key = pick_key(comult[i], lambda: (rng.randrange(d), rng.randrange(d)))
+        comult[i] = bump(comult[i], key)
+    elif table == "counit":
+        counit = list(H.counit)
+        counit[i] = counit[i] + shift
+    else:
+        antipode = list(H.antipode)
+        antipode[i] = bump(antipode[i], pick_key(antipode[i], lambda: rng.randrange(d)))
+    return HopfAlgebraData(d, H.field_order, H.labels, mult, H.unit, comult,
+                           counit, antipode, verify=False)
+
+
+def test_verify_raises_exactly_when_an_axiom_fails(s3, uq2, uq3):
+    kS3, uq2_alg = cached_group_algebra(s3), uq2[0]
+    assert full_axioms_hold(kS3) and full_axioms_hold(uq2_alg)
+    rng = random.Random(5)
+    algebras = [kS3] * 150 + [uq2_alg] * 150 + [uq3[0]] * 4
+    raised = 0
+    for H in algebras:
+        bad = _corrupted(H, rng)
+        try:
+            bad.verify()
+        except AssertionError:
+            raised += 1
+            assert not full_axioms_hold(bad)
+        else:
+            assert full_axioms_hold(bad)
+    assert raised > 0
+
+
+def _klein_four_with(mult=None, comult=None):
+    G = enumerate_group([perm(4, (3, 4)), perm(4, (1, 2))])
+    H = build_group_algebra(G)
+    assert H._generators() == [1, 2]    # e_1 = (3 4), e_2 = (1 2), e_3 = e_1 e_2
+    return HopfAlgebraData(H.dim, 1, H.labels, mult or H.mult, H.unit,
+                           comult or H.comult, H.counit, H.antipode, verify=False)
+
+
+def test_verify_checks_associativity_at_every_generator():
+    # twisting e_2 e_3 = e_3 e_2 = 2 e_1 keeps (x e_1) y = x (e_1 y) for all
+    # x, y, so only the second generator exposes the failure
+    H = _klein_four_with()
+    mult = [list(row) for row in H.mult]
+    mult[2][3] = mult[3][2] = {1: Cyc.rational(2)}
+    bad = _klein_four_with(mult=mult)
+    assert not full_axioms_hold(bad)
+    with pytest.raises(AssertionError, match=r"associativity fails at \(\d+,2,\d+\)"):
+        bad.verify()
+
+
+def test_verify_checks_multiplicativity_at_every_generator():
+    # with p, q = (e_2 + e_3)/2, (e_2 - e_3)/2, the coproduct
+    # Delta(e_2) = p@p + 2 q@q + p@q + q@p, Delta(e_3) = Delta(e_2) (e_1 @ e_1)
+    # is coassociative and counital and Delta(x e_1) = Delta(x) Delta(e_1),
+    # but Delta(e_2 e_2) = 1@1 differs from Delta(e_2)^2
+    H = _klein_four_with()
+    c = {k: Cyc.rational(Fraction(k, 4)) for k in (-1, 1, 5)}
+    comult = list(H.comult)
+    comult[2] = {(2, 2): c[5], (2, 3): c[-1], (3, 2): c[-1], (3, 3): c[1]}
+    comult[3] = {(2, 2): c[1], (2, 3): c[-1], (3, 2): c[-1], (3, 3): c[5]}
+    bad = _klein_four_with(comult=comult)
+    assert not full_axioms_hold(bad)
+    with pytest.raises(AssertionError,
+                       match=r"coproduct multiplicativity fails at \(\d+,2\)"):
+        bad.verify()
+
+
+@pytest.mark.parametrize("name, want", [
+    ("s4", [1, 2, 6]), ("a5", [1, 3, 12]), ("uq2", [1, 2, 4]), ("uq3", [1, 3])])
+def test_generators_span_the_algebra(name, want, request):
+    fixture = request.getfixturevalue(name)
+    H = fixture[0] if name.startswith("uq") else cached_group_algebra(fixture)
+    gens = H._generators()
+    assert gens == want
+    # the left-normed products of the generators, starting from the unit
+    span = RowSpace(H.dim)
+    span.add(H.unit)
+    frontier = [H.unit]
+    while frontier:
+        words = [H.mult_vec(w, H.basis_vec(g)) for w in frontier for g in gens]
+        frontier = [w for w in words if span.add(w)]
+    assert span.rank == H.dim
+
+
+def test_verify_group_algebra_of_s5(s5):
+    H = build_group_algebra(s5)
+    assert H.dim == 120
+    x, y = H.dim - 1, H.dim - 2      # neither the unit nor a generator
+    assert x not in H.unit and y not in H.unit
+    assert not {x, y} & set(H._generators())
+    (k, one), = H.mult[x][y].items()
+    mult = [list(row) for row in H.mult]
+    mult[x][y] = {k: Cyc.rational(2)}
+    with pytest.raises(AssertionError, match="associativity"):
+        _tampered(H, mult=mult)
 
 
 def test_hopf_json_round_trip(uq2):
