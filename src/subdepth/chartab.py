@@ -13,9 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from .exactalg import (Cyc, ExactMatrix, scalar_from_string, scalar_to_string)
+from .exactalg import (Cyc, _xpow_table, euler_phi, scalar_from_string,
+                       scalar_to_string)
 from .permgroup import ConjClass, GroupHandle, Permutation, SubgroupHandle
 
 CLASS_CAP = 60
@@ -174,15 +176,90 @@ def _modp_minpoly(mat: list[list[int]], p: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# integer inner products over Z[zeta_n]
+# ---------------------------------------------------------------------------
+
+# A coordinate row holds one sparse integer vector per class: the nonzero
+# (i, c_i) of a value sum_i c_i zeta_n^i in the power basis of Q[x]/Phi_n.
+
+def _int_rows(rows: Sequence[Sequence[Cyc]], n: int) -> tuple[list[list[tuple]], int]:
+    """(coordinate rows, den): the values lifted to Q(zeta_n), each
+    coordinate times one common denominator den, which is 1 when every
+    value lies in Z[zeta_n]."""
+    coords = [[v.lift(n).coeffs for v in row] for row in rows]
+    den = lcm(*(c.denominator for row in coords for v in row for c in v
+                if type(c) is not int))
+    return [[_sparse(c * den for c in v) for v in row] for row in coords], den
+
+
+def _sparse(coords) -> tuple:
+    return tuple((i, int(c)) for i, c in enumerate(coords) if c)
+
+
+def _reduce_powers(n: int, terms) -> list[int]:
+    """The coordinates of sum c * zeta_n^m over (m, c) terms, reduced
+    modulo Phi_n; each m must be below len(_xpow_table(n))."""
+    table = _xpow_table(n)
+    acc = [0] * euler_phi(n)
+    for m, c in terms:
+        if c:
+            for j, t in enumerate(table[m]):
+                if t:
+                    acc[j] += c * t
+    return acc
+
+
+def _lift_coords(row: list[tuple], m: int, n: int) -> list[tuple]:
+    """A coordinate row over Z[zeta_m] rewritten over Z[zeta_n], m | n."""
+    if m == n:
+        return row
+    step = n // m
+    return [_sparse(_reduce_powers(n, ((i * step, c) for i, c in v))) for v in row]
+
+
+def _weighted_conjugates(row: list[tuple], sizes: Sequence[int], n: int) -> list[tuple]:
+    """|C| conj(x_C) for each class C, where conj is zeta_n -> zeta_n^-1."""
+    return [_sparse(_reduce_powers(n, (((n - i) % n, s * c) for i, c in v)))
+            for v, s in zip(row, sizes)]
+
+
+def _int_inner(n: int, xs: list[tuple], ws: list[tuple]) -> list[int]:
+    """Integer coordinates of sum_C x_C w_C in Z[zeta_n]: the product
+    polynomials are added up unreduced, then reduced once modulo Phi_n."""
+    acc = [0] * (2 * euler_phi(n) - 1)
+    for x, w in zip(xs, ws):
+        for i, a in x:
+            for j, b in w:
+                acc[i + j] += a * b
+    return _reduce_powers(n, enumerate(acc))
+
+
+# ---------------------------------------------------------------------------
 # character table
 # ---------------------------------------------------------------------------
 
 @dataclass
 class CharacterTable:
+    """The irreducible characters of a group, one row of values per
+    irreducible, one value per class.
+
+    The values are also kept as integer coordinate rows in Z[zeta_n], the
+    conductor n being the lcm of the exponent and the orders of the values,
+    over one common denominator (1 for every computed table), together with
+    their complex conjugates weighted by the class sizes; every inner product
+    of table rows is an integer kernel over these rows.
+    """
     group: GroupHandle
     exponent: int
     classes: list[ConjClass]
     irreducibles: list[tuple[Cyc, ...]]
+
+    def __post_init__(self):
+        n = lcm(self.exponent, *(v.order for row in self.irreducibles for v in row))
+        sizes = [c.size for c in self.classes]
+        self._n = n
+        self._rows, self._den = _int_rows(self.irreducibles, n)
+        self._weighted_conj = [_weighted_conjugates(row, sizes, n) for row in self._rows]
 
     @property
     def degrees(self) -> list[int]:
@@ -201,21 +278,24 @@ class CharacterTable:
 
     def inner_product(self, a: Sequence[Cyc], b: Sequence[Cyc]) -> Cyc:
         """<a, b> = (1/|G|) sum_C |C| a(C) conj(b(C)), exact."""
-        acc = Cyc.zero()
-        for cls, x, y in zip(self.classes, a, b):
-            acc = acc + x * y.conjugate() * cls.size
-        return acc * Fraction(1, self.group.order)
+        n = lcm(*(v.order for v in (*a, *b)))
+        (xs,), da = _int_rows([a], n)
+        (ys,), db = _int_rows([b], n)
+        ws = _weighted_conjugates(ys, [c.size for c in self.classes], n)
+        den = self.group.order * da * db
+        return Cyc(n, [Fraction(c, den) for c in _int_inner(n, xs, ws)])
 
     def verify(self) -> None:
         """Row orthogonality and the degree sum, exactly."""
         n = len(self.irreducibles)
         if sum(d * d for d in self.degrees) != self.group.order:
             raise AssertionError("sum of squared degrees does not match the group order")
+        den = self.group.order * self._den * self._den
         for i in range(n):
             for j in range(i, n):
-                ip = self.inner_product(self.irreducibles[i], self.irreducibles[j])
-                want = 1 if i == j else 0
-                if ip != want:
+                ip = _int_inner(self._n, self._rows[i], self._weighted_conj[j])
+                want = den if i == j else 0
+                if ip[0] != want or any(ip[1:]):
                     raise AssertionError(f"row orthogonality failed at ({i},{j})")
 
     def to_json(self) -> dict:
@@ -241,7 +321,7 @@ def compute_character_table(G: GroupHandle) -> CharacterTable:
     failures = []
     for attempt, p in enumerate(_dixon_primes(e, G.order)):
         if attempt >= 8:
-            raise RuntimeError(
+            raise AssertionError(
                 "character table failed for 8 primes: " + "; ".join(failures))
         try:
             irred = _dixon_schneider(G, classes, e, p)
@@ -441,9 +521,6 @@ class InclusionMatrix:
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
-    def to_exact(self) -> ExactMatrix:
-        return ExactMatrix.from_rows(self.entries)
-
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
 
@@ -460,17 +537,19 @@ def inclusion_matrix(tabG: CharacterTable, tabH: CharacterTable,
     a hard failure."""
     p = len(tabH.irreducibles)
     q = len(tabG.irreducibles)
+    n = lcm(tabG._n, tabH._n)
+    restricted = [_lift_coords([row[c] for c in fusion.mapping], tabG._n, n)
+                  for row in tabG._rows]
+    weighted = [_lift_coords(w, tabH._n, n) for w in tabH._weighted_conj]
+    den = tabH.group.order * tabG._den * tabH._den
     rows = []
     for i in range(p):
         row = []
-        phi = tabH.irreducibles[i]
         for j in range(q):
-            chi_restr = [tabG.irreducibles[j][fusion.mapping[c]]
-                         for c in range(tabH.n_classes)]
-            val = tabH.inner_product(chi_restr, phi)
-            if not val.is_rational():
+            val = _int_inner(n, restricted[j], weighted[i])
+            if any(val[1:]):
                 raise AssertionError("restriction multiplicity is not rational")
-            f = val.as_fraction()
+            f = Fraction(val[0], den)
             if f.denominator != 1 or f < 0:
                 raise AssertionError("restriction multiplicity is not a nonnegative integer")
             row.append(int(f))

@@ -91,8 +91,8 @@ def _load_matrix_file(path: str) -> InclusionMatrix:
 
 def _depth_text(rep: DepthReport) -> None:
     _print_matrix("M", rep.M.to_lists())
-    _print_matrix("B = M M^t", rep.B.to_int_grid())
-    _print_matrix("C = M^t M", rep.C.to_int_grid())
+    _print_matrix("B = M M^t", rep.B)
+    _print_matrix("C = M^t M", rep.C)
     print(f"minpoly(B) = {rep.minpoly_B.to_string()}")
     print(f"minpoly(C) = {rep.minpoly_C.to_string()}")
     print(f"d_odd = {rep.d_odd}  d_ev = {rep.d_ev}  d_0 = {rep.d_0}  d_h = {rep.d_h}")

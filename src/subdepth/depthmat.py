@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from .chartab import InclusionMatrix
@@ -58,8 +60,8 @@ class McKayQuiver:
 @dataclass
 class DepthReport:
     M: InclusionMatrix
-    B: ExactMatrix
-    C: ExactMatrix
+    B: list[list[int]]
+    C: list[list[int]]
     d_odd: Optional[int]
     d_ev: Optional[int]
     d_0: Optional[int]
@@ -81,8 +83,8 @@ class DepthReport:
 
         return {
             "M": self.M.to_lists(),
-            "B": self.B.to_int_grid(),
-            "C": self.C.to_int_grid(),
+            "B": self.B,
+            "C": self.C,
             "d_odd": maybe(self.d_odd),
             "d_ev": maybe(self.d_ev),
             "d_0": maybe(self.d_0),
@@ -104,11 +106,30 @@ class DepthReport:
         }
 
 
-def _matpow(A: ExactMatrix, n: int) -> ExactMatrix:
-    out = A
-    for _ in range(n - 1):
-        out = out @ A
-    return out
+def _int_matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
+
+
+def _vanishes_at(poly: ExactPolynomial, A: list[list[int]]) -> bool:
+    """poly(A) = 0 for a square integer matrix A, by Horner's rule over the
+    integers after clearing the denominators of the coefficients."""
+    den = lcm(*(c.denominator for c in poly.coeffs))
+    coeffs = [int(c * den) for c in poly.coeffs]
+    n = len(A)
+    acc = [[coeffs[-1] if i == j else 0 for j in range(n)] for i in range(n)]
+    for c in reversed(coeffs[:-1]):
+        acc = _int_matmul(acc, A)
+        for i in range(n):
+            acc[i][i] += c
+    return not any(map(any, acc))
+
+
+def _is_permutation_matrix(grid: list[list[int]]) -> bool:
+    if any(len(row) != len(grid) for row in grid):
+        return False
+    return (all([x for x in row if x] == [1] for row in grid)
+            and all(sum(1 for x in col if x) == 1 for col in zip(*grid)))
 
 
 def _bipartite_diameters(M: InclusionMatrix) -> tuple[Optional[int], Optional[int]]:
@@ -147,7 +168,7 @@ def _bipartite_diameters(M: InclusionMatrix) -> tuple[Optional[int], Optional[in
     return white + 1, black + 1
 
 
-def mckay_quiver(C: ExactMatrix, labels: Optional[list[str]] = None,
+def mckay_quiver(C: list[list[int]], labels: Optional[list[str]] = None,
                  pf_candidate: Optional[Fraction] = None,
                  minpoly: Optional[ExactPolynomial] = None) -> McKayQuiver:
     """Weighted digraph on the group irreducibles with adjacency C.
@@ -155,14 +176,13 @@ def mckay_quiver(C: ExactMatrix, labels: Optional[list[str]] = None,
     ``minpoly`` is the minimal polynomial of C when the caller already has
     it; otherwise it is computed here.
     """
-    grid = C.to_int_grid()
-    q = len(grid)
+    q = len(C)
     if labels is None:
         labels = [f"U{j}" for j in range(q)]
-    edges = [(i, j, grid[i][j]) for i in range(q) for j in range(q) if grid[i][j] > 0]
+    edges = [(i, j, C[i][j]) for i in range(q) for j in range(q) if C[i][j] > 0]
     indec = is_indecomposable(C)
     pf_root = None
-    mp = minpoly if minpoly is not None else minimal_polynomial(C)
+    mp = minpoly if minpoly is not None else minimal_polynomial(ExactMatrix.from_rows(C))
     roots, _ = factor_rational_roots(mp)
     if roots:
         pf_root = max(roots)
@@ -183,23 +203,23 @@ def depth_report(M: InclusionMatrix,
     d_0 = min(d_ev, d_odd).
     """
     tags: dict[str, str] = {}
-    Mx = M.to_exact()
-    B = Mx @ Mx.transpose()
-    C = Mx.transpose() @ Mx
+    grid = M.to_lists()
+    grid_t = [list(col) for col in zip(*grid)]
+    B = _int_matmul(grid, grid_t)
+    C = _int_matmul(grid_t, grid)
     budget = k_max if k_max is not None else max(M.rows, M.cols, 2)
 
-    n_odd = pattern_stabilization_index(lambda k: _matpow(B, k), budget)
+    n_odd = pattern_stabilization_index(B, B, budget)
     d_odd = 2 * n_odd + 1 if n_odd is not None else None
     tags["d_odd"] = "pattern-stabilization(B)"
-    n_ev = pattern_stabilization_index(
-        lambda k: Mx if k == 1 else Mx @ _matpow(C, k - 1), budget)
+    n_ev = pattern_stabilization_index(grid, C, budget)
     d_ev = 2 * n_ev if n_ev is not None else None
     tags["d_ev"] = "pattern-stabilization(M C^k)"
-    n_h = pattern_stabilization_index(lambda k: _matpow(C, k), budget)
+    n_h = pattern_stabilization_index(C, C, budget)
     d_h = 2 * n_h + 1 if n_h is not None else None
     tags["d_h"] = "pattern-stabilization(C)"
 
-    if Mx.is_permutation_matrix():
+    if _is_permutation_matrix(grid):
         # identity inclusion: the pattern rules cannot see below 3/2
         d_odd, d_ev, d_h = 1, 2, 1
         tags["d_odd"] = tags["d_h"] = "identity-inclusion"
@@ -211,11 +231,11 @@ def depth_report(M: InclusionMatrix,
     d_0 = min(d_ev, d_odd) if d_ev is not None and d_odd is not None else None
     tags["d_0"] = "min(d_ev, d_odd)"
 
-    mp_b = minimal_polynomial(B)
-    mp_c = minimal_polynomial(C)
+    mp_b = minimal_polynomial(ExactMatrix.from_rows(B))
+    mp_c = minimal_polynomial(ExactMatrix.from_rows(C))
     # C m(C) = 0 for m the minimal polynomial of B
     x_mp_b = ExactPolynomial((0, 1)) * mp_b
-    if not x_mp_b.evaluate_matrix(C).is_zero():
+    if not _vanishes_at(x_mp_b, C):
         raise AssertionError("C m(C) != 0 for m = minpoly(B)")
     if mp_c not in (mp_b, x_mp_b):
         raise AssertionError("minpoly(C) is neither m nor X m for m = minpoly(B)")
@@ -276,12 +296,11 @@ def eigenvalues_via_class_formula(G: GroupHandle, H: SubgroupHandle) -> Eigenval
                          all_classes_restrict_to_one=restrict_one)
 
 
-def ell_from_trivial_row(C: ExactMatrix, trivial_index: int,
+def ell_from_trivial_row(C: list[list[int]], trivial_index: int,
                          k_max: Optional[int] = None) -> Optional[int]:
     """Stabilization index of the support of e_triv C^n; for semisimple pairs
     2*ell + 1 equals the h-depth."""
-    grid = C.to_int_grid()
-    q = len(grid)
+    q = len(C)
     budget = k_max if k_max is not None else max(q, 2)
     support = {trivial_index}
 
@@ -289,7 +308,7 @@ def ell_from_trivial_row(C: ExactMatrix, trivial_index: int,
         out = set()
         for i in s:
             for j in range(q):
-                if grid[i][j]:
+                if C[i][j]:
                     out.add(j)
         return out
 

@@ -1,8 +1,9 @@
 """Exact scalar and matrix arithmetic over Q and cyclotomic fields Q(zeta_n).
 
 Scalars are elements of Q(zeta_n) stored as rational coordinate vectors in the
-power basis of Q[x]/Phi_n(x).  Matrices, kernels, minimal polynomials and
-zero-pattern scans are built on top, so no floating point ever enters.
+power basis of Q[x]/Phi_n(x).  Matrices, kernels and minimal polynomials are
+built on top, so no floating point ever enters; the zero-pattern scans work
+on nonnegative integer matrices as row bitsets.
 Everything here is immutable after construction and all operations are pure.
 """
 
@@ -12,7 +13,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -519,37 +520,9 @@ class ExactMatrix:
     def to_lists(self) -> list[list[Cyc]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def to_int_grid(self) -> list[list[int]]:
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(self.cols):
-                f = self.at(i, j).as_fraction()
-                if f.denominator != 1:
-                    raise ValueError("matrix is not integral")
-                row.append(f.numerator)
-            out.append(row)
-        return out
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.cols, self.rows,
                            [self.at(i, j) for j in range(self.cols) for i in range(self.rows)])
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(self.rows, self.cols,
-                           [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(self.rows, self.cols,
-                           [a - b for a, b in zip(self.entries, other.entries)])
-
-    def scale(self, c) -> "ExactMatrix":
-        c = as_cyc(c)
-        return ExactMatrix(self.rows, self.cols, [c * e for e in self.entries])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -578,25 +551,6 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
-
-    def is_nonnegative_rational(self) -> bool:
-        return all(e.is_rational() and e.as_fraction() >= 0 for e in self.entries)
-
-    def zero_pattern(self) -> tuple[tuple[bool, ...], ...]:
-        """Boolean support matrix: True where the entry is nonzero."""
-        return tuple(tuple(not self.at(i, j).is_zero() for j in range(self.cols))
-                     for i in range(self.rows))
-
-    def is_permutation_matrix(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        pat = self.zero_pattern()
-        for i in range(self.rows):
-            ones = [j for j in range(self.cols) if pat[i][j]]
-            if len(ones) != 1 or self.at(i, ones[0]) != 1:
-                return False
-        return all(sum(1 for i in range(self.rows) if pat[i][j]) == 1
-                   for j in range(self.cols))
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -838,15 +792,6 @@ class ExactPolynomial:
             acc = acc * x + c
         return acc
 
-    def evaluate_matrix(self, A: ExactMatrix) -> ExactMatrix:
-        n = A.rows
-        acc = ExactMatrix.zeros(n, n)
-        for c in reversed(self.coeffs):
-            acc = acc @ A
-            if c != 0:
-                acc = acc + ExactMatrix.identity(n).scale(c)
-        return acc
-
     def to_string(self, var: str = "X") -> str:
         if self.is_zero():
             return "0"
@@ -993,54 +938,71 @@ def factor_rational_roots(p: ExactPolynomial):
 # zero-pattern scans and support connectivity
 # ---------------------------------------------------------------------------
 
-def pattern_stabilization_index(seq: Callable[[int], ExactMatrix],
+def pattern_stabilization_index(start: Sequence[Sequence[int]],
+                                step: Sequence[Sequence[int]],
                                 k_max: int) -> Optional[int]:
-    """Least k >= 1 with pattern(seq(k)) = pattern(seq(k+1)), or None.
+    """Least k >= 1 with pattern(S A^(k-1)) = pattern(S A^k), or None, for
+    S = start and A = step nonnegative integer matrices.
 
-    The sequence must have entrywise nonnegative rational entries with
-    monotone fill-in; violations raise MalformedSequenceError.  None means
-    the scan budget k_max was exhausted (unbounded within budget).
+    Each pattern is a list of row bitsets, and one boolean product with the
+    pattern of A makes the next one.  Negative entries raise
+    MalformedSequenceError, and so does a pattern that loses an entry (the
+    fill-in must be monotone).  None means the scan budget k_max was
+    exhausted (unbounded within budget).
     """
-    prev_mat = seq(1)
-    if not prev_mat.is_nonnegative_rational():
-        raise MalformedSequenceError("sequence entries must be nonnegative rationals")
-    prev = prev_mat.zero_pattern()
+    prev = _row_bitsets(start)
+    step_rows = _row_bitsets(step)
     for k in range(1, k_max + 1):
-        mat = seq(k + 1)
-        if not mat.is_nonnegative_rational():
-            raise MalformedSequenceError("sequence entries must be nonnegative rationals")
-        cur = mat.zero_pattern()
-        for r_prev, r_cur in zip(prev, cur):
-            for a, b in zip(r_prev, r_cur):
-                if a and not b:
-                    raise MalformedSequenceError("zero pattern lost an entry; not monotone")
+        cur = [_bool_product(bits, step_rows) for bits in prev]
+        for a, b in zip(prev, cur):
+            if a & ~b:
+                raise MalformedSequenceError("zero pattern lost an entry; not monotone")
         if cur == prev:
             return k
         prev = cur
     return None
 
 
-def is_indecomposable(A: ExactMatrix) -> bool:
-    """True iff the symmetric support graph of a square nonnegative matrix is
-    connected; a 1x1 zero matrix counts as connected."""
-    if A.rows != A.cols:
+def _row_bitsets(grid: Sequence[Sequence[int]]) -> list[int]:
+    # bit j of row i is set iff grid[i][j] != 0
+    out = []
+    for row in grid:
+        bits = 0
+        for j, x in enumerate(row):
+            if x < 0:
+                raise MalformedSequenceError("sequence entries must be nonnegative rationals")
+            if x:
+                bits |= 1 << j
+        out.append(bits)
+    return out
+
+
+def _bool_product(bits: int, rows: list[int]) -> int:
+    # the union of rows[j] over the set bits j
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= rows[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def is_indecomposable(A: Sequence[Sequence[int]]) -> bool:
+    """True iff the symmetric support graph of a square nonnegative integer
+    matrix is connected; a 1x1 zero matrix counts as connected."""
+    n = len(A)
+    if any(len(row) != n for row in A):
         raise ValueError("indecomposability needs a square matrix")
-    if not A.is_nonnegative_rational():
-        raise ValueError("indecomposability needs nonnegative entries")
-    n = A.rows
-    pat = A.zero_pattern()
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if pat[i][j] or pat[j][i]:
-                adj[i].add(j)
-                adj[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+    adj = [0] * n
+    for i, row in enumerate(A):
+        for j, x in enumerate(row):
+            if x < 0:
+                raise ValueError("indecomposability needs nonnegative entries")
+            if x:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    seen = frontier = 1
+    while frontier:
+        frontier = _bool_product(frontier, adj) & ~seen
+        seen |= frontier
+    return seen == (1 << n) - 1

@@ -101,6 +101,43 @@ def _check_indices(field: str, d: int, *indices) -> None:
                              f"in range({d})")
 
 
+_JSON_KINDS = {list: "a list", dict: "an object"}
+
+
+def _json_kind(field: str, value, kind: type):
+    # input check for Hopf JSON: a field or entry must be a JSON list/object
+    if not isinstance(value, kind):
+        raise ValueError(f"Hopf JSON field '{field}': expected {_JSON_KINDS[kind]}, "
+                         f"got {value!r}")
+    return value
+
+
+def _json_int(field: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"Hopf JSON field '{field}': expected an integer, got {value!r}")
+
+
+def _json_scalar(field: str, value) -> Cyc:
+    if not isinstance(value, str):
+        raise ValueError(f"Hopf JSON field '{field}': expected a scalar string, "
+                         f"got {value!r}")
+    try:
+        return scalar_from_string(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"Hopf JSON field '{field}': {exc}")
+
+
+def _json_entries(field: str, value) -> list:
+    # the [i, j, k, scalar] entries of a structure-constant list
+    for entry in _json_kind(field, value, list):
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise ValueError(f"Hopf JSON field '{field}': expected [i, j, k, scalar] "
+                             f"entries, got {entry!r}")
+    return value
+
+
 def _check_length(field: str, d: int, *seqs) -> None:
     # input check for Hopf JSON: each list must have one entry per basis element
     for seq in seqs:
@@ -345,37 +382,43 @@ class HopfAlgebraData:
 
     @staticmethod
     def from_json(data: dict) -> tuple["HopfAlgebraData", dict[str, "SubalgebraEmbedding"]]:
-        try:
-            d = int(data["dim"])
-            n = int(data["field_order"])
-            counit_data, antipode_data, unit_data = (
-                data["counit"], data["antipode"], data["unit"])
-        except KeyError as exc:
-            raise ValueError(f"Hopf JSON is missing the field {exc}")
+        _json_kind("(top level)", data, dict)
+        for key in ("dim", "field_order", "counit", "antipode", "unit"):
+            if key not in data:
+                raise ValueError(f"Hopf JSON is missing the field '{key}'")
+        d = _json_int("dim", data["dim"])
+        n = _json_int("field_order", data["field_order"])
         labels = data.get("labels") or [f"e{i}" for i in range(d)]
+        _check_length("labels", d, _json_kind("labels", labels, list))
         mult: list[list[Vec]] = [[{} for _ in range(d)] for _ in range(d)]
-        for i, j, k, s in data.get("mult", []):
+        for i, j, k, s in _json_entries("mult", data.get("mult", [])):
             _check_indices("mult", d, i, j, k)
-            mult[i][j][k] = scalar_from_string(s)
+            mult[i][j][k] = _json_scalar("mult", s)
         comult: list[TVec] = [{} for _ in range(d)]
-        for i, j, k, s in data.get("comult", []):
+        for i, j, k, s in _json_entries("comult", data.get("comult", [])):
             _check_indices("comult", d, i, j, k)
-            comult[i][(j, k)] = scalar_from_string(s)
+            comult[i][(j, k)] = _json_scalar("comult", s)
+        counit_data = _json_kind("counit", data["counit"], list)
         _check_length("counit", d, counit_data)
-        counit = [scalar_from_string(s) for s in counit_data]
-        _check_length("antipode", d, antipode_data, *antipode_data)
+        counit = [_json_scalar("counit", s) for s in counit_data]
+        antipode_data = _json_kind("antipode", data["antipode"], list)
+        _check_length("antipode", d, antipode_data,
+                      *(_json_kind("antipode", row, list) for row in antipode_data))
         antipode: list[Vec] = []
         for row in antipode_data:
-            v = {j: scalar_from_string(s) for j, s in enumerate(row)}
+            v = {j: _json_scalar("antipode", s) for j, s in enumerate(row)}
             antipode.append({j: x for j, x in v.items() if not x.is_zero()})
-        unit = {int(k): scalar_from_string(v) for k, v in unit_data.items()}
+        unit = {_json_int("unit", k): _json_scalar("unit", v)
+                for k, v in _json_kind("unit", data["unit"], dict).items()}
         _check_indices("unit", d, *unit)
         H = HopfAlgebraData(d, n, labels, mult, unit, comult, counit, antipode)
         subs = {}
-        for name, rows in sorted(data.get("subalgebras", {}).items()):
-            _check_length("subalgebras", d, *rows)
-            basis = [{j: scalar_from_string(s) for j, s in enumerate(row)
-                      if scalar_from_string(s) != 0} for row in rows]
+        subalgebras = _json_kind("subalgebras", data.get("subalgebras", {}), dict)
+        for name, rows in sorted(subalgebras.items()):
+            _check_length("subalgebras", d, *(_json_kind("subalgebras", row, list)
+                                              for row in _json_kind("subalgebras", rows, list)))
+            basis = [{j: x for j, x in enumerate(_json_scalar("subalgebras", s) for s in row)
+                      if x != 0} for row in rows]
             subs[name] = SubalgebraEmbedding(H, basis)
         return H, subs
 

@@ -210,11 +210,11 @@ class GroupHandle:
                     for g in self.elements:
                         if g in have:
                             continue
-                        new_elems = _closure(list(sub.elements) + [g], self.degree,
-                                             cap=self.order)
-                        cand = SubgroupHandle(self, new_elems)
-                        if cand.key() not in found:
-                            found[cand.key()] = cand
+                        new_elems = sorted(_closure(list(sub.generating_set()) + [g],
+                                                    self.degree, cap=self.order))
+                        key = tuple(p.images for p in new_elems)
+                        if key not in found:
+                            found[key] = cand = SubgroupHandle(self, new_elems)
                             nxt.append(cand)
                 frontier = nxt
             self._subgroups = sorted(
@@ -263,9 +263,7 @@ class SubgroupHandle:
         for a in elems:
             if a.inverse() not in eset:
                 raise ValueError("subgroup not closed under inverse")
-            for b in elems:
-                if a * b not in eset:
-                    raise ValueError("subgroup not closed under composition")
+        self._gens = _generators_inside(elems, eset, parent.identity)
         if parent.order % len(elems) != 0:
             raise ValueError("subgroup order must divide the group order")
         self.elements = elems
@@ -283,18 +281,10 @@ class SubgroupHandle:
         return self.parent.order // self.order
 
     def generating_set(self) -> tuple[Permutation, ...]:
-        # greedy small generating set, deterministic
-        gens: list[Permutation] = []
-        have = {self.parent.identity}
-        for g in self.elements:
-            if g not in have:
-                gens.append(g)
-                have = _closure(gens, self.parent.degree, cap=self.order)
-                if len(have) == self.order:
-                    break
-        if not gens:
-            gens = [self.parent.identity]
-        return tuple(gens)
+        """The greedy generating set: in element order, each element that is
+        not yet generated by the earlier ones; the identity alone for the
+        trivial subgroup."""
+        return self._gens
 
     def as_group(self) -> GroupHandle:
         if self._as_group is None:
@@ -327,6 +317,35 @@ class SubgroupHandle:
 
     def __repr__(self):
         return f"SubgroupHandle(order={self.order} in {self.parent!r})"
+
+
+def _generators_inside(elems: Sequence[Permutation], eset: set[Permutation],
+                       identity: Permutation) -> tuple[Permutation, ...]:
+    """The greedy generating set of the sorted elements elems of a set S,
+    which proves S a group: each product a * g of a generated element a and
+    a generator g is formed once and must lie in S, so the generated
+    subgroup lies in S, and every element of S is generated."""
+    gens: list[Permutation] = []
+    have = {identity}
+    for x in elems:
+        if x in have:
+            continue
+        gens.append(x)
+        # the earlier members are closed under the earlier generators, so
+        # they need the new generator only; new members need every generator
+        pending = [(a, (x,)) for a in have]
+        while pending:
+            a, by = pending.pop()
+            for g in by:
+                c = a * g
+                if c not in have:
+                    if c not in eset:
+                        raise ValueError("subgroup not closed under composition")
+                    have.add(c)
+                    pending.append((c, gens))
+        if len(have) == len(eset):
+            break
+    return tuple(gens) if gens else (identity,)
 
 
 def _closure(gens: Sequence[Permutation], degree: int, cap: int) -> set[Permutation]:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from subdepth.chartab import (class_fusion, compute_character_table,
                               inclusion_matrix)
 from subdepth.corpus import (cached_table, corpus_groups,
                              subgroups_up_to_conjugacy)
 from subdepth.depthmat import depth_report
-from subdepth.exactalg import Cyc
+from subdepth.exactalg import Cyc, ExactMatrix, MalformedSequenceError
 from subdepth.hopfcore import _vadd, _veq, _vscale, build_group_algebra
 from subdepth.permgroup import Permutation, enumerate_group
 
@@ -169,3 +170,56 @@ def _full_axiom_check(self) -> None:
         want = _vscale(self.unit, self.counit[i])
         if not _veq(lhs, want) or not _veq(rhs, want):
             raise AssertionError(f"antipode axiom fails at {i}")
+
+
+# -- Cyc reference implementations of the integer sweep kernels ---------------
+
+def cyc_inner_product(tab, a, b) -> Cyc:
+    """<a, b> = (1/|G|) sum_C |C| a(C) conj(b(C)) in Cyc arithmetic, the
+    reference for `CharacterTable.inner_product`."""
+    acc = Cyc.zero()
+    for cls, x, y in zip(tab.classes, a, b):
+        acc = acc + x * y.conjugate() * cls.size
+    return acc * Fraction(1, tab.group.order)
+
+
+def matpow(A: ExactMatrix, n: int) -> ExactMatrix:
+    out = A
+    for _ in range(n - 1):
+        out = out @ A
+    return out
+
+
+def evaluate_matrix(poly, A: ExactMatrix) -> ExactMatrix:
+    """poly(A) by Horner's rule over ExactMatrix."""
+    n = A.rows
+    acc = ExactMatrix.from_rows([[0] * n for _ in range(n)])
+    for c in reversed(poly.coeffs):
+        acc = acc @ A
+        acc = ExactMatrix(n, n, [x + c if i % (n + 1) == 0 else x
+                                 for i, x in enumerate(acc.entries)])
+    return acc
+
+
+def _exact_pattern(A: ExactMatrix):
+    if not all(e.is_rational() and e.as_fraction() >= 0 for e in A.entries):
+        raise MalformedSequenceError("sequence entries must be nonnegative rationals")
+    return tuple(tuple(not A.at(i, j).is_zero() for j in range(A.cols))
+                 for i in range(A.rows))
+
+
+def exact_pattern_stabilization_index(seq, k_max):
+    """Least k >= 1 with pattern(seq(k)) = pattern(seq(k+1)) for a sequence
+    of ExactMatrix terms, or None: the reference for the bitset scan
+    `pattern_stabilization_index`."""
+    prev = _exact_pattern(seq(1))
+    for k in range(1, k_max + 1):
+        cur = _exact_pattern(seq(k + 1))
+        for r_prev, r_cur in zip(prev, cur):
+            for a, b in zip(r_prev, r_cur):
+                if a and not b:
+                    raise MalformedSequenceError("zero pattern lost an entry; not monotone")
+        if cur == prev:
+            return k
+        prev = cur
+    return None

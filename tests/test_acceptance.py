@@ -15,7 +15,7 @@ from helpers import (cached_group_algebra, corpus_pairs_reps,
 from subdepth.chartab import permutation_character
 from subdepth.cli import AnalysisRequest, run
 from subdepth.corpus import corpus_groups
-from subdepth.exactalg import Cyc, ExactPolynomial, factor_rational_roots
+from subdepth.exactalg import Cyc, ExactMatrix, ExactPolynomial, factor_rational_roots
 from subdepth.hopfcore import (annihilator_chain, augmentation_core_ideal,
                                idealizer_and_endQ, ideal_from_span,
                                integrals_and_modular, quotient_module,
@@ -45,8 +45,8 @@ def test_criterion_01_s2_s3_exact(s3):
     H = s3.subgroup_generated([perm(3, (1, 2))])
     M, rep = pair_report(s3, H)
     assert M.to_lists() == [[1, 1, 0], [0, 1, 1]]
-    assert rep.B.to_int_grid() == [[2, 1], [1, 2]]
-    assert rep.C.to_int_grid() == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
+    assert rep.B == [[2, 1], [1, 2]]
+    assert rep.C == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
     assert rep.minpoly_B == ExactPolynomial.from_roots([1, 3])
     assert rep.minpoly_C == ExactPolynomial.from_roots([0, 1, 3])
     assert rep.d_0 == 3 and rep.d_h == 5
@@ -64,10 +64,12 @@ def test_criterion_02_a4_a5(a5):
     assert resid.degree == 0
     assert set(roots_c) == {Fraction(0), Fraction(1), Fraction(2), Fraction(5)}
     assert rep.d_0 == 5
-    B2 = rep.B @ rep.B
+    Bx = ExactMatrix.from_rows(rep.B)
+    B2 = Bx @ Bx
     assert all(x.as_fraction() > 0 for x in B2.entries)
     assert rep.d_h == 5
-    C2 = rep.C @ rep.C
+    Cx = ExactMatrix.from_rows(rep.C)
+    C2 = Cx @ Cx
     assert all(x.as_fraction() > 0 for x in C2.entries)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0

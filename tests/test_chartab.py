@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import perm
-from subdepth.chartab import (_modp_kernel, _modp_minpoly, _modp_rref,
-                              class_fusion, compute_character_table,
+from helpers import cyc_inner_product, make_a5, make_s4, perm
+from subdepth.chartab import (CharacterTable, _modp_kernel, _modp_minpoly,
+                              _modp_rref, class_fusion, compute_character_table,
                               induce_class_function, inclusion_matrix,
                               permutation_character, table_from_json,
                               tables_agree_up_to_row_permutation)
@@ -154,6 +156,78 @@ def test_table_import_errors(s3):
     bad3["irreducibles"][0][1] = "7"
     with pytest.raises(AssertionError):
         table_from_json(s3, bad3)
+
+
+# -- the integer inner product kernel -------------------------------------------
+
+_TABLES = {}
+
+
+def _table(name):
+    # module-level cache: hypothesis examples reuse the two tables
+    if name not in _TABLES:
+        G = make_s4() if name == "S4" else make_a5()
+        _TABLES[name] = compute_character_table(G)
+    return _TABLES[name]
+
+
+@st.composite
+def class_function_pairs(draw):
+    """(table, a, b): two class functions with values in Q(zeta_d) for
+    divisors d of e, e in {1, 2, 3, 4, 6, 8, 12}, rational coordinates."""
+    tab = _table(draw(st.sampled_from(["S4", "A5"])))
+    e = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12]))
+    coord = st.one_of(st.integers(-4, 4),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+    def value():
+        d = draw(st.sampled_from([d for d in range(1, e + 1) if e % d == 0]))
+        phi = len(Cyc.root_of_unity(d).coeffs)
+        return Cyc(d, draw(st.lists(coord, min_size=phi, max_size=phi)))
+
+    a = [value() for _ in tab.classes]
+    b = [value() for _ in tab.classes]
+    return tab, a, b
+
+
+@given(class_function_pairs())
+@settings(max_examples=120, deadline=None)
+def test_integer_inner_product_matches_cyc_reference(case):
+    tab, a, b = case
+    got = tab.inner_product(a, b)
+    assert got == cyc_inner_product(tab, a, b)
+    assert tab.inner_product(b, a) == got.conjugate()
+
+
+def test_inner_product_of_table_rows_is_the_identity(a5):
+    tab = compute_character_table(a5)
+    for i, x in enumerate(tab.irreducibles):
+        for j, y in enumerate(tab.irreducibles):
+            assert tab.inner_product(x, y) == int(i == j)
+            assert cyc_inner_product(tab, x, y) == int(i == j)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_verify_raises_on_one_corrupted_value(name):
+    tab = _table(name)
+    zeta = Cyc.root_of_unity(tab.exponent)
+    for i, row in enumerate(tab.irreducibles):
+        for c in range(len(row)):
+            # zeta at the identity class would make the degree irrational
+            for delta in (Cyc.one(), zeta) if c else (Cyc.one(),):
+                bad = list(tab.irreducibles)
+                bad[i] = row[:c] + (row[c] + delta,) + row[c + 1:]
+                with pytest.raises(AssertionError):
+                    CharacterTable(tab.group, tab.exponent, tab.classes, bad).verify()
+
+
+def test_verify_raises_on_a_fractional_value(s3):
+    # a value off Z[zeta_e] takes the common-denominator path of the kernel
+    tab = compute_character_table(s3)
+    bad = list(tab.irreducibles)
+    bad[2] = bad[2][:1] + (bad[2][1] + Fraction(1, 2),) + bad[2][2:]
+    with pytest.raises(AssertionError, match="row orthogonality failed"):
+        CharacterTable(s3, tab.exponent, tab.classes, bad).verify()
 
 
 # -- GF(p) elimination -----------------------------------------------------------

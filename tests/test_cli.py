@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from subdepth import cli
+from subdepth import chartab, cli
+from subdepth.chartab import DixonInternalError
 from subdepth.cli import AnalysisRequest, main, run
 from subdepth.mackey import BudgetExceededError
 
@@ -156,6 +157,52 @@ def test_hopf_mode_rejects_out_of_range_data(field, corrupt, tmp_path, capsys, u
     assert main(["hopf", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: Hopf JSON field '{field}'")
+    assert "Traceback" not in err
+
+
+def _set(field, value):
+    def corrupt(data):
+        data[field] = value
+    return corrupt
+
+
+def _set_first(field, value):
+    def corrupt(data):
+        data[field][0] = value
+    return corrupt
+
+
+@pytest.mark.parametrize("field, corrupt", [
+    ("counit", _set("counit", 5)),
+    ("labels", _set("labels", 7)),
+    ("mult", _set("mult", 3)),
+    ("unit", _set("unit", ["1"])),
+    ("antipode", _set_first("antipode", 4)),
+    ("comult", _set_first("comult", [0, 0, 0])),
+    ("counit", _set_first("counit", 1)),
+    ("dim", _set("dim", [8])),
+    ("subalgebras", _set("subalgebras", 5)),
+], ids=["counit-int", "labels-int", "mult-int", "unit-list", "antipode-row-int",
+        "comult-short-entry", "counit-scalar-int", "dim-list", "subalgebras-int"])
+def test_hopf_mode_rejects_wrong_json_types(field, corrupt, tmp_path, capsys, uq2):
+    H8, subs8 = uq2
+    data = H8.to_json(subalgebras={"R": subs8["R2"]})
+    corrupt(data)
+    path = tmp_path / "uq2.json"
+    path.write_text(json.dumps(data))
+    assert main(["hopf", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: Hopf JSON field '{field}'")
+    assert "Traceback" not in err
+
+
+def test_character_table_failure_is_an_error(s2s3_file, monkeypatch, capsys):
+    def always_fails(G, classes, e, p):
+        raise DixonInternalError("eigenvector vanishes at the identity class")
+    monkeypatch.setattr(chartab, "_dixon_schneider", always_fails)
+    assert main(["chartab", s2s3_file]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: character table failed for 8 primes: p=")
     assert "Traceback" not in err
 
 

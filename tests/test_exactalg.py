@@ -13,15 +13,10 @@ from subdepth.exactalg import (Cyc, ExactMatrix, ExactPolynomial,
                                pattern_stabilization_index, scalar_from_string,
                                scalar_to_string, solve_kernel)
 
+from helpers import evaluate_matrix, exact_pattern_stabilization_index, matpow
+
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
-
-
-def matpow(A, n):
-    out = A
-    for _ in range(n - 1):
-        out = out @ A
-    return out
 
 
 # -- cyclotomic scalars -------------------------------------------------------
@@ -367,7 +362,7 @@ def test_minpoly_nilpotent():
 def test_minpoly_annihilates(rows):
     A = ExactMatrix.from_rows(rows)
     m = minimal_polynomial(A)
-    assert m.evaluate_matrix(A).is_zero()
+    assert evaluate_matrix(m, A).is_zero()
     assert m.coeffs[-1] == 1
 
 
@@ -420,43 +415,102 @@ def test_factor_reconstructs_product(root_list):
 
 # -- pattern scans ------------------------------------------------------------
 
+def gram(M):
+    """M M^t for an integer grid M."""
+    return [[sum(a * b for a, b in zip(r, s)) for s in M] for r in M]
+
+
 def test_pattern_stabilization_positive_matrix():
-    B = ExactMatrix.from_rows([[2, 1], [1, 2]])
-    assert pattern_stabilization_index(lambda k: matpow(B, k), 10) == 1
+    B = [[2, 1], [1, 2]]
+    assert pattern_stabilization_index(B, B, 10) == 1
 
 
 def test_pattern_stabilization_s2_s3_c_matrix():
-    C = ExactMatrix.from_rows([[1, 1, 0], [1, 2, 1], [0, 1, 1]])
-    assert pattern_stabilization_index(lambda k: matpow(C, k), 10) == 2
+    C = [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
+    assert pattern_stabilization_index(C, C, 10) == 2
 
 
 def test_pattern_stabilization_block_diagonal():
-    M = ExactMatrix.from_rows([[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 0],
-                               [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]])
-    B = M @ M.transpose()
-    assert pattern_stabilization_index(lambda k: matpow(B, k), 10) == 2
+    M = [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 0],
+         [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]
+    B = gram(M)
+    assert pattern_stabilization_index(B, B, 10) == 2
 
 
 def test_pattern_budget_exhaustion_returns_none():
-    C = ExactMatrix.from_rows([[1, 1, 0], [1, 2, 1], [0, 1, 1]])
-    assert pattern_stabilization_index(lambda k: matpow(C, k), 1) is None
+    C = [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
+    assert pattern_stabilization_index(C, C, 1) is None
 
 
 def test_pattern_monotonicity_violation_raises():
-    seq = {1: ExactMatrix.from_rows([[1, 0], [0, 1]]),
-           2: ExactMatrix.from_rows([[0, 1], [1, 0]])}
+    # I, then the swap: the pattern loses the diagonal
     with pytest.raises(MalformedSequenceError):
-        pattern_stabilization_index(lambda k: seq.get(k, seq[2]), 5)
-    neg = ExactMatrix.from_rows([[-1]])
+        pattern_stabilization_index([[1, 0], [0, 1]], [[0, 1], [1, 0]], 5)
     with pytest.raises(MalformedSequenceError):
-        pattern_stabilization_index(lambda k: neg, 5)
+        pattern_stabilization_index([[-1]], [[-1]], 5)
+    with pytest.raises(MalformedSequenceError):
+        pattern_stabilization_index([[1, 0], [0, 1]], [[1, -1], [0, 1]], 5)
+
+
+@st.composite
+def scan_inputs(draw):
+    """(S, A, k_max): a p x q start and a q x q step, nonnegative integers,
+    sparse enough that stabilization can take several steps."""
+    p = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 0, 0, 1, 2])
+    S = draw(st.lists(st.lists(entry, min_size=q, max_size=q), min_size=p, max_size=p))
+    A = draw(st.lists(st.lists(entry, min_size=q, max_size=q), min_size=q, max_size=q))
+    if draw(st.booleans()):
+        # a positive diagonal makes the fill-in monotone
+        A = [[x or int(i == j) for j, x in enumerate(row)] for i, row in enumerate(A)]
+    return S, A, draw(st.integers(0, 4))
+
+
+@given(scan_inputs())
+@settings(max_examples=150, deadline=None)
+def test_bitset_scan_matches_the_exact_power_scan(case):
+    S, A, k_max = case
+    Sx, Ax = ExactMatrix.from_rows(S), ExactMatrix.from_rows(A)
+
+    def seq(k):
+        return Sx if k == 1 else Sx @ matpow(Ax, k - 1)
+
+    try:
+        want = exact_pattern_stabilization_index(seq, k_max)
+    except MalformedSequenceError:
+        with pytest.raises(MalformedSequenceError):
+            pattern_stabilization_index(S, A, k_max)
+        return
+    assert pattern_stabilization_index(S, A, k_max) == want
+
+
+def test_bitset_scan_matches_on_budget_and_violation_cases():
+    # the hypothesis cases above reach these outcomes too; pinned here
+    C = [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
+    Cx = ExactMatrix.from_rows(C)
+    assert exact_pattern_stabilization_index(lambda k: matpow(Cx, k), 1) is None
+    assert pattern_stabilization_index(C, C, 1) is None
+    shift = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    start = [[1, 0, 0]]
+    Sx, Ax = ExactMatrix.from_rows(start), ExactMatrix.from_rows(shift)
+    with pytest.raises(MalformedSequenceError):
+        exact_pattern_stabilization_index(
+            lambda k: Sx if k == 1 else Sx @ matpow(Ax, k - 1), 5)
+    with pytest.raises(MalformedSequenceError):
+        pattern_stabilization_index(start, shift, 5)
 
 
 # -- indecomposability --------------------------------------------------------
 
 def test_indecomposable_examples():
-    C = ExactMatrix.from_rows([[1, 1, 0], [1, 2, 1], [0, 1, 1]])
+    C = [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
     assert is_indecomposable(C)
-    D = ExactMatrix.from_rows([[1, 0], [0, 1]])
+    D = [[1, 0], [0, 1]]
     assert not is_indecomposable(D)
-    assert is_indecomposable(ExactMatrix.from_rows([[0]]))
+    assert is_indecomposable([[0]])
+    assert is_indecomposable([[0, 1, 0], [0, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError):
+        is_indecomposable([[1, 0]])
+    with pytest.raises(ValueError):
+        is_indecomposable([[1, -1], [0, 1]])

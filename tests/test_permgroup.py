@@ -80,6 +80,42 @@ def test_subgroup_lattice_counts(s4):
     assert len(s4.subgroups()) == 30
 
 
+@pytest.mark.parametrize("cycles", [
+    [[(1, 2)], [(3, 4)]],                 # (1 2)(3 4) missing
+    [[(1, 2)], [(1, 3)]],                 # order 3 divides 24, not a group
+    [[(1, 2, 3)], [(1, 3, 2)], [(1, 2)], [(1, 3)], [(2, 3)], [(1, 4)]],
+], ids=["klein-half", "two-transpositions", "s3-plus-one"])
+def test_subgroup_rejects_a_set_not_closed_under_products(s4, cycles):
+    # each set holds the identity and is closed under inverses
+    elems = [s4.identity] + [perm(4, *c) for c in cycles]
+    assert all(g.inverse() in elems for g in elems)
+    with pytest.raises(ValueError, match="not closed under composition"):
+        s4.subgroup(elems)
+
+
+def test_subgroup_error_messages(s4):
+    with pytest.raises(ValueError, match="must contain the identity"):
+        s4.subgroup([perm(4, (1, 2))])
+    with pytest.raises(ValueError, match="not closed under inverse"):
+        s4.subgroup([s4.identity, perm(4, (1, 2, 3))])
+    with pytest.raises(ValueError, match="must lie in the parent group"):
+        make_s3().subgroup([perm(4, (1, 2))])
+
+
+def test_generating_set_is_greedy_and_generates(s4):
+    for H in s4.subgroups():
+        gens = H.generating_set()
+        assert s4.subgroup_generated(gens).elements == H.elements
+        if H.order == 1:
+            assert gens == (s4.identity,)
+            continue
+        for k, g in enumerate(gens):
+            earlier = s4.subgroup_generated(list(gens[:k]) or [s4.identity])
+            assert g not in earlier.elements
+            # the greedy choice is the least element outside the earlier span
+            assert g == min(x for x in H.elements if x not in earlier.elements)
+
+
 def test_core_and_witness_normal():
     G = make_s3()
     A3 = G.subgroup_generated([perm(3, (1, 2, 3))])
