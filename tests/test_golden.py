@@ -1,8 +1,10 @@
 """Byte-identical JSON reports against the frozen outputs in tests/golden.
 
-The golden files were written by the CLI before the integer sweep kernels
-replaced the Cyc-based inner products and power scans; every later change
-must reproduce them exactly.
+The group-pair, matrix and sweep reports were written by the CLI before the
+integer sweep kernels replaced the Cyc-based inner products and power scans;
+the `subdepth hopf` reports on the small quantum groups (inputs written by
+`scripts/make_hopf_input.py`) were written before the quotient-module checks
+moved to algebra generators.  Every later change must reproduce them exactly.
 """
 
 from pathlib import Path
@@ -34,3 +36,15 @@ def test_sweep24_json_is_golden(sweep24, tmp_path):
     out = tmp_path / "sweep.json"
     _emit_json(sweep24.to_json(), str(out))
     assert out.read_bytes() == (GOLDEN / "sweep24.json").read_bytes()
+
+
+@pytest.mark.parametrize("algebra, extra, golden", [
+    ("uq2", [], "hopf_uq2"),
+    # the cap stops both chains of every pair, so the cap path is frozen too
+    ("uq3", ["--cap-tensor-dim", "9"], "hopf_uq3_cap9"),
+])
+def test_hopf_json_is_golden(algebra, extra, golden, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert main(["hopf", str(GOLDEN / f"{algebra}.json"), *extra,
+                 "--json", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
