@@ -16,9 +16,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .exactalg import (Cyc, _xpow_table, euler_phi, scalar_from_string,
-                       scalar_to_string)
-from .permgroup import ConjClass, GroupHandle, Permutation, SubgroupHandle
+from .exactalg import (Cyc, _xpow_table, euler_phi, json_int, json_kind,
+                       json_scalar, scalar_to_string)
+from .permgroup import (ConjClass, GroupHandle, SubgroupHandle,
+                        permutation_from_json)
 
 CLASS_CAP = 60
 
@@ -610,34 +611,40 @@ def induce_class_function(G: GroupHandle, H: SubgroupHandle,
 def table_from_json(G: GroupHandle, data: dict) -> CharacterTable:
     """Attach an imported table to G, aligning imported classes with the
     computed class order; the result is verified like a computed table."""
-    try:
-        e = int(data["exponent"])
-        cls_data = data["classes"]
-        irr_data = data["irreducibles"]
-    except KeyError as exc:
-        raise ValueError(f"character table JSON is missing the field {exc}")
+    source = "character table JSON"
+    json_kind(source, "(top level)", data, dict)
+    for key in ("exponent", "classes", "irreducibles"):
+        if key not in data:
+            raise ValueError(f"{source} is missing the field '{key}'")
+    e = json_int(source, "exponent", data["exponent"])
+    cls_data = json_kind(source, "classes", data["classes"], list)
+    irr_data = json_kind(source, "irreducibles", data["irreducibles"], list)
     classes = G.conjugacy_classes()
     if len(cls_data) != len(classes):
         raise ValueError("imported table has the wrong number of classes")
     # imported class i sits at computed position perm[i]
     perm = []
     for entry in cls_data:
-        rep = Permutation(entry["rep"])
+        json_kind(source, "classes", entry, dict)
+        if not {"rep", "size"} <= entry.keys():
+            raise ValueError(f"{source} field 'classes': each class needs 'rep' "
+                             f"and 'size', got {entry!r}")
+        rep = permutation_from_json(source, "classes", entry["rep"])
         if rep not in G:
             raise ValueError(f"imported class representative {rep!r} is not in the group")
         idx = G.class_index(rep)
-        if classes[idx].size != int(entry["size"]):
+        if classes[idx].size != json_int(source, "classes", entry["size"]):
             raise ValueError(f"imported class size mismatch for representative {rep!r}")
         perm.append(idx)
     if sorted(perm) != list(range(len(classes))):
         raise ValueError("imported classes do not biject with computed classes")
     irreducibles = []
     for row in irr_data:
-        if len(row) != len(classes):
+        if len(json_kind(source, "irreducibles", row, list)) != len(classes):
             raise ValueError("imported irreducible has the wrong length")
         vals = [Cyc.zero()] * len(classes)
         for i, s in enumerate(row):
-            vals[perm[i]] = scalar_from_string(s)
+            vals[perm[i]] = json_scalar(source, "irreducibles", s)
         irreducibles.append(tuple(vals))
     table = CharacterTable(G, e, classes, irreducibles)
     table.verify()

@@ -19,7 +19,7 @@ from .chartab import (class_fusion, compute_character_table, inclusion_matrix,
 from .corpus import run_sweep
 from .depthmat import (DepthReport, bipartite_dot, depth_report,
                        eigenvalues_via_class_formula, ell_from_trivial_row)
-from .exactalg import scalar_to_string
+from .exactalg import json_kind, scalar_to_string
 from .hopfcore import (DEFAULT_TENSOR_CAP, HopfAlgebraData, annihilator_chain,
                        idealizer_and_endQ, integrals_and_modular,
                        quotient_module, trace_ideals)
@@ -65,9 +65,11 @@ def _load_matrix_file(path: str) -> InclusionMatrix:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    if "matrix" not in data:
+    if "matrix" not in json_kind(path, "(top level)", data, dict):
         raise ValueError(f"{path}: missing the field 'matrix'")
-    rows = data["matrix"]
+    rows = json_kind(path, "matrix", data["matrix"], list)
+    for row in rows:
+        json_kind(path, "matrix", row, list)
     p = len(rows)
     q = len(rows[0]) if p else 0
     if p == 0 or q == 0 or any(len(r) != q for r in rows):

@@ -170,11 +170,11 @@ def _bipartite_diameters(M: InclusionMatrix) -> tuple[Optional[int], Optional[in
 
 def mckay_quiver(C: list[list[int]], labels: Optional[list[str]] = None,
                  pf_candidate: Optional[Fraction] = None,
-                 minpoly: Optional[ExactPolynomial] = None) -> McKayQuiver:
+                 roots: Optional[list[Fraction]] = None) -> McKayQuiver:
     """Weighted digraph on the group irreducibles with adjacency C.
 
-    ``minpoly`` is the minimal polynomial of C when the caller already has
-    it; otherwise it is computed here.
+    ``roots`` are the rational roots of the minimal polynomial of C when the
+    caller already has them; otherwise they are computed here.
     """
     q = len(C)
     if labels is None:
@@ -182,8 +182,8 @@ def mckay_quiver(C: list[list[int]], labels: Optional[list[str]] = None,
     edges = [(i, j, C[i][j]) for i in range(q) for j in range(q) if C[i][j] > 0]
     indec = is_indecomposable(C)
     pf_root = None
-    mp = minpoly if minpoly is not None else minimal_polynomial(ExactMatrix.from_rows(C))
-    roots, _ = factor_rational_roots(mp)
+    if roots is None:
+        roots, _ = factor_rational_roots(minimal_polynomial(ExactMatrix.from_rows(C)))
     if roots:
         pf_root = max(roots)
     if pf_candidate is not None and pf_root is not None and pf_root != pf_candidate:
@@ -257,7 +257,7 @@ def depth_report(M: InclusionMatrix,
     quiver = mckay_quiver(C, None,
                           pf_candidate=Fraction(group_data[0].order, group_data[1].order)
                           if group_data is not None else None,
-                          minpoly=mp_c)
+                          roots=roots_c)
     white_d, black_d = _bipartite_diameters(M)
 
     return DepthReport(M=M, B=B, C=C, d_odd=d_odd, d_ev=d_ev, d_0=d_0, d_h=d_h,

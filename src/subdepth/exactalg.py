@@ -468,6 +468,37 @@ def scalar_from_string(s: str) -> Cyc:
     return Cyc(n, tuple(Fraction(p) for p in parts))
 
 
+# input checks for the JSON loaders: a value of the wrong JSON type becomes a
+# ValueError naming the file kind ("Hopf JSON", ...) and the field
+
+_JSON_KINDS = {list: "a list", dict: "an object"}
+
+
+def json_kind(source: str, field: str, value, kind: type):
+    """value itself when it is a JSON list or object, as kind demands."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{source} field '{field}': expected {_JSON_KINDS[kind]}, "
+                         f"got {value!r}")
+    return value
+
+
+def json_int(source: str, field: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{source} field '{field}': expected an integer, got {value!r}")
+
+
+def json_scalar(source: str, field: str, value) -> Cyc:
+    if not isinstance(value, str):
+        raise ValueError(f"{source} field '{field}': expected a scalar string, "
+                         f"got {value!r}")
+    try:
+        return scalar_from_string(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{source} field '{field}': {exc}")
+
+
 # ---------------------------------------------------------------------------
 # ExactMatrix
 # ---------------------------------------------------------------------------

@@ -7,15 +7,23 @@ algebra has the full set of Hopf axioms verified eagerly, so downstream
 computations never run on malformed data.  All module-theoretic facts are
 decided by exact linear algebra: kernels of sparse column maps and reduced
 row spaces over Q(zeta_n).
+
+A statement that must hold for every h in H (a module law of Q, an ideal
+flag, the equations of integrals and of the idealizer) is checked at the
+algebra generators of `HopfAlgebraData.generators` only.  Each such statement
+is closure under a set of h that is a subalgebra containing 1, so it holds on
+all of H once it holds at the generators; every docstring names its
+subalgebra, the same argument that `HopfAlgebraData.verify` uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
-from .exactalg import (Cyc, RowSpace, kernel_of_sparse_columns,
-                       scalar_from_string, scalar_to_string)
+from .exactalg import (Cyc, RowSpace, json_int, json_kind, json_scalar,
+                       kernel_of_sparse_columns, scalar_to_string)
 from .permgroup import GroupHandle, SubgroupHandle
 
 DEFAULT_TENSOR_CAP = 4096
@@ -101,32 +109,9 @@ def _check_indices(field: str, d: int, *indices) -> None:
                              f"in range({d})")
 
 
-_JSON_KINDS = {list: "a list", dict: "an object"}
-
-
-def _json_kind(field: str, value, kind: type):
-    # input check for Hopf JSON: a field or entry must be a JSON list/object
-    if not isinstance(value, kind):
-        raise ValueError(f"Hopf JSON field '{field}': expected {_JSON_KINDS[kind]}, "
-                         f"got {value!r}")
-    return value
-
-
-def _json_int(field: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"Hopf JSON field '{field}': expected an integer, got {value!r}")
-
-
-def _json_scalar(field: str, value) -> Cyc:
-    if not isinstance(value, str):
-        raise ValueError(f"Hopf JSON field '{field}': expected a scalar string, "
-                         f"got {value!r}")
-    try:
-        return scalar_from_string(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"Hopf JSON field '{field}': {exc}")
+_json_kind = partial(json_kind, "Hopf JSON")
+_json_int = partial(json_int, "Hopf JSON")
+_json_scalar = partial(json_scalar, "Hopf JSON")
 
 
 def _json_entries(field: str, value) -> list:
@@ -178,8 +163,17 @@ class HopfAlgebraData:
         self.comult = comult
         self.counit = counit
         self.antipode = antipode
+        self._gens: Optional[list[int]] = None
         if verify:
             self.verify()
+
+    @property
+    def generators(self) -> list[int]:
+        """The algebra generators of `_generators`: the list `verify` found,
+        or, for an algebra built with verify=False, computed on first use."""
+        if self._gens is None:
+            self._gens = self._generators()
+        return self._gens
 
     # -- element algebra -----------------------------------------------------
 
@@ -208,18 +202,6 @@ class HopfAlgebraData:
             for j, m in self.antipode[i].items():
                 _vadd(out, j, c * m)
         return out
-
-    def iterated_comult(self, i: int, n: int) -> TVec:
-        """Delta^(n-1) of e_i as a sparse vector over basis n-tuples."""
-        terms: dict[tuple, Cyc] = {(i,): Cyc.one()}
-        for _ in range(n - 1):
-            nxt: dict[tuple, Cyc] = {}
-            for tup, c in terms.items():
-                last = tup[-1]
-                for (a, b), m in self.comult[last].items():
-                    _vadd(nxt, tup[:-1] + (a, b), c * m)
-            terms = nxt
-        return terms
 
     def basis_vec(self, i: int) -> Vec:
         return {i: Cyc.one()}
@@ -285,7 +267,8 @@ class HopfAlgebraData:
                 raise AssertionError(f"unit law fails on the left at {i}")
             if not _veq(self.mult_vec(ei, self.unit), ei):
                 raise AssertionError(f"unit law fails on the right at {i}")
-        gens = self._generators()
+        # recomputed on every call: the tables may have changed since the last
+        gens = self._gens = self._generators()
         for s in gens:
             for x in range(d):
                 xs = self.mult[x][s]
@@ -721,6 +704,18 @@ class SubalgebraEmbedding:
 # quotient module Q = H / R+H
 # ---------------------------------------------------------------------------
 
+def _augmentation(H: HopfAlgebraData, R: SubalgebraEmbedding) -> list[Vec]:
+    """The nonzero r - eps(r) 1 over the basis of R; they span R+."""
+    out = []
+    for r in R.basis:
+        rp = dict(r)
+        for j, c in _vscale(H.unit, H.counit_vec(r)).items():
+            _vadd(rp, j, -c)
+        if not _vzero(rp):
+            out.append(rp)
+    return out
+
+
 class QuotientModule:
     """The right module coalgebra H/R+H with its projection, action matrices,
     induced coproduct and counit; the module-coalgebra axioms are verified on
@@ -730,14 +725,9 @@ class QuotientModule:
         self.hopf = hopf
         self.emb = emb
         H = hopf
+        self.r_plus = _augmentation(H, emb)
         space = RowSpace(H.dim)
-        for r in emb.basis:
-            eps = H.counit_vec(r)
-            rp = dict(r)
-            for j, c in _vscale(H.unit, eps).items():
-                _vadd(rp, j, -c)
-            if _vzero(rp):
-                continue
+        for rp in self.r_plus:
             for h in range(H.dim):
                 space.add(H.mult_vec(rp, H.basis_vec(h)))
         self.rpH = space
@@ -787,18 +777,37 @@ class QuotientModule:
         return out
 
     def _verify(self) -> None:
+        """Prove that the projection pi intertwines right multiplication with
+        the action rho, pi(e_i h) = pi(e_i) rho(h), and the module-coalgebra
+        laws eps_Q(q h) = eps_Q(q) eps(h) and Delta_Q(q h) = Delta_Q(q) Delta(h)
+        on the section basis, with h running over the algebra generators only.
+
+        - Intertwining: the h with pi(x h) = pi(x) rho(h) for all x form a
+          subspace containing 1, since rho(h) e_b = pi(e_s(b) h) by
+          construction (s(b) the b-th section index) and rho(1) = id.  It is
+          closed under products: for h, k in it,
+          rho(hk) e_b = pi(e_s(b) h k) = pi(e_s(b) h) rho(k) = e_b rho(h) rho(k),
+          so rho(hk) = rho(h) rho(k) and pi(x hk) = pi(x h) rho(k)
+          = pi(x) rho(h) rho(k) = pi(x) rho(hk).  Checked at every e_i and
+          every generator, it holds on all of H, and rho is multiplicative.
+        - eps_Q: the h with eps_Q(q h) = eps_Q(q) eps(h) for all q contain 1
+          and, with rho and eps multiplicative, are closed under products.
+        - Delta_Q: the h with Delta_Q(q h) = Delta_Q(q) Delta(h) for all q
+          contain 1 (Delta(1) = 1 x 1) and are closed under products, as rho
+          and Delta are multiplicative.
+        The intertwining check runs first, as the other two rely on it.
+        """
         H = self.hopf
-        # projection intertwines right multiplication with the action
+        gens = H.generators
         for i in range(H.dim):
             pi = self.project(H.basis_vec(i))
-            for h in range(H.dim):
+            for h in gens:
                 lhs = self.project(H.mult_vec(H.basis_vec(i), H.basis_vec(h)))
                 rhs = self.act(pi, H.basis_vec(h))
                 if not _veq(lhs, rhs):
                     raise AssertionError("projection does not intertwine the action")
-        # module coalgebra axioms on the section basis
         for b in range(self.dim_q):
-            for h in range(H.dim):
+            for h in gens:
                 qh = self.act({b: Cyc.one()}, H.basis_vec(h))
                 eps_qh = Cyc.zero()
                 for rr, c in qh.items():
@@ -849,42 +858,46 @@ class TensorPowerModule:
             out.append(tr)
         return out
 
+    def times_q(self, cap: int = DEFAULT_TENSOR_CAP) -> "TensorPowerModule":
+        """The next power Q^x(n+1), from rho_(n+1)(h) = sum rho_n(h_1) x rho_1(h_2)
+        over Delta(h) = sum h_1 x h_2.  By coassociativity (proved by
+        `HopfAlgebraData.verify`) this is the action through the iterated
+        coproduct Delta^(n)(h); the first tensor slot is the most significant
+        digit of a basis index."""
+        Q = self.base
+        dq = Q.dim_q
+        dim = self.dim * dq
+        _check_tensor_cap(dim, cap)
+        action = []
+        for h in range(Q.hopf.dim):
+            mat: dict[tuple[int, int], Cyc] = {}
+            for (a, b), c in Q.hopf.comult[h].items():
+                last = Q.action[b]
+                for (r1, c1), v1 in self.action[a].items():
+                    cv = c * v1
+                    for (r2, c2), v2 in last.items():
+                        _vadd(mat, (r1 * dq + r2, c1 * dq + c2), cv * v2)
+            action.append(mat)
+        return TensorPowerModule(Q, self.n + 1, dim, action)
 
-def tensor_power_action(Q: QuotientModule, n: int,
-                        cap: int = DEFAULT_TENSOR_CAP) -> TensorPowerModule:
-    """Action of H on Q tensor ... tensor Q via the iterated coproduct."""
-    if n < 1:
-        raise ValueError("tensor power must be >= 1")
-    H = Q.hopf
-    dim = Q.dim_q ** n
+
+def _check_tensor_cap(dim: int, cap: int) -> None:
     if dim > cap:
         raise TensorCapExceededError(
             f"tensor power dimension {dim} exceeds the cap {cap}")
-    if n == 1:
-        return TensorPowerModule(Q, 1, Q.dim_q, [dict(m) for m in Q.action])
-    dq = Q.dim_q
-    action = []
-    for h in range(H.dim):
-        mat: dict[tuple[int, int], Cyc] = {}
-        for tup, c in H.iterated_comult(h, n).items():
-            # tensor product of the n slot actions
-            partial: dict[tuple[tuple[int, ...], tuple[int, ...]], Cyc] = {((), ()): c}
-            for slot in range(n):
-                nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], Cyc] = {}
-                amat = Q.action[tup[slot]]
-                for (rt, ct), pc in partial.items():
-                    for (r, cc2), v in amat.items():
-                        _vadd(nxt, (rt + (r,), ct + (cc2,)), pc * v)
-                partial = nxt
-            for (rt, ct), v in partial.items():
-                r = 0
-                cidx = 0
-                for k in range(n):
-                    r = r * dq + rt[k]
-                    cidx = cidx * dq + ct[k]
-                _vadd(mat, (r, cidx), v)
-        action.append(mat)
-    return TensorPowerModule(Q, n, dim, action)
+
+
+def tensor_power_action(Q: QuotientModule, n: int,
+                        cap: int = DEFAULT_TENSOR_CAP) -> TensorPowerModule:
+    """Action of H on Q tensor ... tensor Q via the iterated coproduct, one
+    coproduct step at a time (`TensorPowerModule.times_q`)."""
+    if n < 1:
+        raise ValueError("tensor power must be >= 1")
+    _check_tensor_cap(Q.dim_q ** n, cap)
+    tp = TensorPowerModule(Q, 1, Q.dim_q, [dict(m) for m in Q.action])
+    for _ in range(n - 1):
+        tp = tp.times_q(cap)
+    return tp
 
 
 # ---------------------------------------------------------------------------
@@ -914,11 +927,17 @@ class IdealSubspace:
 
 
 def _check_ideal_flags(H: HopfAlgebraData, space: RowSpace) -> tuple[bool, bool, bool]:
+    """(right ideal, two-sided ideal, Hopf ideal) for the subspace I.
+
+    Both ideal tests multiply by the algebra generators only: {h : I h <= I}
+    is a subalgebra containing 1, as I (hk) = (I h) k <= I k <= I, and
+    likewise {h : h I <= I} on the left."""
     basis = space.basis_rows()
-    right = all(space.contains(H.mult_vec(b, H.basis_vec(i)))
-                for b in basis for i in range(H.dim))
-    left = all(space.contains(H.mult_vec(H.basis_vec(i), b))
-               for b in basis for i in range(H.dim))
+    gens = H.generators
+    right = all(space.contains(H.mult_vec(b, H.basis_vec(g)))
+                for b in basis for g in gens)
+    left = all(space.contains(H.mult_vec(H.basis_vec(g), b))
+               for b in basis for g in gens)
     two_sided = right and left
     hopf = False
     if two_sided:
@@ -960,6 +979,17 @@ class AnnihilatorChain:
     lower_bound: Optional[int] = None
 
 
+def _annihilator(tp: TensorPowerModule) -> RowSpace:
+    """The h in H that act as zero on the tensor power, as a subspace."""
+    H = tp.base.hopf
+    columns = [{(r * tp.dim + c): v for (r, c), v in tp.action[h].items()}
+               for h in range(H.dim)]
+    space = RowSpace(H.dim)
+    for v in kernel_of_sparse_columns(columns):
+        space.add({i: c for i, c in enumerate(v) if not c.is_zero()})
+    return space
+
+
 def annihilator_chain(Q: QuotientModule, cap: int = DEFAULT_TENSOR_CAP,
                       n_max: int = 12) -> AnnihilatorChain:
     """Descending chain Ann Q >= Ann Q^x2 >= ...; ell_Q is the least n whose
@@ -967,19 +997,13 @@ def annihilator_chain(Q: QuotientModule, cap: int = DEFAULT_TENSOR_CAP,
     If a cap stops the scan first, a lower bound on ell_Q is reported."""
     H = Q.hopf
     ideals: list[IdealSubspace] = []
+    tp: Optional[TensorPowerModule] = None
     for n in range(1, n_max + 1):
         try:
-            tp = tensor_power_action(Q, n, cap=cap)
+            tp = tensor_power_action(Q, 1, cap=cap) if tp is None else tp.times_q(cap)
         except TensorCapExceededError:
             return AnnihilatorChain(ideals, None, None, False, lower_bound=len(ideals))
-        columns = []
-        for h in range(H.dim):
-            col = {(r * tp.dim + c): v for (r, c), v in tp.action[h].items()}
-            columns.append(col)
-        kern = kernel_of_sparse_columns(columns)
-        space = RowSpace(H.dim)
-        for v in kern:
-            space.add({i: c for i, c in enumerate(v) if not c.is_zero()})
+        space = _annihilator(tp)
         right, two, hopf = _check_ideal_flags(H, space)
         if not two:
             raise AssertionError("annihilator is not a two-sided ideal")
@@ -993,17 +1017,9 @@ def annihilator_chain(Q: QuotientModule, cap: int = DEFAULT_TENSOR_CAP,
                 # zero ideal: all later annihilators are zero by descent
                 return AnnihilatorChain(ideals, ell, ideal, True)
             try:
-                tp2 = tensor_power_action(Q, n + 1, cap=cap)
+                space2 = _annihilator(tp.times_q(cap))
             except TensorCapExceededError:
                 return AnnihilatorChain(ideals, ell, ideal, False, lower_bound=ell)
-            columns = []
-            for h in range(H.dim):
-                col = {(r * tp2.dim + c): v for (r, c), v in tp2.action[h].items()}
-                columns.append(col)
-            kern2 = kernel_of_sparse_columns(columns)
-            space2 = RowSpace(H.dim)
-            for v in kern2:
-                space2.add({i: c for i, c in enumerate(v) if not c.is_zero()})
             if not space.equals(space2):
                 raise AssertionError("annihilator chain did not stabilize at the Hopf ideal")
             return AnnihilatorChain(ideals, ell, ideal, True)
@@ -1061,16 +1077,20 @@ class IntegralReport:
 
 
 def _right_integrals(H: HopfAlgebraData) -> list[Vec]:
+    """Basis of {t : t h = eps(h) t for all h}, from the equations at the
+    algebra generators: for fixed t, {h : t h = eps(h) t} is a subalgebra
+    containing 1, as t (hk) = eps(h) t k = eps(h) eps(k) t.  The kernel is
+    the same subspace, so its reduced echelon basis is the same."""
     columns: list[dict[int, Cyc]] = []
     d = H.dim
     for i in range(d):
         col: dict[int, Cyc] = {}
-        for h in range(d):
+        for row, h in enumerate(H.generators):
             eps_h = H.counit[h]
             for k, v in H.mult[i][h].items():
-                _vadd(col, h * d + k, v)
+                _vadd(col, row * d + k, v)
             if not eps_h.is_zero():
-                _vadd(col, h * d + i, -eps_h)
+                _vadd(col, row * d + i, -eps_h)
         columns.append(col)
     kern = kernel_of_sparse_columns(columns)
     return [{i: c for i, c in enumerate(v) if not c.is_zero()} for v in kern]
@@ -1094,7 +1114,11 @@ def integrals_and_modular(H: HopfAlgebraData, R: SubalgebraEmbedding,
                           Q: Optional[QuotientModule] = None) -> IntegralReport:
     """Integrals of R and H, both modular functions, the integrals in Q, and
     the Frobenius criterion m_H|_R = m_R; the equivalence of "Q has a nonzero
-    integral" with the criterion is asserted."""
+    integral" with the criterion is asserted.
+
+    The integrals of Q solve q h = eps(h) q at the algebra generators only:
+    for fixed q, {h : q h = eps(h) q} is a subalgebra containing 1, since
+    the action and eps are multiplicative (see `QuotientModule._verify`)."""
     ints_h = _right_integrals(H)
     if len(ints_h) != 1:
         raise AssertionError(f"right integral space of H has dimension {len(ints_h)}")
@@ -1122,13 +1146,13 @@ def integrals_and_modular(H: HopfAlgebraData, R: SubalgebraEmbedding,
     dq = Q.dim_q
     for b in range(dq):
         col: dict[int, Cyc] = {}
-        for h in range(H.dim):
+        for row, h in enumerate(H.generators):
             img = Q.act({b: Cyc.one()}, H.basis_vec(h))
             for rr, v in img.items():
-                _vadd(col, h * dq + rr, v)
+                _vadd(col, row * dq + rr, v)
             eps_h = H.counit[h]
             if not eps_h.is_zero():
-                _vadd(col, h * dq + b, -eps_h)
+                _vadd(col, row * dq + b, -eps_h)
         columns.append(col)
     kern = kernel_of_sparse_columns(columns)
     q_ints = [{i: c for i, c in enumerate(v) if not c.is_zero()} for v in kern]
@@ -1203,9 +1227,10 @@ def trace_ideals(H: HopfAlgebraData, R: SubalgebraEmbedding, Q: QuotientModule,
     ideals: list[IdealSubspace] = []
     L_q: Optional[int] = None
     faithful_seen = False
+    tp: Optional[TensorPowerModule] = None
     for n in range(1, n_max + 1):
         try:
-            tp = tensor_power_action(Q, n, cap=cap)
+            tp = tensor_power_action(Q, 1, cap=cap) if tp is None else tp.times_q(cap)
         except TensorCapExceededError:
             return TraceIdealChain(ideals, L_q, False)
         homs = module_hom_basis(Q, tp)
@@ -1254,32 +1279,29 @@ class IdealizerReport:
 def idealizer_and_endQ(H: HopfAlgebraData, R: SubalgebraEmbedding,
                        Q: Optional[QuotientModule] = None) -> IdealizerReport:
     """T = {h : h R+H <= R+H}; dim End Q = dim T - dim R+H, and the
-    evaluation End Q -> Q is an isomorphism iff R+H = HR+."""
+    evaluation End Q -> Q is an isomorphism iff R+H = HR+.
+
+    T is solved from h r+ in R+H for the spanning vectors r+ = r - eps(r) 1
+    of R+ only, not for a basis of R+H: R+H is a right ideal, so h r+ in R+H
+    gives h r+ x in R+H for every x, and these h r+ x span h R+H.  The
+    kernel is the same subspace, so its reduced echelon basis is the same."""
     if Q is None:
         Q = QuotientModule(H, R)
-    w_basis = Q.rpH.basis_rows()
     dq = Q.dim_q
     columns: list[dict[int, Cyc]] = []
     for i in range(H.dim):
         col: dict[int, Cyc] = {}
-        for widx, w in enumerate(w_basis):
-            img = Q.project(H.mult_vec(H.basis_vec(i), w))
+        for ridx, rp in enumerate(Q.r_plus):
+            img = Q.project(H.mult_vec(H.basis_vec(i), rp))
             for rr, v in img.items():
-                _vadd(col, widx * dq + rr, v)
+                _vadd(col, ridx * dq + rr, v)
         columns.append(col)
     kern = kernel_of_sparse_columns(columns)
     T_basis = [{i: c for i, c in enumerate(v) if not c.is_zero()} for v in kern]
     dim_T = len(T_basis)
     dim_end = dim_T - Q.rpH.rank
-    # HR+ as a subspace
     hrp = RowSpace(H.dim)
-    for r in R.basis:
-        eps = H.counit_vec(r)
-        rp = dict(r)
-        for j, c in _vscale(H.unit, eps).items():
-            _vadd(rp, j, -c)
-        if _vzero(rp):
-            continue
+    for rp in Q.r_plus:
         for h in range(H.dim):
             hrp.add(H.mult_vec(H.basis_vec(h), rp))
     normal = hrp.equals(Q.rpH)

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .exactalg import json_int, json_kind
+
 DEFAULT_ORDER_CAP = 20160
 
 
@@ -572,23 +574,37 @@ def is_ti_subgroup(G: GroupHandle, H: SubgroupHandle) -> TIStatus:
 def group_from_json(data: dict, cap: int = DEFAULT_ORDER_CAP):
     """Parse {"degree": d, "generators": [[images]...],
     "subgroups": {"H": [[images]...], ...}} into handles."""
-    try:
-        degree = int(data["degree"])
-    except KeyError:
-        raise ValueError("group JSON is missing the field 'degree'")
-    gens_raw = data.get("generators")
-    if gens_raw is None:
-        raise ValueError("group JSON is missing the field 'generators'")
-    gens = [Permutation(images) for images in gens_raw]
+    json_kind("group JSON", "(top level)", data, dict)
+    for key in ("degree", "generators"):
+        if data.get(key) is None:
+            raise ValueError(f"group JSON is missing the field '{key}'")
+    degree = json_int("group JSON", "degree", data["degree"])
+    gens = _perms_from_json("generators", data["generators"])
     G = enumerate_group(gens, degree=degree, cap=cap)
     subs = {}
-    for name, sub_gens in sorted(data.get("subgroups", {}).items()):
-        perms = [Permutation(images) for images in sub_gens]
+    subgroups = json_kind("group JSON", "subgroups", data.get("subgroups", {}), dict)
+    for name, sub_gens in sorted(subgroups.items()):
+        perms = _perms_from_json("subgroups", sub_gens)
         for p in perms:
             if p not in G:
                 raise ValueError(f"subgroup '{name}' generator {p!r} lies outside the group")
         subs[name] = G.subgroup_generated(perms)
     return G, subs
+
+
+def permutation_from_json(source: str, field: str, images) -> Permutation:
+    """A permutation from a JSON image array, which must be a list of
+    integers; a wrong type is a ValueError naming the field."""
+    for x in json_kind(source, field, images, list):
+        if not isinstance(x, int):
+            raise ValueError(f"{source} field '{field}': expected integer images, "
+                             f"got {images!r}")
+    return Permutation(images)
+
+
+def _perms_from_json(field: str, value) -> list[Permutation]:
+    return [permutation_from_json("group JSON", field, images)
+            for images in json_kind("group JSON", field, value, list)]
 
 
 def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP):

@@ -10,8 +10,10 @@ from subdepth.chartab import (class_fusion, compute_character_table,
 from subdepth.corpus import (cached_table, corpus_groups,
                              subgroups_up_to_conjugacy)
 from subdepth.depthmat import depth_report
-from subdepth.exactalg import Cyc, ExactMatrix, MalformedSequenceError
-from subdepth.hopfcore import _vadd, _veq, _vscale, build_group_algebra
+from subdepth.exactalg import (Cyc, ExactMatrix, MalformedSequenceError,
+                               kernel_of_sparse_columns)
+from subdepth.hopfcore import (_is_hopf_ideal, _vadd, _veq, _vscale,
+                               build_group_algebra)
 from subdepth.permgroup import Permutation, enumerate_group
 
 
@@ -170,6 +172,155 @@ def _full_axiom_check(self) -> None:
         want = _vscale(self.unit, self.counit[i])
         if not _veq(lhs, want) or not _veq(rhs, want):
             raise AssertionError(f"antipode axiom fails at {i}")
+
+
+# -- all-basis references for the generator-closure checks in hopfcore --------
+#
+# Each check here runs over every basis element h of H, where hopfcore runs
+# over the algebra generators only; the tests require the two to agree.
+
+def iterated_comult(H, i, n) -> dict:
+    """Delta^(n-1) of e_i as a sparse vector over basis n-tuples."""
+    terms = {(i,): Cyc.one()}
+    for _ in range(n - 1):
+        nxt = {}
+        for tup, c in terms.items():
+            last = tup[-1]
+            for (a, b), m in H.comult[last].items():
+                _vadd(nxt, tup[:-1] + (a, b), c * m)
+        terms = nxt
+    return terms
+
+
+def reference_tensor_power_action(Q, n) -> list[dict]:
+    """The action matrices of H on Q^xn, each Delta^(n-1)(h) applied slot by
+    slot: the reference for `tensor_power_action`."""
+    H = Q.hopf
+    dq = Q.dim_q
+    action = []
+    for h in range(H.dim):
+        mat = {}
+        for tup, c in iterated_comult(H, h, n).items():
+            # tensor product of the n slot actions
+            partial = {((), ()): c}
+            for slot in range(n):
+                nxt = {}
+                amat = Q.action[tup[slot]]
+                for (rt, ct), pc in partial.items():
+                    for (r, cc2), v in amat.items():
+                        _vadd(nxt, (rt + (r,), ct + (cc2,)), pc * v)
+                partial = nxt
+            for (rt, ct), v in partial.items():
+                r = 0
+                cidx = 0
+                for k in range(n):
+                    r = r * dq + rt[k]
+                    cidx = cidx * dq + ct[k]
+                _vadd(mat, (r, cidx), v)
+        action.append(mat)
+    return action
+
+
+def reference_quotient_verify(Q) -> None:
+    """The intertwining law and the module-coalgebra laws of Q at every basis
+    element of H: the reference for `QuotientModule._verify`."""
+    H = Q.hopf
+    for i in range(H.dim):
+        pi = Q.project(H.basis_vec(i))
+        for h in range(H.dim):
+            lhs = Q.project(H.mult_vec(H.basis_vec(i), H.basis_vec(h)))
+            rhs = Q.act(pi, H.basis_vec(h))
+            if not _veq(lhs, rhs):
+                raise AssertionError("projection does not intertwine the action")
+    for b in range(Q.dim_q):
+        for h in range(H.dim):
+            qh = Q.act({b: Cyc.one()}, H.basis_vec(h))
+            eps_qh = Cyc.zero()
+            for rr, c in qh.items():
+                eps_qh = eps_qh + c * Q.counit_q[rr]
+            if not (eps_qh - Q.counit_q[b] * H.counit[h]).is_zero():
+                raise AssertionError("counit of Q is not H-linear")
+            lhs = {}
+            for rr, c in qh.items():
+                for key, v in Q.coproduct_q[rr].items():
+                    _vadd(lhs, key, c * v)
+            rhs = {}
+            for (h1, h2), hc in H.comult[h].items():
+                for (q1, q2), qc in Q.coproduct_q[b].items():
+                    a1 = Q.act({q1: Cyc.one()}, H.basis_vec(h1))
+                    a2 = Q.act({q2: Cyc.one()}, H.basis_vec(h2))
+                    for r1, c1 in a1.items():
+                        for r2, c2 in a2.items():
+                            _vadd(rhs, (r1, r2), hc * qc * c1 * c2)
+            if not _veq(lhs, rhs):
+                raise AssertionError("coproduct of Q is not a module coalgebra map")
+
+
+def reference_ideal_flags(H, space) -> tuple[bool, bool, bool]:
+    """(right, two-sided, Hopf) with every basis element as a multiplier:
+    the reference for `_check_ideal_flags`."""
+    basis = space.basis_rows()
+    right = all(space.contains(H.mult_vec(b, H.basis_vec(i)))
+                for b in basis for i in range(H.dim))
+    left = all(space.contains(H.mult_vec(H.basis_vec(i), b))
+               for b in basis for i in range(H.dim))
+    two_sided = right and left
+    return right, two_sided, two_sided and _is_hopf_ideal(H, space)
+
+
+def _kernel_vectors(columns) -> list[dict]:
+    return [{i: c for i, c in enumerate(v) if not c.is_zero()}
+            for v in kernel_of_sparse_columns(columns)]
+
+
+def reference_right_integrals(H) -> list[dict]:
+    """The right integrals from t h = eps(h) t at every basis element: the
+    reference for `_right_integrals`."""
+    d = H.dim
+    columns = []
+    for i in range(d):
+        col = {}
+        for h in range(d):
+            eps_h = H.counit[h]
+            for k, v in H.mult[i][h].items():
+                _vadd(col, h * d + k, v)
+            if not eps_h.is_zero():
+                _vadd(col, h * d + i, -eps_h)
+        columns.append(col)
+    return _kernel_vectors(columns)
+
+
+def reference_q_integrals(Q) -> list[dict]:
+    """The integrals of Q from q h = eps(h) q at every basis element: the
+    reference for `integrals_and_modular(...).q_integral_basis`."""
+    H = Q.hopf
+    dq = Q.dim_q
+    columns = []
+    for b in range(dq):
+        col = {}
+        for h in range(H.dim):
+            for rr, v in Q.act({b: Cyc.one()}, H.basis_vec(h)).items():
+                _vadd(col, h * dq + rr, v)
+            eps_h = H.counit[h]
+            if not eps_h.is_zero():
+                _vadd(col, h * dq + b, -eps_h)
+        columns.append(col)
+    return _kernel_vectors(columns)
+
+
+def reference_idealizer(Q) -> list[dict]:
+    """T = {h : h w in R+H for every w in a basis of R+H}: the reference for
+    `idealizer_and_endQ(...).T_basis`."""
+    H = Q.hopf
+    dq = Q.dim_q
+    columns = []
+    for i in range(H.dim):
+        col = {}
+        for widx, w in enumerate(Q.rpH.basis_rows()):
+            for rr, v in Q.project(H.mult_vec(H.basis_vec(i), w)).items():
+                _vadd(col, widx * dq + rr, v)
+        columns.append(col)
+    return _kernel_vectors(columns)
 
 
 # -- Cyc reference implementations of the integer sweep kernels ---------------

@@ -255,3 +255,80 @@ def test_run_rejects_missing_subgroup(tmp_path, capsys):
 def test_analysis_request_direct():
     req = AnalysisRequest(mode="sweep", max_order=6, conjecture=True)
     assert run(req) == 0
+
+
+def _group(**fields):
+    data = {"degree": 3, "generators": [[2, 1, 3], [2, 3, 1]],
+            "subgroups": {"H": [[2, 1, 3]]}}
+    data.update(fields)
+    return data
+
+
+@pytest.mark.parametrize("data, field", [
+    ([1, 2], "(top level)"),
+    (_group(degree=[3]), "degree"),
+    (_group(generators=5), "generators"),
+    (_group(generators=[5]), "generators"),
+    (_group(generators=[[2, "1", 3]]), "generators"),
+    (_group(subgroups=5), "subgroups"),
+    (_group(subgroups={"H": 7}), "subgroups"),
+], ids=["top-list", "degree-list", "generators-int", "generator-int",
+        "image-str", "subgroups-int", "subgroup-int"])
+def test_group_loader_rejects_wrong_json_types(data, field, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    assert main(["depth", "group", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: group JSON field '{field}'")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data, field", [
+    ([[1]], "(top level)"),
+    ({"matrix": 5}, "matrix"),
+    ({"matrix": [5]}, "matrix"),
+], ids=["top-list", "matrix-int", "row-int"])
+def test_matrix_loader_rejects_wrong_json_types(data, field, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["depth", "matrix", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} field '{field}'")
+    assert "Traceback" not in err
+
+
+def _set_class(key, value):
+    def corrupt(data):
+        data["classes"][0][key] = value
+    return corrupt
+
+
+def _set_irreducible(value):
+    def corrupt(data):
+        data["irreducibles"][0][0] = value
+    return corrupt
+
+
+@pytest.mark.parametrize("field, corrupt", [
+    ("exponent", _set("exponent", [6])),
+    ("classes", _set("classes", 5)),
+    ("classes", _set_first("classes", 3)),
+    ("classes", _set_class("rep", 5)),
+    ("classes", _set_class("size", None)),
+    ("irreducibles", _set("irreducibles", 5)),
+    ("irreducibles", _set_first("irreducibles", 1)),
+    ("irreducibles", _set_irreducible(1)),
+], ids=["exponent-list", "classes-int", "class-int", "rep-int", "size-null",
+        "irreducibles-int", "irreducible-int", "value-int"])
+def test_table_loader_rejects_wrong_json_types(field, corrupt, s2s3_file, tmp_path,
+                                               capsys):
+    table = tmp_path / "t.json"
+    assert main(["chartab", s2s3_file, "--json", str(table)]) == 0
+    data = json.loads(table.read_text())
+    corrupt(data)
+    table.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["chartab", s2s3_file, "--import", str(table)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: character table JSON field '{field}'")
+    assert "Traceback" not in err

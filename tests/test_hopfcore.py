@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cached_group_algebra, full_axioms_hold, perm
+from helpers import (cached_group_algebra, full_axioms_hold, perm,
+                     reference_idealizer, reference_ideal_flags,
+                     reference_q_integrals, reference_quotient_verify,
+                     reference_right_integrals, reference_tensor_power_action)
 from subdepth.exactalg import Cyc, RowSpace
 from subdepth.hopfcore import (HopfAlgebraData, SubalgebraEmbedding,
-                               TensorCapExceededError, annihilator_chain,
+                               TensorCapExceededError, _check_ideal_flags,
+                               _right_integrals, annihilator_chain,
                                augmentation_core_ideal, build_group_algebra,
                                build_small_quantum_group, center_basis,
                                faithfulness_cross_check, idealizer_and_endQ,
@@ -324,6 +328,120 @@ def test_free_module_isomorphism_via_descent(s3):
     triv = SubalgebraEmbedding(H, [dict(H.unit)])
     wd, wact = regular_r_module(triv)
     assert ulbrich_verify(H, triv, wd, wact)
+
+
+# -- generator-closure checks against the all-basis references ---------------
+
+def _taft_pairs(uq):
+    """The Taft algebra T = R2.as_hopf() = <K, E> with its subalgebras k1 and
+    <K>; T is not unimodular."""
+    H, subs = uq
+    R2 = subs["R2"]
+    T = R2.as_hopf()
+    n = round(H.dim ** (1 / 3))
+    K = {i: c for i, c in enumerate(R2.coords({n * n: Cyc.one()})) if not c.is_zero()}
+    powers = [dict(T.unit)]
+    for _ in range(n - 1):
+        powers.append(T.mult_vec(powers[-1], K))
+    return [(T, SubalgebraEmbedding(T, [dict(T.unit)])),
+            (T, SubalgebraEmbedding(T, powers))]
+
+
+def _closure_pairs(case, request):
+    if case == "kS3":
+        s3 = request.getfixturevalue("s3")
+        H = cached_group_algebra(s3)
+        return [(H, subgroup_embedding(H, s3, S)) for S in s3.subgroups()]
+    if case == "uq2":
+        H, subs = request.getfixturevalue("uq2")
+        return [(H, subs[name]) for name in ("R1", "R2", "B")]
+    if case == "uq3 R1":
+        H, subs = request.getfixturevalue("uq3")
+        return [(H, subs["R1"])]
+    return _taft_pairs(request.getfixturevalue(case.split()[1]))
+
+
+@pytest.mark.parametrize("case", ["kS3", "uq2", "uq3 R1", "taft uq2", "taft uq3"])
+def test_generator_checks_agree_with_all_basis_references(case, request):
+    # tensor powers up to n = 3 and dimension 81: uq3 R1 runs to n = 3
+    for H, R in _closure_pairs(case, request):
+        Q = quotient_module(H, R)
+        reference_quotient_verify(Q)
+        n_max = max(n for n in (1, 2, 3) if Q.dim_q ** n <= 81)
+        for n in range(1, n_max + 1):
+            assert tensor_power_action(Q, n).action == reference_tensor_power_action(Q, n)
+        chain = annihilator_chain(Q, cap=Q.dim_q ** n_max)
+        ideals = chain.ideals + [ideal_from_span(H, Q.rpH.basis_rows()),
+                                 ideal_from_span(H, R.basis)]
+        for ideal in ideals:
+            flags = (ideal.right_ideal, ideal.two_sided, ideal.hopf_ideal)
+            assert flags == reference_ideal_flags(H, ideal.space)
+        assert _right_integrals(H) == reference_right_integrals(H)
+        Rh = R.as_hopf()
+        assert _right_integrals(Rh) == reference_right_integrals(Rh)
+        rep = integrals_and_modular(H, R, Q)
+        assert rep.q_integral_basis == reference_q_integrals(Q)
+        assert idealizer_and_endQ(H, R, Q).T_basis == reference_idealizer(Q)
+
+
+def _proper_pairs(s3, uq2):
+    H = cached_group_algebra(s3)
+    pairs = [(H, subgroup_embedding(H, s3, S)) for S in s3.subgroups() if S.order < 6]
+    return pairs + [(uq2[0], R) for R in uq2[1].values()]
+
+
+def _raises(check, Q) -> bool:
+    try:
+        check(Q)
+    except AssertionError:
+        return True
+    return False
+
+
+def test_quotient_verify_rejects_a_corrupted_counit_entry(s3, uq2):
+    # eps_Q + delta_b is H-linear only when eps_Q is a multiple of delta_b,
+    # because Hom_H(Q, k) = Hom_R(k, k) is spanned by eps_Q
+    for H, R in _proper_pairs(s3, uq2):
+        for b in range(quotient_module(H, R).dim_q):
+            Q = quotient_module(H, R)
+            linear = all(c.is_zero() for i, c in enumerate(Q.counit_q) if i != b)
+            Q.counit_q[b] = Q.counit_q[b] + Cyc.one()
+            assert _raises(reference_quotient_verify, Q) == (not linear)
+            if linear:
+                Q._verify()
+            else:
+                with pytest.raises(AssertionError, match="counit of Q is not H-linear"):
+                    Q._verify()
+
+
+def test_quotient_verify_rejects_a_corrupted_coproduct_entry(s3, uq2):
+    for H, R in _proper_pairs(s3, uq2):
+        for b in range(quotient_module(H, R).dim_q):
+            Q = quotient_module(H, R)
+            row = dict(Q.coproduct_q[b])
+            key = min(row)
+            row[key] = row[key] + Cyc.one()
+            Q.coproduct_q[b] = row
+            assert _raises(reference_quotient_verify, Q)
+            with pytest.raises(AssertionError, match="not a module coalgebra map"):
+                Q._verify()
+
+
+@pytest.mark.parametrize("closed, escape", [((1, 2), (2, 3)), ((2, 3), (1, 2))])
+def test_right_ideal_flag_checks_every_generator(s3, closed, escape):
+    # span{1, t} is closed under right multiplication by the transposition t
+    # but not by the other generator, so only that generator exposes it
+    H = cached_group_algebra(s3)
+    idx = {g: i for i, g in enumerate(s3.elements)}
+    t, u = idx[perm(3, closed)], idx[perm(3, escape)]
+    assert sorted(H.generators) == sorted([t, u])
+    space = RowSpace(H.dim)
+    space.add(dict(H.unit))
+    space.add(H.basis_vec(t))
+    assert all(space.contains(H.mult_vec(b, H.basis_vec(t))) for b in space.basis_rows())
+    assert not space.contains(H.basis_vec(u))
+    assert _check_ideal_flags(H, space) == reference_ideal_flags(H, space)
+    assert _check_ideal_flags(H, space)[0] is False
 
 
 # -- annihilator chains -------------------------------------------------------
