@@ -10,14 +10,13 @@ produce a silently wrong table.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
 from .exactalg import (Cyc, _xpow_table, euler_phi, json_int, json_kind,
-                       json_scalar, scalar_to_string)
+                       json_scalar, load_json_file, scalar_to_string)
 from .permgroup import (ConjClass, GroupHandle, SubgroupHandle,
                         permutation_from_json)
 
@@ -265,10 +264,6 @@ class CharacterTable:
     @property
     def degrees(self) -> list[int]:
         return [int(row[0].as_fraction()) for row in self.irreducibles]
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
 
     def trivial_index(self) -> int:
         one = Cyc.one()
@@ -617,6 +612,9 @@ def table_from_json(G: GroupHandle, data: dict) -> CharacterTable:
         if key not in data:
             raise ValueError(f"{source} is missing the field '{key}'")
     e = json_int(source, "exponent", data["exponent"])
+    if e < 1:
+        raise ValueError(f"{source} field 'exponent': expected a positive integer, "
+                         f"got {data['exponent']!r}")
     cls_data = json_kind(source, "classes", data["classes"], list)
     irr_data = json_kind(source, "irreducibles", data["irreducibles"], list)
     classes = G.conjugacy_classes()
@@ -663,9 +661,4 @@ def tables_agree_up_to_row_permutation(a: CharacterTable, b: CharacterTable) -> 
 
 
 def load_table_file(G: GroupHandle, path: str) -> CharacterTable:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return table_from_json(G, data)
+    return table_from_json(G, load_json_file(path))

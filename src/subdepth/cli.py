@@ -13,20 +13,18 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .chartab import (class_fusion, compute_character_table, inclusion_matrix,
-                      load_table_file, permutation_character,
-                      tables_agree_up_to_row_permutation)
-from .corpus import run_sweep
-from .depthmat import (DepthReport, bipartite_dot, depth_report,
-                       eigenvalues_via_class_formula, ell_from_trivial_row)
-from .exactalg import json_kind, scalar_to_string
+from .chartab import (InclusionMatrix, compute_character_table, load_table_file,
+                      permutation_character, tables_agree_up_to_row_permutation)
+from .corpus import analyze_pair, run_sweep
+from .depthmat import DepthReport, bipartite_dot, depth_report
+from .exactalg import json_kind, load_json_file, scalar_to_string
 from .hopfcore import (DEFAULT_TENSOR_CAP, HopfAlgebraData, annihilator_chain,
-                       idealizer_and_endQ, integrals_and_modular,
-                       quotient_module, trace_ideals)
+                       build_group_algebra, idealizer_and_endQ,
+                       integrals_and_modular, quotient_module,
+                       subgroup_embedding, trace_ideals)
 from .mackey import (BudgetExceededError, combinatorial_bound_check,
                      core_depth_bound, hecke_algebra, mackey_restrict,
                      q_tensor_decomposition)
-from .chartab import InclusionMatrix
 from .permgroup import DEFAULT_ORDER_CAP, load_group_file
 
 
@@ -59,12 +57,22 @@ def _emit_json(data: dict, path: Optional[str]) -> None:
             fh.write("\n")
 
 
+def _emit_dot(rep: DepthReport, path: Optional[str]) -> None:
+    if path:
+        with open(path, "w") as fh:
+            fh.write(bipartite_dot(rep.M) + "\n" + rep.mckay.dot() + "\n")
+
+
+def _load_pair(req: AnalysisRequest):
+    """G, H and every named subgroup of a group-pair file, which must name H."""
+    G, subs = load_group_file(req.input_path, cap=req.cap_order)
+    if "H" not in subs:
+        raise ValueError(f"{req.input_path}: needs a subgroup named 'H'")
+    return G, subs["H"], subs
+
+
 def _load_matrix_file(path: str) -> InclusionMatrix:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    data = load_json_file(path)
     if "matrix" not in json_kind(path, "(top level)", data, dict):
         raise ValueError(f"{path}: missing the field 'matrix'")
     rows = json_kind(path, "matrix", data["matrix"], list)
@@ -106,33 +114,23 @@ def _depth_text(rep: DepthReport) -> None:
 
 
 def _run_group_pair(req: AnalysisRequest) -> int:
-    G, subs = load_group_file(req.input_path, cap=req.cap_order)
-    if "H" not in subs:
-        raise ValueError(f"{req.input_path}: needs a subgroup named 'H'")
-    H = subs["H"]
-    tabG = compute_character_table(G)
-    tabH = compute_character_table(H.as_group())
-    M = inclusion_matrix(tabG, tabH, class_fusion(G, H))
-    rep = depth_report(M, group_data=(G, H))
+    G, H, _ = _load_pair(req)
+    a = analyze_pair(G, H)
+    rep, es = a.depth, a.eigen
     print(f"group of order {G.order}, subgroup of order {H.order}, "
           f"index {G.order // H.order}")
     _depth_text(rep)
-    es = eigenvalues_via_class_formula(G, H)
     print("class-formula eigenvalues: {"
           + ", ".join(str(v) for v in sorted(es.value_set()))
           + f"}} (t = {es.t}, d_0 <= {es.depth_bound})")
-    nonzero = {v for v in rep.eigen_B.values if v != 0}
-    assert es.value_set() == nonzero, "class formula disagrees with minpoly roots"
-    ell = ell_from_trivial_row(rep.C, tabG.trivial_index())
-    assert rep.d_h == 2 * ell + 1 or rep.d_h == 1, \
-        "trivial-row stabilization disagrees with the pattern h-depth"
+    assert a.eigen_ok, "class formula disagrees with minpoly roots"
+    assert a.pf_ok, "minpoly(C) does not have the index as its Perron-Frobenius root"
     cb = core_depth_bound(G, H, d_h=rep.d_h)
     print(f"core witness r = {cb.r}; bounds d(Q) <= {cb.bound_dQ}, d_h <= {cb.bound_dh}")
     comb = combinatorial_bound_check(G, H, d_h=rep.d_h)
     print(f"d_c_ev = {comb.d_c_ev}, bracket {comb.d_c_bracket}, "
           f"d_c = 1: {comb.d_c_is_one}")
     hk = hecke_algebra(G, H)
-    from .hopfcore import build_group_algebra, subgroup_embedding
     HG = build_group_algebra(G)
     emb = subgroup_embedding(HG, G, H)
     ir = idealizer_and_endQ(HG, emb)
@@ -152,34 +150,20 @@ def _run_group_pair(req: AnalysisRequest) -> int:
         "dim_end_q": ir.dim_end_q,
     }
     _emit_json(data, req.json_path)
-    if req.dot_path:
-        with open(req.dot_path, "w") as fh:
-            fh.write(bipartite_dot(M))
-            fh.write("\n")
-            fh.write(rep.mckay.dot())
-            fh.write("\n")
+    _emit_dot(rep, req.dot_path)
     return 0
 
 
 def _run_matrix(req: AnalysisRequest) -> int:
-    M = _load_matrix_file(req.input_path)
-    rep = depth_report(M)
+    rep = depth_report(_load_matrix_file(req.input_path))
     _depth_text(rep)
     _emit_json({"depth": rep.to_json()}, req.json_path)
-    if req.dot_path:
-        with open(req.dot_path, "w") as fh:
-            fh.write(bipartite_dot(M))
-            fh.write("\n")
-            fh.write(rep.mckay.dot())
-            fh.write("\n")
+    _emit_dot(rep, req.dot_path)
     return 0
 
 
 def _run_mackey(req: AnalysisRequest) -> int:
-    G, subs = load_group_file(req.input_path, cap=req.cap_order)
-    if "H" not in subs:
-        raise ValueError(f"{req.input_path}: needs a subgroup named 'H'")
-    H = subs["H"]
+    G, H, subs = _load_pair(req)
     ms = q_tensor_decomposition(G, H, req.power)
     print(f"Q^(x{req.power}) of index-{G.order // H.order} subgroup decomposes as:")
     merged = ms.merged()
@@ -203,10 +187,7 @@ def _run_mackey(req: AnalysisRequest) -> int:
 
 
 def _run_hecke(req: AnalysisRequest) -> int:
-    G, subs = load_group_file(req.input_path, cap=req.cap_order)
-    if "H" not in subs:
-        raise ValueError(f"{req.input_path}: needs a subgroup named 'H'")
-    H = subs["H"]
+    G, H, _ = _load_pair(req)
     hk = hecke_algebra(G, H)
     print(f"Hecke algebra of the pair: dimension {hk.dimension}, "
           f"commutative: {hk.is_commutative()}")
@@ -234,12 +215,7 @@ def _run_chartab(req: AnalysisRequest) -> int:
 
 
 def _run_hopf(req: AnalysisRequest) -> int:
-    with open(req.input_path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{req.input_path}: line {exc.lineno}: {exc.msg}") from exc
-    H, subs = HopfAlgebraData.from_json(data)
+    H, subs = HopfAlgebraData.from_json(load_json_file(req.input_path))
     print(f"Hopf algebra of dimension {H.dim} over Q(zeta_{H.field_order}); "
           f"axioms verified")
     if not subs:
@@ -264,6 +240,8 @@ def _run_hopf(req: AnalysisRequest) -> int:
         print(f"  Frobenius extension: {rep.frobenius}; "
               f"integral in Q: {bool(rep.q_integral_basis)}; "
               f"semisimple extension: {rep.semisimple_extension}")
+        print("  t_R = " + " + ".join(f"({scalar_to_string(v)})*{H.labels[k]}"
+                                      for k, v in sorted(rep.t_R.items())))
         out["pairs"][name] = {
             "dim_R": emb.dim, "dim_Q": Q.dim_q,
             "ann_dims": [i.dim for i in chain.ideals],
@@ -387,7 +365,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         return run(req)
-    except (ValueError, AssertionError, BudgetExceededError) as exc:
+    except (OSError, ValueError, AssertionError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

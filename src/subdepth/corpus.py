@@ -1,4 +1,5 @@
-"""Built-in catalog of small permutation groups and the sweep harness.
+"""Built-in catalog of small permutation groups, the group-pair pipeline
+``analyze_pair`` and the sweep harness that runs it on every catalog pair.
 
 The catalog covers cyclic, dihedral, symmetric/alternating up to S4,
 quaternion and direct-product groups up to order 24, each from explicit
@@ -8,13 +9,14 @@ the worked examples without external data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .chartab import CharacterTable, class_fusion, compute_character_table, inclusion_matrix
-from .depthmat import DepthReport, depth_report, eigenvalues_via_class_formula
+from .chartab import (CharacterTable, class_fusion, compute_character_table,
+                      inclusion_matrix)
+from .depthmat import (DepthReport, EigenvalueSet, depth_report,
+                       eigenvalues_via_class_formula, ell_from_trivial_row)
 from .permgroup import GroupHandle, Permutation, SubgroupHandle, enumerate_group
 
 
@@ -169,15 +171,7 @@ class SweepRow:
     conjecture_ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "subgroup_index": self.subgroup_index,
-            "subgroup_order": self.subgroup_order,
-            "index": self.index,
-            "d_0": self.d_0, "d_ev": self.d_ev, "d_odd": self.d_odd, "d_h": self.d_h,
-            "eigen_ok": self.eigen_ok, "pf_ok": self.pf_ok,
-            "conjecture_ok": self.conjecture_ok,
-        }
+        return asdict(self)  # keys in field order
 
 
 @dataclass
@@ -195,15 +189,39 @@ class SweepReport:
         }
 
 
-def pair_depth_report(G: GroupHandle, H: SubgroupHandle, name: str,
-                      sub_tables: dict) -> DepthReport:
-    tabG = cached_table(name, G)
-    key = H.key()
-    if key not in sub_tables:
-        sub_tables[key] = compute_character_table(H.as_group())
-    tabH = sub_tables[key]
+@dataclass
+class PairAnalysis:
+    """The subgroup-side invariants of one pair: the depth report (with the
+    inclusion matrix as ``depth.M``), the class-formula eigenvalues, and
+    whether they and the Perron-Frobenius root agree with the minpolys."""
+    depth: DepthReport
+    eigen: EigenvalueSet
+    eigen_ok: bool
+    pf_ok: bool
+
+
+def analyze_pair(G: GroupHandle, H: SubgroupHandle,
+                 tabG: Optional[CharacterTable] = None) -> PairAnalysis:
+    """The group-pair pipeline shared by the CLI and the sweep.
+
+    ``depth_report`` checks C m(C) = 0 and the Perron-Frobenius root; the
+    trivial-row stabilization index is checked against d_h here.  Whether the
+    class formula gives the nonzero roots of minpoly(B), with residual 1, is
+    returned as ``eigen_ok`` for the caller to act on, like ``pf_ok``.
+    """
+    if tabG is None:
+        tabG = compute_character_table(G)
+    tabH = compute_character_table(H.as_group())
     M = inclusion_matrix(tabG, tabH, class_fusion(G, H))
-    return depth_report(M, group_data=(G, H))
+    rep = depth_report(M, group_data=(G, H))
+    ell = ell_from_trivial_row(rep.C, tabG.trivial_index())
+    if not (rep.d_h == 1 or rep.d_h == 2 * ell + 1):
+        raise AssertionError("trivial-row stabilization disagrees with the pattern h-depth")
+    es = eigenvalues_via_class_formula(G, H)
+    nonzero_roots = {v for v in rep.eigen_B.values if v != 0}
+    eigen_ok = (es.value_set() == nonzero_roots
+                and rep.eigen_B.residual.degree == 0)
+    return PairAnalysis(rep, es, eigen_ok, rep.pf_check)
 
 
 def run_sweep(max_order: int, check_conjecture: bool = True) -> SweepReport:
@@ -213,22 +231,16 @@ def run_sweep(max_order: int, check_conjecture: bool = True) -> SweepReport:
     rows: list[SweepRow] = []
     violations: list[SweepRow] = []
     for name, G in corpus_groups(max_order):
-        sub_tables: dict = {}
         for si, H in enumerate(G.subgroups()):
-            rep = pair_depth_report(G, H, name, sub_tables)
-            es = eigenvalues_via_class_formula(G, H)
-            nonzero_roots = {v for v in rep.eigen_B.values if v != 0}
-            eigen_ok = (es.value_set() == nonzero_roots
-                        and rep.eigen_B.residual.degree == 0)
-            pf_ok = (rep.minpoly_C.evaluate(Fraction(G.order, H.order)) == 0
-                     and rep.pf_value == Fraction(G.order, H.order))
+            a = analyze_pair(G, H, cached_table(name, G))
+            rep = a.depth
             conj_ok = True
             if check_conjecture and rep.d_0 is not None and rep.d_h is not None:
                 conj_ok = rep.d_0 <= rep.d_h
             row = SweepRow(name, si, H.order, G.order // H.order,
                            rep.d_0, rep.d_ev, rep.d_odd, rep.d_h,
-                           eigen_ok, pf_ok, conj_ok)
+                           a.eigen_ok, a.pf_ok, conj_ok)
             rows.append(row)
-            if not (eigen_ok and pf_ok and conj_ok):
+            if not (a.eigen_ok and a.pf_ok and conj_ok):
                 violations.append(row)
     return SweepReport(max_order, rows, violations)

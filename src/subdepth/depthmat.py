@@ -168,17 +168,15 @@ def _bipartite_diameters(M: InclusionMatrix) -> tuple[Optional[int], Optional[in
     return white + 1, black + 1
 
 
-def mckay_quiver(C: list[list[int]], labels: Optional[list[str]] = None,
-                 pf_candidate: Optional[Fraction] = None,
+def mckay_quiver(C: list[list[int]], pf_candidate: Optional[Fraction] = None,
                  roots: Optional[list[Fraction]] = None) -> McKayQuiver:
-    """Weighted digraph on the group irreducibles with adjacency C.
+    """Weighted digraph on the group irreducibles U0, U1, ... with adjacency C.
 
     ``roots`` are the rational roots of the minimal polynomial of C when the
     caller already has them; otherwise they are computed here.
     """
     q = len(C)
-    if labels is None:
-        labels = [f"U{j}" for j in range(q)]
+    labels = [f"U{j}" for j in range(q)]
     edges = [(i, j, C[i][j]) for i in range(q) for j in range(q) if C[i][j] > 0]
     indec = is_indecomposable(C)
     pf_root = None
@@ -246,7 +244,7 @@ def depth_report(M: InclusionMatrix,
 
     roots_c, resid_c = factor_rational_roots(mp_c)
     pf_value = max(roots_c) if roots_c else None
-    pf_check = None
+    pf_check = index = None
     if group_data is not None:
         G, H = group_data
         index = Fraction(G.order, H.order)
@@ -254,10 +252,7 @@ def depth_report(M: InclusionMatrix,
                     and pf_value == index)
         tags["pf_check"] = "minpoly_C vanishes at |G:H|"
 
-    quiver = mckay_quiver(C, None,
-                          pf_candidate=Fraction(group_data[0].order, group_data[1].order)
-                          if group_data is not None else None,
-                          roots=roots_c)
+    quiver = mckay_quiver(C, pf_candidate=index, roots=roots_c)
     white_d, black_d = _bipartite_diameters(M)
 
     return DepthReport(M=M, B=B, C=C, d_odd=d_odd, d_ev=d_ev, d_0=d_0, d_h=d_h,
@@ -321,21 +316,16 @@ def ell_from_trivial_row(C: list[list[int]], trivial_index: int,
     return None
 
 
-def bipartite_dot(M: InclusionMatrix, white_labels: Optional[list[str]] = None,
-                  black_labels: Optional[list[str]] = None) -> str:
-    """The weighted bipartite inclusion graph; subgroup irreducibles are the
-    white vertices, group irreducibles the black ones."""
+def bipartite_dot(M: InclusionMatrix) -> str:
+    """The weighted bipartite inclusion graph; subgroup irreducibles V0, V1,
+    ... are the white vertices, group irreducibles U0, U1, ... the black ones."""
     p, q = M.rows, M.cols
-    if white_labels is None:
-        white_labels = [f"V{i}" for i in range(p)]
-    if black_labels is None:
-        black_labels = [f"U{j}" for j in range(q)]
     lines = ["graph inclusion {"]
     for i in range(p):
-        lines.append(f'  w{i} [label="{white_labels[i]}" style=filled '
+        lines.append(f'  w{i} [label="V{i}" style=filled '
                      f'fillcolor=white shape=circle];')
     for j in range(q):
-        lines.append(f'  b{j} [label="{black_labels[j]}" style=filled '
+        lines.append(f'  b{j} [label="U{j}" style=filled '
                      f'fillcolor=black fontcolor=white shape=circle];')
     for i in range(p):
         for j in range(q):

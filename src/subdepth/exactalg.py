@@ -10,6 +10,7 @@ Everything here is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -471,6 +472,16 @@ def scalar_from_string(s: str) -> Cyc:
 # input checks for the JSON loaders: a value of the wrong JSON type becomes a
 # ValueError naming the file kind ("Hopf JSON", ...) and the field
 
+def load_json_file(path: str):
+    """The parsed contents of a JSON file; a syntax error is a ValueError
+    naming the file and line.  A missing or unreadable file raises OSError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+
+
 _JSON_KINDS = {list: "a list", dict: "an object"}
 
 
@@ -705,6 +716,8 @@ def kernel_of_sparse_columns(columns: list[dict[int, Cyc]]) -> list[tuple[Cyc, .
     space = RowSpace(len(columns))
     for row in rows.values():
         space.add(row)
+        if space.rank == len(columns):
+            break  # full column rank: the kernel is already zero
     return space.kernel()
 
 

@@ -371,6 +371,9 @@ class HopfAlgebraData:
                 raise ValueError(f"Hopf JSON is missing the field '{key}'")
         d = _json_int("dim", data["dim"])
         n = _json_int("field_order", data["field_order"])
+        if n < 1:
+            raise ValueError(f"Hopf JSON field 'field_order': expected a positive "
+                             f"integer, got {data['field_order']!r}")
         labels = data.get("labels") or [f"e{i}" for i in range(d)]
         _check_length("labels", d, _json_kind("labels", labels, list))
         mult: list[list[Vec]] = [[{} for _ in range(d)] for _ in range(d)]
@@ -624,10 +627,10 @@ class SubalgebraEmbedding:
 
     def _verify(self) -> None:
         H = self.parent
-        if H.dim % self.dim != 0:
-            raise AssertionError("subalgebra dimension does not divide dim H")
         if not self.contains(dict(H.unit)):
             raise AssertionError("subalgebra does not contain the unit")
+        if H.dim % self.dim != 0:
+            raise AssertionError("subalgebra dimension does not divide dim H")
         for a in self.basis:
             if not self.contains(H.antipode_vec(a)):
                 raise AssertionError("subalgebra not closed under the antipode")

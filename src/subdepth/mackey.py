@@ -108,17 +108,31 @@ def mackey_restrict(G: GroupHandle, K: SubgroupHandle,
     return ms
 
 
+def tensor_summand_count(G: GroupHandle, H: SubgroupHandle, n: int) -> int:
+    """The number of summands of the n-th tensor power of the coset module
+    of H: the G-orbits on (G/H)^n, (1/|G|) sum over classes C of
+    |C| pi(C)^n for the permutation character pi (Cauchy-Frobenius)."""
+    pi = permutation_character(G, H)
+    return sum(cls.size * v ** n
+               for cls, v in zip(G.conjugacy_classes(), pi)) // G.order
+
+
 def q_tensor_decomposition(G: GroupHandle, H: SubgroupHandle, n: int,
                            budget: int = 10 ** 6) -> QSummandMultiset:
     """The n-th tensor power of the coset module of H as a multiset of
     conjugate-intersection stabilizers, indexed by (n-1)-tuples of (H,H)
-    double-coset labels."""
+    double-coset labels.  The summand count is checked against the budget
+    before any tensor step runs."""
     if n < 1:
         raise ValueError("tensor power must be >= 1")
     hdc = double_cosets(G, H, H)
-    if len(hdc.reps) ** (n - 1) > budget:
+    # The count never falls as n grows and is at least 2^(n-1) when H != G
+    # (and 1 when H = G), so a power past the budget's bit length is judged
+    # without the huge power sums.
+    count = tensor_summand_count(G, H, min(n, budget.bit_length() + 1))
+    if count > budget:
         raise BudgetExceededError(
-            f"|H\\G/H|^(n-1) = {len(hdc.reps) ** (n - 1)} exceeds the budget {budget}")
+            f"Q^(x{n}) has at least {count} summands, which exceeds the budget {budget}")
     label_of: dict[Permutation, int] = {}
     for idx, coset in enumerate(hdc.cosets):
         for g in coset:

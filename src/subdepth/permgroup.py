@@ -8,11 +8,10 @@ tuples are reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exactalg import json_int, json_kind
+from .exactalg import json_int, json_kind, load_json_file
 
 DEFAULT_ORDER_CAP = 20160
 
@@ -138,9 +137,6 @@ class GroupHandle:
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self._index
-
-    def index_of(self, p: Permutation) -> int:
-        return self._index[p]
 
     @property
     def identity(self) -> Permutation:
@@ -608,9 +604,4 @@ def _perms_from_json(field: str, value) -> list[Permutation]:
 
 
 def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return group_from_json(data, cap=cap)
+    return group_from_json(load_json_file(path), cap=cap)

@@ -5,11 +5,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from subdepth.chartab import (class_fusion, compute_character_table,
-                              inclusion_matrix)
-from subdepth.corpus import (cached_table, corpus_groups,
+from subdepth.corpus import (analyze_pair, cached_table, corpus_groups,
                              subgroups_up_to_conjugacy)
-from subdepth.depthmat import depth_report
 from subdepth.exactalg import (Cyc, ExactMatrix, MalformedSequenceError,
                                kernel_of_sparse_columns)
 from subdepth.hopfcore import (_is_hopf_ideal, _vadd, _veq, _vscale,
@@ -41,13 +38,10 @@ def make_a5():
     return enumerate_group([perm(5, (1, 2, 3, 4, 5)), perm(5, (1, 2, 3))])
 
 
-def pair_report(G, H, tabG=None, tabH=None):
-    if tabG is None:
-        tabG = compute_character_table(G)
-    if tabH is None:
-        tabH = compute_character_table(H.as_group())
-    M = inclusion_matrix(tabG, tabH, class_fusion(G, H))
-    return M, depth_report(M, group_data=(G, H))
+def pair_report(G, H, tabG=None):
+    """(M, depth report) of a pair, from the package's group-pair pipeline."""
+    a = analyze_pair(G, H, tabG)
+    return a.depth.M, a.depth
 
 
 def equal_up_to_row_col_permutation(a: list[list[int]], b: list[list[int]]) -> bool:

@@ -121,6 +121,18 @@ def test_hopf_mode_names_a_missing_field(field, tmp_path, capsys, uq2):
     assert "Traceback" not in err
 
 
+def _set(field, value):
+    def corrupt(data):
+        data[field] = value
+    return corrupt
+
+
+def _set_first(field, value):
+    def corrupt(data):
+        data[field][0] = value
+    return corrupt
+
+
 def _bad_index(data, field, value):
     if field == "unit":
         data["unit"] = {str(value): "1"}
@@ -146,8 +158,9 @@ def _bad_length(data, field):
     ("antipode", lambda data: _bad_length(data, "antipode")),
     ("counit", lambda data: _bad_length(data, "counit")),
     ("subalgebras", lambda data: _bad_length(data, "subalgebras")),
+    ("field_order", _set("field_order", 0)),
 ], ids=["mult-8", "mult-neg", "comult-9", "comult-neg", "unit-8",
-        "antipode-row", "counit-length", "subalgebras-row"])
+        "antipode-row", "counit-length", "subalgebras-row", "field-order-zero"])
 def test_hopf_mode_rejects_out_of_range_data(field, corrupt, tmp_path, capsys, uq2):
     H8, subs8 = uq2
     data = H8.to_json(subalgebras={"R": subs8["R2"]})
@@ -158,18 +171,6 @@ def test_hopf_mode_rejects_out_of_range_data(field, corrupt, tmp_path, capsys, u
     err = capsys.readouterr().err
     assert err.startswith(f"error: Hopf JSON field '{field}'")
     assert "Traceback" not in err
-
-
-def _set(field, value):
-    def corrupt(data):
-        data[field] = value
-    return corrupt
-
-
-def _set_first(field, value):
-    def corrupt(data):
-        data[field][0] = value
-    return corrupt
 
 
 @pytest.mark.parametrize("field, corrupt", [
@@ -252,6 +253,31 @@ def test_run_rejects_missing_subgroup(tmp_path, capsys):
     assert "subgroup named 'H'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command", [
+    ["depth", "group"], ["depth", "matrix"], ["mackey"], ["hecke"], ["chartab"],
+    ["hopf"],
+], ids=["depth-group", "depth-matrix", "mackey", "hecke", "chartab", "hopf"])
+def test_unreadable_input_is_an_error(command, kind, tmp_path, capsys):
+    path = tmp_path / "absent.json" if kind == "missing" else tmp_path
+    assert main([*command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["chartab", "{pair}", "--import", "{dir}"],
+    ["depth", "group", "{pair}", "--json", "{dir}"],
+    ["depth", "group", "{pair}", "--dot", "{dir}"],
+], ids=["import", "json", "dot"])
+def test_unusable_side_file_is_an_error(args, s2s3_file, tmp_path, capsys):
+    assert main([a.format(pair=s2s3_file, dir=tmp_path) for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert "Traceback" not in err
+
+
 def test_analysis_request_direct():
     req = AnalysisRequest(mode="sweep", max_order=6, conjecture=True)
     assert run(req) == 0
@@ -311,6 +337,7 @@ def _set_irreducible(value):
 
 @pytest.mark.parametrize("field, corrupt", [
     ("exponent", _set("exponent", [6])),
+    ("exponent", _set("exponent", 0)),
     ("classes", _set("classes", 5)),
     ("classes", _set_first("classes", 3)),
     ("classes", _set_class("rep", 5)),
@@ -318,8 +345,8 @@ def _set_irreducible(value):
     ("irreducibles", _set("irreducibles", 5)),
     ("irreducibles", _set_first("irreducibles", 1)),
     ("irreducibles", _set_irreducible(1)),
-], ids=["exponent-list", "classes-int", "class-int", "rep-int", "size-null",
-        "irreducibles-int", "irreducible-int", "value-int"])
+], ids=["exponent-list", "exponent-zero", "classes-int", "class-int", "rep-int",
+        "size-null", "irreducibles-int", "irreducible-int", "value-int"])
 def test_table_loader_rejects_wrong_json_types(field, corrupt, s2s3_file, tmp_path,
                                                capsys):
     table = tmp_path / "t.json"

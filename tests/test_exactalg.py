@@ -328,6 +328,12 @@ def test_rowspace_reduce_is_empty_exactly_on_the_span(order_rows, data):
 
 
 @given(sparse_rows(min_size=1))
+# two columns of rank 2 with five nonzero rows: full column rank is reached
+# at the second row, before the last three
+@example((1, [{0: Cyc.rational(1), 1: Cyc.rational(1), 2: Cyc.rational(2),
+               3: Cyc.rational(1), 4: Cyc.rational(3)},
+              {1: Cyc.rational(1), 2: Cyc.rational(1), 3: Cyc.rational(-1),
+               4: Cyc.rational(5)}]))
 @settings(max_examples=60, deadline=None)
 def test_kernel_of_sparse_columns_matches_solve_kernel(order_rows):
     # the rows drawn are read as the columns of a 5-row matrix

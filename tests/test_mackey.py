@@ -1,13 +1,17 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from helpers import make_a4, perm
+from helpers import make_a4, make_a5, make_s4, perm
+from subdepth import mackey
 from subdepth.chartab import induce_class_function, permutation_character
+from subdepth.cli import main
 from subdepth.exactalg import Cyc
 from subdepth.mackey import (BudgetExceededError, combinatorial_bound_check,
                              core_depth_bound, hecke_algebra, mackey_restrict,
-                             q_tensor_decomposition)
+                             q_tensor_decomposition, tensor_summand_count)
+from subdepth.permgroup import double_cosets
 
 
 def test_tensor_power_one_is_q(s3):
@@ -60,6 +64,63 @@ def test_budget_exceeded(s4):
     H = s4.trivial_subgroup()
     with pytest.raises(BudgetExceededError):
         q_tensor_decomposition(s4, H, 3, budget=100)
+
+
+def group_pairs_pairs():
+    """D8<S4, A4<A5 and C5<A5, the pairs of the benchmark's group_pairs."""
+    s4, a5 = make_s4(), make_a5()
+    return {
+        "D8<S4": (s4, s4.subgroup_generated([perm(4, (1, 2, 3, 4)), perm(4, (1, 3))])),
+        "A4<A5": (a5, a5.subgroup_generated([perm(5, (1, 2, 3)),
+                                             perm(5, (1, 2), (3, 4))])),
+        "C5<A5": (a5, a5.subgroup_generated([perm(5, (1, 2, 3, 4, 5))])),
+    }
+
+
+def test_summand_count_is_the_number_of_entries():
+    for name, (G, H) in group_pairs_pairs().items():
+        for n in (1, 2, 3, 4):
+            ms = q_tensor_decomposition(G, H, n)
+            assert tensor_summand_count(G, H, n) == len(ms.entries), (name, n)
+    G, H = group_pairs_pairs()["A4<A5"]
+    assert [tensor_summand_count(G, H, n) for n in (1, 2, 3, 4, 6, 12)] == \
+        [1, 2, 5, 16, 282, 4070376]
+
+
+def test_budget_fires_before_any_tensor_step(tmp_path, monkeypatch, capsys):
+    G, H = group_pairs_pairs()["A4<A5"]
+    path = tmp_path / "a4_a5.json"
+    path.write_text(json.dumps({
+        "degree": 5, "generators": [list(g.images) for g in G.generators],
+        "subgroups": {"H": [list(h.images) for h in H.generating_set()]}}))
+    calls = []
+
+    def recording(G, K, H):
+        calls.append((K.order, H.order))
+        return double_cosets(G, K, H)
+
+    monkeypatch.setattr(mackey, "double_cosets", recording)
+    assert main(["mackey", str(path), "--power", "12"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Q^(x12) has at least 4070376 summands, which "
+                          "exceeds the budget 1000000")
+    assert calls == [(12, 12)]  # H\G/H only
+
+
+def test_budget_judges_a_huge_power_at_a_small_one(monkeypatch):
+    G, H = group_pairs_pairs()["A4<A5"]
+    powers = []
+
+    def recording(G, H, n):
+        powers.append(n)
+        return tensor_summand_count(G, H, n)
+
+    monkeypatch.setattr(mackey, "tensor_summand_count", recording)
+    with pytest.raises(BudgetExceededError):
+        q_tensor_decomposition(G, H, 10 ** 9)
+    assert powers == [21]  # (10^6).bit_length() + 1
+    whole = G.full_subgroup()
+    assert len(q_tensor_decomposition(G, whole, 40).entries) == 1
 
 
 def test_mackey_restrict_examples(s3):
