@@ -4,7 +4,9 @@ The group-pair, matrix and sweep reports were written by the CLI before the
 integer sweep kernels replaced the Cyc-based inner products and power scans;
 the `subdepth hopf` reports on the small quantum groups (inputs written by
 `scripts/make_hopf_input.py`) were written before the quotient-module checks
-moved to algebra generators.  Every later change must reproduce them exactly.
+moved to algebra generators, and the uncapped uq3 report before the trace
+ideals came from the closed form.  Every later change must reproduce them
+exactly.
 """
 
 from pathlib import Path
@@ -42,6 +44,7 @@ def test_sweep24_json_is_golden(sweep24, tmp_path):
     ("uq2", [], "hopf_uq2"),
     # the cap stops both chains of every pair, so the cap path is frozen too
     ("uq3", ["--cap-tensor-dim", "9"], "hopf_uq3_cap9"),
+    ("uq3", [], "hopf_uq3"),
 ])
 def test_hopf_json_is_golden(algebra, extra, golden, tmp_path, capsys):
     out = tmp_path / "rep.json"
