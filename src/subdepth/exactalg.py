@@ -494,10 +494,10 @@ def json_kind(source: str, field: str, value, kind: type):
 
 
 def json_int(source: str, field: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
+    """value itself when it is a JSON integer (not a string, float or bool)."""
+    if type(value) is not int:
         raise ValueError(f"{source} field '{field}': expected an integer, got {value!r}")
+    return value
 
 
 def json_scalar(source: str, field: str, value) -> Cyc:

@@ -104,7 +104,7 @@ def _project(space: RowSpace, sec_index: dict[int, int], v: Vec) -> Vec:
 def _check_indices(field: str, d: int, *indices) -> None:
     # input check for Hopf JSON: basis indices must lie in range(dim)
     for x in indices:
-        if not isinstance(x, int) or not 0 <= x < d:
+        if type(x) is not int or not 0 <= x < d:
             raise ValueError(f"Hopf JSON field '{field}': index {x!r} is not "
                              f"in range({d})")
 
@@ -394,7 +394,9 @@ class HopfAlgebraData:
         for row in antipode_data:
             v = {j: _json_scalar("antipode", s) for j, s in enumerate(row)}
             antipode.append({j: x for j, x in v.items() if not x.is_zero()})
-        unit = {_json_int("unit", k): _json_scalar("unit", v)
+        # JSON object keys are strings: the unit's keys are decimal indices
+        unit = {_json_int("unit", int(k) if k.isdecimal() else k):
+                _json_scalar("unit", v)
                 for k, v in _json_kind("unit", data["unit"], dict).items()}
         _check_indices("unit", d, *unit)
         H = HopfAlgebraData(d, n, labels, mult, unit, comult, counit, antipode)
@@ -1185,36 +1187,47 @@ class TraceIdealChain:
     htrh_matches: Optional[bool] = None
 
 
+def _frobenius_terms(H: HopfAlgebraData, lam: Vec) -> TVec:
+    """sum Lambda_1 x S(Lambda_2) over Delta(lam), checked against the
+    Frobenius identity sum h Lambda_1 x S(Lambda_2) = sum Lambda_1 x
+    S(Lambda_2) h, which holds at every h when lam is a left integral.
+
+    It is checked at the algebra generators only: the h that satisfy it form
+    a subalgebra containing 1, since for two such h and k
+    sum hk Lambda_1 x S(Lambda_2) = (h x 1) sum Lambda_1 x S(Lambda_2) k
+    = sum Lambda_1 x S(Lambda_2) hk."""
+    terms: TVec = {}
+    for (x, y), c in H.comult_vec(lam).items():
+        for z, s in H.antipode[y].items():
+            _vadd(terms, (x, z), c * s)
+    for g in H.generators:
+        left = H.tensor_mult({(g, k): c for k, c in H.unit.items()}, terms)
+        right = H.tensor_mult(terms, {(k, g): c for k, c in H.unit.items()})
+        if not _veq(left, right):
+            raise AssertionError(f"Frobenius identity fails at generator {g}")
+    return terms
+
+
 def module_hom_basis(Q: QuotientModule, tp: TensorPowerModule) -> list[list[Vec]]:
     """Basis of Hom_H(Q^xn, H); each hom maps the b-th basis vector of the
-    tensor power to an element of H."""
+    tensor power to an element of H.
+
+    H is Frobenius (Larson-Sweedler): for the left integral Lambda = S(t_H)
+    the maps f_xi(m) = sum xi(m Lambda_1) S(Lambda_2), xi in M*, are all of
+    Hom_H(M, H), which has dimension dim M.  Over sum Lambda_1 x S(Lambda_2)
+    = sum c e_x x e_z, the j-th coordinate xi gives f_j(b) =
+    sum c A_x[j, b] e_z; the f_j are checked to be independent."""
     H = Q.hopf
-    d = H.dim
-    dqn = tp.dim
-    # unknowns f[(b, k)]: flatten to b * d + k
-    columns: list[dict[int, Cyc]] = [dict() for _ in range(dqn * d)]
-    # equation positions: (b, h, m) -> ((b * H.dim) + h) * d + m
-    for h in range(d):
-        amat = tp.action[h]
-        for (c_row, b_col), v in amat.items():
-            # term + A_h[c_row, b_col] * f_{c_row, m} at positions (b_col, h, m)
-            for m in range(d):
-                pos = (b_col * d + h) * d + m
-                _vadd(columns[c_row * d + m], pos, v)
-    for h in range(d):
-        for b in range(dqn):
-            for k in range(d):
-                for m, w in H.mult[k][h].items():
-                    pos = (b * d + h) * d + m
-                    _vadd(columns[b * d + k], pos, -w)
-    kern = kernel_of_sparse_columns(columns)
-    homs = []
-    for vec in kern:
-        images: list[Vec] = []
-        for b in range(dqn):
-            img = {k: vec[b * d + k] for k in range(d) if not vec[b * d + k].is_zero()}
-            images.append(img)
-        homs.append(images)
+    terms = _frobenius_terms(H, H.antipode_vec(_right_integrals(H)[0]))
+    homs: list[list[Vec]] = [[{} for _ in range(tp.dim)] for _ in range(tp.dim)]
+    for (x, z), c in terms.items():
+        for (j, b), a in tp.action[x].items():
+            _vadd(homs[j][b], z, c * a)
+    space = RowSpace(tp.dim * H.dim)
+    for images in homs:
+        space.add({b * H.dim + k: v for b, img in enumerate(images) for k, v in img.items()})
+    if space.rank != tp.dim:
+        raise AssertionError(f"{space.rank} of the {tp.dim} maps into H are independent")
     return homs
 
 
@@ -1222,8 +1235,8 @@ def trace_ideals(H: HopfAlgebraData, R: SubalgebraEmbedding, Q: QuotientModule,
                  n_max: int = 6, cap: int = DEFAULT_TENSOR_CAP,
                  t_R: Optional[Vec] = None,
                  ell_q: Optional[int] = None) -> TraceIdealChain:
-    """Ascending chain of trace ideals of the tensor powers of Q, computed
-    from first principles as sums of images of module maps into H.
+    """Ascending chain of trace ideals of the tensor powers of Q: each is
+    the sum of the images of the closed-form basis of `module_hom_basis`.
 
     tau(Q) is checked against H t_R H when an integral is supplied, and
     L_Q = ell_Q is asserted when some tensor power is faithful."""

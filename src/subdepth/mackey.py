@@ -42,30 +42,26 @@ class QSummandMultiset:
             out[label] = out.get(label, 0) + 1
         return out
 
-    def _permutation_characters(self) -> dict[tuple, tuple[int, ...]]:
-        """The permutation character of each distinct summand subgroup, by key."""
-        chars: dict[tuple, tuple[int, ...]] = {}
+    def __post_init__(self):
+        # the permutation character of each distinct summand subgroup, by key
+        self.chars: dict[tuple, tuple[int, ...]] = {}
         for _, s in self.entries:
-            k = s.key()
-            if k not in chars:
-                chars[k] = permutation_character(self.ambient, s)
-        return chars
+            if s.key() not in self.chars:
+                self.chars[s.key()] = permutation_character(self.ambient, s)
 
     def character(self) -> tuple[int, ...]:
-        chars = self._permutation_characters()
         acc = [0] * len(self.ambient.conjugacy_classes())
         for _, s in self.entries:
-            for i, v in enumerate(chars[s.key()]):
+            for i, v in enumerate(self.chars[s.key()]):
                 acc[i] += v
         return tuple(acc)
 
     def merged(self) -> list[tuple[SubgroupHandle, int]]:
         """Group summands that are conjugate with equal permutation
         characters; returns (representative, multiplicity) pairs."""
-        chars = self._permutation_characters()
         buckets: list[tuple[SubgroupHandle, tuple[int, ...], list]] = []
         for _, s in self.entries:
-            char = chars[s.key()]
+            char = self.chars[s.key()]
             placed = False
             for rep, rchar, members in buckets:
                 if rchar != char or rep.order != s.order:
@@ -108,11 +104,10 @@ def mackey_restrict(G: GroupHandle, K: SubgroupHandle,
     return ms
 
 
-def tensor_summand_count(G: GroupHandle, H: SubgroupHandle, n: int) -> int:
+def tensor_summand_count(G: GroupHandle, pi: tuple[int, ...], n: int) -> int:
     """The number of summands of the n-th tensor power of the coset module
-    of H: the G-orbits on (G/H)^n, (1/|G|) sum over classes C of
-    |C| pi(C)^n for the permutation character pi (Cauchy-Frobenius)."""
-    pi = permutation_character(G, H)
+    with permutation character pi: the G-orbits on (G/H)^n,
+    (1/|G|) sum over classes C of |C| pi(C)^n (Cauchy-Frobenius)."""
     return sum(cls.size * v ** n
                for cls, v in zip(G.conjugacy_classes(), pi)) // G.order
 
@@ -122,14 +117,16 @@ def q_tensor_decomposition(G: GroupHandle, H: SubgroupHandle, n: int,
     """The n-th tensor power of the coset module of H as a multiset of
     conjugate-intersection stabilizers, indexed by (n-1)-tuples of (H,H)
     double-coset labels.  The summand count is checked against the budget
-    before any tensor step runs."""
+    before any tensor step runs, and the character of the result against
+    pi^n for the permutation character pi of H."""
     if n < 1:
         raise ValueError("tensor power must be >= 1")
     hdc = double_cosets(G, H, H)
+    pi = permutation_character(G, H)
     # The count never falls as n grows and is at least 2^(n-1) when H != G
     # (and 1 when H = G), so a power past the budget's bit length is judged
     # without the huge power sums.
-    count = tensor_summand_count(G, H, min(n, budget.bit_length() + 1))
+    count = tensor_summand_count(G, pi, min(n, budget.bit_length() + 1))
     if count > budget:
         raise BudgetExceededError(
             f"Q^(x{n}) has at least {count} summands, which exceeds the budget {budget}")
@@ -148,8 +145,8 @@ def q_tensor_decomposition(G: GroupHandle, H: SubgroupHandle, n: int,
                     raise BudgetExceededError("tensor decomposition exceeded the budget")
         entries = new
     ms = QSummandMultiset(G, H, n, entries)
-    index = G.order // H.order
-    assert ms.total_index() == index ** n, "tensor power dimension mismatch"
+    assert ms.character() == tuple(v ** n for v in pi), \
+        "decomposition character differs from (eps induced)^n"
     return ms
 
 

@@ -592,7 +592,7 @@ def permutation_from_json(source: str, field: str, images) -> Permutation:
     """A permutation from a JSON image array, which must be a list of
     integers; a wrong type is a ValueError naming the field."""
     for x in json_kind(source, field, images, list):
-        if not isinstance(x, int):
+        if type(x) is not int:
             raise ValueError(f"{source} field '{field}': expected integer images, "
                              f"got {images!r}")
     return Permutation(images)

@@ -9,7 +9,7 @@ from subdepth.corpus import (analyze_pair, cached_table, corpus_groups,
                              subgroups_up_to_conjugacy)
 from subdepth.exactalg import (Cyc, ExactMatrix, MalformedSequenceError,
                                kernel_of_sparse_columns)
-from subdepth.hopfcore import (_is_hopf_ideal, _vadd, _veq, _vscale,
+from subdepth.hopfcore import (Vec, _is_hopf_ideal, _vadd, _veq, _vscale,
                                build_group_algebra)
 from subdepth.permgroup import Permutation, enumerate_group
 
@@ -315,6 +315,40 @@ def reference_idealizer(Q) -> list[dict]:
                 _vadd(col, widx * dq + rr, v)
         columns.append(col)
     return _kernel_vectors(columns)
+
+
+def reference_module_hom_basis(Q, tp) -> list[list[dict]]:
+    """Basis of Hom_H(Q^xn, H) as the kernel of the linear system
+    f(b h) = f(b) h in (dim Q^xn * dim H) unknowns: the reference for
+    `module_hom_basis`."""
+    H = Q.hopf
+    d = H.dim
+    dqn = tp.dim
+    # unknowns f[(b, k)]: flatten to b * d + k
+    columns: list[dict[int, Cyc]] = [dict() for _ in range(dqn * d)]
+    # equation positions: (b, h, m) -> ((b * H.dim) + h) * d + m
+    for h in range(d):
+        amat = tp.action[h]
+        for (c_row, b_col), v in amat.items():
+            # term + A_h[c_row, b_col] * f_{c_row, m} at positions (b_col, h, m)
+            for m in range(d):
+                pos = (b_col * d + h) * d + m
+                _vadd(columns[c_row * d + m], pos, v)
+    for h in range(d):
+        for b in range(dqn):
+            for k in range(d):
+                for m, w in H.mult[k][h].items():
+                    pos = (b * d + h) * d + m
+                    _vadd(columns[b * d + k], pos, -w)
+    kern = kernel_of_sparse_columns(columns)
+    homs = []
+    for vec in kern:
+        images: list[Vec] = []
+        for b in range(dqn):
+            img = {k: vec[b * d + k] for k in range(d) if not vec[b * d + k].is_zero()}
+            images.append(img)
+        homs.append(images)
+    return homs
 
 
 # -- Cyc reference implementations of the integer sweep kernels ---------------

@@ -183,8 +183,13 @@ def test_hopf_mode_rejects_out_of_range_data(field, corrupt, tmp_path, capsys, u
     ("counit", _set_first("counit", 1)),
     ("dim", _set("dim", [8])),
     ("subalgebras", _set("subalgebras", 5)),
+    ("dim", _set("dim", "8")),
+    ("dim", _set("dim", 8.5)),
+    ("field_order", _set("field_order", True)),
+    ("mult", lambda data: _bad_index(data, "mult", True)),
 ], ids=["counit-int", "labels-int", "mult-int", "unit-list", "antipode-row-int",
-        "comult-short-entry", "counit-scalar-int", "dim-list", "subalgebras-int"])
+        "comult-short-entry", "counit-scalar-int", "dim-list", "subalgebras-int",
+        "dim-str", "dim-float", "field-order-bool", "mult-index-bool"])
 def test_hopf_mode_rejects_wrong_json_types(field, corrupt, tmp_path, capsys, uq2):
     H8, subs8 = uq2
     data = H8.to_json(subalgebras={"R": subs8["R2"]})
@@ -298,8 +303,12 @@ def _group(**fields):
     (_group(generators=[[2, "1", 3]]), "generators"),
     (_group(subgroups=5), "subgroups"),
     (_group(subgroups={"H": 7}), "subgroups"),
+    (_group(degree="3"), "degree"),
+    (_group(degree=3.5), "degree"),
+    (_group(generators=[[2, True, 3]]), "generators"),
 ], ids=["top-list", "degree-list", "generators-int", "generator-int",
-        "image-str", "subgroups-int", "subgroup-int"])
+        "image-str", "subgroups-int", "subgroup-int", "degree-str", "degree-float",
+        "image-bool"])
 def test_group_loader_rejects_wrong_json_types(data, field, tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(data))
@@ -313,7 +322,8 @@ def test_group_loader_rejects_wrong_json_types(data, field, tmp_path, capsys):
     ([[1]], "(top level)"),
     ({"matrix": 5}, "matrix"),
     ({"matrix": [5]}, "matrix"),
-], ids=["top-list", "matrix-int", "row-int"])
+    ({"matrix": [[True]]}, "matrix"),
+], ids=["top-list", "matrix-int", "row-int", "entry-bool"])
 def test_matrix_loader_rejects_wrong_json_types(data, field, tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(data))
@@ -345,8 +355,12 @@ def _set_irreducible(value):
     ("irreducibles", _set("irreducibles", 5)),
     ("irreducibles", _set_first("irreducibles", 1)),
     ("irreducibles", _set_irreducible(1)),
+    ("exponent", _set("exponent", "6")),
+    ("exponent", _set("exponent", 6.5)),
+    ("classes", _set_class("size", "1")),
 ], ids=["exponent-list", "exponent-zero", "classes-int", "class-int", "rep-int",
-        "size-null", "irreducibles-int", "irreducible-int", "value-int"])
+        "size-null", "irreducibles-int", "irreducible-int", "value-int", "exponent-str",
+        "exponent-float", "size-str"])
 def test_table_loader_rejects_wrong_json_types(field, corrupt, s2s3_file, tmp_path,
                                                capsys):
     table = tmp_path / "t.json"

@@ -5,17 +5,20 @@ import pytest
 
 from helpers import (cached_group_algebra, full_axioms_hold, perm,
                      reference_idealizer, reference_ideal_flags,
-                     reference_q_integrals, reference_quotient_verify,
-                     reference_right_integrals, reference_tensor_power_action)
+                     reference_module_hom_basis, reference_q_integrals,
+                     reference_quotient_verify, reference_right_integrals,
+                     reference_tensor_power_action)
 from subdepth.exactalg import Cyc, RowSpace
 from subdepth.hopfcore import (HopfAlgebraData, SubalgebraEmbedding,
                                TensorCapExceededError, _check_ideal_flags,
-                               _right_integrals, annihilator_chain,
+                               _frobenius_terms, _right_integrals,
+                               annihilator_chain,
                                augmentation_core_ideal, build_group_algebra,
                                build_small_quantum_group, center_basis,
                                faithfulness_cross_check, idealizer_and_endQ,
                                ideal_from_span, integrals_and_modular,
-                               linear_disjoint_check, quotient_module,
+                               linear_disjoint_check, module_hom_basis,
+                               quotient_module,
                                regular_r_module, subgroup_embedding,
                                tensor_power_action, trace_ideals,
                                trivial_r_module, ulbrich_verify)
@@ -355,9 +358,9 @@ def _closure_pairs(case, request):
     if case == "uq2":
         H, subs = request.getfixturevalue("uq2")
         return [(H, subs[name]) for name in ("R1", "R2", "B")]
-    if case == "uq3 R1":
+    if case.startswith("uq3 "):
         H, subs = request.getfixturevalue("uq3")
-        return [(H, subs["R1"])]
+        return [(H, subs[case.split()[1]])]
     return _taft_pairs(request.getfixturevalue(case.split()[1]))
 
 
@@ -596,6 +599,47 @@ def test_trace_ideals_beyond_dimension_eight(uq3):
     assert ti.complete
     assert ti.L_q == chain.ell_q
     assert [i.dim for i in ti.ideals] == [7, 18, 26, 27]
+
+
+def _hom_space(H, tp, homs):
+    # the maps as vectors in Hom_k(Q^xn, H), and the sum of their images
+    maps, images = RowSpace(tp.dim * H.dim), RowSpace(H.dim)
+    for hom in homs:
+        maps.add({b * H.dim + k: v for b, img in enumerate(hom) for k, v in img.items()})
+        for img in hom:
+            images.add(dict(img))
+    return maps, images
+
+
+@pytest.mark.parametrize("case, max_dim", [
+    ("kS3", 81), ("uq2", 81), ("taft uq2", 81), ("taft uq3", 81),
+    # the linear system takes about 3 s at n = 3 and 20 s at n = 4
+    ("uq3 R2", 27),
+])
+def test_module_hom_basis_agrees_with_the_linear_system(case, max_dim, request):
+    for H, R in _closure_pairs(case, request):
+        Q = quotient_module(H, R)
+        for n in range(1, 5):
+            if Q.dim_q ** n > max_dim:
+                break
+            tp = tensor_power_action(Q, n)
+            maps, trace = _hom_space(H, tp, module_hom_basis(Q, tp))
+            ref_maps, ref_trace = _hom_space(H, tp, reference_module_hom_basis(Q, tp))
+            assert maps.equals(ref_maps)
+            assert trace.basis_rows() == ref_trace.basis_rows()
+
+
+def test_frobenius_identity_needs_a_left_integral(uq2, uq3):
+    # S(t_H) is a left integral; t_H is one only where H is unimodular
+    for uq in (uq2, uq3):
+        H = uq[0]
+        t_H = _right_integrals(H)[0]
+        _frobenius_terms(H, t_H)
+        for T, _ in _taft_pairs(uq)[:1]:
+            t_T = _right_integrals(T)[0]
+            _frobenius_terms(T, T.antipode_vec(t_T))
+            with pytest.raises(AssertionError, match="Frobenius identity"):
+                _frobenius_terms(T, t_T)
 
 
 def test_trace_ideal_free_case(s3):

@@ -81,9 +81,11 @@ def test_summand_count_is_the_number_of_entries():
     for name, (G, H) in group_pairs_pairs().items():
         for n in (1, 2, 3, 4):
             ms = q_tensor_decomposition(G, H, n)
-            assert tensor_summand_count(G, H, n) == len(ms.entries), (name, n)
+            pi = permutation_character(G, H)
+            assert tensor_summand_count(G, pi, n) == len(ms.entries), (name, n)
     G, H = group_pairs_pairs()["A4<A5"]
-    assert [tensor_summand_count(G, H, n) for n in (1, 2, 3, 4, 6, 12)] == \
+    pi = permutation_character(G, H)
+    assert [tensor_summand_count(G, pi, n) for n in (1, 2, 3, 4, 6, 12)] == \
         [1, 2, 5, 16, 282, 4070376]
 
 
@@ -111,9 +113,9 @@ def test_budget_judges_a_huge_power_at_a_small_one(monkeypatch):
     G, H = group_pairs_pairs()["A4<A5"]
     powers = []
 
-    def recording(G, H, n):
+    def recording(G, pi, n):
         powers.append(n)
-        return tensor_summand_count(G, H, n)
+        return tensor_summand_count(G, pi, n)
 
     monkeypatch.setattr(mackey, "tensor_summand_count", recording)
     with pytest.raises(BudgetExceededError):
