@@ -79,9 +79,9 @@ def group_pairs_pairs():
 
 def test_summand_count_is_the_number_of_entries():
     for name, (G, H) in group_pairs_pairs().items():
+        pi = permutation_character(G, H)
         for n in (1, 2, 3, 4):
             ms = q_tensor_decomposition(G, H, n)
-            pi = permutation_character(G, H)
             assert tensor_summand_count(G, pi, n) == len(ms.entries), (name, n)
     G, H = group_pairs_pairs()["A4<A5"]
     pi = permutation_character(G, H)
