@@ -5,8 +5,9 @@ integer sweep kernels replaced the Cyc-based inner products and power scans;
 the `subdepth hopf` reports on the small quantum groups (inputs written by
 `scripts/make_hopf_input.py`) were written before the quotient-module checks
 moved to algebra generators, and the uncapped uq3 report before the trace
-ideals came from the closed form.  Every later change must reproduce them
-exactly.
+ideals came from the closed form; the `subdepth chartab` tables of S4 and A5
+before the Dixon-Schneider and minimal-polynomial kernels were reworked.
+Every later change must reproduce them exactly.
 """
 
 from pathlib import Path
@@ -49,5 +50,17 @@ def test_sweep24_json_is_golden(sweep24, tmp_path):
 def test_hopf_json_is_golden(algebra, extra, golden, tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert main(["hopf", str(GOLDEN / f"{algebra}.json"), *extra,
+                 "--json", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
+
+
+@pytest.mark.parametrize("group, golden", [
+    ("d8_s4", "chartab_s4"),
+    ("a4_a5", "chartab_a5"),
+])
+def test_chartab_json_is_golden(group, golden, tmp_path, capsys):
+    # pins the Dixon-Schneider values and the irreducible ordering
+    out = tmp_path / "tab.json"
+    assert main(["chartab", str(GOLDEN / f"{group}.json"),
                  "--json", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
