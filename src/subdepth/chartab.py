@@ -112,67 +112,37 @@ def _modp_kernel(rows: list[list[int]], width: int, p: int) -> list[list[int]]:
 
 
 def _modp_minpoly(mat: list[list[int]], p: int) -> list[int]:
-    # lcm of Krylov relation polynomials, coefficients lowest first, monic
+    """The minimal polynomial of mat over GF(p), monic, lowest degree first.
+
+    Start vector by start vector, m <- m * mu_w with w = m(A) e, skipping e
+    when w = 0: this is lcm(m, mu_e), because mu_{m(A)e} = mu_e / gcd(mu_e, m)
+    (f(A)w = 0 iff mu_e | f m iff mu_e / gcd(mu_e, m) | f).
+    """
     n = len(mat)
-
-    def polymul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-        return out
-
-    def polymod(a, b):
-        a = a[:]
-        while len(a) >= len(b) and any(a):
-            while a and a[-1] % p == 0:
-                a.pop()
-            if len(a) < len(b):
-                break
-            f = a[-1] * pow(b[-1], -1, p) % p
-            off = len(a) - len(b)
-            for j in range(len(b)):
-                a[off + j] = (a[off + j] - f * b[j]) % p
-            while a and a[-1] % p == 0:
-                a.pop()
-        return a or [0]
-
-    def polylcm(a, b):
-        g = a
-        h = b
-        while any(c % p for c in h):
-            g, h = h, polymod(g, h)
-        quo_len = len(a) + len(b) - len(g)
-        # lcm = a*b/gcd computed by dividing a*b by g
-        prod = polymul(a, b)
-        out = [0] * quo_len
-        rem = prod[:]
-        for i in range(len(rem) - 1, len(g) - 2, -1):
-            f = rem[i] * pow(g[-1], -1, p) % p
-            out[i - len(g) + 1] = f
-            for j in range(len(g)):
-                rem[i - len(g) + 1 + j] = (rem[i - len(g) + 1 + j] - f * g[j]) % p
-        return out
-
     m = [1]
-    span: list[list[int]] = []      # reduced basis of the Krylov vectors so far
     for start in range(n):
-        e = _unit(n, start)
-        if len(_modp_rref(span + [e], p)[0]) == len(span):
+        w = [0] * n     # m(A) e by Horner's rule
+        for c in reversed(m):
+            w = _apply_modp(mat, w, p)
+            w[start] = (w[start] + c) % p
+        if not any(w):
             continue
-        krylov = [e]
+        krylov = [w]
         for _ in range(n):
             krylov.append(_apply_modp(mat, krylov[-1], p))
-        # rows [A^t e | tags for degrees n..0]: the relations fill the last
+        # rows [A^t w | tags for degrees n..0]: the relations fill the last
         # rows, and the last one has its pivot at the least degree d, so it
         # holds the monic relation of degree d
         tagged = [v + _unit(n + 1, n - t) for t, v in enumerate(krylov)]
         red, pivots = _modp_rref(tagged, p)
         d = 2 * n - pivots[-1]
-        m = polylcm(m, red[-1][2 * n - d:][::-1])
-        span = _modp_rref(span + krylov[:d], p)[0]
-    lead_inv = pow(m[-1], -1, p)
-    return [c * lead_inv % p for c in m]
+        mu = red[-1][2 * n - d:][::-1]
+        prod = [0] * (len(m) + d)
+        for i, x in enumerate(m):
+            for j, y in enumerate(mu):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        m = prod
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +372,20 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
 
     w = _primitive_root(p)
     z = pow(w, (p - 1) // e, p)  # primitive e'th root of unity mod p
+    orders = [cls.rep.order() for cls in classes]
     power_class = []
-    for cls in classes:
-        o = cls.rep.order()
+    # zo_inv_powers[j][t] = zo_inv^t for the inverse zo_inv of a primitive
+    # o'th root of unity, o the order of class j, so only t mod o matters
+    zo_inv_powers = []
+    for cls, o in zip(classes, orders):
         pc = []
         g = G.identity
         for _ in range(o):
             pc.append(class_of[g])
             g = g * cls.rep
         power_class.append(pc)
+        zo_inv = pow(z, -(e // o) % (p - 1), p)
+        zo_inv_powers.append([pow(zo_inv, t, p) for t in range(o)])
 
     rows = []
     for u in us:
@@ -427,15 +402,13 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
         chi_bar = [u[j] * deg % p * pow(classes[j].size, -1, p) % p for j in range(r)]
         values = []
         for j in range(r):
-            o = classes[j].rep.order()
-            zo_inv = pow(z, -(e // o) % (p - 1), p)
+            o = orders[j]
+            zpow = zo_inv_powers[j]
             o_inv = pow(o, -1, p)
+            chi_powers = [chi_bar[c] for c in power_class[j]]
             powers: dict[int, int] = {}
             for k in range(o):
-                mk = 0
-                for l in range(o):
-                    mk = (mk + chi_bar[power_class[j][l]] * pow(zo_inv, k * l, p)) % p
-                mk = mk * o_inv % p
+                mk = sum(x * zpow[k * l % o] for l, x in enumerate(chi_powers)) * o_inv % p
                 if mk:
                     if mk > deg:
                         raise DixonInternalError("multiplicity exceeds the degree")

@@ -816,11 +816,6 @@ class ExactPolynomial:
             a, b = b, a % b
         return a.monic()
 
-    def lcm(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        if self.is_zero() or other.is_zero():
-            return ExactPolynomial.zero()
-        return ((self * other) // self.gcd(other)).monic()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
@@ -866,10 +861,11 @@ class ExactPolynomial:
 def minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
     """Monic least-degree m with m(A) = 0, computed exactly.
 
-    Per starting basis vector, iterate the Krylov sequence until a linear
-    relation appears; the minimal polynomial is the lcm of the relation
-    polynomials.  Basis vectors already inside the accumulated Krylov span
-    are skipped since their relations divide the running lcm.
+    Start vector by start vector, m <- m * mu_w with w = m(A) e, skipping e
+    when w = 0; mu_w, the least monic f with f(A) w = 0, is read off a Krylov
+    relation.  This is lcm(m, mu_e) for any square A, because
+    mu_{m(A)e} = mu_e / gcd(mu_e, m): f(A) w = 0 iff mu_e | f m iff
+    mu_e / gcd(mu_e, m) | f.
     """
     if A.rows != A.cols:
         raise ValueError("minimal polynomial needs a square matrix")
@@ -888,30 +884,32 @@ def minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
                     out[i] = nv
         return out
 
-    total = RowSpace(n)
     m = ExactPolynomial.one()
     for start in range(n):
-        e = {start: _CYC_ONE}
-        if total.contains(e):
+        w: dict[int, Cyc] = {}      # m(A) e by Horner's rule
+        for c in reversed(m.coeffs):
+            w = apply(w)
+            nv = w.get(start, _CYC_ZERO) + Cyc.rational(c)
+            if nv.is_zero():
+                w.pop(start, None)
+            else:
+                w[start] = nv
+        if not w:
             continue
-        # rows [A^t e | e_t] with the tag e_t in column n + t: the first row
+        # rows [A^t w | w_t] with the tag w_t in column n + t: the first row
         # that reduces to zero on the first n columns leaves the relation
-        # sum_s c_s A^s e = 0 in its tags, with c_t = 1
+        # sum_s c_s A^s w = 0 in its tags, with c_t = 1
         tagged = RowSpace(2 * n + 1)
-        v = e
+        v = w
         for t in range(n + 1):
             rel = tagged.reduce({**v, n + t: _CYC_ONE})
             if min(rel) >= n:
                 break
             tagged.add(rel)
             v = apply(v)
-        m = m.lcm(ExactPolynomial([rel.get(n + s, _CYC_ZERO).as_fraction()
-                                   for s in range(t + 1)]))
-        # the Krylov parts of the tagged basis are the reduced echelon basis
-        # of the new Krylov span
-        for row in tagged.pivots.values():
-            total.add({c: x for c, x in row.items() if c < n})
-    return m.monic()
+        m = m * ExactPolynomial([rel.get(n + s, _CYC_ZERO).as_fraction()
+                                 for s in range(t + 1)])
+    return m
 
 
 # ---------------------------------------------------------------------------

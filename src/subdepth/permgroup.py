@@ -9,6 +9,7 @@ tuples are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactalg import json_int, json_kind, load_json_file
@@ -55,13 +56,16 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # left-to-right composition: point^(a*b) = (point^a)^b
-        return Permutation(tuple(other.images[i - 1] for i in self.images))
+        if len(self.images) != len(other.images):
+            raise ValueError(f"cannot compose permutations of degrees "
+                             f"{self.degree} and {other.degree}")
+        return _perm(tuple([other.images[i - 1] for i in self.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for i, img in enumerate(self.images):
             inv[img - 1] = i + 1
-        return Permutation(inv)
+        return _perm(tuple(inv))
 
     def conjugate_by(self, g: "Permutation") -> "Permutation":
         """g^-1 * self * g."""
@@ -71,12 +75,7 @@ class Permutation:
         return all(i + 1 == img for i, img in enumerate(self.images))
 
     def order(self) -> int:
-        n = 1
-        p = self
-        while not p.is_identity():
-            p = p * self
-            n += 1
-        return n
+        return lcm(*map(len, self.cycles()))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen = set()
@@ -113,6 +112,18 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
 
 
+_new_perm = object.__new__
+_set_images = Permutation.images.__set__
+
+
+def _perm(images: tuple) -> Permutation:
+    # trusted constructor for products and inverses: images is already a
+    # tuple holding a permutation of 1..len(images)
+    g = _new_perm(Permutation)
+    _set_images(g, images)
+    return g
+
+
 class ConjClass(NamedTuple):
     rep: Permutation
     elements: tuple[Permutation, ...]
@@ -143,7 +154,6 @@ class GroupHandle:
         return Permutation.identity(self.degree)
 
     def exponent(self) -> int:
-        from math import lcm
         e = 1
         for cls in self.conjugacy_classes():
             e = lcm(e, cls.rep.order())

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 from subdepth.corpus import (analyze_pair, cached_table, corpus_groups,
                              subgroups_up_to_conjugacy)
-from subdepth.exactalg import (Cyc, ExactMatrix, MalformedSequenceError,
+from subdepth.chartab import _apply_modp, _modp_rref, _unit
+from subdepth.exactalg import (_CYC_ONE, _CYC_ZERO, Cyc, ExactMatrix,
+                               ExactPolynomial, MalformedSequenceError, RowSpace,
                                kernel_of_sparse_columns)
 from subdepth.hopfcore import (Vec, _is_hopf_ideal, _vadd, _veq, _vscale,
                                build_group_algebra)
@@ -378,6 +380,127 @@ def evaluate_matrix(poly, A: ExactMatrix) -> ExactMatrix:
         acc = ExactMatrix(n, n, [x + c if i % (n + 1) == 0 else x
                                  for i, x in enumerate(acc.entries)])
     return acc
+
+
+def _poly_lcm(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
+    if a.is_zero() or b.is_zero():
+        return ExactPolynomial.zero()
+    return ((a * b) // a.gcd(b)).monic()
+
+
+def reference_minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
+    """The lcm of the Krylov relation polynomials of the start vectors
+    outside the accumulated Krylov span: the reference for
+    `minimal_polynomial`, which multiplies by the relation of m(A) e
+    instead of taking polynomial lcms."""
+    if A.rows != A.cols:
+        raise ValueError("minimal polynomial needs a square matrix")
+    n = A.rows
+    cols = [{i: A.at(i, j) for i in range(n) if not A.at(i, j).is_zero()}
+            for j in range(n)]
+
+    def apply(v: dict[int, Cyc]) -> dict[int, Cyc]:
+        out: dict[int, Cyc] = {}
+        for j, x in v.items():
+            for i, a in cols[j].items():
+                nv = out.get(i, Cyc.zero()) + a * x
+                if nv.is_zero():
+                    out.pop(i, None)
+                else:
+                    out[i] = nv
+        return out
+
+    total = RowSpace(n)
+    m = ExactPolynomial.one()
+    for start in range(n):
+        e = {start: _CYC_ONE}
+        if total.contains(e):
+            continue
+        # rows [A^t e | e_t] with the tag e_t in column n + t: the first row
+        # that reduces to zero on the first n columns leaves the relation
+        # sum_s c_s A^s e = 0 in its tags, with c_t = 1
+        tagged = RowSpace(2 * n + 1)
+        v = e
+        for t in range(n + 1):
+            rel = tagged.reduce({**v, n + t: _CYC_ONE})
+            if min(rel) >= n:
+                break
+            tagged.add(rel)
+            v = apply(v)
+        m = _poly_lcm(m, ExactPolynomial([rel.get(n + s, _CYC_ZERO).as_fraction()
+                                          for s in range(t + 1)]))
+        # the Krylov parts of the tagged basis are the reduced echelon basis
+        # of the new Krylov span
+        for row in tagged.pivots.values():
+            total.add({c: x for c, x in row.items() if c < n})
+    return m.monic()
+
+
+def reference_modp_minpoly(mat: list[list[int]], p: int) -> list[int]:
+    """The GF(p) minimal polynomial as the lcm of Krylov relation
+    polynomials by Euclid's algorithm mod p: the reference for
+    `chartab._modp_minpoly`."""
+    # lcm of Krylov relation polynomials, coefficients lowest first, monic
+    n = len(mat)
+
+    def polymul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    def polymod(a, b):
+        a = a[:]
+        while len(a) >= len(b) and any(a):
+            while a and a[-1] % p == 0:
+                a.pop()
+            if len(a) < len(b):
+                break
+            f = a[-1] * pow(b[-1], -1, p) % p
+            off = len(a) - len(b)
+            for j in range(len(b)):
+                a[off + j] = (a[off + j] - f * b[j]) % p
+            while a and a[-1] % p == 0:
+                a.pop()
+        return a or [0]
+
+    def polylcm(a, b):
+        g = a
+        h = b
+        while any(c % p for c in h):
+            g, h = h, polymod(g, h)
+        quo_len = len(a) + len(b) - len(g)
+        # lcm = a*b/gcd computed by dividing a*b by g
+        prod = polymul(a, b)
+        out = [0] * quo_len
+        rem = prod[:]
+        for i in range(len(rem) - 1, len(g) - 2, -1):
+            f = rem[i] * pow(g[-1], -1, p) % p
+            out[i - len(g) + 1] = f
+            for j in range(len(g)):
+                rem[i - len(g) + 1 + j] = (rem[i - len(g) + 1 + j] - f * g[j]) % p
+        return out
+
+    m = [1]
+    span: list[list[int]] = []      # reduced basis of the Krylov vectors so far
+    for start in range(n):
+        e = _unit(n, start)
+        if len(_modp_rref(span + [e], p)[0]) == len(span):
+            continue
+        krylov = [e]
+        for _ in range(n):
+            krylov.append(_apply_modp(mat, krylov[-1], p))
+        # rows [A^t e | tags for degrees n..0]: the relations fill the last
+        # rows, and the last one has its pivot at the least degree d, so it
+        # holds the monic relation of degree d
+        tagged = [v + _unit(n + 1, n - t) for t, v in enumerate(krylov)]
+        red, pivots = _modp_rref(tagged, p)
+        d = 2 * n - pivots[-1]
+        m = polylcm(m, red[-1][2 * n - d:][::-1])
+        span = _modp_rref(span + krylov[:d], p)[0]
+    lead_inv = pow(m[-1], -1, p)
+    return [c * lead_inv % p for c in m]
 
 
 def _exact_pattern(A: ExactMatrix):

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import cyc_inner_product, make_a5, make_s4, perm
+from helpers import (cyc_inner_product, make_a5, make_s4, perm,
+                     reference_modp_minpoly)
 from subdepth.chartab import (CharacterTable, _modp_kernel, _modp_minpoly,
                               _modp_rref, class_fusion, compute_character_table,
                               induce_class_function, inclusion_matrix,
@@ -263,6 +264,20 @@ def test_modp_minpoly_is_the_least_annihilator(pnA):
     for c, P in zip(m, powers):
         value = [[(v + c * x) % p for v, x in zip(vr, xr)] for vr, xr in zip(value, P)]
     assert value == [[0] * n for _ in range(n)]
+
+
+@given(modp_matrices())
+@example((7, 1, [[0]]))
+@example((31, 4, [[0] * 4 for _ in range(4)]))
+@example((101, 3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+@example((7, 4, [[3, 1, 0, 0], [0, 3, 0, 0], [0, 0, 3, 1], [0, 0, 0, 3]]))
+@example((31, 5, [[0, 1, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 5, 0, 0],
+                  [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]]))
+@example((7, 4, [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]]))
+@settings(max_examples=80, deadline=None)
+def test_modp_minpoly_agrees_with_the_lcm_reference(pnA):
+    p, _, A = pnA
+    assert _modp_minpoly(A, p) == reference_modp_minpoly(A, p)
 
 
 @given(modp_matrices())

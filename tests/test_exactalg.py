@@ -13,7 +13,8 @@ from subdepth.exactalg import (Cyc, ExactMatrix, ExactPolynomial,
                                pattern_stabilization_index, scalar_from_string,
                                scalar_to_string, solve_kernel)
 
-from helpers import evaluate_matrix, exact_pattern_stabilization_index, matpow
+from helpers import (evaluate_matrix, exact_pattern_stabilization_index, matpow,
+                     reference_minimal_polynomial)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
@@ -380,6 +381,52 @@ def test_minpoly_squarefree_for_symmetric_integer(vals):
                                [vals[2], vals[4], vals[5]]])
     m = minimal_polynomial(A)
     assert m.gcd(m.derivative()).degree == 0
+
+
+def block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    rows, off = [], 0
+    for b in blocks:
+        for row in b:
+            rows.append([0] * off + list(row) + [0] * (n - off - len(row)))
+        off += len(b)
+    return rows
+
+
+@st.composite
+def square_rational_matrices(draw, max_n=5):
+    """Square rational matrices, some block diagonal with a repeated block,
+    so that start vectors share part of the running minimal polynomial."""
+    entry = st.integers(-1, 1) if draw(st.booleans()) else small_rationals
+
+    def square(n):
+        return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+
+    if draw(st.booleans()):
+        return square(draw(st.integers(1, max_n)))
+    block = square(draw(st.integers(1, 2)))
+    return block_diagonal(block, square(draw(st.integers(0, 1))), block)
+
+
+JORDAN_0 = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+JORDAN_2 = [[2, 1], [0, 2]]
+
+
+@given(square_rational_matrices())
+@example([[0]])
+@example([[Fraction(-5, 3)]])
+@example([[0] * 4 for _ in range(4)])
+@example(JORDAN_0)
+@example(block_diagonal(JORDAN_2, [[2]], JORDAN_2))
+@example(block_diagonal([[0, 1], [0, 0]], [[0]]))
+@example(block_diagonal(JORDAN_0, [[0, 1], [0, 0]], [[3]]))
+@example(block_diagonal([[1, 1], [1, 0]], [[1, 1], [1, 0]], [[1, 1], [1, 0]]))
+@example(block_diagonal([[0, -1], [1, 0]], [[1]], [[0, -1], [1, 0]]))
+@settings(max_examples=80, deadline=None)
+def test_minpoly_agrees_with_the_lcm_reference(rows):
+    A = ExactMatrix.from_rows(rows)
+    assert minimal_polynomial(A) == reference_minimal_polynomial(A)
 
 
 # -- rational roots -----------------------------------------------------------

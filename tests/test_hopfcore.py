@@ -8,6 +8,7 @@ from helpers import (cached_group_algebra, full_axioms_hold, perm,
                      reference_module_hom_basis, reference_q_integrals,
                      reference_quotient_verify, reference_right_integrals,
                      reference_tensor_power_action)
+from subdepth import hopfcore
 from subdepth.exactalg import Cyc, RowSpace
 from subdepth.hopfcore import (HopfAlgebraData, SubalgebraEmbedding,
                                TensorCapExceededError, _check_ideal_flags,
@@ -583,6 +584,24 @@ def test_trace_ideal_eight_dim(uq2):
     # ascending
     for a, b in zip(ti.ideals, ti.ideals[1:]):
         assert a.space <= b.space
+
+
+def test_trace_ideals_solve_for_the_integral_once(uq2, monkeypatch):
+    calls = {"_right_integrals": 0, "_frobenius_terms": 0, "module_hom_basis": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(hopfcore, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(hopfcore, name, counted)
+    H8, subs8 = uq2
+    Q = quotient_module(H8, subs8["R2"])
+    ti = trace_ideals(H8, subs8["R2"], Q)
+    assert len(ti.ideals) >= 2
+    assert calls == {"_right_integrals": 1, "_frobenius_terms": 1,
+                     "module_hom_basis": len(ti.ideals)}
+    # called on its own, module_hom_basis still solves and certifies
+    hopfcore.module_hom_basis(Q, tensor_power_action(Q, 1))
+    assert calls["_right_integrals"] == calls["_frobenius_terms"] == 2
 
 
 def test_trace_ideals_beyond_dimension_eight(uq3):

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_a4, make_a5, make_s3, make_s4, perm
+from helpers import make_a4, make_a5, make_s3, make_s4, make_s5, perm
+from subdepth.corpus import corpus_groups
 from subdepth.permgroup import (GroupTooLargeError, Permutation,
                                 core_and_witness, depth_one_adjoint_test,
                                 double_cosets, enumerate_group, group_from_json,
@@ -26,6 +27,39 @@ def test_composition_associative_sampled(a, b, c):
     pa, pb, pc = Permutation(a), Permutation(b), Permutation(c)
     assert (pa * pb) * pc == pa * (pb * pc)
     assert (pa * pb).inverse() == pb.inverse() * pa.inverse()
+
+
+def _order_by_repeated_products(g):
+    n, power = 1, g
+    while not power.is_identity():
+        power = power * g
+        n += 1
+    return n
+
+
+def test_order_is_the_repeated_product_order():
+    groups = [("S5", make_s5()), *corpus_groups(24)]
+    for name, G in groups:
+        for g in G.elements:
+            assert g.order() == _order_by_repeated_products(g), (name, g)
+
+
+def test_product_of_different_degrees_raises():
+    with pytest.raises(ValueError, match="degrees 3 and 4"):
+        perm(3, (1, 2)) * perm(4, (1, 2, 3))
+    with pytest.raises(ValueError):
+        # the images of the smaller one would index the larger validly
+        Permutation.identity(2) * perm(3, (1, 2))
+
+
+def test_products_and_inverses_equal_validated_permutations(s4):
+    for a in s4.elements:
+        for b in (a.inverse(), *s4.elements[::5]):
+            c = a * b
+            for x in (c, a.inverse()):
+                y = Permutation(x.images)
+                assert x == y and hash(x) == hash(y)
+                assert type(x.images) is tuple
 
 
 def test_enumerate_s3():
