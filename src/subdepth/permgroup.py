@@ -57,7 +57,7 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         # left-to-right composition: point^(a*b) = (point^a)^b
         if len(self.images) != len(other.images):
-            raise ValueError(f"cannot compose permutations of degrees "
+            raise ValueError("cannot compose permutations of degrees "
                              f"{self.degree} and {other.degree}")
         return _perm(tuple([other.images[i - 1] for i in self.images]))
 
