@@ -116,11 +116,14 @@ def _modp_minpoly(mat: list[list[int]], p: int) -> list[int]:
 
     Start vector by start vector, m <- m * mu_w with w = m(A) e, skipping e
     when w = 0: this is lcm(m, mu_e), because mu_{m(A)e} = mu_e / gcd(mu_e, m)
-    (f(A)w = 0 iff mu_e | f m iff mu_e / gcd(mu_e, m) | f).
+    (f(A)w = 0 iff mu_e | f m iff mu_e / gcd(mu_e, m) | f).  Since m divides
+    the minimal polynomial, the loop stops once deg m = n.
     """
     n = len(mat)
     m = [1]
     for start in range(n):
+        if len(m) > n:
+            break
         w = [0] * n     # m(A) e by Horner's rule
         for c in reversed(m):
             w = _apply_modp(mat, w, p)

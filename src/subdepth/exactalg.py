@@ -865,7 +865,8 @@ def minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
     when w = 0; mu_w, the least monic f with f(A) w = 0, is read off a Krylov
     relation.  This is lcm(m, mu_e) for any square A, because
     mu_{m(A)e} = mu_e / gcd(mu_e, m): f(A) w = 0 iff mu_e | f m iff
-    mu_e / gcd(mu_e, m) | f.
+    mu_e / gcd(mu_e, m) | f.  Since m divides the minimal polynomial, the
+    loop stops once deg m = n.
     """
     if A.rows != A.cols:
         raise ValueError("minimal polynomial needs a square matrix")
@@ -886,6 +887,8 @@ def minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
 
     m = ExactPolynomial.one()
     for start in range(n):
+        if m.degree == n:
+            break
         w: dict[int, Cyc] = {}      # m(A) e by Horner's rule
         for c in reversed(m.coeffs):
             w = apply(w)

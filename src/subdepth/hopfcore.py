@@ -1208,25 +1208,18 @@ def _frobenius_terms(H: HopfAlgebraData, lam: Vec) -> TVec:
     return terms
 
 
-def _left_integral_terms(H: HopfAlgebraData) -> TVec:
-    """The certified `_frobenius_terms` of Lambda = S(t_H)."""
-    return _frobenius_terms(H, H.antipode_vec(_right_integrals(H)[0]))
-
-
 def module_hom_basis(Q: QuotientModule, tp: TensorPowerModule,
-                     terms: Optional[TVec] = None) -> list[list[Vec]]:
+                     terms: TVec) -> list[list[Vec]]:
     """Basis of Hom_H(Q^xn, H); each hom maps the b-th basis vector of the
     tensor power to an element of H.
 
     H is Frobenius (Larson-Sweedler): for the left integral Lambda = S(t_H)
     the maps f_xi(m) = sum xi(m Lambda_1) S(Lambda_2), xi in M*, are all of
     Hom_H(M, H), which has dimension dim M.  Over sum Lambda_1 x S(Lambda_2)
-    = sum c e_x x e_z (``terms``, from `_left_integral_terms` when not
-    given), the j-th coordinate xi gives f_j(b) = sum c A_x[j, b] e_z; the
+    = sum c e_x x e_z (``terms``, the certified `_frobenius_terms` of
+    Lambda), the j-th coordinate xi gives f_j(b) = sum c A_x[j, b] e_z; the
     f_j are checked to be independent."""
     H = Q.hopf
-    if terms is None:
-        terms = _left_integral_terms(H)
     homs: list[list[Vec]] = [[{} for _ in range(tp.dim)] for _ in range(tp.dim)]
     for (x, z), c in terms.items():
         for (j, b), a in tp.action[x].items():
@@ -1250,7 +1243,7 @@ def trace_ideals(H: HopfAlgebraData, R: SubalgebraEmbedding, Q: QuotientModule,
 
     tau(Q) is checked against H t_R H when an integral is supplied, and
     L_Q = ell_Q is asserted when some tensor power is faithful."""
-    terms = _left_integral_terms(H)
+    terms = _frobenius_terms(H, H.antipode_vec(_right_integrals(H)[0]))
     ideals: list[IdealSubspace] = []
     L_q: Optional[int] = None
     faithful_seen = False

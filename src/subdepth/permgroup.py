@@ -112,15 +112,11 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
 
 
-_new_perm = object.__new__
-_set_images = Permutation.images.__set__
-
-
 def _perm(images: tuple) -> Permutation:
     # trusted constructor for products and inverses: images is already a
     # tuple holding a permutation of 1..len(images)
-    g = _new_perm(Permutation)
-    _set_images(g, images)
+    g = object.__new__(Permutation)
+    object.__setattr__(g, "images", images)
     return g
 
 
