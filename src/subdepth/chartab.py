@@ -15,8 +15,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .exactalg import (Cyc, _xpow_table, euler_phi, json_int, json_kind,
-                       json_scalar, load_json_file, scalar_to_string)
+from .exactalg import (Cyc, _is_prime, _polyeval, _xpow_table, euler_phi,
+                       json_int, json_kind, json_scalar, load_json_file,
+                       scalar_to_string)
 from .permgroup import (ConjClass, GroupHandle, SubgroupHandle,
                         permutation_from_json)
 
@@ -30,17 +31,6 @@ class DixonInternalError(RuntimeError):
 # ---------------------------------------------------------------------------
 # GF(p) helpers
 # ---------------------------------------------------------------------------
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
 
 def _prime_factors(n: int) -> list[int]:
     out = []
@@ -450,13 +440,6 @@ def _apply_modp(A: list[list[int]], v: list[int], p: int) -> list[int]:
                 acc += A[j][k] * v[k]
         out[j] = acc % p
     return out
-
-
-def _polyeval(poly: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def _sqrt_modp(a: int, p: int) -> Optional[int]:

@@ -223,7 +223,7 @@ def _run_hopf(req: AnalysisRequest) -> int:
         Q = quotient_module(H, emb)
         rep = integrals_and_modular(H, emb, Q)
         chain = annihilator_chain(Q, cap=req.cap_tensor_dim)
-        ti = trace_ideals(H, emb, Q, cap=req.cap_tensor_dim, t_R=rep.t_R,
+        ti = trace_ideals(H, emb, Q, rep, cap=req.cap_tensor_dim,
                           ell_q=chain.ell_q)
         ir = idealizer_and_endQ(H, emb, Q)
         print(f"pair {name}: dim R = {emb.dim}, dim Q = {Q.dim_q}")

@@ -16,9 +16,8 @@ from operator import mul
 from typing import Optional
 
 from .chartab import InclusionMatrix
-from .exactalg import (ExactMatrix, ExactPolynomial, factor_rational_roots,
-                       is_indecomposable, minimal_polynomial,
-                       pattern_stabilization_index)
+from .exactalg import (ExactPolynomial, factor_rational_roots, is_indecomposable,
+                       minimal_polynomial, pattern_stabilization_index)
 from .permgroup import GroupHandle, SubgroupHandle, depth_one_adjoint_test
 
 
@@ -181,7 +180,7 @@ def mckay_quiver(C: list[list[int]], pf_candidate: Optional[Fraction] = None,
     indec = is_indecomposable(C)
     pf_root = None
     if roots is None:
-        roots, _ = factor_rational_roots(minimal_polynomial(ExactMatrix.from_rows(C)))
+        roots, _ = factor_rational_roots(minimal_polynomial(C))
     if roots:
         pf_root = max(roots)
     if pf_candidate is not None and pf_root is not None and pf_root != pf_candidate:
@@ -229,8 +228,8 @@ def depth_report(M: InclusionMatrix,
     d_0 = min(d_ev, d_odd) if d_ev is not None and d_odd is not None else None
     tags["d_0"] = "min(d_ev, d_odd)"
 
-    mp_b = minimal_polynomial(ExactMatrix.from_rows(B))
-    mp_c = minimal_polynomial(ExactMatrix.from_rows(C))
+    mp_b = minimal_polynomial(B)
+    mp_c = minimal_polynomial(C)
     # C m(C) = 0 for m the minimal polynomial of B
     x_mp_b = ExactPolynomial((0, 1)) * mp_b
     if not _vanishes_at(x_mp_b, C):

@@ -13,7 +13,8 @@ import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -30,6 +31,24 @@ class MalformedSequenceError(ValueError):
 def _divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
     return out
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def _polyeval(poly: Sequence[int], x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def _int_poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
@@ -858,77 +877,141 @@ class ExactPolynomial:
 # minimal polynomial via Krylov relations
 # ---------------------------------------------------------------------------
 
-def minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
-    """Monic least-degree m with m(A) = 0, computed exactly.
+def minimal_polynomial(rows: Sequence[Sequence[Rat]]) -> ExactPolynomial:
+    """Monic least-degree m with m(A) = 0 for a square matrix A given as rows
+    of int or Fraction entries, computed exactly.
 
-    Start vector by start vector, m <- m * mu_w with w = m(A) e, skipping e
-    when w = 0; mu_w, the least monic f with f(A) w = 0, is read off a Krylov
-    relation.  This is lcm(m, mu_e) for any square A, because
+    Start vector by start vector, m <- m * mu_w with w = m(A) e, where mu_w,
+    the least monic f with f(A) w = 0, is read off a Krylov relation (it is 1
+    when w = 0).  This is lcm(m, mu_e) for any square A, because
     mu_{m(A)e} = mu_e / gcd(mu_e, m): f(A) w = 0 iff mu_e | f m iff
     mu_e / gcd(mu_e, m) | f.  Since m divides the minimal polynomial, the
     loop stops once deg m = n.
+
+    The work is on int lists only.  A' = D A, for D the common denominator
+    of the entries, is an integer matrix, so its minimal polynomial m' and
+    every mu_w are monic with integer coefficients (Gauss's lemma), and
+    m(X) = m'(D X) / D^deg m'.
     """
-    if A.rows != A.cols:
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("minimal polynomial needs a square matrix")
-    n = A.rows
-    cols = [{i: A.at(i, j) for i in range(n) if not A.at(i, j).is_zero()}
-            for j in range(n)]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    A = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
-    def apply(v: dict[int, Cyc]) -> dict[int, Cyc]:
-        out: dict[int, Cyc] = {}
-        for j, x in v.items():
-            for i, a in cols[j].items():
-                nv = out.get(i, Cyc.zero()) + a * x
-                if nv.is_zero():
-                    out.pop(i, None)
-                else:
-                    out[i] = nv
-        return out
+    def apply(v: list[int]) -> list[int]:
+        return [sum(map(mul, row, v)) for row in A]
 
-    m = ExactPolynomial.one()
+    m = [1]                             # m' so far, lowest degree first
     for start in range(n):
-        if m.degree == n:
+        if len(m) > n:
             break
-        w: dict[int, Cyc] = {}      # m(A) e by Horner's rule
-        for c in reversed(m.coeffs):
+        w = [0] * n                     # m'(A') e by Horner's rule, m' monic
+        w[start] = 1
+        for c in reversed(m[:-1]):
             w = apply(w)
-            nv = w.get(start, _CYC_ZERO) + Cyc.rational(c)
-            if nv.is_zero():
-                w.pop(start, None)
-            else:
-                w[start] = nv
-        if not w:
-            continue
-        # rows [A^t w | w_t] with the tag w_t in column n + t: the first row
-        # that reduces to zero on the first n columns leaves the relation
-        # sum_s c_s A^s w = 0 in its tags, with c_t = 1
-        tagged = RowSpace(2 * n + 1)
+            w[start] += c
+        # fraction-free elimination of the Krylov vectors A'^t w, each with
+        # the tag polynomial that makes it from w (X^t to begin with): the
+        # first vector that reduces to zero leaves a multiple of mu_w in its
+        # tag.  A reduction scales by the pivot and divides row and tag by
+        # their common content, so the entries stay integers.
+        basis: list[tuple[int, list[int], list[int]]] = []   # (pivot, row, tag)
         v = w
-        for t in range(n + 1):
-            rel = tagged.reduce({**v, n + t: _CYC_ONE})
-            if min(rel) >= n:
+        while True:
+            row, tag = v, [0] * len(basis) + [1]
+            for p, b, g in basis:
+                f = row[p]
+                if f:
+                    d = b[p]
+                    row = [d * x - f * y for x, y in zip(row, b)]
+                    tag = [d * x - f * y for x, y in itertools.zip_longest(tag, g, fillvalue=0)]
+                    c = gcd(*row, *tag)
+                    row = [x // c for x in row]
+                    tag = [x // c for x in tag]
+            if not any(row):
                 break
-            tagged.add(rel)
+            basis.append((next(i for i, x in enumerate(row) if x), row, tag))
             v = apply(v)
-        m = m * ExactPolynomial([rel.get(n + s, _CYC_ZERO).as_fraction()
-                                 for s in range(t + 1)])
-    return m
+        mu = [x // tag[-1] for x in tag]
+        prod = [0] * (len(m) + len(mu) - 1)
+        for i, a in enumerate(m):
+            for j, b in enumerate(mu):
+                prod[i + j] += a * b
+        m = prod
+    deg = len(m) - 1
+    return ExactPolynomial([Fraction(c, den ** (deg - i)) for i, c in enumerate(m)])
 
 
 # ---------------------------------------------------------------------------
 # rational root extraction
 # ---------------------------------------------------------------------------
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
+def _int_poly_primitive(a: list[int]) -> list[int]:
+    # a over the gcd of its coefficients, with a positive leading coefficient
+    c = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return [x // c for x in a]
+
+
+def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two nonzero integer polynomials, by primitive
+    pseudo-remainder sequences."""
+    a, b = _int_poly_primitive(a), _int_poly_primitive(b)
+    while len(b) > 1:
+        r = a
+        while len(r) >= len(b):
+            c, shift = r[-1], len(r) - len(b)
+            r = [x * b[-1] for x in r]
+            for j, y in enumerate(b):
+                r[shift + j] -= c * y
+            r.pop()
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return b
+        a, b = b, _int_poly_primitive(r)
+    return [1]
+
+
+def _int_poly_div_linear(f: list[int], u: int, v: int) -> Optional[list[int]]:
+    """f / (v X - u) for an integer polynomial f and coprime u, v > 0, or
+    None when it does not divide f; the quotient is integral by Gauss's
+    lemma, so every step divides exactly when it divides at all."""
+    quot = [0] * (len(f) - 1)
+    acc = 0
+    for i in range(len(f) - 1, 0, -1):
+        acc, rem = divmod(f[i] + u * acc, v)
+        if rem:
+            return None
+        quot[i - 1] = acc
+    return quot if f[0] == -u * acc else None
+
+
+def _int_root_candidates(g: list[int]) -> list[int]:
+    """Ascending integers among which are all integer roots of a squarefree
+    monic integer polynomial g, found p-adically (Loos, SIAM J. Comput. 12,
+    1983).
+
+    q is the least prime at which every root of g mod q is simple (it
+    exists, since only the primes dividing the discriminant fail).  An
+    integer root y of g reduces to one of these roots and is its unique
+    q-adic lift, so Newton steps mod q^2, q^4, ... until the modulus exceeds
+    twice the Cauchy bound 1 + max |g_i| >= |y| recover y as the symmetric
+    residue of that lift."""
+    dg = [i * c for i, c in enumerate(g)][1:]
+    bound = 1 + max(map(abs, g[:-1]))
+    for q in itertools.count(2):
+        if _is_prime(q):
+            res = [r for r in range(q) if not _polyeval(g, r, q)]
+            if all(_polyeval(dg, r, q) for r in res):
+                break
     out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
+    for r in res:
+        mod = q
+        while mod <= 2 * bound:
+            mod *= mod
+            r = (r - _polyeval(g, r, mod) * pow(_polyeval(dg, r, mod), -1, mod)) % mod
+        out.append(r if 2 * r <= mod else r - mod)
     return sorted(out)
 
 
@@ -936,47 +1019,38 @@ def factor_rational_roots(p: ExactPolynomial):
     """Extract all rational roots exactly.
 
     Returns (roots, residual) where roots maps each rational root to its
-    multiplicity and residual is the monic cofactor with no rational roots.
-    Uses the square-free part for candidate search, then divides out of the
-    original polynomial for multiplicities.
+    multiplicity, 0 first and the others ascending, and residual is the
+    monic cofactor with no rational roots.  The candidates come from the
+    square-free part: with a positive leading coefficient a and degree d,
+    g(Y) = a^(d-1) sf(Y / a) is monic with integer coefficients, and the
+    rational roots of p are y / a for the integer roots y of g.  The
+    multiplicities come from repeated exact division of p.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     roots: dict[Fraction, int] = {}
-    work = p.monic()
+    den = lcm(*(c.denominator for c in p.coeffs))
+    f = [c.numerator * (den // c.denominator) for c in p.coeffs]
     # root zero first
-    k = 0
-    while work.coeffs[0] == 0:
-        work = work // ExactPolynomial.x()
-        k += 1
+    k = next(i for i, c in enumerate(f) if c)
     if k:
         roots[_ZERO] = k
-    if work.degree == 0:
+        f = f[k:]
+    if len(f) == 1:
         return roots, ExactPolynomial.one()
-    sf = (work // work.gcd(work.derivative())).monic()
-    # integerize the square-free part for the rational root test
-    den = 1
-    for c in sf.coeffs:
-        den = lcm(den, c.denominator)
-    ic = [int(c * den) for c in sf.coeffs]
-    cands: set[Fraction] = set()
-    for num in _int_divisors(ic[0]):
-        for d in _int_divisors(ic[-1]):
-            cands.add(Fraction(num, d))
-            cands.add(Fraction(-num, d))
-    for r in sorted(cands):
-        if sf.evaluate(r) == 0:
-            mult = 0
-            lin = ExactPolynomial((-r, 1))
-            while True:
-                q, rem = work.divmod(lin)
-                if rem.is_zero():
-                    work = q
-                    mult += 1
-                else:
-                    break
+    sf = _int_poly_primitive(_int_poly_div_exact(
+        f, _int_poly_gcd(f, [i * c for i, c in enumerate(f)][1:])))
+    a, d = sf[-1], len(sf) - 1
+    g = [c * a ** (d - 1 - i) for i, c in enumerate(sf[:-1])] + [1]
+    for y in _int_root_candidates(g):
+        r = Fraction(y, a)
+        mult = 0
+        while (quot := _int_poly_div_linear(f, r.numerator, r.denominator)) is not None:
+            f = quot
+            mult += 1
+        if mult:
             roots[r] = mult
-    return roots, work.monic()
+    return roots, ExactPolynomial(f).monic()
 
 
 # ---------------------------------------------------------------------------

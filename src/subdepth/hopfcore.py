@@ -1233,17 +1233,18 @@ def module_hom_basis(Q: QuotientModule, tp: TensorPowerModule,
 
 
 def trace_ideals(H: HopfAlgebraData, R: SubalgebraEmbedding, Q: QuotientModule,
-                 n_max: int = 6, cap: int = DEFAULT_TENSOR_CAP,
-                 t_R: Optional[Vec] = None,
+                 integrals: IntegralReport, n_max: int = 6,
+                 cap: int = DEFAULT_TENSOR_CAP,
                  ell_q: Optional[int] = None) -> TraceIdealChain:
     """Ascending chain of trace ideals of the tensor powers of Q: each is
     the sum of the images of the closed-form basis of `module_hom_basis`,
-    all from one left integral of H, whose Frobenius identity is checked
-    once here since it does not depend on n.
+    all from the left integral S(t_H) of H, whose Frobenius identity is
+    checked once here since it does not depend on n.
 
-    tau(Q) is checked against H t_R H when an integral is supplied, and
-    L_Q = ell_Q is asserted when some tensor power is faithful."""
-    terms = _frobenius_terms(H, H.antipode_vec(_right_integrals(H)[0]))
+    t_H and t_R are read from the pair's `integrals_and_modular` report.
+    tau(Q) is checked against H t_R H, and L_Q = ell_Q is asserted when some
+    tensor power is faithful."""
+    terms = _frobenius_terms(H, H.antipode_vec(integrals.t_H))
     ideals: list[IdealSubspace] = []
     L_q: Optional[int] = None
     faithful_seen = False
@@ -1273,8 +1274,8 @@ def trace_ideals(H: HopfAlgebraData, R: SubalgebraEmbedding, Q: QuotientModule,
         if L_q is not None:
             break
     htrh = None
-    if t_R is not None and ideals:
-        target = principal_two_sided_ideal(H, t_R)
+    if ideals:
+        target = principal_two_sided_ideal(H, integrals.t_R)
         htrh = ideals[0].space.equals(target.space)
         if not htrh:
             raise AssertionError("tau(Q) differs from H t_R H")

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from subdepth.corpus import (analyze_pair, cached_table, corpus_groups,
                              subgroups_up_to_conjugacy)
 from subdepth.chartab import _apply_modp, _modp_rref, _unit
-from subdepth.exactalg import (_CYC_ONE, _CYC_ZERO, Cyc, ExactMatrix,
+from subdepth.exactalg import (_CYC_ONE, _CYC_ZERO, _ZERO, Cyc, ExactMatrix,
                                ExactPolynomial, MalformedSequenceError, RowSpace,
                                kernel_of_sparse_columns)
 from subdepth.hopfcore import (Vec, _is_hopf_ideal, _vadd, _veq, _vscale,
@@ -434,6 +435,125 @@ def reference_minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
         for row in tagged.pivots.values():
             total.add({c: x for c, x in row.items() if c < n})
     return m.monic()
+
+
+def reference_cyc_minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
+    """Monic least-degree m with m(A) = 0, computed exactly: the `Cyc`
+    reference for `minimal_polynomial`, which runs on int lists.
+
+    Start vector by start vector, m <- m * mu_w with w = m(A) e, skipping e
+    when w = 0; mu_w, the least monic f with f(A) w = 0, is read off a Krylov
+    relation.  This is lcm(m, mu_e) for any square A, because
+    mu_{m(A)e} = mu_e / gcd(mu_e, m): f(A) w = 0 iff mu_e | f m iff
+    mu_e / gcd(mu_e, m) | f.  Since m divides the minimal polynomial, the
+    loop stops once deg m = n.
+    """
+    if A.rows != A.cols:
+        raise ValueError("minimal polynomial needs a square matrix")
+    n = A.rows
+    cols = [{i: A.at(i, j) for i in range(n) if not A.at(i, j).is_zero()}
+            for j in range(n)]
+
+    def apply(v: dict[int, Cyc]) -> dict[int, Cyc]:
+        out: dict[int, Cyc] = {}
+        for j, x in v.items():
+            for i, a in cols[j].items():
+                nv = out.get(i, Cyc.zero()) + a * x
+                if nv.is_zero():
+                    out.pop(i, None)
+                else:
+                    out[i] = nv
+        return out
+
+    m = ExactPolynomial.one()
+    for start in range(n):
+        if m.degree == n:
+            break
+        w: dict[int, Cyc] = {}      # m(A) e by Horner's rule
+        for c in reversed(m.coeffs):
+            w = apply(w)
+            nv = w.get(start, _CYC_ZERO) + Cyc.rational(c)
+            if nv.is_zero():
+                w.pop(start, None)
+            else:
+                w[start] = nv
+        if not w:
+            continue
+        # rows [A^t w | w_t] with the tag w_t in column n + t: the first row
+        # that reduces to zero on the first n columns leaves the relation
+        # sum_s c_s A^s w = 0 in its tags, with c_t = 1
+        tagged = RowSpace(2 * n + 1)
+        v = w
+        for t in range(n + 1):
+            rel = tagged.reduce({**v, n + t: _CYC_ONE})
+            if min(rel) >= n:
+                break
+            tagged.add(rel)
+            v = apply(v)
+        m = m * ExactPolynomial([rel.get(n + s, _CYC_ZERO).as_fraction()
+                                 for s in range(t + 1)])
+    return m
+
+
+def _int_divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def reference_factor_rational_roots(p: ExactPolynomial):
+    """Extract all rational roots exactly, trying every divisor pair: the
+    reference for the p-adic `factor_rational_roots`.
+
+    Returns (roots, residual) where roots maps each rational root to its
+    multiplicity and residual is the monic cofactor with no rational roots.
+    Uses the square-free part for candidate search, then divides out of the
+    original polynomial for multiplicities.
+    """
+    if p.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    roots: dict[Fraction, int] = {}
+    work = p.monic()
+    # root zero first
+    k = 0
+    while work.coeffs[0] == 0:
+        work = work // ExactPolynomial.x()
+        k += 1
+    if k:
+        roots[_ZERO] = k
+    if work.degree == 0:
+        return roots, ExactPolynomial.one()
+    sf = (work // work.gcd(work.derivative())).monic()
+    # integerize the square-free part for the rational root test
+    den = 1
+    for c in sf.coeffs:
+        den = lcm(den, c.denominator)
+    ic = [int(c * den) for c in sf.coeffs]
+    cands: set[Fraction] = set()
+    for num in _int_divisors(ic[0]):
+        for d in _int_divisors(ic[-1]):
+            cands.add(Fraction(num, d))
+            cands.add(Fraction(-num, d))
+    for r in sorted(cands):
+        if sf.evaluate(r) == 0:
+            mult = 0
+            lin = ExactPolynomial((-r, 1))
+            while True:
+                q, rem = work.divmod(lin)
+                if rem.is_zero():
+                    work = q
+                    mult += 1
+                else:
+                    break
+            roots[r] = mult
+    return roots, work.monic()
 
 
 def reference_modp_minpoly(mat: list[list[int]], p: int) -> list[int]:

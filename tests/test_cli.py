@@ -53,6 +53,21 @@ def test_depth_matrix_mode(tmp_path, capsys):
     assert "C indecomposable: False" in text
 
 
+def test_depth_matrix_mode_with_large_entries(tmp_path):
+    # B = M M^t has the eigenvalues (k - 1)^2 and (k + 1)^2, and minpoly(B)
+    # has a constant term near 10^24, out of reach of a divisor search
+    k = 10 ** 6
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": [[k, 1], [1, k]]}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "subdepth.cli", "depth", "matrix", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (f"eigenvalues of B: {(k - 1) ** 2} (x1), {(k + 1) ** 2} (x1); residual 1"
+            in proc.stdout)
+
+
 def test_matrix_mode_rejects_zero_column(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"matrix": [[1, 0], [1, 0]]}))

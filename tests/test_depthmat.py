@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import evaluate_matrix, pair_report, perm
+from helpers import (corpus_pairs_reps, evaluate_matrix, group_table, pair_report, perm,
+                     reference_minimal_polynomial)
 from subdepth.chartab import InclusionMatrix, class_fusion, compute_character_table, inclusion_matrix
 from subdepth.depthmat import (bipartite_dot, depth_report,
                                eigenvalues_via_class_formula,
                                ell_from_trivial_row, mckay_quiver)
-from subdepth.exactalg import ExactMatrix, ExactPolynomial
+from subdepth.exactalg import ExactMatrix, ExactPolynomial, minimal_polynomial
 
 
 def test_s2_s3_full_report(s3):
@@ -72,6 +73,14 @@ def test_cmc_relation_and_minpoly_shape(s4):
         x_m = ExactPolynomial((0, 1)) * rep.minpoly_B
         assert evaluate_matrix(x_m, ExactMatrix.from_rows(rep.C)).is_zero()
         assert rep.minpoly_C in (rep.minpoly_B, x_m)
+
+
+def test_minpolys_of_b_and_c_agree_with_the_reference_on_the_catalog():
+    for name, G, H in corpus_pairs_reps(12):
+        M, rep = pair_report(G, H, tabG=group_table(name, G))
+        for grid, m in ((rep.B, rep.minpoly_B), (rep.C, rep.minpoly_C)):
+            assert m == minimal_polynomial(grid)
+            assert m == reference_minimal_polynomial(ExactMatrix.from_rows(grid))
 
 
 def test_class_formula_examples(s3, a5):

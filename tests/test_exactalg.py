@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -14,6 +16,7 @@ from subdepth.exactalg import (Cyc, ExactMatrix, ExactPolynomial,
                                scalar_to_string, solve_kernel)
 
 from helpers import (evaluate_matrix, exact_pattern_stabilization_index, matpow,
+                     reference_cyc_minimal_polynomial, reference_factor_rational_roots,
                      reference_minimal_polynomial)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
@@ -347,20 +350,25 @@ def test_kernel_of_sparse_columns_matches_solve_kernel(order_rows):
 # -- minimal polynomials ------------------------------------------------------
 
 def test_minpoly_of_worked_example_matrices():
-    M = ExactMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
-    B = M @ M.transpose()
-    C = M.transpose() @ M
+    # B = M M^t and C = M^t M for M = [[1, 1, 0], [0, 1, 1]]
+    B = [[2, 1], [1, 2]]
+    C = [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
     assert minimal_polynomial(B) == ExactPolynomial.from_roots([1, 3])
     assert minimal_polynomial(C) == ExactPolynomial.from_roots([0, 1, 3])
 
 
 def test_minpoly_of_identity():
-    assert minimal_polynomial(ExactMatrix.identity(5)) == ExactPolynomial((-1, 1))
+    identity = [[int(i == j) for j in range(5)] for i in range(5)]
+    assert minimal_polynomial(identity) == ExactPolynomial((-1, 1))
 
 
 def test_minpoly_nilpotent():
-    N = ExactMatrix.from_rows([[0, 1], [0, 0]])
-    assert minimal_polynomial(N) == ExactPolynomial((0, 0, 1))
+    assert minimal_polynomial([[0, 1], [0, 0]]) == ExactPolynomial((0, 0, 1))
+
+
+def test_minpoly_needs_a_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        minimal_polynomial([[1, 2]])
 
 
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
@@ -368,7 +376,7 @@ def test_minpoly_nilpotent():
 @settings(max_examples=40, deadline=None)
 def test_minpoly_annihilates(rows):
     A = ExactMatrix.from_rows(rows)
-    m = minimal_polynomial(A)
+    m = minimal_polynomial(rows)
     assert evaluate_matrix(m, A).is_zero()
     assert m.coeffs[-1] == 1
 
@@ -376,10 +384,9 @@ def test_minpoly_annihilates(rows):
 @given(st.lists(st.integers(-4, 4), min_size=6, max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_minpoly_squarefree_for_symmetric_integer(vals):
-    A = ExactMatrix.from_rows([[vals[0], vals[1], vals[2]],
-                               [vals[1], vals[3], vals[4]],
-                               [vals[2], vals[4], vals[5]]])
-    m = minimal_polynomial(A)
+    m = minimal_polynomial([[vals[0], vals[1], vals[2]],
+                            [vals[1], vals[3], vals[4]],
+                            [vals[2], vals[4], vals[5]]])
     assert m.gcd(m.derivative()).degree == 0
 
 
@@ -426,7 +433,23 @@ JORDAN_2 = [[2, 1], [0, 2]]
 @settings(max_examples=80, deadline=None)
 def test_minpoly_agrees_with_the_lcm_reference(rows):
     A = ExactMatrix.from_rows(rows)
-    assert minimal_polynomial(A) == reference_minimal_polynomial(A)
+    m = minimal_polynomial(rows)
+    assert m == reference_minimal_polynomial(A)
+    assert m == reference_cyc_minimal_polynomial(A)
+
+
+def test_minpoly_of_a_repeated_dense_block():
+    # diag(A, A) for a dense symmetric 12x12 A = M M^t: deg m stays 12 < 24,
+    # so every start vector is tried, and each one of the second block gives
+    # w = m(A) e = 0
+    rng = random.Random(12)
+    M = [[rng.randint(0, 3) for _ in range(12)] for _ in range(12)]
+    A = [[sum(x * y for x, y in zip(r, s)) for s in M] for r in M]
+    rows = block_diagonal(A, A)
+    m = minimal_polynomial(rows)
+    assert m == minimal_polynomial(A)
+    assert m == reference_minimal_polynomial(ExactMatrix.from_rows(rows))
+    assert evaluate_matrix(m, ExactMatrix.from_rows(rows)).is_zero()
 
 
 # -- rational roots -----------------------------------------------------------
@@ -464,6 +487,49 @@ def test_factor_reconstructs_product(root_list):
             rebuilt = rebuilt * ExactPolynomial((-r, 1))
     assert rebuilt == p
     assert sum(roots.values()) == len(root_list)
+
+
+@st.composite
+def products_of_linear_and_quadratic_factors(draw):
+    """A rational multiple of prod (X - r) over small fractions r, some of
+    them repeated, times up to two quadratics a X^2 + b X + c (with or
+    without rational roots, as X^2 - 2 has none)."""
+    distinct = draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4),
+                             max_size=4, unique=True))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=3)) if distinct else []
+    p = ExactPolynomial.from_roots(distinct + repeats)
+    for _ in range(draw(st.integers(0, 2))):
+        p = p * ExactPolynomial((draw(st.integers(-5, 5)), draw(st.integers(-5, 5)),
+                                 draw(st.integers(1, 3))))
+    return p.scale(draw(st.fractions(min_value=1, max_value=5, max_denominator=5)))
+
+
+@given(products_of_linear_and_quadratic_factors())
+@example(ExactPolynomial((-2, 0, 1)))
+@example(ExactPolynomial((7,)))
+@example(ExactPolynomial.from_roots([0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(-2, 3)])
+         * ExactPolynomial((-2, 0, 1)) * ExactPolynomial((1, 0, 1)))
+@example(ExactPolynomial.from_roots([1, 3]).scale(Fraction(-3, 2)))
+@settings(max_examples=150, deadline=None)
+def test_factor_rational_roots_agrees_with_the_divisor_reference(p):
+    roots, resid = factor_rational_roots(p)
+    ref_roots, ref_resid = reference_factor_rational_roots(p)
+    assert list(roots.items()) == list(ref_roots.items())   # same order too
+    assert resid == ref_resid
+
+
+@given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=4),
+       st.integers(1, 1000),
+       st.sampled_from([(-2, 0, 1), (1, 0, 1), (-3, 0, 2)]))
+@settings(max_examples=60, deadline=None)
+def test_factor_rational_roots_recovers_large_roots(nums, den, quadratic):
+    # far beyond a divisor search: |constant term| reaches 10^60
+    want = [Fraction(u, den) for u in nums] + [Fraction(nums[0], den)]
+    p = ExactPolynomial.from_roots(want) * ExactPolynomial(quadratic)
+    roots, resid = factor_rational_roots(p)
+    assert roots == Counter(want)
+    assert list(roots) == sorted(roots, key=lambda r: (r != 0, r))
+    assert resid == ExactPolynomial(quadratic).monic()
 
 
 # -- pattern scans ------------------------------------------------------------

@@ -578,7 +578,7 @@ def test_trace_ideal_eight_dim(uq2):
     Q = quotient_module(H8, subs8["R2"])
     rep = integrals_and_modular(H8, subs8["R2"], Q)
     chain = annihilator_chain(Q)
-    ti = trace_ideals(H8, subs8["R2"], Q, t_R=rep.t_R, ell_q=chain.ell_q)
+    ti = trace_ideals(H8, subs8["R2"], Q, rep, ell_q=chain.ell_q)
     assert ti.ideals[0].dim == 3
     assert ti.htrh_matches
     # ascending
@@ -587,6 +587,8 @@ def test_trace_ideal_eight_dim(uq2):
 
 
 def test_trace_ideals_solve_for_the_integral_once(uq2, monkeypatch):
+    # per pair, integrals_and_modular solves for t_H and t_R (one
+    # _right_integrals call each) and trace_ideals reads both from its report
     calls = {"_right_integrals": 0, "_frobenius_terms": 0, "module_hom_basis": 0}
     for name in calls:
         def counted(*args, _fn=getattr(hopfcore, name), _name=name):
@@ -595,9 +597,12 @@ def test_trace_ideals_solve_for_the_integral_once(uq2, monkeypatch):
         monkeypatch.setattr(hopfcore, name, counted)
     H8, subs8 = uq2
     Q = quotient_module(H8, subs8["R2"])
-    ti = trace_ideals(H8, subs8["R2"], Q)
+    rep = integrals_and_modular(H8, subs8["R2"], Q)
+    assert calls["_right_integrals"] == 2
+    ti = trace_ideals(H8, subs8["R2"], Q, rep)
     assert len(ti.ideals) >= 2
-    assert calls == {"_right_integrals": 1, "_frobenius_terms": 1,
+    assert ti.htrh_matches
+    assert calls == {"_right_integrals": 2, "_frobenius_terms": 1,
                      "module_hom_basis": len(ti.ideals)}
 
 
@@ -609,7 +614,7 @@ def test_trace_ideals_beyond_dimension_eight(uq3):
     Q = quotient_module(H, R)
     rep = integrals_and_modular(H, R, Q)
     chain = annihilator_chain(Q)
-    ti = trace_ideals(H, R, Q, t_R=rep.t_R, ell_q=chain.ell_q)
+    ti = trace_ideals(H, R, Q, rep, ell_q=chain.ell_q)
     assert ti.htrh_matches
     assert ti.complete
     assert ti.L_q == chain.ell_q
@@ -662,7 +667,7 @@ def test_trace_ideal_free_case(s3):
     triv = SubalgebraEmbedding(H, [dict(H.unit)])
     Q = quotient_module(H, triv)
     rep = integrals_and_modular(H, triv, Q)
-    ti = trace_ideals(H, triv, Q, t_R=rep.t_R, ell_q=1)
+    ti = trace_ideals(H, triv, Q, rep, ell_q=1)
     assert ti.ideals[0].dim == H.dim
     assert ti.L_q == 1
 
@@ -672,7 +677,7 @@ def test_generator_implies_semisimple_r(s3):
     H, R = s3_pair(s3)
     Q = quotient_module(H, R)
     rep = integrals_and_modular(H, R, Q)
-    ti = trace_ideals(H, R, Q, t_R=rep.t_R, ell_q=None)
+    ti = trace_ideals(H, R, Q, rep, ell_q=None)
     if ti.ideals[-1].dim == H.dim:
         assert not H.counit_vec(rep.t_R).is_zero()
 
