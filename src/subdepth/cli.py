@@ -223,8 +223,7 @@ def _run_hopf(req: AnalysisRequest) -> int:
         Q = quotient_module(H, emb)
         rep = integrals_and_modular(H, emb, Q)
         chain = annihilator_chain(Q, cap=req.cap_tensor_dim)
-        ti = trace_ideals(H, emb, Q, rep, cap=req.cap_tensor_dim,
-                          ell_q=chain.ell_q)
+        ti = trace_ideals(H, Q, rep, cap=req.cap_tensor_dim, ell_q=chain.ell_q)
         ir = idealizer_and_endQ(H, emb, Q)
         print(f"pair {name}: dim R = {emb.dim}, dim Q = {Q.dim_q}")
         print(f"  Ann Q dims: {[i.dim for i in chain.ideals]}; "
@@ -293,22 +292,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact depth invariants of subgroup and Hopf-subalgebra pairs")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, dot=False):
+    def common(p, dot=False, cap_order=False):
+        # each subcommand gets only the caps it reads
         p.add_argument("--json", dest="json_path", metavar="PATH",
                        help="write a JSON report to PATH")
         if dot:
             p.add_argument("--dot", dest="dot_path", metavar="PATH",
                            help="write Graphviz output to PATH")
-        p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP,
-                       help="group enumeration cap")
-        p.add_argument("--cap-tensor-dim", type=int, default=DEFAULT_TENSOR_CAP,
-                       help="tensor power dimension cap")
+        if cap_order:
+            p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP,
+                           help="group enumeration cap")
 
     p_depth = sub.add_parser("depth", help="depth invariants of a pair")
     dsub = p_depth.add_subparsers(dest="depth_mode", required=True)
     p_dg = dsub.add_parser("group", help="from a group-pair JSON file")
     p_dg.add_argument("file")
-    common(p_dg, dot=True)
+    common(p_dg, dot=True, cap_order=True)
     p_dm = dsub.add_parser("matrix", help="from a bare inclusion matrix")
     p_dm.add_argument("file")
     common(p_dm, dot=True)
@@ -316,20 +315,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mackey = sub.add_parser("mackey", help="tensor-power decompositions")
     p_mackey.add_argument("file")
     p_mackey.add_argument("--power", type=int, default=2)
-    common(p_mackey)
+    common(p_mackey, cap_order=True)
 
     p_hecke = sub.add_parser("hecke", help="double-coset Hecke algebra")
     p_hecke.add_argument("file")
-    common(p_hecke)
+    common(p_hecke, cap_order=True)
 
     p_chartab = sub.add_parser("chartab", help="exact character table")
     p_chartab.add_argument("file")
     p_chartab.add_argument("--import", dest="import_path", metavar="TABLE",
                            help="cross-validate against an imported table")
-    common(p_chartab)
+    common(p_chartab, cap_order=True)
 
     p_hopf = sub.add_parser("hopf", help="Hopf-subalgebra pair report")
     p_hopf.add_argument("file")
+    p_hopf.add_argument("--cap-tensor-dim", type=int, default=DEFAULT_TENSOR_CAP,
+                        help="tensor power dimension cap")
     common(p_hopf)
 
     p_sweep = sub.add_parser("sweep", help="corpus sweep")

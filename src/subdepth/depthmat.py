@@ -241,7 +241,11 @@ def depth_report(M: InclusionMatrix,
     eigen_b = EigenvalueSet(values=roots_b, residual=resid_b, source="minpoly")
     tags["eigen_B"] = "minpoly-rational-roots"
 
-    roots_c, resid_c = factor_rational_roots(mp_c)
+    # minpoly(C) is m or X m: its roots are those of m, plus one more 0 for X m
+    roots_c, resid_c = roots_b, resid_b
+    if mp_c != mp_b:
+        roots_c = {Fraction(0): roots_b.get(0, 0) + 1}
+        roots_c.update((r, k) for r, k in roots_b.items() if r != 0)
     pf_value = max(roots_c) if roots_c else None
     pf_check = index = None
     if group_data is not None:

@@ -672,22 +672,22 @@ class RowSpace:
     def basis_rows(self) -> list[dict[int, Cyc]]:
         return [dict(self.pivots[p]) for p in sorted(self.pivots)]
 
-    def kernel(self) -> list[tuple[Cyc, ...]]:
-        """Basis of {x : r . x = 0 for every row r}: one vector per free
-        column, ascending, with a 1 there and minus the pivot row's entry at
-        each pivot column."""
+    def kernel(self) -> list[dict[int, Cyc]]:
+        """Basis of {x : r . x = 0 for every row r} as sparse vectors: one per
+        free column, ascending, with a 1 there and minus the pivot row's entry
+        at each pivot column whose row reaches it.  Pivot rows hold no zero
+        entries, so neither do the vectors."""
         rows = [(p, self.pivots[p]) for p in sorted(self.pivots)]
         basis = []
         for free in range(self.width):
             if free in self.pivots:
                 continue
-            v = [_CYC_ZERO] * self.width
-            v[free] = _CYC_ONE
+            v = {free: _CYC_ONE}
             for p, row in rows:
                 x = row.get(free)
                 if x is not None:
                     v[p] = -x
-            basis.append(tuple(v))
+            basis.append(v)
         return basis
 
     def __le__(self, other: "RowSpace") -> bool:
@@ -716,18 +716,21 @@ def rref(rows: Sequence[Sequence[Cyc]]) -> RowSpace:
 
 
 def solve_kernel(A: ExactMatrix) -> list[tuple[Cyc, ...]]:
-    """Basis of the right kernel {v : A v = 0}, deterministic ordering.
+    """Basis of the right kernel {v : A v = 0} as dense tuples, deterministic
+    ordering.
 
     Vectors come out of the reduced echelon form with free columns ascending,
     each normalized with a 1 in its free coordinate.
     """
-    return rref(A.to_lists()).kernel()
+    space = rref(A.to_lists())
+    return [tuple(v.get(j, _CYC_ZERO) for j in range(space.width))
+            for v in space.kernel()]
 
 
-def kernel_of_sparse_columns(columns: list[dict[int, Cyc]]) -> list[tuple[Cyc, ...]]:
-    """Kernel of the map x -> sum x_i * col_i for sparse columns, as
-    ``solve_kernel`` orders it; the implied rows go straight into a RowSpace,
-    where repeated rows reduce to zero."""
+def kernel_of_sparse_columns(columns: list[dict[int, Cyc]]) -> list[dict[int, Cyc]]:
+    """Kernel of the map x -> sum x_i * col_i for sparse columns, as sparse
+    vectors in ``solve_kernel``'s order; the implied rows go straight into a
+    RowSpace, where repeated rows reduce to zero."""
     rows: dict[int, dict[int, Cyc]] = {}
     for j, col in enumerate(columns):
         for pos, val in col.items():

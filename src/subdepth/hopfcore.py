@@ -5,8 +5,16 @@ Frobenius criteria, annihilator and trace-ideal chains, and idealizers.
 Elements are sparse coordinate dicts over a fixed basis.  Every constructed
 algebra has the full set of Hopf axioms verified eagerly, so downstream
 computations never run on malformed data.  All module-theoretic facts are
-decided by exact linear algebra: kernels of sparse column maps and reduced
-row spaces over Q(zeta_n).
+decided by exact linear algebra over Q(zeta_n), through three shared pieces:
+
+- sparse kernel vectors: `exactalg.kernel_of_sparse_columns` returns the
+  kernel as sparse dicts, which go straight into a `RowSpace` or a report;
+- one invariants solver, `_invariants`, for x h = eps(h) x at the algebra
+  generators, which gives the right integrals of H and of R and the
+  integrals of Q;
+- one two-slot tensor map, `_tensor_image`, for every "map both tensor
+  slots" step, with `SubalgebraEmbedding.coords` and `_tensor_coords`
+  reading sparse coordinates in a subalgebra at its pivot columns.
 
 A statement that must hold for every h in H (a module law of Q, an ideal
 flag, the equations of integrals and of the idealizer) is checked at the
@@ -91,8 +99,16 @@ def _tensor_mult(mult: list[list[Vec]], a: TVec, b: TVec) -> TVec:
     return out
 
 
-def _vzero(a: dict) -> bool:
-    return all(x.is_zero() for x in a.values())
+def _tensor_image(tv: TVec, left, right) -> TVec:
+    """sum c left(x) x right(y) over tv = sum c e_x x e_y: both tensor slots
+    mapped, left and right taking a slot index to a sparse vector."""
+    out: TVec = {}
+    for (x, y), c in tv.items():
+        for rx, cx in left(x).items():
+            cc = c * cx
+            for ry, cy in right(y).items():
+                _vadd(out, (rx, ry), cc * cy)
+    return out
 
 
 def _project(space: RowSpace, sec_index: dict[int, int], v: Vec) -> Vec:
@@ -331,6 +347,9 @@ class HopfAlgebraData:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self, subalgebras: Optional[dict[str, "SubalgebraEmbedding"]] = None) -> dict:
+        def dense(v: Vec) -> list[str]:
+            return [scalar_to_string(v.get(j, Cyc.zero())) for j in range(self.dim)]
+
         mult_triples = []
         for i in range(self.dim):
             for j in range(self.dim):
@@ -340,12 +359,6 @@ class HopfAlgebraData:
         for i in range(self.dim):
             for (j, k), v in sorted(self.comult[i].items()):
                 com_triples.append([i, j, k, scalar_to_string(v)])
-        anti = []
-        for i in range(self.dim):
-            row = [Cyc.zero()] * self.dim
-            for j, v in self.antipode[i].items():
-                row[j] = v
-            anti.append([scalar_to_string(v) for v in row])
         out = {
             "dim": self.dim,
             "field_order": self.field_order,
@@ -354,13 +367,11 @@ class HopfAlgebraData:
             "mult": mult_triples,
             "comult": com_triples,
             "counit": [scalar_to_string(v) for v in self.counit],
-            "antipode": anti,
+            "antipode": [dense(v) for v in self.antipode],
         }
         if subalgebras:
-            out["subalgebras"] = {
-                name: [[scalar_to_string(v) for v in row]
-                       for row in emb.basis_rows_dense()]
-                for name, emb in sorted(subalgebras.items())}
+            out["subalgebras"] = {name: [dense(v) for v in emb.basis]
+                                  for name, emb in sorted(subalgebras.items())}
         return out
 
     @staticmethod
@@ -528,21 +539,11 @@ def build_small_quantum_group(n: int):
     monomials = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
     mult: list[list[Vec]] = [[mono_mul(m1, m2) for m2 in monomials] for m1 in monomials]
 
-    def tensor_of(v1: Vec, v2: Vec) -> TVec:
-        return {(i, j): x * y for i, x in v1.items() for j, y in v2.items()
-                if not (x * y).is_zero()}
-
-    dK: TVec = tensor_of(mono(1, 0, 0), mono(1, 0, 0))
-    dE: TVec = {}
-    for kk, vv in tensor_of(mono(0, 1, 0), mono(0, 0, 0)).items():
-        _vadd(dE, kk, vv)
-    for kk, vv in tensor_of(mono(1, 0, 0), mono(0, 1, 0)).items():
-        _vadd(dE, kk, vv)
-    dF: TVec = {}
-    for kk, vv in tensor_of(mono(0, 0, 1), mono(n - 1, 0, 0)).items():
-        _vadd(dF, kk, vv)
-    for kk, vv in tensor_of(mono(0, 0, 0), mono(0, 0, 1)).items():
-        _vadd(dF, kk, vv)
+    # Delta(K) = K x K, Delta(E) = E x 1 + K x E, Delta(F) = F x K^-1 + 1 x F
+    one = Cyc.one()
+    dK: TVec = {(midx(1, 0, 0), midx(1, 0, 0)): one}
+    dE: TVec = {(midx(0, 1, 0), midx(0, 0, 0)): one, (midx(1, 0, 0), midx(0, 1, 0)): one}
+    dF: TVec = {(midx(0, 0, 1), midx(n - 1, 0, 0)): one, (midx(0, 0, 0), midx(0, 0, 1)): one}
 
     comult: list[TVec] = []
     for (a, b, c) in monomials:
@@ -608,21 +609,21 @@ class SubalgebraEmbedding:
         self._verify()
         self._own: Optional[HopfAlgebraData] = None
 
-    def basis_rows_dense(self) -> list[list[Cyc]]:
-        out = []
-        for row in self.basis:
-            dense = [Cyc.zero()] * self.parent.dim
-            for j, v in row.items():
-                dense[j] = v
-            out.append(dense)
-        return out
-
-    def coords(self, v: Vec) -> Optional[tuple[Cyc, ...]]:
-        """Coordinates of v in the echelon basis, or None if v is outside."""
+    def coords(self, v: Vec) -> Optional[Vec]:
+        """Sparse coordinates of v in the echelon basis, or None if v is
+        outside; echelon basis rows vanish at each other's pivots, so the
+        i-th coordinate is v at the i-th pivot."""
         if self.space.reduce(v):
             return None
-        # echelon basis rows vanish at each other's pivots
-        return tuple(v.get(p, Cyc.zero()) for p in self.pivots)
+        return {i: c for i, p in enumerate(self.pivots)
+                if not (c := v.get(p, Cyc.zero())).is_zero()}
+
+    def _tensor_coords(self, tv: TVec) -> TVec:
+        """Coordinates of tv in basis x basis, read at pivot pairs; they are
+        those of tv when tv lies in R x R."""
+        return {(i, j): c for i, pi in enumerate(self.pivots)
+                for j, pj in enumerate(self.pivots)
+                if not (c := tv.get((pi, pj), Cyc.zero())).is_zero()}
 
     def contains(self, v: Vec) -> bool:
         return self.coords(v) is not None
@@ -639,57 +640,29 @@ class SubalgebraEmbedding:
             for b in self.basis:
                 if not self.contains(H.mult_vec(a, b)):
                     raise AssertionError("subalgebra not closed under multiplication")
-        # Delta lands in span x span: read tensor coordinates at pivot pairs
+        # Delta lands in span x span: rebuild it from its pivot-pair coordinates
+        basis_at = self.basis.__getitem__
         for a in self.basis:
             dv = H.comult_vec(a)
-            coords: TVec = {}
-            for (pi_idx, pi) in enumerate(self.pivots):
-                for (pj_idx, pj) in enumerate(self.pivots):
-                    c = dv.get((pi, pj), Cyc.zero())
-                    if not c.is_zero():
-                        coords[(pi_idx, pj_idx)] = c
-            rec: TVec = {}
-            for (ci, cj), c in coords.items():
-                for x, vx in self.basis[ci].items():
-                    cv = c * vx
-                    for y, vy in self.basis[cj].items():
-                        _vadd(rec, (x, y), cv * vy)
+            rec = _tensor_image(self._tensor_coords(dv), basis_at, basis_at)
             if not _veq(rec, dv):
                 raise AssertionError("subalgebra not closed under the coproduct")
 
     def as_hopf(self) -> HopfAlgebraData:
-        """The subalgebra as a Hopf algebra in its own basis."""
+        """The subalgebra as a Hopf algebra in its own basis; `_verify` has
+        proved R closed under the structure maps, so every coordinate
+        exists."""
         if self._own is not None:
             return self._own
         H = self.parent
-        d = self.dim
-        mult: list[list[Vec]] = [[{} for _ in range(d)] for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                cs = self.coords(H.mult_vec(self.basis[i], self.basis[j]))
-                assert cs is not None
-                mult[i][j] = {k: c for k, c in enumerate(cs) if not c.is_zero()}
-        comult: list[TVec] = []
-        for i in range(d):
-            dv = H.comult_vec(self.basis[i])
-            out: TVec = {}
-            for ci, pi in enumerate(self.pivots):
-                for cj, pj in enumerate(self.pivots):
-                    c = dv.get((pi, pj), Cyc.zero())
-                    if not c.is_zero():
-                        out[(ci, cj)] = c
-            comult.append(out)
-        counit = [H.counit_vec(b) for b in self.basis]
-        antipode: list[Vec] = []
-        for i in range(d):
-            cs = self.coords(H.antipode_vec(self.basis[i]))
-            assert cs is not None
-            antipode.append({k: c for k, c in enumerate(cs) if not c.is_zero()})
-        unit_cs = self.coords(dict(H.unit))
-        assert unit_cs is not None
-        unit = {k: c for k, c in enumerate(unit_cs) if not c.is_zero()}
-        labels = [f"r{i}" for i in range(d)]
-        self._own = HopfAlgebraData(d, H.field_order, labels, mult, unit,
+        basis = self.basis
+        mult = [[self.coords(H.mult_vec(a, b)) for b in basis] for a in basis]
+        comult = [self._tensor_coords(H.comult_vec(a)) for a in basis]
+        counit = [H.counit_vec(a) for a in basis]
+        antipode = [self.coords(H.antipode_vec(a)) for a in basis]
+        unit = self.coords(H.unit)
+        labels = [f"r{i}" for i in range(self.dim)]
+        self._own = HopfAlgebraData(self.dim, H.field_order, labels, mult, unit,
                                     comult, counit, antipode)
         return self._own
 
@@ -716,7 +689,7 @@ def _augmentation(H: HopfAlgebraData, R: SubalgebraEmbedding) -> list[Vec]:
         rp = dict(r)
         for j, c in _vscale(H.unit, H.counit_vec(r)).items():
             _vadd(rp, j, -c)
-        if not _vzero(rp):
+        if rp:
             out.append(rp)
     return out
 
@@ -751,17 +724,13 @@ class QuotientModule:
                     mat[(rr, b)] = c
             self.action.append(mat)
         self.counit_q = [H.counit_vec(H.basis_vec(j)) for j in self.section]
-        self.coproduct_q: list[TVec] = []
-        for j in self.section:
-            out: TVec = {}
-            for (x, y), c in H.comult_vec(H.basis_vec(j)).items():
-                px = self.project(H.basis_vec(x))
-                py = self.project(H.basis_vec(y))
-                for rx, cx in px.items():
-                    cc = c * cx
-                    for ry, cy in py.items():
-                        _vadd(out, (rx, ry), cc * cy)
-            self.coproduct_q.append(out)
+
+        def project_at(x: int) -> Vec:
+            return self.project(H.basis_vec(x))
+
+        self.coproduct_q: list[TVec] = [
+            _tensor_image(H.comult_vec(H.basis_vec(j)), project_at, project_at)
+            for j in self.section]
         self._verify()
 
     def project(self, v: Vec) -> Vec:
@@ -804,6 +773,11 @@ class QuotientModule:
         """
         H = self.hopf
         gens = H.generators
+
+        def act_at(qh: tuple[int, int]) -> Vec:
+            # the basis vector q of Q acted on by the basis element h
+            return self.act({qh[0]: Cyc.one()}, H.basis_vec(qh[1]))
+
         for i in range(H.dim):
             pi = self.project(H.basis_vec(i))
             for h in gens:
@@ -823,14 +797,11 @@ class QuotientModule:
                 for rr, c in qh.items():
                     for key, v in self.coproduct_q[rr].items():
                         _vadd(lhs, key, c * v)
-                rhs: TVec = {}
-                for (h1, h2), hc in H.comult[h].items():
-                    for (q1, q2), qc in self.coproduct_q[b].items():
-                        a1 = self.act({q1: Cyc.one()}, H.basis_vec(h1))
-                        a2 = self.act({q2: Cyc.one()}, H.basis_vec(h2))
-                        for r1, c1 in a1.items():
-                            for r2, c2 in a2.items():
-                                _vadd(rhs, (r1, r2), hc * qc * c1 * c2)
+                # Delta_Q(b) Delta(h) = sum (q1 h1) x (q2 h2), slot pairs (q, h)
+                pairs = {((q1, h1), (q2, h2)): hc * qc
+                         for (h1, h2), hc in H.comult[h].items()
+                         for (q1, q2), qc in self.coproduct_q[b].items()}
+                rhs = _tensor_image(pairs, act_at, act_at)
                 if not _veq(lhs, rhs):
                     raise AssertionError("coproduct of Q is not a module coalgebra map")
 
@@ -961,18 +932,12 @@ def _is_hopf_ideal(H: HopfAlgebraData, space: RowSpace) -> bool:
             return False
     sec = [j for j in range(H.dim) if j not in space.pivots]
     sec_index = {j: i for i, j in enumerate(sec)}
-    for b in basis:
-        out: TVec = {}
-        for (x, y), c in H.comult_vec(b).items():
-            px = _project(space, sec_index, H.basis_vec(x))
-            py = _project(space, sec_index, H.basis_vec(y))
-            for rx, cx in px.items():
-                cc = c * cx
-                for ry, cy in py.items():
-                    _vadd(out, (rx, ry), cc * cy)
-        if out:
-            return False
-    return True
+
+    def project_at(x: int) -> Vec:
+        return _project(space, sec_index, H.basis_vec(x))
+
+    return not any(_tensor_image(H.comult_vec(b), project_at, project_at)
+                   for b in basis)
 
 
 @dataclass
@@ -981,7 +946,6 @@ class AnnihilatorChain:
     ell_q: Optional[int]
     hopf_core: Optional[IdealSubspace]
     complete: bool
-    lower_bound: Optional[int] = None
 
 
 def _annihilator(tp: TensorPowerModule) -> RowSpace:
@@ -991,7 +955,7 @@ def _annihilator(tp: TensorPowerModule) -> RowSpace:
                for h in range(H.dim)]
     space = RowSpace(H.dim)
     for v in kernel_of_sparse_columns(columns):
-        space.add({i: c for i, c in enumerate(v) if not c.is_zero()})
+        space.add(v)
     return space
 
 
@@ -999,7 +963,9 @@ def annihilator_chain(Q: QuotientModule, cap: int = DEFAULT_TENSOR_CAP,
                       n_max: int = 12) -> AnnihilatorChain:
     """Descending chain Ann Q >= Ann Q^x2 >= ...; ell_Q is the least n whose
     annihilator is a Hopf ideal, and the chain is checked to stabilize there.
-    If a cap stops the scan first, a lower bound on ell_Q is reported."""
+    If a cap stops the scan first, the chain is reported incomplete: without
+    ell_Q when no annihilator so far is a Hopf ideal, and with ell_Q but
+    without the stabilization check when the cap stops that check."""
     H = Q.hopf
     ideals: list[IdealSubspace] = []
     tp: Optional[TensorPowerModule] = None
@@ -1007,7 +973,7 @@ def annihilator_chain(Q: QuotientModule, cap: int = DEFAULT_TENSOR_CAP,
         try:
             tp = tensor_power_action(Q, 1, cap=cap) if tp is None else tp.times_q(cap)
         except TensorCapExceededError:
-            return AnnihilatorChain(ideals, None, None, False, lower_bound=len(ideals))
+            return AnnihilatorChain(ideals, None, None, False)
         space = _annihilator(tp)
         right, two, hopf = _check_ideal_flags(H, space)
         if not two:
@@ -1024,11 +990,11 @@ def annihilator_chain(Q: QuotientModule, cap: int = DEFAULT_TENSOR_CAP,
             try:
                 space2 = _annihilator(tp.times_q(cap))
             except TensorCapExceededError:
-                return AnnihilatorChain(ideals, ell, ideal, False, lower_bound=ell)
+                return AnnihilatorChain(ideals, ell, ideal, False)
             if not space.equals(space2):
                 raise AssertionError("annihilator chain did not stabilize at the Hopf ideal")
             return AnnihilatorChain(ideals, ell, ideal, True)
-    return AnnihilatorChain(ideals, None, None, False, lower_bound=len(ideals))
+    return AnnihilatorChain(ideals, None, None, False)
 
 
 def ideal_from_span(H: HopfAlgebraData, vectors: Sequence[Vec]) -> IdealSubspace:
@@ -1037,16 +1003,6 @@ def ideal_from_span(H: HopfAlgebraData, vectors: Sequence[Vec]) -> IdealSubspace
         space.add(dict(v))
     right, two, hopf = _check_ideal_flags(H, space)
     return IdealSubspace(H, space, right, two, hopf)
-
-
-def principal_two_sided_ideal(H: HopfAlgebraData, v: Vec) -> IdealSubspace:
-    """The two-sided ideal H v H as a subspace."""
-    vectors = []
-    for i in range(H.dim):
-        left = H.mult_vec(H.basis_vec(i), v)
-        for j in range(H.dim):
-            vectors.append(H.mult_vec(left, H.basis_vec(j)))
-    return ideal_from_span(H, vectors)
 
 
 def augmentation_core_ideal(H: HopfAlgebraData, G: GroupHandle,
@@ -1081,24 +1037,32 @@ class IntegralReport:
     semisimple_extension: bool
 
 
-def _right_integrals(H: HopfAlgebraData) -> list[Vec]:
-    """Basis of {t : t h = eps(h) t for all h}, from the equations at the
-    algebra generators: for fixed t, {h : t h = eps(h) t} is a subalgebra
-    containing 1, as t (hk) = eps(h) t k = eps(h) eps(k) t.  The kernel is
-    the same subspace, so its reduced echelon basis is the same."""
-    columns: list[dict[int, Cyc]] = []
-    d = H.dim
-    for i in range(d):
-        col: dict[int, Cyc] = {}
-        for row, h in enumerate(H.generators):
-            eps_h = H.counit[h]
-            for k, v in H.mult[i][h].items():
-                _vadd(col, row * d + k, v)
-            if not eps_h.is_zero():
-                _vadd(col, row * d + i, -eps_h)
+def _invariants(H: HopfAlgebraData, dim: int, act) -> list[Vec]:
+    """Basis of {x : x h = eps(h) x for all h in H} in a right H-module with
+    basis 0..dim-1, where act(b, g) is the image of the b-th basis vector
+    under the generator g.
+
+    The equations are taken at the algebra generators only: for fixed x,
+    {h : x h = eps(h) x} is a subalgebra containing 1, since the action and
+    eps are multiplicative and x (hk) = eps(h) x k = eps(h) eps(k) x.  The
+    kernel is the same subspace, so its reduced echelon basis is the same."""
+    columns: list[Vec] = []
+    for b in range(dim):
+        col: Vec = {}
+        for row, g in enumerate(H.generators):
+            for k, v in act(b, g).items():
+                _vadd(col, row * dim + k, v)
+            eps_g = H.counit[g]
+            if not eps_g.is_zero():
+                _vadd(col, row * dim + b, -eps_g)
         columns.append(col)
-    kern = kernel_of_sparse_columns(columns)
-    return [{i: c for i, c in enumerate(v) if not c.is_zero()} for v in kern]
+    return kernel_of_sparse_columns(columns)
+
+
+def _right_integrals(H: HopfAlgebraData) -> list[Vec]:
+    """Basis of the right integrals {t : t h = eps(h) t for all h}: the
+    invariants of H acting on itself by right multiplication."""
+    return _invariants(H, H.dim, lambda i, g: H.mult[i][g])
 
 
 def _modular_function(H: HopfAlgebraData, t: Vec) -> list[Cyc]:
@@ -1121,9 +1085,8 @@ def integrals_and_modular(H: HopfAlgebraData, R: SubalgebraEmbedding,
     the Frobenius criterion m_H|_R = m_R; the equivalence of "Q has a nonzero
     integral" with the criterion is asserted.
 
-    The integrals of Q solve q h = eps(h) q at the algebra generators only:
-    for fixed q, {h : q h = eps(h) q} is a subalgebra containing 1, since
-    the action and eps are multiplicative (see `QuotientModule._verify`)."""
+    The integrals of Q are the `_invariants` of its action, which
+    `QuotientModule._verify` proves multiplicative."""
     ints_h = _right_integrals(H)
     if len(ints_h) != 1:
         raise AssertionError(f"right integral space of H has dimension {len(ints_h)}")
@@ -1147,20 +1110,8 @@ def integrals_and_modular(H: HopfAlgebraData, R: SubalgebraEmbedding,
             break
     if Q is None:
         Q = QuotientModule(H, R)
-    columns: list[dict[int, Cyc]] = []
-    dq = Q.dim_q
-    for b in range(dq):
-        col: dict[int, Cyc] = {}
-        for row, h in enumerate(H.generators):
-            img = Q.act({b: Cyc.one()}, H.basis_vec(h))
-            for rr, v in img.items():
-                _vadd(col, row * dq + rr, v)
-            eps_h = H.counit[h]
-            if not eps_h.is_zero():
-                _vadd(col, row * dq + b, -eps_h)
-        columns.append(col)
-    kern = kernel_of_sparse_columns(columns)
-    q_ints = [{i: c for i, c in enumerate(v) if not c.is_zero()} for v in kern]
+    q_ints = _invariants(H, Q.dim_q,
+                         lambda b, g: Q.act({b: Cyc.one()}, H.basis_vec(g)))
     if bool(q_ints) != frobenius:
         raise AssertionError(
             "existence of a nonzero integral in Q disagrees with m_H|_R = m_R")
@@ -1232,7 +1183,7 @@ def module_hom_basis(Q: QuotientModule, tp: TensorPowerModule,
     return homs
 
 
-def trace_ideals(H: HopfAlgebraData, R: SubalgebraEmbedding, Q: QuotientModule,
+def trace_ideals(H: HopfAlgebraData, Q: QuotientModule,
                  integrals: IntegralReport, n_max: int = 6,
                  cap: int = DEFAULT_TENSOR_CAP,
                  ell_q: Optional[int] = None) -> TraceIdealChain:
@@ -1275,8 +1226,12 @@ def trace_ideals(H: HopfAlgebraData, R: SubalgebraEmbedding, Q: QuotientModule,
             break
     htrh = None
     if ideals:
-        target = principal_two_sided_ideal(H, integrals.t_R)
-        htrh = ideals[0].space.equals(target.space)
+        htrh_space = RowSpace(H.dim)
+        for i in range(H.dim):
+            left = H.mult_vec(H.basis_vec(i), integrals.t_R)
+            for j in range(H.dim):
+                htrh_space.add(H.mult_vec(left, H.basis_vec(j)))
+        htrh = ideals[0].space.equals(htrh_space)
         if not htrh:
             raise AssertionError("tau(Q) differs from H t_R H")
     if faithful_seen and ell_q is not None and L_q != ell_q:
@@ -1317,8 +1272,7 @@ def idealizer_and_endQ(H: HopfAlgebraData, R: SubalgebraEmbedding,
             for rr, v in img.items():
                 _vadd(col, ridx * dq + rr, v)
         columns.append(col)
-    kern = kernel_of_sparse_columns(columns)
-    T_basis = [{i: c for i, c in enumerate(v) if not c.is_zero()} for v in kern]
+    T_basis = kernel_of_sparse_columns(columns)
     dim_T = len(T_basis)
     dim_end = dim_T - Q.rpH.rank
     hrp = RowSpace(H.dim)
@@ -1346,34 +1300,19 @@ def center_basis(H: HopfAlgebraData) -> list[Vec]:
             for k, v in H.mult[i][j].items():
                 _vadd(col, i * d + k, -v)
         columns.append(col)
-    kern = kernel_of_sparse_columns(columns)
-    return [{i: c for i, c in enumerate(v) if not c.is_zero()} for v in kern]
+    return kernel_of_sparse_columns(columns)
 
 
 def faithfulness_cross_check(H: HopfAlgebraData, Q: QuotientModule,
                              ann_dim: int) -> bool:
     """Ann Q = 0 iff R+H meets the center trivially; both sides computed
-    independently."""
+    independently, the intersection from
+    dim(R+H cap Z) = dim R+H + dim Z - dim(R+H + Z)."""
     zen = center_basis(H)
-    # intersection R+H cap Z(H): solve sum a_w w = sum b_z z
-    w_basis = Q.rpH.basis_rows()
-    columns: list[dict[int, Cyc]] = []
-    for w in w_basis:
-        columns.append({k: v for k, v in w.items()})
-    for z in zen:
-        columns.append({k: -v for k, v in z.items()})
-    kern = kernel_of_sparse_columns(columns)
-    inter_dim = 0
-    seen = RowSpace(H.dim)
-    for vec in kern:
-        v: Vec = {}
-        for widx, w in enumerate(w_basis):
-            c = vec[widx]
-            if not c.is_zero():
-                for k, x in w.items():
-                    _vadd(v, k, c * x)
-        if v and seen.add(v):
-            inter_dim += 1
+    total = RowSpace(H.dim)
+    for v in Q.rpH.basis_rows() + zen:
+        total.add(v)
+    inter_dim = Q.rpH.rank + len(zen) - total.rank
     return (ann_dim == 0) == (inter_dim == 0)
 
 
@@ -1405,29 +1344,16 @@ def linear_disjoint_check(H: HopfAlgebraData, R: SubalgebraEmbedding,
         columns.append(dict(r))
     for k in K.basis:
         columns.append({i: -c for i, c in k.items()})
-    kern = kernel_of_sparse_columns(columns)
     b_space = RowSpace(H.dim)
-    for vec in kern:
-        v: Vec = {}
-        for i, r in enumerate(R.basis):
-            c = vec[i]
-            if not c.is_zero():
-                for k, x in r.items():
-                    _vadd(v, k, c * x)
-        if v:
-            b_space.add(v)
+    for vec in kernel_of_sparse_columns(columns):
+        b_space.add(R.embed({i: c for i, c in vec.items() if i < R.dim}))
     dim_b = b_space.rank
     disjoint = (dim_rk == H.dim) and (R.dim * K.dim == H.dim * dim_b)
     iso = None
     if disjoint:
         B = SubalgebraEmbedding(H, b_space.basis_rows())
         Kh = K.as_hopf()
-        B_in_K_rows = []
-        for b in B.basis:
-            cs = K.coords(b)
-            assert cs is not None
-            B_in_K_rows.append({i: c for i, c in enumerate(cs) if not c.is_zero()})
-        B_in_K = SubalgebraEmbedding(Kh, B_in_K_rows)
+        B_in_K = SubalgebraEmbedding(Kh, [K.coords(b) for b in B.basis])
         QK = QuotientModule(Kh, B_in_K)
         QH = QuotientModule(H, R)
         if QK.dim_q != QH.dim_q:
@@ -1446,8 +1372,7 @@ def linear_disjoint_check(H: HopfAlgebraData, R: SubalgebraEmbedding,
             equiv = True
             for kb in range(K.dim):
                 kv = K.basis[kb]
-                kk = K.coords(kv)
-                kk_vec = {i: c for i, c in enumerate(kk) if not c.is_zero()}
+                kk_vec = K.coords(kv)
                 for b in range(QK.dim_q):
                     lhs_q = QK.act({b: Cyc.one()}, kk_vec)
                     lhs: Vec = {}
@@ -1534,15 +1459,10 @@ def ulbrich_verify(H: HopfAlgebraData, R: SubalgebraEmbedding,
     coact: list[TVec] = []
     for pos in section:
         a, k = divmod(pos, d)
-        out: TVec = {}
-        for (h1, h2), c in H.comult[k].items():
-            px = _project(rel, sec_index, {a * d + h1: Cyc.one()})
-            pq = Q.project(H.basis_vec(h2))
-            for rx, cx in px.items():
-                cc = c * cx
-                for rq, cq in pq.items():
-                    _vadd(out, (rx, rq), cc * cq)
-        coact.append(out)
+        coact.append(_tensor_image(
+            H.comult[k],
+            lambda h1: _project(rel, sec_index, {a * d + h1: Cyc.one()}),
+            lambda h2: Q.project(H.basis_vec(h2))))
     one_bar = Q.project(dict(H.unit))
     columns: list[dict[int, Cyc]] = []
     for b in range(dim_x):
@@ -1552,8 +1472,7 @@ def ulbrich_verify(H: HopfAlgebraData, R: SubalgebraEmbedding,
         for rq, c in one_bar.items():
             _vadd(col, b * dq + rq, -c)
         columns.append(col)
-    kern = kernel_of_sparse_columns(columns)
-    coinv = [{i: c for i, c in enumerate(v) if not c.is_zero()} for v in kern]
+    coinv = kernel_of_sparse_columns(columns)
     if len(coinv) * d != dim_x * R.dim:
         return False
     # evaluation map coinv tensor_R H -> X must be onto (equal dims -> iso);

@@ -265,11 +265,6 @@ def reference_ideal_flags(H, space) -> tuple[bool, bool, bool]:
     return right, two_sided, two_sided and _is_hopf_ideal(H, space)
 
 
-def _kernel_vectors(columns) -> list[dict]:
-    return [{i: c for i, c in enumerate(v) if not c.is_zero()}
-            for v in kernel_of_sparse_columns(columns)]
-
-
 def reference_right_integrals(H) -> list[dict]:
     """The right integrals from t h = eps(h) t at every basis element: the
     reference for `_right_integrals`."""
@@ -284,7 +279,7 @@ def reference_right_integrals(H) -> list[dict]:
             if not eps_h.is_zero():
                 _vadd(col, h * d + i, -eps_h)
         columns.append(col)
-    return _kernel_vectors(columns)
+    return kernel_of_sparse_columns(columns)
 
 
 def reference_q_integrals(Q) -> list[dict]:
@@ -302,7 +297,7 @@ def reference_q_integrals(Q) -> list[dict]:
             if not eps_h.is_zero():
                 _vadd(col, h * dq + b, -eps_h)
         columns.append(col)
-    return _kernel_vectors(columns)
+    return kernel_of_sparse_columns(columns)
 
 
 def reference_idealizer(Q) -> list[dict]:
@@ -317,7 +312,7 @@ def reference_idealizer(Q) -> list[dict]:
             for rr, v in Q.project(H.mult_vec(H.basis_vec(i), w)).items():
                 _vadd(col, widx * dq + rr, v)
         columns.append(col)
-    return _kernel_vectors(columns)
+    return kernel_of_sparse_columns(columns)
 
 
 def reference_module_hom_basis(Q, tp) -> list[list[dict]]:
@@ -343,13 +338,12 @@ def reference_module_hom_basis(Q, tp) -> list[list[dict]]:
                 for m, w in H.mult[k][h].items():
                     pos = (b * d + h) * d + m
                     _vadd(columns[b * d + k], pos, -w)
-    kern = kernel_of_sparse_columns(columns)
     homs = []
-    for vec in kern:
-        images: list[Vec] = []
-        for b in range(dqn):
-            img = {k: vec[b * d + k] for k in range(d) if not vec[b * d + k].is_zero()}
-            images.append(img)
+    for vec in kernel_of_sparse_columns(columns):
+        images: list[Vec] = [{} for _ in range(dqn)]
+        for pos, c in vec.items():
+            b, k = divmod(pos, d)
+            images[b][k] = c
         homs.append(images)
     return homs
 

@@ -155,7 +155,7 @@ def test_criterion_08_eight_dim_values(uq2, tmp_path):
                               for i in range(8)])
     assert EH.dim == 4 and EH.hopf_ideal          # EH passes the Hopf-ideal test
     assert chain.hopf_core.space.equals(EH.space)  # and is the Hopf core ideal
-    ti = trace_ideals(H8, R, Q, rep, ell_q=chain.ell_q)
+    ti = trace_ideals(H8, Q, rep, ell_q=chain.ell_q)
     assert ti.ideals[0].dim == 3 and ti.htrh_matches
     ir = idealizer_and_endQ(H8, R, Q)
     assert ir.dim_T == 7 and ir.dim_end_q == 1 and not ir.normal
@@ -288,7 +288,7 @@ def test_criterion_12_property_suites(s3, a4, uq2, uq3):
         for a, b in zip(chain.ideals, chain.ideals[1:]):
             assert b.space <= a.space
         rep = integrals_and_modular(HG, emb, Q)
-        ti = trace_ideals(HG, emb, Q, rep, ell_q=chain.ell_q)
+        ti = trace_ideals(HG, Q, rep, ell_q=chain.ell_q)
         for a, b in zip(ti.ideals, ti.ideals[1:]):
             assert a.space <= b.space
     Q8 = quotient_module(uq2[0], uq2[1]["R2"])

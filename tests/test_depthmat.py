@@ -4,11 +4,13 @@ import pytest
 
 from helpers import (corpus_pairs_reps, evaluate_matrix, group_table, pair_report, perm,
                      reference_minimal_polynomial)
+from subdepth import depthmat
 from subdepth.chartab import InclusionMatrix, class_fusion, compute_character_table, inclusion_matrix
 from subdepth.depthmat import (bipartite_dot, depth_report,
                                eigenvalues_via_class_formula,
                                ell_from_trivial_row, mckay_quiver)
-from subdepth.exactalg import ExactMatrix, ExactPolynomial, minimal_polynomial
+from subdepth.exactalg import (ExactMatrix, ExactPolynomial, factor_rational_roots,
+                               minimal_polynomial)
 
 
 def test_s2_s3_full_report(s3):
@@ -81,6 +83,27 @@ def test_minpolys_of_b_and_c_agree_with_the_reference_on_the_catalog():
         for grid, m in ((rep.B, rep.minpoly_B), (rep.C, rep.minpoly_C)):
             assert m == minimal_polynomial(grid)
             assert m == reference_minimal_polynomial(ExactMatrix.from_rows(grid))
+
+
+@pytest.mark.parametrize("rows", [
+    ((2, 1, 0), (0, 1, 1)),     # minpoly(C) = X m, and m has no rational root
+    ((1, 1, 0), (0, 1, 1)),     # minpoly(C) = X m with rational roots
+    ((1, 1), (1, 0)),           # minpoly(C) = m, no rational root
+    ((1, 1, 1), (1, 1, 1)),     # minpoly(C) = m, which has the root 0
+])
+def test_depth_report_factors_only_minpoly_b(rows, monkeypatch):
+    # the roots of minpoly(C) are those of m = minpoly(B), plus 0 for X m
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return factor_rational_roots(p)
+
+    monkeypatch.setattr(depthmat, "factor_rational_roots", counted)
+    rep = depth_report(InclusionMatrix(len(rows), len(rows[0]), rows))
+    assert calls == [rep.minpoly_B]
+    roots_c, _ = factor_rational_roots(rep.minpoly_C)
+    assert rep.pf_value == rep.mckay.pf_root == (max(roots_c) if roots_c else None)
 
 
 def test_class_formula_examples(s3, a5):

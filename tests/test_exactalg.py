@@ -344,7 +344,11 @@ def test_kernel_of_sparse_columns_matches_solve_kernel(order_rows):
     _, cols = order_rows
     dense = ExactMatrix.from_rows([[col.get(i, Cyc.zero()) for col in cols]
                                    for i in range(ENGINE_WIDTH)])
-    assert kernel_of_sparse_columns(cols) == solve_kernel(dense)
+    sparse = kernel_of_sparse_columns(cols)
+    # sparse vectors with no zero entries, which solve_kernel densifies
+    assert all(v and not any(c.is_zero() for c in v.values()) for v in sparse)
+    assert ([tuple(v.get(j, Cyc.zero()) for j in range(len(cols))) for v in sparse]
+            == solve_kernel(dense))
 
 
 # -- minimal polynomials ------------------------------------------------------

@@ -10,6 +10,8 @@ before the Dixon-Schneider and minimal-polynomial kernels were reworked.
 Every later change must reproduce them exactly.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,16 @@ def test_hopf_json_is_golden(algebra, extra, golden, tmp_path, capsys):
     assert main(["hopf", str(GOLDEN / f"{algebra}.json"), *extra,
                  "--json", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_make_hopf_input_is_golden(n, tmp_path):
+    # the inputs of the `hopf` reports above, with their echelon subalgebra rows
+    out = tmp_path / f"uq{n}.json"
+    script = GOLDEN.parent.parent / "scripts" / "make_hopf_input.py"
+    subprocess.run([sys.executable, str(script), n, str(out)],
+                   check=True, capture_output=True)
+    assert out.read_bytes() == (GOLDEN / f"uq{n}.json").read_bytes()
 
 
 @pytest.mark.parametrize("group, golden", [

@@ -251,6 +251,30 @@ def test_embedding_own_hopf_structure(s3):
     assert Rh.dim == 2
 
 
+@pytest.mark.parametrize("algebra", ["uq2", "uq3"])
+def test_coords_are_sparse_and_invert_embed(algebra, request):
+    H, subs = request.getfixturevalue(algebra)
+    rng = random.Random(7)
+    for R in subs.values():
+        inside = [dict(H.unit)] + [H.mult_vec(a, b) for a in R.basis for b in R.basis]
+        # a combination that skips some basis rows, and one with stored zeros
+        inside.append(R.embed({i: Cyc.rational(rng.randint(1, 5))
+                               for i in range(0, R.dim, 2)}))
+        inside.append({p: Cyc.zero() for p in R.pivots} | R.basis[-1])
+        for v in inside:
+            cs = R.coords(v)
+            assert cs is not None and not any(c.is_zero() for c in cs.values())
+            assert R.embed(cs) == {k: c for k, c in v.items() if not c.is_zero()}
+        span = RowSpace(H.dim)
+        for b in R.basis:
+            span.add(b)
+        for j in range(H.dim):
+            e_j = H.basis_vec(j)
+            assert (R.coords(e_j) is None) == (not span.contains(e_j))
+            if j not in R.pivots:
+                assert R.coords(R.embed({0: Cyc.one()}) | {j: Cyc.rational(2)}) is None
+
+
 # -- quotient modules ---------------------------------------------------------
 
 def test_quotient_by_unit_subalgebra_is_regular(s3):
@@ -342,7 +366,7 @@ def _taft_pairs(uq):
     R2 = subs["R2"]
     T = R2.as_hopf()
     n = round(H.dim ** (1 / 3))
-    K = {i: c for i, c in enumerate(R2.coords({n * n: Cyc.one()})) if not c.is_zero()}
+    K = R2.coords({n * n: Cyc.one()})
     powers = [dict(T.unit)]
     for _ in range(n - 1):
         powers.append(T.mult_vec(powers[-1], K))
@@ -578,7 +602,7 @@ def test_trace_ideal_eight_dim(uq2):
     Q = quotient_module(H8, subs8["R2"])
     rep = integrals_and_modular(H8, subs8["R2"], Q)
     chain = annihilator_chain(Q)
-    ti = trace_ideals(H8, subs8["R2"], Q, rep, ell_q=chain.ell_q)
+    ti = trace_ideals(H8, Q, rep, ell_q=chain.ell_q)
     assert ti.ideals[0].dim == 3
     assert ti.htrh_matches
     # ascending
@@ -599,7 +623,7 @@ def test_trace_ideals_solve_for_the_integral_once(uq2, monkeypatch):
     Q = quotient_module(H8, subs8["R2"])
     rep = integrals_and_modular(H8, subs8["R2"], Q)
     assert calls["_right_integrals"] == 2
-    ti = trace_ideals(H8, subs8["R2"], Q, rep)
+    ti = trace_ideals(H8, Q, rep)
     assert len(ti.ideals) >= 2
     assert ti.htrh_matches
     assert calls == {"_right_integrals": 2, "_frobenius_terms": 1,
@@ -614,7 +638,7 @@ def test_trace_ideals_beyond_dimension_eight(uq3):
     Q = quotient_module(H, R)
     rep = integrals_and_modular(H, R, Q)
     chain = annihilator_chain(Q)
-    ti = trace_ideals(H, R, Q, rep, ell_q=chain.ell_q)
+    ti = trace_ideals(H, Q, rep, ell_q=chain.ell_q)
     assert ti.htrh_matches
     assert ti.complete
     assert ti.L_q == chain.ell_q
@@ -667,7 +691,7 @@ def test_trace_ideal_free_case(s3):
     triv = SubalgebraEmbedding(H, [dict(H.unit)])
     Q = quotient_module(H, triv)
     rep = integrals_and_modular(H, triv, Q)
-    ti = trace_ideals(H, triv, Q, rep, ell_q=1)
+    ti = trace_ideals(H, Q, rep, ell_q=1)
     assert ti.ideals[0].dim == H.dim
     assert ti.L_q == 1
 
@@ -677,7 +701,7 @@ def test_generator_implies_semisimple_r(s3):
     H, R = s3_pair(s3)
     Q = quotient_module(H, R)
     rep = integrals_and_modular(H, R, Q)
-    ti = trace_ideals(H, R, Q, rep, ell_q=None)
+    ti = trace_ideals(H, Q, rep, ell_q=None)
     if ti.ideals[-1].dim == H.dim:
         assert not H.counit_vec(rep.t_R).is_zero()
 

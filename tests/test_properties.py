@@ -69,7 +69,7 @@ def test_chain_monotonicity_samples(s3, s4, a4, uq2):
             assert b.space <= a.space
             assert a.two_sided and b.two_sided
         rep = integrals_and_modular(H, emb, Q)
-        ti = trace_ideals(H, emb, Q, rep, ell_q=chain.ell_q)
+        ti = trace_ideals(H, Q, rep, ell_q=chain.ell_q)
         assert ti.htrh_matches
         for a, b in zip(ti.ideals, ti.ideals[1:]):
             assert a.space <= b.space
