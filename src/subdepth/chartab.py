@@ -540,24 +540,6 @@ def permutation_character(G: GroupHandle, H: SubgroupHandle) -> tuple[int, ...]:
     return tuple(values)
 
 
-def induce_class_function(G: GroupHandle, H: SubgroupHandle,
-                          psi: Sequence[Cyc]) -> tuple[Cyc, ...]:
-    """psi induced from H to G: (psi^G)(g) = (1/|H|) sum_{x in G, xgx^-1 in H}
-    psi(xgx^-1)."""
-    Hgrp = H.as_group()
-    hset = set(H.elements)
-    out = []
-    for cls in G.conjugacy_classes():
-        g = cls.rep
-        acc = Cyc.zero()
-        for x in G.elements:
-            y = x * g * x.inverse()
-            if y in hset:
-                acc = acc + psi[Hgrp.class_index(y)]
-        out.append(acc * Fraction(1, H.order))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # import / cross-validation
 # ---------------------------------------------------------------------------
@@ -611,10 +593,11 @@ def table_from_json(G: GroupHandle, data: dict) -> CharacterTable:
 def tables_agree_up_to_row_permutation(a: CharacterTable, b: CharacterTable) -> bool:
     if len(a.irreducibles) != len(b.irreducibles):
         return False
-    e = max(a.exponent, b.exponent)
 
     def keyed(t):
-        return sorted(tuple(v.lift(e).coeffs for v in row) for row in t.irreducibles)
+        # the canonical string of a value does not depend on the order it
+        # was written at
+        return sorted(tuple(scalar_to_string(v) for v in row) for row in t.irreducibles)
 
     return keyed(a) == keyed(b)
 

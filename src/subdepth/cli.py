@@ -256,7 +256,7 @@ def _run_hopf(req: AnalysisRequest) -> int:
 
 
 def _run_sweep(req: AnalysisRequest) -> int:
-    report = run_sweep(req.max_order, check_conjecture=True)
+    report = run_sweep(req.max_order)
     print(f"sweep over catalog groups of order <= {req.max_order}: "
           f"{len(report.rows)} subgroup pairs")
     for row in report.rows:

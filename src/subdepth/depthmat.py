@@ -34,9 +34,6 @@ class EigenvalueSet:
     def value_set(self) -> set[Fraction]:
         return set(self.values)
 
-    def max_value(self) -> Fraction:
-        return max(self.values)
-
 
 @dataclass
 class McKayQuiver:
@@ -234,17 +231,23 @@ def depth_report(M: InclusionMatrix,
     x_mp_b = ExactPolynomial((0, 1)) * mp_b
     if not _vanishes_at(x_mp_b, C):
         raise AssertionError("C m(C) != 0 for m = minpoly(B)")
-    if mp_c not in (mp_b, x_mp_b):
-        raise AssertionError("minpoly(C) is neither m nor X m for m = minpoly(B)")
+    # B and C share their nonzero eigenvalues and are diagonalizable, so
+    # minpoly(C) is m, X m or, when B is singular and C is not, m / X
+    mp_b_over_x = ExactPolynomial(mp_b.coeffs[1:]) if mp_b.coeffs[0] == 0 else None
+    if mp_c not in (mp_b, x_mp_b, mp_b_over_x):
+        raise AssertionError("minpoly(C) is none of m, X m and m / X "
+                             "for m = minpoly(B)")
 
     roots_b, resid_b = factor_rational_roots(mp_b)
     eigen_b = EigenvalueSet(values=roots_b, residual=resid_b, source="minpoly")
     tags["eigen_B"] = "minpoly-rational-roots"
 
-    # minpoly(C) is m or X m: its roots are those of m, plus one more 0 for X m
+    # the roots of minpoly(C) are those of m, with one 0 more for X m and one
+    # fewer for m / X
     roots_c, resid_c = roots_b, resid_b
     if mp_c != mp_b:
-        roots_c = {Fraction(0): roots_b.get(0, 0) + 1}
+        zeros = roots_b.get(0, 0) + (1 if mp_c == x_mp_b else -1)
+        roots_c = {Fraction(0): zeros} if zeros else {}
         roots_c.update((r, k) for r, k in roots_b.items() if r != 0)
     pf_value = max(roots_c) if roots_c else None
     pf_check = index = None

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -314,27 +314,6 @@ class Cyc:
             base = base * base
             k >>= 1
         return out
-
-    def conjugate(self) -> "Cyc":
-        """Complex conjugation, the field map zeta -> zeta^(-1)."""
-        if self.order <= 2:
-            return self
-        n = self.order
-        return Cyc.from_power_sum(
-            n, {(n - i) % n: c for i, c in enumerate(self.coeffs) if c})
-
-    def galois(self, k: int) -> "Cyc":
-        """The field map zeta -> zeta^k; requires gcd(k, order) = 1."""
-        from math import gcd
-        if gcd(k, self.order) != 1:
-            raise ValueError("galois exponent must be coprime to the order")
-        n = self.order
-        acc: dict[int, Rat] = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                e = (i * k) % n
-                acc[e] = acc.get(e, 0) + c
-        return Cyc.from_power_sum(n, acc)
 
     # -- canonical form, comparison, hashing ---------------------------------
 
@@ -769,17 +748,6 @@ class ExactPolynomial:
     def one() -> "ExactPolynomial":
         return ExactPolynomial((1,))
 
-    @staticmethod
-    def x() -> "ExactPolynomial":
-        return ExactPolynomial((0, 1))
-
-    @staticmethod
-    def from_roots(roots: Iterable[Rat]) -> "ExactPolynomial":
-        p = ExactPolynomial.one()
-        for r in roots:
-            p = p * ExactPolynomial((-Fraction(r), 1))
-        return p
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -808,35 +776,11 @@ class ExactPolynomial:
                 out[i + j] += a * b
         return ExactPolynomial(out)
 
-    def scale(self, c: Rat) -> "ExactPolynomial":
-        return ExactPolynomial([Fraction(c) * a for a in self.coeffs])
-
-    def divmod(self, other: "ExactPolynomial"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r = _poly_divmod(list(self.coeffs), list(other.coeffs))
-        return ExactPolynomial(q), ExactPolynomial(r)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def monic(self) -> "ExactPolynomial":
         if self.is_zero():
             return self
         lead = self.coeffs[-1]
         return ExactPolynomial([c / lead for c in self.coeffs])
-
-    def derivative(self) -> "ExactPolynomial":
-        return ExactPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def gcd(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactPolynomial):

@@ -16,12 +16,12 @@ decided by exact linear algebra over Q(zeta_n), through three shared pieces:
   slots" step, with `SubalgebraEmbedding.coords` and `_tensor_coords`
   reading sparse coordinates in a subalgebra at its pivot columns.
 
-A statement that must hold for every h in H (a module law of Q, an ideal
-flag, the equations of integrals and of the idealizer) is checked at the
-algebra generators of `HopfAlgebraData.generators` only.  Each such statement
-is closure under a set of h that is a subalgebra containing 1, so it holds on
-all of H once it holds at the generators; every docstring names its
-subalgebra, the same argument that `HopfAlgebraData.verify` uses.
+A statement that must hold for every h in H (a module law of Q, the
+two-sided ideal test, the equations of integrals and of the idealizer) is
+checked at the algebra generators of `HopfAlgebraData.generators` only.  Each
+such statement is closure under a set of h that is a subalgebra containing 1,
+so it holds on all of H once it holds at the generators; every docstring
+names its subalgebra, the same argument that `HopfAlgebraData.verify` uses.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from .exactalg import (Cyc, RowSpace, json_int, json_kind, json_scalar,
 from .permgroup import GroupHandle, SubgroupHandle
 
 DEFAULT_TENSOR_CAP = 4096
+ANNIHILATOR_POWERS = 12        # tensor powers scanned by `annihilator_chain`
+TRACE_POWERS = 6               # and by `trace_ideals`
 
 Vec = dict[int, Cyc]           # sparse element of H
 TVec = dict[tuple, Cyc]        # sparse element of a tensor power of H
@@ -882,43 +884,22 @@ def tensor_power_action(Q: QuotientModule, n: int,
 
 @dataclass
 class IdealSubspace:
-    parent: HopfAlgebraData
     space: RowSpace
-    right_ideal: bool = False
-    two_sided: bool = False
-    hopf_ideal: bool = False
 
     @property
     def dim(self) -> int:
         return self.space.rank
 
-    def contains(self, v: Vec) -> bool:
-        return self.space.contains(v)
 
-    def basis(self) -> list[Vec]:
-        return self.space.basis_rows()
+def _is_two_sided(H: HopfAlgebraData, space: RowSpace) -> bool:
+    """I H <= I and H I <= I for the subspace I.
 
-    def equals(self, other: "IdealSubspace") -> bool:
-        return self.space.equals(other.space)
-
-
-def _check_ideal_flags(H: HopfAlgebraData, space: RowSpace) -> tuple[bool, bool, bool]:
-    """(right ideal, two-sided ideal, Hopf ideal) for the subspace I.
-
-    Both ideal tests multiply by the algebra generators only: {h : I h <= I}
-    is a subalgebra containing 1, as I (hk) = (I h) k <= I k <= I, and
-    likewise {h : h I <= I} on the left."""
-    basis = space.basis_rows()
-    gens = H.generators
-    right = all(space.contains(H.mult_vec(b, H.basis_vec(g)))
-                for b in basis for g in gens)
-    left = all(space.contains(H.mult_vec(H.basis_vec(g), b))
-               for b in basis for g in gens)
-    two_sided = right and left
-    hopf = False
-    if two_sided:
-        hopf = _is_hopf_ideal(H, space)
-    return right, two_sided, hopf
+    Both tests multiply by the algebra generators only: {h : I h <= I} is a
+    subalgebra containing 1, as I (hk) = (I h) k <= I k <= I, and likewise
+    {h : h I <= I} on the left."""
+    return all(space.contains(H.mult_vec(b, H.basis_vec(g)))
+               and space.contains(H.mult_vec(H.basis_vec(g), b))
+               for b in space.basis_rows() for g in H.generators)
 
 
 def _is_hopf_ideal(H: HopfAlgebraData, space: RowSpace) -> bool:
@@ -959,30 +940,30 @@ def _annihilator(tp: TensorPowerModule) -> RowSpace:
     return space
 
 
-def annihilator_chain(Q: QuotientModule, cap: int = DEFAULT_TENSOR_CAP,
-                      n_max: int = 12) -> AnnihilatorChain:
+def annihilator_chain(Q: QuotientModule,
+                      cap: int = DEFAULT_TENSOR_CAP) -> AnnihilatorChain:
     """Descending chain Ann Q >= Ann Q^x2 >= ...; ell_Q is the least n whose
     annihilator is a Hopf ideal, and the chain is checked to stabilize there.
     If a cap stops the scan first, the chain is reported incomplete: without
     ell_Q when no annihilator so far is a Hopf ideal, and with ell_Q but
-    without the stabilization check when the cap stops that check."""
+    without the stabilization check when the cap stops that check.  The scan
+    also stops, incomplete, after ANNIHILATOR_POWERS tensor powers."""
     H = Q.hopf
     ideals: list[IdealSubspace] = []
     tp: Optional[TensorPowerModule] = None
-    for n in range(1, n_max + 1):
+    for n in range(1, ANNIHILATOR_POWERS + 1):
         try:
             tp = tensor_power_action(Q, 1, cap=cap) if tp is None else tp.times_q(cap)
         except TensorCapExceededError:
             return AnnihilatorChain(ideals, None, None, False)
         space = _annihilator(tp)
-        right, two, hopf = _check_ideal_flags(H, space)
-        if not two:
+        if not _is_two_sided(H, space):
             raise AssertionError("annihilator is not a two-sided ideal")
-        ideal = IdealSubspace(H, space, right, two, hopf)
+        ideal = IdealSubspace(space)
         if ideals and not (space <= ideals[-1].space):
             raise AssertionError("annihilator chain is not descending")
         ideals.append(ideal)
-        if hopf:
+        if _is_hopf_ideal(H, space):
             ell = n
             if space.rank == 0:
                 # zero ideal: all later annihilators are zero by descent
@@ -995,31 +976,6 @@ def annihilator_chain(Q: QuotientModule, cap: int = DEFAULT_TENSOR_CAP,
                 raise AssertionError("annihilator chain did not stabilize at the Hopf ideal")
             return AnnihilatorChain(ideals, ell, ideal, True)
     return AnnihilatorChain(ideals, None, None, False)
-
-
-def ideal_from_span(H: HopfAlgebraData, vectors: Sequence[Vec]) -> IdealSubspace:
-    space = RowSpace(H.dim)
-    for v in vectors:
-        space.add(dict(v))
-    right, two, hopf = _check_ideal_flags(H, space)
-    return IdealSubspace(H, space, right, two, hopf)
-
-
-def augmentation_core_ideal(H: HopfAlgebraData, G: GroupHandle,
-                            N: SubgroupHandle) -> IdealSubspace:
-    """The ideal k N^+ k G generated by the augmentation ideal of a normal
-    subgroup N, in the group-algebra basis of G."""
-    idx = {g: i for i, g in enumerate(G.elements)}
-    vectors = []
-    for m in N.elements:
-        if m.is_identity():
-            continue
-        base: Vec = {idx[m]: Cyc.one(), idx[G.identity]: Cyc.rational(-1)}
-        for g in G.elements:
-            vectors.append(H.mult_vec(base, {idx[g]: Cyc.one()}))
-    if not vectors:
-        return IdealSubspace(H, RowSpace(H.dim), True, True, True)
-    return ideal_from_span(H, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -1184,8 +1140,7 @@ def module_hom_basis(Q: QuotientModule, tp: TensorPowerModule,
 
 
 def trace_ideals(H: HopfAlgebraData, Q: QuotientModule,
-                 integrals: IntegralReport, n_max: int = 6,
-                 cap: int = DEFAULT_TENSOR_CAP,
+                 integrals: IntegralReport, cap: int = DEFAULT_TENSOR_CAP,
                  ell_q: Optional[int] = None) -> TraceIdealChain:
     """Ascending chain of trace ideals of the tensor powers of Q: each is
     the sum of the images of the closed-form basis of `module_hom_basis`,
@@ -1194,13 +1149,14 @@ def trace_ideals(H: HopfAlgebraData, Q: QuotientModule,
 
     t_H and t_R are read from the pair's `integrals_and_modular` report.
     tau(Q) is checked against H t_R H, and L_Q = ell_Q is asserted when some
-    tensor power is faithful."""
+    tensor power is faithful.  The scan stops after TRACE_POWERS tensor
+    powers."""
     terms = _frobenius_terms(H, H.antipode_vec(integrals.t_H))
     ideals: list[IdealSubspace] = []
     L_q: Optional[int] = None
     faithful_seen = False
     tp: Optional[TensorPowerModule] = None
-    for n in range(1, n_max + 1):
+    for n in range(1, TRACE_POWERS + 1):
         try:
             tp = tensor_power_action(Q, 1, cap=cap) if tp is None else tp.times_q(cap)
         except TensorCapExceededError:
@@ -1210,13 +1166,11 @@ def trace_ideals(H: HopfAlgebraData, Q: QuotientModule,
         for images in homs:
             for img in images:
                 space.add(dict(img))
-        right, two, hopf = _check_ideal_flags(H, space)
-        ideal = IdealSubspace(H, space, right, two, hopf)
         if ideals and not (ideals[-1].space <= space):
             raise AssertionError("trace ideal chain is not ascending")
         if ideals and ideals[-1].space.equals(space) and L_q is None:
             L_q = n - 1
-        ideals.append(ideal)
+        ideals.append(IdealSubspace(space))
         if space.rank == H.dim:
             faithful_seen = True
             if L_q is None:
@@ -1283,230 +1237,3 @@ def idealizer_and_endQ(H: HopfAlgebraData, R: SubalgebraEmbedding,
     if normal and dim_end != dq:
         raise AssertionError("normal pair but End Q is not all of Q")
     return IdealizerReport(dim_T, dim_end, normal, T_basis)
-
-
-# ---------------------------------------------------------------------------
-# centers and faithfulness
-# ---------------------------------------------------------------------------
-
-def center_basis(H: HopfAlgebraData) -> list[Vec]:
-    d = H.dim
-    columns: list[dict[int, Cyc]] = []
-    for j in range(d):
-        col: dict[int, Cyc] = {}
-        for i in range(d):
-            for k, v in H.mult[j][i].items():
-                _vadd(col, i * d + k, v)
-            for k, v in H.mult[i][j].items():
-                _vadd(col, i * d + k, -v)
-        columns.append(col)
-    return kernel_of_sparse_columns(columns)
-
-
-def faithfulness_cross_check(H: HopfAlgebraData, Q: QuotientModule,
-                             ann_dim: int) -> bool:
-    """Ann Q = 0 iff R+H meets the center trivially; both sides computed
-    independently, the intersection from
-    dim(R+H cap Z) = dim R+H + dim Z - dim(R+H + Z)."""
-    zen = center_basis(H)
-    total = RowSpace(H.dim)
-    for v in Q.rpH.basis_rows() + zen:
-        total.add(v)
-    inter_dim = Q.rpH.rank + len(zen) - total.rank
-    return (ann_dim == 0) == (inter_dim == 0)
-
-
-# ---------------------------------------------------------------------------
-# linear disjointness
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LinearDisjointReport:
-    linear_disjoint: bool
-    dim_RK: int
-    dim_B: int
-    iso_verified: Optional[bool]
-
-
-def linear_disjoint_check(H: HopfAlgebraData, R: SubalgebraEmbedding,
-                          K: SubalgebraEmbedding) -> LinearDisjointReport:
-    """RK = H together with dim H = dim R dim K / dim(R cap K); when both
-    hold, the canonical K-module map from Q^K_B to Q^H_R (B = R cap K) is
-    verified to be an isomorphism."""
-    prod_space = RowSpace(H.dim)
-    for r in R.basis:
-        for k in K.basis:
-            prod_space.add(H.mult_vec(r, k))
-    dim_rk = prod_space.rank
-    # intersection B = R cap K
-    columns: list[dict[int, Cyc]] = []
-    for r in R.basis:
-        columns.append(dict(r))
-    for k in K.basis:
-        columns.append({i: -c for i, c in k.items()})
-    b_space = RowSpace(H.dim)
-    for vec in kernel_of_sparse_columns(columns):
-        b_space.add(R.embed({i: c for i, c in vec.items() if i < R.dim}))
-    dim_b = b_space.rank
-    disjoint = (dim_rk == H.dim) and (R.dim * K.dim == H.dim * dim_b)
-    iso = None
-    if disjoint:
-        B = SubalgebraEmbedding(H, b_space.basis_rows())
-        Kh = K.as_hopf()
-        B_in_K = SubalgebraEmbedding(Kh, [K.coords(b) for b in B.basis])
-        QK = QuotientModule(Kh, B_in_K)
-        QH = QuotientModule(H, R)
-        if QK.dim_q != QH.dim_q:
-            iso = False
-        else:
-            # phi: Q^K_B -> Q^H_R, x + B+K -> x + R+H on section representatives
-            phi: list[Vec] = []
-            for b in range(QK.dim_q):
-                xk = QK.lift({b: Cyc.one()})
-                xh = K.embed(xk)
-                phi.append(QH.project(xh))
-            rank_space = RowSpace(QH.dim_q)
-            for col in phi:
-                rank_space.add(dict(col))
-            surj = rank_space.rank == QH.dim_q
-            equiv = True
-            for kb in range(K.dim):
-                kv = K.basis[kb]
-                kk_vec = K.coords(kv)
-                for b in range(QK.dim_q):
-                    lhs_q = QK.act({b: Cyc.one()}, kk_vec)
-                    lhs: Vec = {}
-                    for rr, c in lhs_q.items():
-                        for s, x in phi[rr].items():
-                            _vadd(lhs, s, c * x)
-                    rhs = QH.act(phi[b], kv)
-                    if not _veq(lhs, rhs):
-                        equiv = False
-                        break
-                if not equiv:
-                    break
-            iso = surj and equiv
-    return LinearDisjointReport(disjoint, dim_rk, dim_b, iso)
-
-
-# ---------------------------------------------------------------------------
-# relative Hopf modules (descent theorem verification)
-# ---------------------------------------------------------------------------
-
-def _induced_module(H: HopfAlgebraData, R: SubalgebraEmbedding,
-                    w_dim: int, w_action: list[list[list[Cyc]]]):
-    """W tensor_R H as a quotient of W tensor H; returns (section positions,
-    reduction space, dimension).  w_action[i] is the dim_W x dim_W matrix of
-    the i-th R-basis element acting on W."""
-    d = H.dim
-    total = w_dim * d
-    rel = RowSpace(total)
-    for a in range(w_dim):
-        for i in range(R.dim):
-            for k in range(d):
-                # (w_a . r_i) x e_k - w_a x (r_i e_k)
-                v: dict[int, Cyc] = {}
-                for b in range(w_dim):
-                    c = w_action[i][b][a]
-                    if not c.is_zero():
-                        _vadd(v, b * d + k, c)
-                emb = R.embed({i: Cyc.one()})
-                prod = H.mult_vec(emb, H.basis_vec(k))
-                for m, c in prod.items():
-                    _vadd(v, a * d + m, -c)
-                rel.add(v)
-    section = [j for j in range(total) if j not in rel.pivots]
-    return section, rel, len(section)
-
-
-def ulbrich_verify(H: HopfAlgebraData, R: SubalgebraEmbedding,
-                   w_dim: int, w_action: list[list[list[Cyc]]],
-                   Q: Optional[QuotientModule] = None) -> bool:
-    """Builds X = W tensor_R H with its Q-coaction, computes the coinvariants
-    and verifies that evaluation coinv(X) tensor_R H -> X is bijective."""
-    if Q is None:
-        Q = QuotientModule(H, R)
-    d = H.dim
-    # R-module axioms for W
-    Rh = R.as_hopf()
-    for i in range(Rh.dim):
-        for j in range(Rh.dim):
-            prod = Rh.mult[i][j]
-            lhs = [[Cyc.zero()] * w_dim for _ in range(w_dim)]
-            for k, c in prod.items():
-                for x in range(w_dim):
-                    for y in range(w_dim):
-                        lhs[x][y] = lhs[x][y] + c * w_action[k][x][y]
-            # acting by r_i then r_j equals acting by r_i r_j (right module)
-            rhs = [[Cyc.zero()] * w_dim for _ in range(w_dim)]
-            for x in range(w_dim):
-                for y in range(w_dim):
-                    acc = Cyc.zero()
-                    for z in range(w_dim):
-                        acc = acc + w_action[j][x][z] * w_action[i][z][y]
-                    rhs[x][y] = acc
-            for x in range(w_dim):
-                for y in range(w_dim):
-                    if not (lhs[x][y] - rhs[x][y]).is_zero():
-                        raise ValueError("w_action is not a right R-module")
-
-    section, rel, dim_x = _induced_module(H, R, w_dim, w_action)
-    if dim_x * R.dim != w_dim * d:
-        raise AssertionError("induced module has unexpected dimension")
-    sec_index = {j: b for b, j in enumerate(section)}
-    dq = Q.dim_q
-    # coaction X -> X x Q on section basis: w_a x h -> w_a x h1 x pr(h2)
-    coact: list[TVec] = []
-    for pos in section:
-        a, k = divmod(pos, d)
-        coact.append(_tensor_image(
-            H.comult[k],
-            lambda h1: _project(rel, sec_index, {a * d + h1: Cyc.one()}),
-            lambda h2: Q.project(H.basis_vec(h2))))
-    one_bar = Q.project(dict(H.unit))
-    columns: list[dict[int, Cyc]] = []
-    for b in range(dim_x):
-        col: dict[int, Cyc] = {}
-        for (rx, rq), c in coact[b].items():
-            _vadd(col, rx * dq + rq, c)
-        for rq, c in one_bar.items():
-            _vadd(col, b * dq + rq, -c)
-        columns.append(col)
-    coinv = kernel_of_sparse_columns(columns)
-    if len(coinv) * d != dim_x * R.dim:
-        return False
-    # evaluation map coinv tensor_R H -> X must be onto (equal dims -> iso);
-    # coinv is an R-submodule of X, so the domain has dimension
-    # len(coinv) * dim H / dim R = dim_x
-    image = RowSpace(dim_x)
-    for v in coinv:
-        for h in range(d):
-            img: Vec = {}
-            for b, c in v.items():
-                a, k = divmod(section[b], d)
-                prod = H.mult[k][h]
-                for m, x in prod.items():
-                    for key, val in _project(rel, sec_index, {a * d + m: Cyc.one()}).items():
-                        _vadd(img, key, c * x * val)
-            image.add(img)
-    return image.rank == dim_x
-
-
-def trivial_r_module(R: SubalgebraEmbedding) -> list[list[list[Cyc]]]:
-    """The 1-dimensional counit module of R."""
-    Rh = R.as_hopf()
-    return [[[Rh.counit[i]]] for i in range(Rh.dim)]
-
-
-def regular_r_module(R: SubalgebraEmbedding) -> tuple[int, list[list[list[Cyc]]]]:
-    """R acting on itself on the right."""
-    Rh = R.as_hopf()
-    d = Rh.dim
-    action = []
-    for i in range(d):
-        mat = [[Cyc.zero()] * d for _ in range(d)]
-        for b in range(d):
-            for k, c in Rh.mult[b][i].items():
-                mat[k][b] = c
-        action.append(mat)
-    return d, action

@@ -33,15 +33,6 @@ class QSummandMultiset:
     power: int
     entries: list[tuple[tuple[int, ...], SubgroupHandle]]
 
-    def total_index(self) -> int:
-        return sum(self.ambient.order // s.order for _, s in self.entries)
-
-    def tuple_counts(self) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = {}
-        for label, _ in self.entries:
-            out[label] = out.get(label, 0) + 1
-        return out
-
     def __post_init__(self):
         # the permutation character of each distinct summand subgroup, by key
         self.chars: dict[tuple, tuple[int, ...]] = {}
@@ -162,16 +153,13 @@ class CoreDepthBound:
 
 
 def core_depth_bound(G: GroupHandle, H: SubgroupHandle,
-                     semisimple: bool = True,
                      d_h: Optional[int] = None) -> CoreDepthBound:
     """Depth bounds d(Q) <= r+1 and d_h <= 2r+3 from the minimal number r of
     conjugates intersecting H in its core.
 
-    The bounds require the subgroup algebra to be separable; the caller
-    asserts this with the semisimple flag (true in characteristic zero).
+    The bounds require the subgroup algebra to be separable, which it is
+    over the characteristic-zero fields used here.
     """
-    if not semisimple:
-        raise ValueError("core depth bounds need a semisimple subgroup algebra")
     cw = core_and_witness(G, H)
     bound = CoreDepthBound(cw, cw.r + 1, 2 * cw.r + 3)
     if d_h is not None and d_h > bound.bound_dh:

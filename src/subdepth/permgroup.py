@@ -196,9 +196,6 @@ class GroupHandle:
     def trivial_subgroup(self) -> "SubgroupHandle":
         return SubgroupHandle(self, [self.identity])
 
-    def full_subgroup(self) -> "SubgroupHandle":
-        return SubgroupHandle(self, self.elements)
-
     def subgroups(self) -> list["SubgroupHandle"]:
         """All subgroups, found by closing known subgroups under one extra
         generator; deterministic order (by order, then element tuple)."""
@@ -229,12 +226,6 @@ class GroupHandle:
     def centralizer(self, sub: "SubgroupHandle") -> "SubgroupHandle":
         gens = sub.generating_set()
         elems = [g for g in self.elements if all(g * h == h * g for h in gens)]
-        return SubgroupHandle(self, elems)
-
-    def normalizer(self, sub: "SubgroupHandle") -> "SubgroupHandle":
-        hset = set(sub.elements)
-        elems = [g for g in self.elements
-                 if all(h.conjugate_by(g) in hset for h in sub.generating_set())]
         return SubgroupHandle(self, elems)
 
     def right_cosets(self, sub: "SubgroupHandle") -> list[tuple[Permutation, ...]]:
@@ -280,10 +271,6 @@ class SubgroupHandle:
     def __contains__(self, p: Permutation) -> bool:
         return p in set(self.elements)
 
-    @property
-    def index(self) -> int:
-        return self.parent.order // self.order
-
     def generating_set(self) -> tuple[Permutation, ...]:
         """The greedy generating set: in element order, each element that is
         not yet generated by the earlier ones; the identity alone for the
@@ -302,15 +289,6 @@ class SubgroupHandle:
     def intersect(self, other: "SubgroupHandle") -> "SubgroupHandle":
         oset = set(other.elements)
         return SubgroupHandle(self.parent, [h for h in self.elements if h in oset])
-
-    def is_normal(self) -> bool:
-        hset = set(self.elements)
-        return all(h.conjugate_by(g) in hset
-                   for g in self.parent.generators for h in self.generating_set())
-
-    def contains_subgroup(self, other: "SubgroupHandle") -> bool:
-        hset = set(self.elements)
-        return all(e in hset for e in other.elements)
 
     def __eq__(self, other):
         return (isinstance(other, SubgroupHandle) and self.parent is other.parent
@@ -537,36 +515,6 @@ def depth_one_adjoint_test(G: GroupHandle, H: SubgroupHandle) -> bool:
             if {h.conjugate_by(g) for h in members} != members:
                 return False
     return True
-
-
-class TIStatus(NamedTuple):
-    ti: bool
-    normal: bool
-
-    def __bool__(self) -> bool:
-        return self.ti
-
-
-def is_ti_subgroup(G: GroupHandle, H: SubgroupHandle) -> TIStatus:
-    """Trivial-intersection test: H cap H^g = 1 for every g outside N_G(H).
-
-    A normal subgroup has no such g, so it is classified not-TI-relevant and
-    reported as (ti=False, normal=True).
-    """
-    if H.order == 1:
-        raise ValueError("TI test needs a nontrivial subgroup")
-    norm = G.normalizer(H)
-    if norm.order == G.order:
-        return TIStatus(False, True)
-    nset = set(norm.elements)
-    hset = set(H.elements)
-    for g in G.elements:
-        if g in nset:
-            continue
-        conj = {h.conjugate_by(g) for h in H.elements}
-        if len(conj & hset) > 1:
-            return TIStatus(False, False)
-    return TIStatus(True, False)
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Optional, Sequence
 
 from subdepth.corpus import (analyze_pair, cached_table, corpus_groups,
                              subgroups_up_to_conjugacy)
 from subdepth.chartab import _apply_modp, _modp_rref, _unit
 from subdepth.exactalg import (_CYC_ONE, _CYC_ZERO, _ZERO, Cyc, ExactMatrix,
                                ExactPolynomial, MalformedSequenceError, RowSpace,
-                               kernel_of_sparse_columns)
-from subdepth.hopfcore import (Vec, _is_hopf_ideal, _vadd, _veq, _vscale,
+                               _poly_divmod, kernel_of_sparse_columns)
+from subdepth.hopfcore import (HopfAlgebraData, QuotientModule,
+                               SubalgebraEmbedding, TVec, Vec, _is_hopf_ideal,
+                               _project, _tensor_image, _vadd, _veq, _vscale,
                                build_group_algebra)
-from subdepth.permgroup import Permutation, enumerate_group
+from subdepth.permgroup import GroupHandle, Permutation, SubgroupHandle, enumerate_group
 
 
 def perm(degree, *cycles):
@@ -253,16 +257,15 @@ def reference_quotient_verify(Q) -> None:
                 raise AssertionError("coproduct of Q is not a module coalgebra map")
 
 
-def reference_ideal_flags(H, space) -> tuple[bool, bool, bool]:
-    """(right, two-sided, Hopf) with every basis element as a multiplier:
-    the reference for `_check_ideal_flags`."""
+def reference_ideal_flags(H, space) -> tuple[bool, bool]:
+    """(two-sided, Hopf) with every basis element as a multiplier: the
+    reference for `_is_two_sided`, and for `_is_hopf_ideal` on a two-sided
+    ideal."""
     basis = space.basis_rows()
-    right = all(space.contains(H.mult_vec(b, H.basis_vec(i)))
-                for b in basis for i in range(H.dim))
-    left = all(space.contains(H.mult_vec(H.basis_vec(i), b))
-               for b in basis for i in range(H.dim))
-    two_sided = right and left
-    return right, two_sided, two_sided and _is_hopf_ideal(H, space)
+    two_sided = all(space.contains(H.mult_vec(b, H.basis_vec(i)))
+                    and space.contains(H.mult_vec(H.basis_vec(i), b))
+                    for b in basis for i in range(H.dim))
+    return two_sided, two_sided and _is_hopf_ideal(H, space)
 
 
 def reference_right_integrals(H) -> list[dict]:
@@ -348,6 +351,43 @@ def reference_module_hom_basis(Q, tp) -> list[list[dict]]:
     return homs
 
 
+# -- exact polynomials and scalars for the references --------------------------
+
+X = ExactPolynomial((0, 1))
+
+
+def from_roots(roots) -> ExactPolynomial:
+    """prod (X - r) over the given rationals."""
+    p = ExactPolynomial.one()
+    for r in roots:
+        p = p * ExactPolynomial((-Fraction(r), 1))
+    return p
+
+
+def poly_divmod(a: ExactPolynomial, b: ExactPolynomial):
+    q, r = _poly_divmod(list(a.coeffs), list(b.coeffs))
+    return ExactPolynomial(q), ExactPolynomial(r)
+
+
+def poly_gcd(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
+    while not b.is_zero():
+        a, b = b, poly_divmod(a, b)[1]
+    return a.monic()
+
+
+def derivative(p: ExactPolynomial) -> ExactPolynomial:
+    return ExactPolynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def conjugate(z: Cyc) -> Cyc:
+    """Complex conjugation, the field map zeta -> zeta^(-1)."""
+    if z.order <= 2:
+        return z
+    n = z.order
+    return Cyc.from_power_sum(
+        n, {(n - i) % n: c for i, c in enumerate(z.coeffs) if c})
+
+
 # -- Cyc reference implementations of the integer sweep kernels ---------------
 
 def cyc_inner_product(tab, a, b) -> Cyc:
@@ -355,7 +395,7 @@ def cyc_inner_product(tab, a, b) -> Cyc:
     reference for `CharacterTable.inner_product`."""
     acc = Cyc.zero()
     for cls, x, y in zip(tab.classes, a, b):
-        acc = acc + x * y.conjugate() * cls.size
+        acc = acc + x * conjugate(y) * cls.size
     return acc * Fraction(1, tab.group.order)
 
 
@@ -380,7 +420,7 @@ def evaluate_matrix(poly, A: ExactMatrix) -> ExactMatrix:
 def _poly_lcm(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
     if a.is_zero() or b.is_zero():
         return ExactPolynomial.zero()
-    return ((a * b) // a.gcd(b)).monic()
+    return poly_divmod(a * b, poly_gcd(a, b))[0].monic()
 
 
 def reference_minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
@@ -518,13 +558,13 @@ def reference_factor_rational_roots(p: ExactPolynomial):
     # root zero first
     k = 0
     while work.coeffs[0] == 0:
-        work = work // ExactPolynomial.x()
+        work = poly_divmod(work, X)[0]
         k += 1
     if k:
         roots[_ZERO] = k
     if work.degree == 0:
         return roots, ExactPolynomial.one()
-    sf = (work // work.gcd(work.derivative())).monic()
+    sf = poly_divmod(work, poly_gcd(work, derivative(work)))[0].monic()
     # integerize the square-free part for the rational root test
     den = 1
     for c in sf.coeffs:
@@ -540,7 +580,7 @@ def reference_factor_rational_roots(p: ExactPolynomial):
             mult = 0
             lin = ExactPolynomial((-r, 1))
             while True:
-                q, rem = work.divmod(lin)
+                q, rem = poly_divmod(work, lin)
                 if rem.is_zero():
                     work = q
                     mult += 1
@@ -639,3 +679,265 @@ def exact_pattern_stabilization_index(seq, k_max):
             return k
         prev = cur
     return None
+
+
+# -- paper checks with no CLI caller, kept as test references -----------------
+#
+# Each states a result of the paper on the test algebras: the Hopf core of a
+# group pair, faithfulness against the center, linear disjointness, Ulbrich
+# descent for the Q-module coalgebra, and induction of class functions.
+
+def ideal_from_span(H: HopfAlgebraData, vectors) -> RowSpace:
+    """The span of the vectors, as a subspace of H."""
+    space = RowSpace(H.dim)
+    for v in vectors:
+        space.add(dict(v))
+    return space
+
+
+def augmentation_core_ideal(H: HopfAlgebraData, G: GroupHandle,
+                            N: SubgroupHandle) -> RowSpace:
+    """The ideal k N^+ k G generated by the augmentation ideal of a normal
+    subgroup N, in the group-algebra basis of G."""
+    idx = {g: i for i, g in enumerate(G.elements)}
+    vectors = []
+    for m in N.elements:
+        if m.is_identity():
+            continue
+        base: Vec = {idx[m]: Cyc.one(), idx[G.identity]: Cyc.rational(-1)}
+        for g in G.elements:
+            vectors.append(H.mult_vec(base, {idx[g]: Cyc.one()}))
+    return ideal_from_span(H, vectors)
+
+
+def center_basis(H: HopfAlgebraData) -> list[Vec]:
+    d = H.dim
+    columns: list[dict[int, Cyc]] = []
+    for j in range(d):
+        col: dict[int, Cyc] = {}
+        for i in range(d):
+            for k, v in H.mult[j][i].items():
+                _vadd(col, i * d + k, v)
+            for k, v in H.mult[i][j].items():
+                _vadd(col, i * d + k, -v)
+        columns.append(col)
+    return kernel_of_sparse_columns(columns)
+
+
+def faithfulness_cross_check(H: HopfAlgebraData, Q: QuotientModule,
+                             ann_dim: int) -> bool:
+    """Ann Q = 0 iff R+H meets the center trivially; both sides computed
+    independently, the intersection from
+    dim(R+H cap Z) = dim R+H + dim Z - dim(R+H + Z)."""
+    zen = center_basis(H)
+    total = RowSpace(H.dim)
+    for v in Q.rpH.basis_rows() + zen:
+        total.add(v)
+    inter_dim = Q.rpH.rank + len(zen) - total.rank
+    return (ann_dim == 0) == (inter_dim == 0)
+
+
+@dataclass
+class LinearDisjointReport:
+    linear_disjoint: bool
+    dim_RK: int
+    dim_B: int
+    iso_verified: Optional[bool]
+
+
+def linear_disjoint_check(H: HopfAlgebraData, R: SubalgebraEmbedding,
+                          K: SubalgebraEmbedding) -> LinearDisjointReport:
+    """RK = H together with dim H = dim R dim K / dim(R cap K); when both
+    hold, the canonical K-module map from Q^K_B to Q^H_R (B = R cap K) is
+    verified to be an isomorphism."""
+    prod_space = RowSpace(H.dim)
+    for r in R.basis:
+        for k in K.basis:
+            prod_space.add(H.mult_vec(r, k))
+    dim_rk = prod_space.rank
+    # intersection B = R cap K
+    columns: list[dict[int, Cyc]] = []
+    for r in R.basis:
+        columns.append(dict(r))
+    for k in K.basis:
+        columns.append({i: -c for i, c in k.items()})
+    b_space = RowSpace(H.dim)
+    for vec in kernel_of_sparse_columns(columns):
+        b_space.add(R.embed({i: c for i, c in vec.items() if i < R.dim}))
+    dim_b = b_space.rank
+    disjoint = (dim_rk == H.dim) and (R.dim * K.dim == H.dim * dim_b)
+    iso = None
+    if disjoint:
+        B = SubalgebraEmbedding(H, b_space.basis_rows())
+        Kh = K.as_hopf()
+        B_in_K = SubalgebraEmbedding(Kh, [K.coords(b) for b in B.basis])
+        QK = QuotientModule(Kh, B_in_K)
+        QH = QuotientModule(H, R)
+        if QK.dim_q != QH.dim_q:
+            iso = False
+        else:
+            # phi: Q^K_B -> Q^H_R, x + B+K -> x + R+H on section representatives
+            phi: list[Vec] = []
+            for b in range(QK.dim_q):
+                xk = QK.lift({b: Cyc.one()})
+                xh = K.embed(xk)
+                phi.append(QH.project(xh))
+            rank_space = RowSpace(QH.dim_q)
+            for col in phi:
+                rank_space.add(dict(col))
+            surj = rank_space.rank == QH.dim_q
+            equiv = True
+            for kb in range(K.dim):
+                kv = K.basis[kb]
+                kk_vec = K.coords(kv)
+                for b in range(QK.dim_q):
+                    lhs_q = QK.act({b: Cyc.one()}, kk_vec)
+                    lhs: Vec = {}
+                    for rr, c in lhs_q.items():
+                        for s, x in phi[rr].items():
+                            _vadd(lhs, s, c * x)
+                    rhs = QH.act(phi[b], kv)
+                    if not _veq(lhs, rhs):
+                        equiv = False
+                        break
+                if not equiv:
+                    break
+            iso = surj and equiv
+    return LinearDisjointReport(disjoint, dim_rk, dim_b, iso)
+
+
+def _induced_module(H: HopfAlgebraData, R: SubalgebraEmbedding,
+                    w_dim: int, w_action: list[list[list[Cyc]]]):
+    """W tensor_R H as a quotient of W tensor H; returns (section positions,
+    reduction space, dimension).  w_action[i] is the dim_W x dim_W matrix of
+    the i-th R-basis element acting on W."""
+    d = H.dim
+    total = w_dim * d
+    rel = RowSpace(total)
+    for a in range(w_dim):
+        for i in range(R.dim):
+            for k in range(d):
+                # (w_a . r_i) x e_k - w_a x (r_i e_k)
+                v: dict[int, Cyc] = {}
+                for b in range(w_dim):
+                    c = w_action[i][b][a]
+                    if not c.is_zero():
+                        _vadd(v, b * d + k, c)
+                emb = R.embed({i: Cyc.one()})
+                prod = H.mult_vec(emb, H.basis_vec(k))
+                for m, c in prod.items():
+                    _vadd(v, a * d + m, -c)
+                rel.add(v)
+    section = [j for j in range(total) if j not in rel.pivots]
+    return section, rel, len(section)
+
+
+def ulbrich_verify(H: HopfAlgebraData, R: SubalgebraEmbedding,
+                   w_dim: int, w_action: list[list[list[Cyc]]],
+                   Q: Optional[QuotientModule] = None) -> bool:
+    """Builds X = W tensor_R H with its Q-coaction, computes the coinvariants
+    and verifies that evaluation coinv(X) tensor_R H -> X is bijective."""
+    if Q is None:
+        Q = QuotientModule(H, R)
+    d = H.dim
+    # R-module axioms for W
+    Rh = R.as_hopf()
+    for i in range(Rh.dim):
+        for j in range(Rh.dim):
+            prod = Rh.mult[i][j]
+            lhs = [[Cyc.zero()] * w_dim for _ in range(w_dim)]
+            for k, c in prod.items():
+                for x in range(w_dim):
+                    for y in range(w_dim):
+                        lhs[x][y] = lhs[x][y] + c * w_action[k][x][y]
+            # acting by r_i then r_j equals acting by r_i r_j (right module)
+            rhs = [[Cyc.zero()] * w_dim for _ in range(w_dim)]
+            for x in range(w_dim):
+                for y in range(w_dim):
+                    acc = Cyc.zero()
+                    for z in range(w_dim):
+                        acc = acc + w_action[j][x][z] * w_action[i][z][y]
+                    rhs[x][y] = acc
+            for x in range(w_dim):
+                for y in range(w_dim):
+                    if not (lhs[x][y] - rhs[x][y]).is_zero():
+                        raise ValueError("w_action is not a right R-module")
+
+    section, rel, dim_x = _induced_module(H, R, w_dim, w_action)
+    if dim_x * R.dim != w_dim * d:
+        raise AssertionError("induced module has unexpected dimension")
+    sec_index = {j: b for b, j in enumerate(section)}
+    dq = Q.dim_q
+    # coaction X -> X x Q on section basis: w_a x h -> w_a x h1 x pr(h2)
+    coact: list[TVec] = []
+    for pos in section:
+        a, k = divmod(pos, d)
+        coact.append(_tensor_image(
+            H.comult[k],
+            lambda h1: _project(rel, sec_index, {a * d + h1: Cyc.one()}),
+            lambda h2: Q.project(H.basis_vec(h2))))
+    one_bar = Q.project(dict(H.unit))
+    columns: list[dict[int, Cyc]] = []
+    for b in range(dim_x):
+        col: dict[int, Cyc] = {}
+        for (rx, rq), c in coact[b].items():
+            _vadd(col, rx * dq + rq, c)
+        for rq, c in one_bar.items():
+            _vadd(col, b * dq + rq, -c)
+        columns.append(col)
+    coinv = kernel_of_sparse_columns(columns)
+    if len(coinv) * d != dim_x * R.dim:
+        return False
+    # evaluation map coinv tensor_R H -> X must be onto (equal dims -> iso);
+    # coinv is an R-submodule of X, so the domain has dimension
+    # len(coinv) * dim H / dim R = dim_x
+    image = RowSpace(dim_x)
+    for v in coinv:
+        for h in range(d):
+            img: Vec = {}
+            for b, c in v.items():
+                a, k = divmod(section[b], d)
+                prod = H.mult[k][h]
+                for m, x in prod.items():
+                    for key, val in _project(rel, sec_index, {a * d + m: Cyc.one()}).items():
+                        _vadd(img, key, c * x * val)
+            image.add(img)
+    return image.rank == dim_x
+
+
+def trivial_r_module(R: SubalgebraEmbedding) -> list[list[list[Cyc]]]:
+    """The 1-dimensional counit module of R."""
+    Rh = R.as_hopf()
+    return [[[Rh.counit[i]]] for i in range(Rh.dim)]
+
+
+def regular_r_module(R: SubalgebraEmbedding) -> tuple[int, list[list[list[Cyc]]]]:
+    """R acting on itself on the right."""
+    Rh = R.as_hopf()
+    d = Rh.dim
+    action = []
+    for i in range(d):
+        mat = [[Cyc.zero()] * d for _ in range(d)]
+        for b in range(d):
+            for k, c in Rh.mult[b][i].items():
+                mat[k][b] = c
+        action.append(mat)
+    return d, action
+
+
+def induce_class_function(G: GroupHandle, H: SubgroupHandle,
+                          psi: Sequence[Cyc]) -> tuple[Cyc, ...]:
+    """psi induced from H to G: (psi^G)(g) = (1/|H|) sum_{x in G, xgx^-1 in H}
+    psi(xgx^-1)."""
+    Hgrp = H.as_group()
+    hset = set(H.elements)
+    out = []
+    for cls in G.conjugacy_classes():
+        g = cls.rep
+        acc = Cyc.zero()
+        for x in G.elements:
+            y = x * g * x.inverse()
+            if y in hset:
+                acc = acc + psi[Hgrp.class_index(y)]
+        out.append(acc * Fraction(1, H.order))
+    return tuple(out)

@@ -9,15 +9,15 @@ import json
 import time
 from fractions import Fraction
 
-from helpers import (cached_group_algebra, corpus_pairs_reps,
-                     equal_up_to_row_col_permutation, group_table,
-                     pair_report, perm)
+from helpers import (augmentation_core_ideal, cached_group_algebra,
+                     corpus_pairs_reps, equal_up_to_row_col_permutation,
+                     from_roots, group_table, ideal_from_span, pair_report, perm,
+                     reference_ideal_flags)
 from subdepth.chartab import permutation_character
 from subdepth.cli import AnalysisRequest, run
 from subdepth.corpus import corpus_groups
-from subdepth.exactalg import Cyc, ExactMatrix, ExactPolynomial, factor_rational_roots
-from subdepth.hopfcore import (annihilator_chain, augmentation_core_ideal,
-                               idealizer_and_endQ, ideal_from_span,
+from subdepth.exactalg import Cyc, ExactMatrix, factor_rational_roots
+from subdepth.hopfcore import (annihilator_chain, idealizer_and_endQ,
                                integrals_and_modular, quotient_module,
                                subgroup_embedding, trace_ideals)
 from subdepth.mackey import hecke_algebra, q_tensor_decomposition
@@ -47,8 +47,8 @@ def test_criterion_01_s2_s3_exact(s3):
     assert M.to_lists() == [[1, 1, 0], [0, 1, 1]]
     assert rep.B == [[2, 1], [1, 2]]
     assert rep.C == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
-    assert rep.minpoly_B == ExactPolynomial.from_roots([1, 3])
-    assert rep.minpoly_C == ExactPolynomial.from_roots([0, 1, 3])
+    assert rep.minpoly_B == from_roots([1, 3])
+    assert rep.minpoly_C == from_roots([0, 1, 3])
     assert rep.d_0 == 3 and rep.d_h == 5
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
@@ -153,8 +153,9 @@ def test_criterion_08_eight_dim_values(uq2, tmp_path):
     chain = annihilator_chain(Q)
     EH = ideal_from_span(H8, [H8.mult_vec({2: Cyc.one()}, H8.basis_vec(i))
                               for i in range(8)])
-    assert EH.dim == 4 and EH.hopf_ideal          # EH passes the Hopf-ideal test
-    assert chain.hopf_core.space.equals(EH.space)  # and is the Hopf core ideal
+    # EH passes the Hopf-ideal test and is the Hopf core ideal
+    assert EH.rank == 4 and reference_ideal_flags(H8, EH)[1]
+    assert chain.hopf_core.space.equals(EH)
     ti = trace_ideals(H8, Q, rep, ell_q=chain.ell_q)
     assert ti.ideals[0].dim == 3 and ti.htrh_matches
     ir = idealizer_and_endQ(H8, R, Q)
@@ -197,20 +198,19 @@ def test_criterion_08_annihilator_as_stated(uq2):
     EH = ideal_from_span(H8, [H8.mult_vec({2: Cyc.one()}, H8.basis_vec(i))
                               for i in range(8)])
     # the stated EH is the Hopf core ideal, reached at the second power
-    assert EH.dim == 4 and EH.hopf_ideal
-    assert chain.hopf_core.space.equals(EH.space)
-    assert chain.ideals[1].space.equals(EH.space)
+    assert EH.rank == 4 and reference_ideal_flags(H8, EH)[1]
+    assert chain.hopf_core.space.equals(EH)
+    assert chain.ideals[1].space.equals(EH)
     # the witness, derived without the chain: (K-1)F is in R+H, kills F-bar,
     # and lies outside EH
     assert Q.project(km1_f) == {}
     assert Q.project(H8.mult_vec(F, km1_f)) == {}
     assert not EH.contains(km1_f)
     # so Ann Q = EH + C(K-1)F strictly contains EH
-    ann = chain.ideals[0]
-    assert ann.dim == 5 and not ann.hopf_ideal
-    assert EH.space <= ann.space and ann.contains(km1_f)
-    assert ann.space.equals(
-        ideal_from_span(H8, EH.basis() + [km1_f]).space)
+    ann = chain.ideals[0].space
+    assert ann.rank == 5 and reference_ideal_flags(H8, ann) == (True, False)
+    assert EH <= ann and ann.contains(km1_f)
+    assert ann.equals(ideal_from_span(H8, EH.basis_rows() + [km1_f]))
     assert chain.ell_q == 2
     report(8, "8-dim pair: Ann Q = EH + C(K-1)F (dim 5, stated EH has dim 4), "
               "ell_Q = 2, Hopf core EH; (K-1)F kills Q = span{1, F}")
@@ -244,7 +244,7 @@ def test_criterion_10_group_algebra_hopf_core():
         assert chain.complete, (name, H.order)
         core = core_and_witness(G, H).core
         target = augmentation_core_ideal(HG, G, core)
-        assert chain.hopf_core.space.equals(target.space), (name, H.order)
+        assert chain.hopf_core.space.equals(target), (name, H.order)
     report(10, f"Hopf core ideal = k core^+ kG on {len(pairs)} pair classes, "
                f"core computed independently by the group engine")
 

@@ -68,6 +68,23 @@ def test_depth_matrix_mode_with_large_entries(tmp_path):
             in proc.stdout)
 
 
+@pytest.mark.parametrize("grid, minpoly_b, minpoly_c, pf_value", [
+    ([[2, 1], [1, 1], [0, 1]], "X^3 - 8*X^2 + 6*X", "X^2 - 8*X + 6", None),
+    ([[1, 0], [1, 1], [0, 1]], "X^3 - 4*X^2 + 3*X", "X^2 - 4*X + 3", "3"),
+], ids=["irrational", "s2_s3-transposed"])
+def test_depth_matrix_mode_with_more_rows_than_columns(grid, minpoly_b, minpoly_c,
+                                                      pf_value, tmp_path):
+    # B = M M^t is singular and C = M^t M is not; both are symmetric with the
+    # same nonzero eigenvalues, so minpoly(C) = minpoly(B) / X
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": grid}))
+    out = tmp_path / "rep.json"
+    assert main(["depth", "matrix", str(path), "--json", str(out)]) == 0
+    depth = json.loads(out.read_text())["depth"]
+    assert (depth["minpoly_B"], depth["minpoly_C"]) == (minpoly_b, minpoly_c)
+    assert depth["pf_value"] == pf_value
+
+
 def test_matrix_mode_rejects_zero_column(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"matrix": [[1, 0], [1, 0]]}))
@@ -106,6 +123,18 @@ def test_chartab_mode_with_import(s2s3_file, tmp_path, capsys):
     assert main(["chartab", s2s3_file, "--import", str(out)]) == 0
     text = capsys.readouterr().out
     assert "agrees up to row permutation: True" in text
+
+
+def test_chartab_import_of_a_value_written_at_another_order(tmp_path, capsys):
+    # "8:[1,0,0,0]" is 1 written in Q(zeta_8); 8 does not divide the exponent
+    # 12 of S4, so the comparison must not lift values to a common order
+    data = json.loads((ROOT / "tests" / "golden" / "chartab_s4.json").read_text())
+    data["irreducibles"][0][1] = "8:[1,0,0,0]"
+    path = tmp_path / "tab.json"
+    path.write_text(json.dumps(data))
+    group = str(ROOT / "tests" / "golden" / "d8_s4.json")
+    assert main(["chartab", group, "--import", str(path)]) == 0
+    assert "agrees up to row permutation: True" in capsys.readouterr().out
 
 
 def test_hopf_mode(tmp_path, capsys, uq2):

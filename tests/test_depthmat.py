@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (corpus_pairs_reps, evaluate_matrix, group_table, pair_report, perm,
-                     reference_minimal_polynomial)
+from helpers import (corpus_pairs_reps, evaluate_matrix, from_roots, group_table,
+                     pair_report, perm, reference_minimal_polynomial)
 from subdepth import depthmat
 from subdepth.chartab import InclusionMatrix, class_fusion, compute_character_table, inclusion_matrix
 from subdepth.depthmat import (bipartite_dot, depth_report,
@@ -18,8 +18,8 @@ def test_s2_s3_full_report(s3):
     M, rep = pair_report(s3, H)
     assert rep.B == [[2, 1], [1, 2]]
     assert rep.C == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
-    assert rep.minpoly_B == ExactPolynomial.from_roots([1, 3])
-    assert rep.minpoly_C == ExactPolynomial.from_roots([0, 1, 3])
+    assert rep.minpoly_B == from_roots([1, 3])
+    assert rep.minpoly_C == from_roots([0, 1, 3])
     assert (rep.d_0, rep.d_h, rep.d_odd, rep.d_ev) == (3, 5, 3, 4)
     assert rep.pf_check and rep.pf_value == 3
     assert rep.indecomposable_C
@@ -47,8 +47,8 @@ def test_d8_s4_report(s4):
 
 def test_identity_inclusion(s3):
     tab = compute_character_table(s3)
-    M = inclusion_matrix(tab, tab, class_fusion(s3, s3.full_subgroup()))
-    rep = depth_report(M, group_data=(s3, s3.full_subgroup()))
+    M = inclusion_matrix(tab, tab, class_fusion(s3, s3.subgroup(s3.elements)))
+    rep = depth_report(M, group_data=(s3, s3.subgroup(s3.elements)))
     assert rep.d_h == 1 and rep.d_0 == 1 and rep.d_odd == 1 and rep.d_ev == 2
 
 
@@ -112,7 +112,7 @@ def test_class_formula_examples(s3, a5):
     assert es.value_set() == {Fraction(1), Fraction(3)}
     assert es.t == 2 and es.depth_bound == 5
     assert not es.all_classes_restrict_to_one
-    whole = eigenvalues_via_class_formula(s3, s3.full_subgroup())
+    whole = eigenvalues_via_class_formula(s3, s3.subgroup(s3.elements))
     assert whole.value_set() == {Fraction(1)}
     assert whole.all_classes_restrict_to_one
     assert whole.depth_bound == 1
@@ -124,7 +124,7 @@ def test_class_formula_examples(s3, a5):
 def test_class_formula_pf_is_index(s4):
     for H in s4.subgroups()[::4]:
         es = eigenvalues_via_class_formula(s4, H)
-        assert es.max_value() == Fraction(s4.order, H.order)
+        assert max(es.values) == Fraction(s4.order, H.order)
 
 
 def test_mckay_quiver_s2_s3(s3):
@@ -186,7 +186,7 @@ def test_bipartite_dot_s2_s3(s3):
 
 def test_bipartite_dot_identity_is_matching(s3):
     tab = compute_character_table(s3)
-    M = inclusion_matrix(tab, tab, class_fusion(s3, s3.full_subgroup()))
+    M = inclusion_matrix(tab, tab, class_fusion(s3, s3.subgroup(s3.elements)))
     dot = bipartite_dot(M)
     assert dot.count(" -- ") == 3
 

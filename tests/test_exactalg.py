@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,9 +14,10 @@ from subdepth.exactalg import (Cyc, ExactMatrix, ExactPolynomial,
                                pattern_stabilization_index, scalar_from_string,
                                scalar_to_string, solve_kernel)
 
-from helpers import (evaluate_matrix, exact_pattern_stabilization_index, matpow,
-                     reference_cyc_minimal_polynomial, reference_factor_rational_roots,
-                     reference_minimal_polynomial)
+from helpers import (conjugate, derivative, evaluate_matrix,
+                     exact_pattern_stabilization_index, from_roots, matpow,
+                     poly_gcd, reference_cyc_minimal_polynomial,
+                     reference_factor_rational_roots, reference_minimal_polynomial)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
@@ -52,15 +52,15 @@ def test_sum_of_all_nth_roots_vanishes():
 
 def test_conjugation_is_involution():
     z = Cyc.root_of_unity(12, 5) + Cyc.rational(Fraction(2, 3))
-    assert z.conjugate().conjugate() == z
-    assert Cyc.root_of_unity(5).conjugate() == Cyc.root_of_unity(5, 4)
+    assert conjugate(conjugate(z)) == z
+    assert conjugate(Cyc.root_of_unity(5)) == Cyc.root_of_unity(5, 4)
 
 
 def test_norm_in_gaussian_field_is_positive_rational():
     # z in Q(zeta_4) with rational coefficients: z zbar is a positive rational
     i = Cyc.root_of_unity(4)
     z = Cyc.rational(Fraction(3, 2)) + i * Fraction(-5, 7)
-    norm = z * z.conjugate()
+    norm = z * conjugate(z)
     assert norm.is_rational()
     assert norm.as_fraction() > 0
     assert norm.as_fraction() == Fraction(3, 2) ** 2 + Fraction(5, 7) ** 2
@@ -162,7 +162,6 @@ def test_arithmetic_results_have_exact_coordinates(a, b):
     if not Cyc.rational(0) == b:
         results.append(a / b)
     results += [a.lift(a.order * k) for k in (1, 2, 3)]
-    results += [a.galois(k) for k in range(1, 13) if gcd(k, a.order) == 1]
     for z in results:
         assert_exact_coords(z)
 
@@ -357,8 +356,8 @@ def test_minpoly_of_worked_example_matrices():
     # B = M M^t and C = M^t M for M = [[1, 1, 0], [0, 1, 1]]
     B = [[2, 1], [1, 2]]
     C = [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
-    assert minimal_polynomial(B) == ExactPolynomial.from_roots([1, 3])
-    assert minimal_polynomial(C) == ExactPolynomial.from_roots([0, 1, 3])
+    assert minimal_polynomial(B) == from_roots([1, 3])
+    assert minimal_polynomial(C) == from_roots([0, 1, 3])
 
 
 def test_minpoly_of_identity():
@@ -391,7 +390,7 @@ def test_minpoly_squarefree_for_symmetric_integer(vals):
     m = minimal_polynomial([[vals[0], vals[1], vals[2]],
                             [vals[1], vals[3], vals[4]],
                             [vals[2], vals[4], vals[5]]])
-    assert m.gcd(m.derivative()).degree == 0
+    assert poly_gcd(m, derivative(m)).degree == 0
 
 
 def block_diagonal(*blocks):
@@ -459,7 +458,7 @@ def test_minpoly_of_a_repeated_dense_block():
 # -- rational roots -----------------------------------------------------------
 
 def test_factor_rational_roots_examples():
-    p = ExactPolynomial.from_roots([0, 1, 3])
+    p = from_roots([0, 1, 3])
     roots, resid = factor_rational_roots(p)
     assert roots == {Fraction(0): 1, Fraction(1): 1, Fraction(3): 1}
     assert resid == ExactPolynomial.one()
@@ -470,8 +469,8 @@ def test_factor_rational_roots_examples():
 
 
 def test_factor_rational_roots_multiplicity_and_fractional():
-    p = (ExactPolynomial.from_roots([Fraction(1, 2)]) *
-         ExactPolynomial.from_roots([Fraction(1, 2)]) *
+    p = (from_roots([Fraction(1, 2)]) *
+         from_roots([Fraction(1, 2)]) *
          ExactPolynomial((-2, 0, 1)))
     roots, resid = factor_rational_roots(p)
     assert roots == {Fraction(1, 2): 2}
@@ -482,7 +481,7 @@ def test_factor_rational_roots_multiplicity_and_fractional():
                 min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_factor_reconstructs_product(root_list):
-    p = ExactPolynomial.from_roots(root_list)
+    p = from_roots(root_list)
     roots, resid = factor_rational_roots(p)
     assert resid == ExactPolynomial.one()
     rebuilt = ExactPolynomial.one()
@@ -501,19 +500,20 @@ def products_of_linear_and_quadratic_factors(draw):
     distinct = draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4),
                              max_size=4, unique=True))
     repeats = draw(st.lists(st.sampled_from(distinct), max_size=3)) if distinct else []
-    p = ExactPolynomial.from_roots(distinct + repeats)
+    p = from_roots(distinct + repeats)
     for _ in range(draw(st.integers(0, 2))):
         p = p * ExactPolynomial((draw(st.integers(-5, 5)), draw(st.integers(-5, 5)),
                                  draw(st.integers(1, 3))))
-    return p.scale(draw(st.fractions(min_value=1, max_value=5, max_denominator=5)))
+    return p * ExactPolynomial((draw(st.fractions(min_value=1, max_value=5,
+                                                   max_denominator=5)),))
 
 
 @given(products_of_linear_and_quadratic_factors())
 @example(ExactPolynomial((-2, 0, 1)))
 @example(ExactPolynomial((7,)))
-@example(ExactPolynomial.from_roots([0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(-2, 3)])
+@example(from_roots([0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(-2, 3)])
          * ExactPolynomial((-2, 0, 1)) * ExactPolynomial((1, 0, 1)))
-@example(ExactPolynomial.from_roots([1, 3]).scale(Fraction(-3, 2)))
+@example(from_roots([1, 3]) * ExactPolynomial((Fraction(-3, 2),)))
 @settings(max_examples=150, deadline=None)
 def test_factor_rational_roots_agrees_with_the_divisor_reference(p):
     roots, resid = factor_rational_roots(p)
@@ -529,7 +529,7 @@ def test_factor_rational_roots_agrees_with_the_divisor_reference(p):
 def test_factor_rational_roots_recovers_large_roots(nums, den, quadratic):
     # far beyond a divisor search: |constant term| reaches 10^60
     want = [Fraction(u, den) for u in nums] + [Fraction(nums[0], den)]
-    p = ExactPolynomial.from_roots(want) * ExactPolynomial(quadratic)
+    p = from_roots(want) * ExactPolynomial(quadratic)
     roots, resid = factor_rational_roots(p)
     assert roots == Counter(want)
     assert list(roots) == sorted(roots, key=lambda r: (r != 0, r))

@@ -3,25 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (cached_group_algebra, full_axioms_hold, perm,
+from helpers import (augmentation_core_ideal, cached_group_algebra,
+                     center_basis, faithfulness_cross_check, full_axioms_hold,
+                     ideal_from_span, linear_disjoint_check, perm,
                      reference_idealizer, reference_ideal_flags,
                      reference_module_hom_basis, reference_q_integrals,
                      reference_quotient_verify, reference_right_integrals,
-                     reference_tensor_power_action)
+                     reference_tensor_power_action, regular_r_module,
+                     trivial_r_module, ulbrich_verify)
 from subdepth import hopfcore
 from subdepth.exactalg import Cyc, RowSpace
 from subdepth.hopfcore import (HopfAlgebraData, SubalgebraEmbedding,
-                               TensorCapExceededError, _check_ideal_flags,
-                               _frobenius_terms, _right_integrals,
-                               annihilator_chain, augmentation_core_ideal,
-                               build_group_algebra, build_small_quantum_group,
-                               center_basis, faithfulness_cross_check,
-                               idealizer_and_endQ, ideal_from_span,
-                               integrals_and_modular, linear_disjoint_check,
-                               module_hom_basis, quotient_module,
-                               regular_r_module, subgroup_embedding,
-                               tensor_power_action, trace_ideals,
-                               trivial_r_module, ulbrich_verify)
+                               TensorCapExceededError, _frobenius_terms,
+                               _is_hopf_ideal, _is_two_sided, _right_integrals,
+                               annihilator_chain, build_group_algebra,
+                               build_small_quantum_group, idealizer_and_endQ,
+                               integrals_and_modular, module_hom_basis,
+                               quotient_module, subgroup_embedding,
+                               tensor_power_action, trace_ideals)
 from subdepth.permgroup import core_and_witness, double_cosets, enumerate_group
 
 
@@ -398,11 +397,10 @@ def test_generator_checks_agree_with_all_basis_references(case, request):
         for n in range(1, n_max + 1):
             assert tensor_power_action(Q, n).action == reference_tensor_power_action(Q, n)
         chain = annihilator_chain(Q, cap=Q.dim_q ** n_max)
-        ideals = chain.ideals + [ideal_from_span(H, Q.rpH.basis_rows()),
-                                 ideal_from_span(H, R.basis)]
-        for ideal in ideals:
-            flags = (ideal.right_ideal, ideal.two_sided, ideal.hopf_ideal)
-            assert flags == reference_ideal_flags(H, ideal.space)
+        for space in [i.space for i in chain.ideals] + [Q.rpH, R.space]:
+            two_sided = _is_two_sided(H, space)
+            flags = (two_sided, two_sided and _is_hopf_ideal(H, space))
+            assert flags == reference_ideal_flags(H, space)
         assert _right_integrals(H) == reference_right_integrals(H)
         Rh = R.as_hopf()
         assert _right_integrals(Rh) == reference_right_integrals(Rh)
@@ -455,9 +453,10 @@ def test_quotient_verify_rejects_a_corrupted_coproduct_entry(s3, uq2):
 
 
 @pytest.mark.parametrize("closed, escape", [((1, 2), (2, 3)), ((2, 3), (1, 2))])
-def test_right_ideal_flag_checks_every_generator(s3, closed, escape):
-    # span{1, t} is closed under right multiplication by the transposition t
-    # but not by the other generator, so only that generator exposes it
+def test_two_sided_check_tests_every_generator(s3, closed, escape):
+    # span{1, t} is closed under left and right multiplication by the
+    # transposition t but not by the other generator, so only that generator
+    # exposes it; the two cases put that generator first and last
     H = cached_group_algebra(s3)
     idx = {g: i for i, g in enumerate(s3.elements)}
     t, u = idx[perm(3, closed)], idx[perm(3, escape)]
@@ -465,10 +464,12 @@ def test_right_ideal_flag_checks_every_generator(s3, closed, escape):
     space = RowSpace(H.dim)
     space.add(dict(H.unit))
     space.add(H.basis_vec(t))
-    assert all(space.contains(H.mult_vec(b, H.basis_vec(t))) for b in space.basis_rows())
+    assert all(space.contains(H.mult_vec(b, H.basis_vec(t)))
+               and space.contains(H.mult_vec(H.basis_vec(t), b))
+               for b in space.basis_rows())
     assert not space.contains(H.basis_vec(u))
-    assert _check_ideal_flags(H, space) == reference_ideal_flags(H, space)
-    assert _check_ideal_flags(H, space)[0] is False
+    assert _is_two_sided(H, space) is False
+    assert reference_ideal_flags(H, space)[0] is False
 
 
 # -- annihilator chains -------------------------------------------------------
@@ -485,10 +486,10 @@ def test_eight_dim_annihilator_chain(uq2):
     assert chain.complete
     EH = ideal_from_span(H8, [H8.mult_vec({2: Cyc.one()}, H8.basis_vec(i))
                               for i in range(8)])
-    assert EH.dim == 4 and EH.hopf_ideal
-    assert chain.hopf_core.space.equals(EH.space)
+    assert EH.rank == 4 and reference_ideal_flags(H8, EH)[1]
+    assert chain.hopf_core.space.equals(EH)
     # the extra annihilator direction: KF - F (indices 5 and 1)
-    assert chain.ideals[0].contains({5: Cyc.one(), 1: Cyc.rational(-1)})
+    assert chain.ideals[0].space.contains({5: Cyc.one(), 1: Cyc.rational(-1)})
 
 
 def test_group_pair_hopf_core_is_augmentation_ideal_of_core(a4):
@@ -500,7 +501,7 @@ def test_group_pair_hopf_core_is_augmentation_ideal_of_core(a4):
     core = core_and_witness(a4, V4).core
     assert core.elements == V4.elements  # V4 is normal in A4
     target = augmentation_core_ideal(H, a4, core)
-    assert chain.hopf_core.space.equals(target.space)
+    assert chain.hopf_core.space.equals(target)
     assert chain.ell_q == 1  # normal subgroup: R+H is already a Hopf ideal
 
 
@@ -544,7 +545,7 @@ def test_core_hopf_subalgebra_containment(s4):
     K = core_and_witness(s4, R).core  # the Klein core, normal in S4 inside D8
     assert K.order == 4
     hk_plus = augmentation_core_ideal(H, s4, K)
-    assert all(chain.hopf_core.contains(b) for b in hk_plus.basis())
+    assert hk_plus <= chain.hopf_core.space
 
 
 # -- integrals ----------------------------------------------------------------

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import make_a4, make_a5, make_s4, perm
+from helpers import induce_class_function, make_a4, make_a5, make_s4, perm
 from subdepth import mackey
-from subdepth.chartab import induce_class_function, permutation_character
+from subdepth.chartab import permutation_character
 from subdepth.cli import main
 from subdepth.exactalg import Cyc
 from subdepth.mackey import (BudgetExceededError, combinatorial_bound_check,
@@ -40,15 +40,8 @@ def test_dimension_bookkeeping(s4):
     for H in s4.subgroups()[::5]:
         for n in (1, 2, 3):
             ms = q_tensor_decomposition(s4, H, n)
-            assert ms.total_index() == (s4.order // H.order) ** n
-
-
-def test_tuple_counts_shape(s3):
-    H = s3.subgroup_generated([perm(3, (1, 2))])
-    ms = q_tensor_decomposition(s3, H, 3)
-    counts = ms.tuple_counts()
-    assert sum(counts.values()) == len(ms.entries) == 5
-    assert set(counts) <= {(a, b) for a in range(2) for b in range(2)}
+            assert sum(s4.order // S.order for _, S in ms.entries) \
+                == (s4.order // H.order) ** n
 
 
 def test_character_oracle(s3, s4):
@@ -121,13 +114,13 @@ def test_budget_judges_a_huge_power_at_a_small_one(monkeypatch):
     with pytest.raises(BudgetExceededError):
         q_tensor_decomposition(G, H, 10 ** 9)
     assert powers == [21]  # (10^6).bit_length() + 1
-    whole = G.full_subgroup()
+    whole = G.subgroup(G.elements)
     assert len(q_tensor_decomposition(G, whole, 40).entries) == 1
 
 
 def test_mackey_restrict_examples(s3):
     H = s3.subgroup_generated([perm(3, (1, 2))])
-    full = mackey_restrict(s3, s3.full_subgroup(), H)
+    full = mackey_restrict(s3, s3.subgroup(s3.elements), H)
     assert len(full.entries) == 1 and full.entries[0][1].elements == H.elements
     A3 = s3.subgroup_generated([perm(3, (1, 2, 3))])
     normal = mackey_restrict(s3, A3, A3)
@@ -176,8 +169,6 @@ def test_core_depth_bounds(s3, s4):
     assert b3.r == 1 and b3.bound_dh == 5
     with pytest.raises(AssertionError):
         core_depth_bound(s3, H, d_h=99)
-    with pytest.raises(ValueError):
-        core_depth_bound(s3, H, semisimple=False)
 
 
 def test_hecke_s2_s3(s3):
@@ -189,7 +180,7 @@ def test_hecke_s2_s3(s3):
 
 
 def test_hecke_whole_group(s3):
-    hk = hecke_algebra(s3, s3.full_subgroup())
+    hk = hecke_algebra(s3, s3.subgroup(s3.elements))
     assert hk.dimension == 1
     assert hk.mu[0][0] == {0: Fraction(1)}
 

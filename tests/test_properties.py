@@ -4,15 +4,15 @@ monotonicity, and the graph/pattern cross-checks, all exact."""
 
 import pytest
 
-from helpers import (cached_group_algebra, corpus_pairs_reps, group_table,
-                     pair_report, perm)
+from helpers import (cached_group_algebra, corpus_pairs_reps,
+                     faithfulness_cross_check, group_table, pair_report, perm,
+                     reference_ideal_flags)
 from subdepth.chartab import permutation_character
 from subdepth.corpus import corpus_groups
 from subdepth.depthmat import ell_from_trivial_row
 from subdepth.exactalg import Cyc
-from subdepth.hopfcore import (annihilator_chain, faithfulness_cross_check,
-                               integrals_and_modular, quotient_module,
-                               subgroup_embedding, trace_ideals)
+from subdepth.hopfcore import (annihilator_chain, integrals_and_modular,
+                               quotient_module, subgroup_embedding, trace_ideals)
 
 
 @pytest.fixture(scope="module")
@@ -67,12 +67,14 @@ def test_chain_monotonicity_samples(s3, s4, a4, uq2):
         chain = annihilator_chain(Q)
         for a, b in zip(chain.ideals, chain.ideals[1:]):
             assert b.space <= a.space
-            assert a.two_sided and b.two_sided
         rep = integrals_and_modular(H, emb, Q)
         ti = trace_ideals(H, Q, rep, ell_q=chain.ell_q)
         assert ti.htrh_matches
         for a, b in zip(ti.ideals, ti.ideals[1:]):
             assert a.space <= b.space
+        # both chains consist of two-sided ideals
+        assert all(reference_ideal_flags(H, i.space)[0]
+                   for i in chain.ideals + ti.ideals)
         assert faithfulness_cross_check(H, Q, chain.ideals[0].dim)
     H8, subs8 = uq2
     Q8 = quotient_module(H8, subs8["R2"])
