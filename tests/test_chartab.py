@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from subdepth.chartab import (CharacterTable, _modp_kernel, _modp_minpoly,
                               inclusion_matrix,
                               permutation_character, table_from_json,
                               tables_agree_up_to_row_permutation)
+from subdepth.corpus import corpus_groups
 from subdepth.exactalg import Cyc
 from subdepth.permgroup import enumerate_group
 
@@ -40,6 +43,30 @@ def test_a5_table(a5):
     irrational = [row for row in tab.irreducibles
                   if any(not v.is_rational() for v in row)]
     assert len(irrational) == 2
+
+
+# SHA-256 of the tables of the catalog groups to order 16 and their subgroups,
+# frozen before Dixon-Schneider lifted values along the power map
+CATALOG16_TABLES_SHA256 = "61a60516fc0a3477fa1ea43b17a366223f56a2663ea752ef3afdb274dbf1c1f8"
+
+
+def test_catalog_tables_to_order_16_are_frozen():
+    def table_json(G):
+        return json.dumps(compute_character_table(G).to_json(), sort_keys=True)
+
+    # subgroup tables in sweep order, each distinct element set computed once
+    digest = hashlib.sha256()
+    seen: dict[tuple, str] = {}
+    for name, G in corpus_groups(16):
+        for H in G.subgroups():
+            key = (G.degree, H.key())
+            if key not in seen:
+                seen[key] = table_json(H.as_group())
+            digest.update(seen[key].encode())
+        # a table depends only on the sorted element set: G's own table is
+        # that of G as its own subgroup
+        assert table_json(G) == seen[(G.degree, G.subgroups()[-1].key())], name
+    assert digest.hexdigest() == CATALOG16_TABLES_SHA256
 
 
 def test_degree_one_characters_are_multiplicative(s4):
