@@ -2,10 +2,13 @@
 
 Tables are computed by the Dixon-Schneider method: simultaneous eigenvectors
 of the class-multiplication matrices over GF(p) for a prime p = 1 (mod e),
-p > 2*sqrt(|G|), lifted to Q(zeta_e) by matching discrete logarithms against
-a fixed primitive root.  Everything is verified against the orthogonality
-relations before a table is returned, so a bad prime or a bug can never
-produce a silently wrong table.
+p > 2*sqrt(|G|), lifted to Q(zeta_e) through the eigenvalue multiplicities of
+a class representative g, found by a discrete Fourier transform over the
+powers of g against a fixed primitive root.  The same multiplicities value
+every power class g^l (the eigenvalues of g^l are those of g raised to l), so
+the transform runs once per class not reached as a power of an earlier one.
+Everything is verified against the orthogonality relations before a table is
+returned, so a bad prime or a bug can never produce a silently wrong table.
 """
 
 from __future__ import annotations
@@ -366,25 +369,40 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
     w = _primitive_root(p)
     z = pow(w, (p - 1) // e, p)  # primitive e'th root of unity mod p
     orders = [cls.rep.order() for cls in classes]
-    power_class = []
-    # zo_inv_powers[j][t] = zo_inv^t for the inverse zo_inv of a primitive
-    # o'th root of unity, o the order of class j, so only t mod o matters
-    zo_inv_powers = []
-    for cls, o in zip(classes, orders):
-        pc = []
+    # power-map lifting: if g of order o has the eigenvalue zeta_o^k with
+    # multiplicity m_k, then g^l has zeta_o^(kl) with multiplicity m_k, so
+    # the m_k of g value every class that a power of g meets.  The DFT for
+    # the m_k runs only on classes not valued yet, highest element order
+    # first; plan holds per such class its order o, the classes of g^0 ..
+    # g^(o-1), zo_inv^t for t < o (zo_inv the inverse of a primitive o'th
+    # root of unity, so only t mod o matters), 1/o, and the (class, l)
+    # pairs it values first
+    plan = []
+    valued: set[int] = set()
+    for j in sorted(range(r), key=lambda j: -orders[j]):
+        if j in valued:
+            continue
+        o = orders[j]
+        power_class = []
+        targets = []
         g = G.identity
-        for _ in range(o):
-            pc.append(class_of[g])
-            g = g * cls.rep
-        power_class.append(pc)
+        for l in range(o):
+            c = class_of[g]
+            power_class.append(c)
+            if c not in valued:
+                valued.add(c)
+                targets.append((c, l))
+            g = g * classes[j].rep
         zo_inv = pow(z, -(e // o) % (p - 1), p)
-        zo_inv_powers.append([pow(zo_inv, t, p) for t in range(o)])
+        plan.append((o, power_class, [pow(zo_inv, t, p) for t in range(o)],
+                     pow(o, -1, p), targets))
+    inv_sizes = [pow(cls.size, -1, p) for cls in classes]
 
     rows = []
     for u in us:
         s = 0
         for j in range(r):
-            s = (s + u[j] * u[inv_class[j]] * pow(classes[j].size, -1, p)) % p
+            s = (s + u[j] * u[inv_class[j]] * inv_sizes[j]) % p
         if s == 0:
             raise DixonInternalError("degree denominator vanished")
         deg_sq = order * pow(s, -1, p) % p
@@ -392,21 +410,23 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
         if deg is None:
             raise DixonInternalError("degree square root does not exist")
         deg = min(deg, p - deg)
-        chi_bar = [u[j] * deg % p * pow(classes[j].size, -1, p) % p for j in range(r)]
-        values = []
-        for j in range(r):
-            o = orders[j]
-            zpow = zo_inv_powers[j]
-            o_inv = pow(o, -1, p)
-            chi_powers = [chi_bar[c] for c in power_class[j]]
-            powers: dict[int, int] = {}
+        chi_bar = [u[j] * deg % p * inv_sizes[j] % p for j in range(r)]
+        values: list[Optional[Cyc]] = [None] * r
+        for o, power_class, zpow, o_inv, targets in plan:
+            chi_powers = [chi_bar[c] for c in power_class]
+            mults = []
             for k in range(o):
                 mk = sum(x * zpow[k * l % o] for l, x in enumerate(chi_powers)) * o_inv % p
                 if mk:
                     if mk > deg:
                         raise DixonInternalError("multiplicity exceeds the degree")
-                    powers[(e // o) * k] = mk
-            values.append(Cyc.from_power_sum(e, powers) if powers else Cyc.zero())
+                    mults.append((k, mk))
+            for c, l in targets:
+                powers: dict[int, int] = {}
+                for k, mk in mults:
+                    key = (e // o) * k * l % e
+                    powers[key] = powers.get(key, 0) + mk
+                values[c] = Cyc.from_power_sum(e, powers)
         if values[id_class] != deg:
             raise DixonInternalError("lifted degree mismatch")
         rows.append(tuple(values))

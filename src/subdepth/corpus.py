@@ -208,10 +208,13 @@ def analyze_pair(G: GroupHandle, H: SubgroupHandle,
     trivial-row stabilization index is checked against d_h here.  Whether the
     class formula gives the nonzero roots of minpoly(B), with residual 1, is
     returned as ``eigen_ok`` for the caller to act on, like ``pf_ok``.
+
+    For H = G the subgroup table is ``tabG`` itself: a computed table
+    depends only on the sorted element set, which H and G share.
     """
     if tabG is None:
         tabG = compute_character_table(G)
-    tabH = compute_character_table(H.as_group())
+    tabH = tabG if H.order == G.order else compute_character_table(H.as_group())
     M = inclusion_matrix(tabG, tabH, class_fusion(G, H))
     rep = depth_report(M, group_data=(G, H))
     ell = ell_from_trivial_row(rep.C, tabG.trivial_index())

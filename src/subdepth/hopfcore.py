@@ -739,9 +739,6 @@ class QuotientModule:
         """H -> Q: reduce modulo R+H, coordinates on the section basis."""
         return _project(self.rpH, self._sec_index, v)
 
-    def lift(self, q: Vec) -> Vec:
-        return {self.section[b]: c for b, c in q.items()}
-
     def act(self, q: Vec, h: Vec) -> Vec:
         out: Vec = {}
         for hi, hc in h.items():
@@ -825,16 +822,6 @@ class TensorPowerModule:
     n: int
     dim: int
     action: list[dict[tuple[int, int], Cyc]]   # per H-basis element
-
-    def character(self) -> list[Cyc]:
-        out = []
-        for mat in self.action:
-            tr = Cyc.zero()
-            for (r, c), v in mat.items():
-                if r == c:
-                    tr = tr + v
-            out.append(tr)
-        return out
 
     def times_q(self, cap: int = DEFAULT_TENSOR_CAP) -> "TensorPowerModule":
         """The next power Q^x(n+1), from rho_(n+1)(h) = sum rho_n(h_1) x rho_1(h_2)

@@ -140,7 +140,6 @@ class GroupHandle:
         self._class_of: Optional[dict[Permutation, int]] = None
         self._subgroups: Optional[list["SubgroupHandle"]] = None
         self._double_cosets: dict = {}
-        self._cache: dict = {}
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self._index
@@ -197,8 +196,11 @@ class GroupHandle:
         return SubgroupHandle(self, [self.identity])
 
     def subgroups(self) -> list["SubgroupHandle"]:
-        """All subgroups, found by closing known subgroups under one extra
-        generator; deterministic order (by order, then element tuple)."""
+        """All subgroups, found by closing known subgroups S under one extra
+        generator g; deterministic order (by order, then element tuple).
+
+        One g per right coset S g is closed: <S, s g> = <S, g> for s in S,
+        as each contains s and hence both s g and g."""
         if self._subgroups is None:
             found: dict[tuple, SubgroupHandle] = {}
             triv = self.trivial_subgroup()
@@ -207,10 +209,11 @@ class GroupHandle:
             while frontier:
                 nxt = []
                 for sub in frontier:
-                    have = set(sub.elements)
+                    tried = set(sub.elements)
                     for g in self.elements:
-                        if g in have:
+                        if g in tried:
                             continue
+                        tried.update(s * g for s in sub.elements)
                         new_elems = sorted(_closure(list(sub.generating_set()) + [g],
                                                     self.degree, cap=self.order))
                         key = tuple(p.images for p in new_elems)

@@ -15,10 +15,11 @@ from subdepth.exactalg import (_CYC_ONE, _CYC_ZERO, _ZERO, Cyc, ExactMatrix,
                                ExactPolynomial, MalformedSequenceError, RowSpace,
                                _poly_divmod, kernel_of_sparse_columns)
 from subdepth.hopfcore import (HopfAlgebraData, QuotientModule,
-                               SubalgebraEmbedding, TVec, Vec, _is_hopf_ideal,
-                               _project, _tensor_image, _vadd, _veq, _vscale,
-                               build_group_algebra)
-from subdepth.permgroup import GroupHandle, Permutation, SubgroupHandle, enumerate_group
+                               SubalgebraEmbedding, TensorPowerModule, TVec, Vec,
+                               _is_hopf_ideal, _project, _tensor_image, _vadd,
+                               _veq, _vscale, build_group_algebra)
+from subdepth.permgroup import (GroupHandle, Permutation, SubgroupHandle, _closure,
+                                enumerate_group)
 
 
 def perm(degree, *cycles):
@@ -43,6 +44,31 @@ def make_a4():
 
 def make_a5():
     return enumerate_group([perm(5, (1, 2, 3, 4, 5)), perm(5, (1, 2, 3))])
+
+
+def reference_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
+    """All subgroups of G, found by closing each known subgroup S under every
+    g outside S (`GroupHandle.subgroups` closes one g per right coset S g);
+    sorted by order, then element tuple."""
+    found: dict[tuple, SubgroupHandle] = {}
+    triv = G.trivial_subgroup()
+    found[triv.key()] = triv
+    frontier = [triv]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            have = set(sub.elements)
+            for g in G.elements:
+                if g in have:
+                    continue
+                new_elems = sorted(_closure(list(sub.generating_set()) + [g],
+                                            G.degree, cap=G.order))
+                key = tuple(p.images for p in new_elems)
+                if key not in found:
+                    found[key] = cand = SubgroupHandle(G, new_elems)
+                    nxt.append(cand)
+        frontier = nxt
+    return sorted(found.values(), key=lambda s: (s.order, s.key()))
 
 
 def pair_report(G, H, tabG=None):
@@ -220,6 +246,24 @@ def reference_tensor_power_action(Q, n) -> list[dict]:
                 _vadd(mat, (r, cidx), v)
         action.append(mat)
     return action
+
+
+def tensor_power_character(tp: TensorPowerModule) -> list[Cyc]:
+    """The trace of the action of each H-basis element on Q^xn."""
+    out = []
+    for mat in tp.action:
+        tr = Cyc.zero()
+        for (r, c), v in mat.items():
+            if r == c:
+                tr = tr + v
+        out.append(tr)
+    return out
+
+
+def quotient_lift(Q: QuotientModule, q: Vec) -> Vec:
+    """A vector of Q on the section basis, as the same combination of the
+    section elements of H."""
+    return {Q.section[b]: c for b, c in q.items()}
 
 
 def reference_quotient_verify(Q) -> None:
@@ -779,7 +823,7 @@ def linear_disjoint_check(H: HopfAlgebraData, R: SubalgebraEmbedding,
             # phi: Q^K_B -> Q^H_R, x + B+K -> x + R+H on section representatives
             phi: list[Vec] = []
             for b in range(QK.dim_q):
-                xk = QK.lift({b: Cyc.one()})
+                xk = quotient_lift(QK, {b: Cyc.one()})
                 xh = K.embed(xk)
                 phi.append(QH.project(xh))
             rank_space = RowSpace(QH.dim_q)

@@ -4,8 +4,9 @@ import pytest
 
 from helpers import (corpus_pairs_reps, evaluate_matrix, from_roots, group_table,
                      pair_report, perm, reference_minimal_polynomial)
-from subdepth import depthmat
+from subdepth import corpus, depthmat
 from subdepth.chartab import InclusionMatrix, class_fusion, compute_character_table, inclusion_matrix
+from subdepth.corpus import analyze_pair, corpus_groups
 from subdepth.depthmat import (bipartite_dot, depth_report,
                                eigenvalues_via_class_formula,
                                ell_from_trivial_row, mckay_quiver)
@@ -50,6 +51,35 @@ def test_identity_inclusion(s3):
     M = inclusion_matrix(tab, tab, class_fusion(s3, s3.subgroup(s3.elements)))
     rep = depth_report(M, group_data=(s3, s3.subgroup(s3.elements)))
     assert rep.d_h == 1 and rep.d_0 == 1 and rep.d_odd == 1 and rep.d_ev == 2
+
+
+@pytest.mark.parametrize("name", ["S4", "Q8"])
+def test_full_subgroup_pair_reuses_the_group_table(name):
+    # the pair H = G takes tabG as its subgroup table; the report is the one
+    # a freshly computed table of H gives
+    G = dict(corpus_groups(24))[name]
+    H = G.subgroup(G.elements)
+    tabG = compute_character_table(G)
+    fresh = inclusion_matrix(tabG, compute_character_table(H.as_group()),
+                             class_fusion(G, H))
+    want = depth_report(fresh, group_data=(G, H)).to_json()
+    assert analyze_pair(G, H, tabG).depth.to_json() == want
+    assert analyze_pair(G, H).depth.to_json() == want
+
+
+def test_sweep_computes_one_table_per_group_and_proper_subgroup(monkeypatch):
+    calls = []
+
+    def counted(G):
+        calls.append(G.order)
+        return compute_character_table(G)
+
+    monkeypatch.setattr(corpus, "_TABLES", {})
+    monkeypatch.setattr(corpus, "compute_character_table", counted)
+    report = corpus.run_sweep(16)
+    # 30 group tables, and one per pair except the 30 pairs H = G
+    assert len(report.rows) == 215
+    assert len(calls) == 215
 
 
 def test_depth_one_gating():

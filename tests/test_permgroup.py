@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_a4, make_a5, make_s3, make_s4, make_s5, perm
+from helpers import (make_a4, make_a5, make_s3, make_s4, make_s5, perm,
+                     reference_subgroups)
 from subdepth.corpus import corpus_groups
 from subdepth.permgroup import (GroupTooLargeError, Permutation,
                                 core_and_witness, depth_one_adjoint_test,
@@ -109,9 +110,17 @@ def test_class_sizes_divide_group_order(s4):
         assert s4.order % c.size == 0
 
 
-def test_subgroup_lattice_counts(s4):
+def test_subgroup_lattice_counts(s4, a5):
     assert len(make_s3().subgroups()) == 6
     assert len(s4.subgroups()) == 30
+    assert len(a5.subgroups()) == 59
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "D16", "Q8", "C2xD8"])
+def test_subgroups_match_the_all_g_reference(name):
+    # one closure per right coset finds the same subgroups in the same order
+    G = dict(corpus_groups(24))[name]
+    assert [H.key() for H in G.subgroups()] == [H.key() for H in reference_subgroups(G)]
 
 
 @pytest.mark.parametrize("cycles", [
