@@ -305,12 +305,12 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
 
     # class-multiplication structure constants a[i][j][k]
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
+    inverses = [[x.inverse() for x in cls.elements] for cls in classes]
     for k, cls_k in enumerate(classes):
         gk = cls_k.rep
-        for i, cls_i in enumerate(classes):
-            for x in cls_i.elements:
-                j = class_of[x.inverse() * gk]
-                a[i][j][k] += 1
+        for i in range(r):
+            for x_inv in inverses[i]:
+                a[i][class_of[x_inv * gk]][k] += 1
 
     # split GF(p)^r into common eigenspaces of the matrices A_i u = u_i u,
     # where (A_i)[j][k] = a[i][j][k]; each space is kept as mod-p RREF rows
