@@ -1,6 +1,9 @@
 """Exact complex character tables, class fusion, and inclusion matrices.
 
-Tables are computed by the Dixon-Schneider method: simultaneous eigenvectors
+The table of an abelian group (as many classes as elements) is written down
+in closed form: its characters are the |G| homomorphisms to the roots of
+unity, extended generator by generator.  Every other table is computed by
+the Dixon-Schneider method: simultaneous eigenvectors
 of the class-multiplication matrices over GF(p) for a prime p = 1 (mod e),
 p > 2*sqrt(|G|), lifted to Q(zeta_e) through the eigenvalue multiplicities of
 a class representative g, found by a discrete Fourier transform over the
@@ -9,6 +12,10 @@ every power class g^l (the eigenvalues of g^l are those of g raised to l), so
 the transform runs once per class not reached as a power of an earlier one.
 Everything is verified against the orthogonality relations before a table is
 returned, so a bad prime or a bug can never produce a silently wrong table.
+
+In an inclusion matrix, the column of a linear character is read off by
+matching its restriction against the subgroup's table; the other columns are
+exact integer inner products.
 """
 
 from __future__ import annotations
@@ -226,17 +233,18 @@ class CharacterTable:
         self._n = n
         self._rows, self._den = _int_rows(self.irreducibles, n)
         self._weighted_conj = [_weighted_conjugates(row, sizes, n) for row in self._rows]
+        one = ((0, self._den),)     # the value 1 as a coordinate row entry
+        self._trivial = next((i for i, row in enumerate(self._rows)
+                              if all(v == one for v in row)), None)
 
     @property
     def degrees(self) -> list[int]:
         return [int(row[0].as_fraction()) for row in self.irreducibles]
 
     def trivial_index(self) -> int:
-        one = Cyc.one()
-        for i, row in enumerate(self.irreducibles):
-            if all(v == one for v in row):
-                return i
-        raise AssertionError("no trivial character found")
+        if self._trivial is None:
+            raise AssertionError("no trivial character found")
+        return self._trivial
 
     def inner_product(self, a: Sequence[Cyc], b: Sequence[Cyc]) -> Cyc:
         """<a, b> = (1/|G|) sum_C |C| a(C) conj(b(C)), exact."""
@@ -280,6 +288,10 @@ def compute_character_table(G: GroupHandle) -> CharacterTable:
     if r > CLASS_CAP:
         raise ValueError(f"group has {r} classes, above the cap of {CLASS_CAP}")
     e = G.exponent()
+    if r == G.order:
+        table = CharacterTable(G, e, classes, _linear_characters(G, classes, e))
+        table.verify()
+        return table
     failures = []
     for attempt, p in enumerate(_dixon_primes(e, G.order)):
         if attempt >= 8:
@@ -431,6 +443,50 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
             raise DixonInternalError("lifted degree mismatch")
         rows.append(tuple(values))
 
+    return _sort_rows(rows, e)
+
+
+def _linear_characters(G: GroupHandle, classes: list[ConjClass],
+                       e: int) -> list[tuple[Cyc, ...]]:
+    """The |G| characters of an abelian G, all linear, extended along
+    G.generators from the trivial subgroup K.
+
+    For the next generator g let m be the least m >= 1 with g^m in K; then
+    K<g> is the disjoint union of the cosets K g^j, j < m.  The multiples j
+    with g^j in K form mZ, which holds the order o of g, so m | o | e.  A
+    character lambda of K has lambda(g^m)^(o/m) = lambda(g^o) = 1, so with
+    lambda(g^m) = zeta_e^a, e divides a o/m, that is (e/o) m divides a, and
+    in particular m divides a.  lambda extends to K<g> exactly by
+    lambda(g) = zeta_e^t with m t = a (mod e), which has the m solutions
+    t = a/m + s e/m, s < m.  Characters are kept as exponents mod e at
+    element positions."""
+    elems = [G.identity]
+    chars = [[0]]
+    for g in G.generators:
+        pos = {x: i for i, x in enumerate(elems)}
+        gm, m = g, 1
+        while gm not in pos:
+            gm, m = gm * g, m + 1
+        if m == 1:
+            continue
+        # element k g^j of K<g> sits at position j |K| + pos(k)
+        layer = elems
+        for _ in range(1, m):
+            layer = [x * g for x in layer]
+            elems = elems + layer
+        at, step = pos[gm], e // m
+        chars = [[(x + j * t) % e for j in range(m) for x in lam]
+                 for lam in chars
+                 for t in range(lam[at] // m, e, step)]
+    if len(elems) != G.order:
+        raise AssertionError(f"the generators reach {len(elems)} of {G.order} elements")
+    pos = {x: i for i, x in enumerate(elems)}
+    cols = [pos[cls.rep] for cls in classes]
+    roots = [Cyc.root_of_unity(e, k) for k in range(e)]
+    return _sort_rows([tuple(roots[lam[c]] for c in cols) for lam in chars], e)
+
+
+def _sort_rows(rows: list[tuple[Cyc, ...]], e: int) -> list[tuple[Cyc, ...]]:
     # ordering convention: value tuples descending lexicographically with the
     # identity class compared last; reproduces the classical table layouts
     # (trivial character first) bit-for-bit
@@ -507,9 +563,9 @@ class InclusionMatrix:
 
 def inclusion_matrix(tabG: CharacterTable, tabH: CharacterTable,
                      fusion: ClassFusion) -> InclusionMatrix:
-    """m_ij = <chi_j restricted to H, phi_i> by the exact inner product over
-    H-classes.  Non-integer or negative values mean corrupted inputs and are
-    a hard failure."""
+    """m_ij = <chi_j restricted to H, phi_i>: by matching for a linear chi_j,
+    by the exact inner product over H-classes otherwise.  Non-integer or
+    negative values mean corrupted inputs and are a hard failure."""
     p = len(tabH.irreducibles)
     q = len(tabG.irreducibles)
     n = lcm(tabG._n, tabH._n)
@@ -517,26 +573,44 @@ def inclusion_matrix(tabG: CharacterTable, tabH: CharacterTable,
                   for row in tabG._rows]
     weighted = [_lift_coords(w, tabH._n, n) for w in tabH._weighted_conj]
     den = tabH.group.order * tabG._den * tabH._den
-    rows = []
-    for i in range(p):
-        row = []
-        for j in range(q):
+    degH, degG = tabH.degrees, tabG.degrees
+    # A linear chi_j is a homomorphism G -> C^x, so chi_j|H is a homomorphism
+    # H -> C^x: an irreducible character of H, hence a row i of H's verified
+    # table, and m_ij = <chi_j|H, phi_i> = delta by row orthonormality.  Over
+    # denominator 1 a coordinate row is the values themselves, so i is found
+    # by looking chi_j|H up among H's linear rows lifted to Q(zeta_n).
+    linear = {}
+    if tabG._den == tabH._den == 1:
+        linear = {tuple(_lift_coords(row, tabH._n, n)): i
+                  for i, row in enumerate(tabH._rows) if degH[i] == 1}
+    cols = []
+    for j in range(q):
+        if linear and degG[j] == 1:
+            i = linear.get(tuple(restricted[j]))
+            if i is None:
+                raise AssertionError(f"restricted linear character {j} is no "
+                                     "row of the subgroup table")
+            col = [0] * p
+            col[i] = 1
+            cols.append(col)
+            continue
+        col = []
+        for i in range(p):
             val = _int_inner(n, restricted[j], weighted[i])
             if any(val[1:]):
                 raise AssertionError("restriction multiplicity is not rational")
             f = Fraction(val[0], den)
             if f.denominator != 1 or f < 0:
                 raise AssertionError("restriction multiplicity is not a nonnegative integer")
-            row.append(int(f))
-        rows.append(tuple(row))
-    M = InclusionMatrix(p, q, tuple(rows))
+            col.append(int(f))
+        cols.append(col)
+    M = InclusionMatrix(p, q, tuple(zip(*cols)))
     for i, row in enumerate(M.entries):
         if not any(row):
             raise AssertionError(f"inclusion matrix has a zero row at {i}")
     for j in range(q):
         if not any(M.entries[i][j] for i in range(p)):
             raise AssertionError(f"inclusion matrix has a zero column at {j}")
-    degH, degG = tabH.degrees, tabG.degrees
     for j in range(q):
         if sum(M.entries[i][j] * degH[i] for i in range(p)) != degG[j]:
             raise AssertionError(f"column dimension identity fails at column {j}")

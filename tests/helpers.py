@@ -443,6 +443,21 @@ def cyc_inner_product(tab, a, b) -> Cyc:
     return acc * Fraction(1, tab.group.order)
 
 
+def reference_inclusion_matrix(tabG, tabH, fusion) -> list[list[int]]:
+    """m_ij = <chi_j restricted to H, phi_i>, every entry by its own exact
+    inner product, the reference for `inclusion_matrix`, which reads the
+    columns of linear characters off by matching."""
+    rows = []
+    for phi in tabH.irreducibles:
+        row = []
+        for chi in tabG.irreducibles:
+            m = tabH.inner_product([chi[c] for c in fusion.mapping], phi).as_fraction()
+            assert m.denominator == 1 and m >= 0
+            row.append(int(m))
+        rows.append(row)
+    return rows
+
+
 def matpow(A: ExactMatrix, n: int) -> ExactMatrix:
     out = A
     for _ in range(n - 1):

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (conjugate, cyc_inner_product, induce_class_function,
-                     make_a5, make_s4, perm, reference_modp_minpoly)
-from subdepth.chartab import (CharacterTable, _modp_kernel, _modp_minpoly,
+from helpers import (conjugate, corpus_pairs_full, cyc_inner_product, group_table,
+                     induce_class_function, make_a5, make_s4, perm,
+                     reference_inclusion_matrix, reference_modp_minpoly)
+from subdepth.chartab import (CharacterTable, ClassFusion, _dixon_primes,
+                              _dixon_schneider, _modp_kernel, _modp_minpoly,
                               _modp_rref, class_fusion, compute_character_table,
                               inclusion_matrix,
                               permutation_character, table_from_json,
                               tables_agree_up_to_row_permutation)
-from subdepth.corpus import corpus_groups
+from subdepth.corpus import catalog, corpus_groups, direct_product
 from subdepth.exactalg import Cyc
-from subdepth.permgroup import enumerate_group
+from subdepth.permgroup import GroupHandle, enumerate_group
 
 
 def test_s3_table(s3):
@@ -69,6 +71,48 @@ def test_catalog_tables_to_order_16_are_frozen():
     assert digest.hexdigest() == CATALOG16_TABLES_SHA256
 
 
+def _abelian_handles():
+    """(label, G) for every abelian catalog group to order 24 and every
+    abelian subgroup (each element set once), C1 without generators among
+    them, and handles with a redundant generator or one whose least power
+    in the subgroup generated before it is below its order."""
+    out = []
+    seen = set()
+    for name, G in corpus_groups(24):
+        for label, K in [(name, G)] + [(f"{name} > {H.order}", H.as_group())
+                                       for H in G.subgroups()]:
+            key = (K.degree, tuple(K.elements))
+            if len(K.conjugacy_classes()) == K.order and key not in seen:
+                seen.add(key)
+                out.append((label, K))
+    gens = {e.name: list(e.generators) for e in catalog()}
+    for name in ("C2xC6", "C2xC2xC2"):
+        a, b = gens[name][:2]
+        out.append((f"{name} and a b", enumerate_group(gens[name] + [a * b])))
+    c = gens["C6"][0]
+    out.append(("C6 by c^2, c", enumerate_group([c * c, c])))
+    a, b = direct_product(gens["C2"], 2, gens["C4"], 4)
+    out.append(("C2xC4 by b, a b", enumerate_group([b, a * b])))
+    return out
+
+
+def test_abelian_tables_equal_dixon_schneider():
+    handles = _abelian_handles()
+    assert handles[0][0] == "C1" and handles[0][1].generators == ()
+    for label, G in handles:
+        classes = G.conjugacy_classes()
+        e = G.exponent()
+        want = _dixon_schneider(G, classes, e, next(_dixon_primes(e, G.order)))
+        assert compute_character_table(G).irreducibles == want, label
+
+
+def test_abelian_table_needs_generators_of_the_whole_group():
+    a, b = perm(4, (1, 2)), perm(4, (3, 4))
+    G = GroupHandle(4, [a], enumerate_group([a, b]).elements)
+    with pytest.raises(AssertionError, match="generators reach 2 of 4 elements"):
+        compute_character_table(G)
+
+
 def test_degree_one_characters_are_multiplicative(s4):
     tab = compute_character_table(s4)
     assert sorted(tab.degrees) == [1, 1, 2, 3, 3]
@@ -104,6 +148,31 @@ def test_inclusion_matrix_column_identity(a5):
             == tabG.degrees[j]
     assert all(any(row) for row in M.entries)
     assert all(any(M.entries[i][j] for i in range(M.rows)) for j in range(M.cols))
+
+
+def test_inclusion_matrix_equals_the_all_inner_product_reference():
+    for name, G, H in corpus_pairs_full(24):
+        tabG = group_table(name, G)
+        tabH = tabG if H.order == G.order else compute_character_table(H.as_group())
+        fusion = class_fusion(G, H)
+        assert inclusion_matrix(tabG, tabH, fusion).to_lists() \
+            == reference_inclusion_matrix(tabG, tabH, fusion), (name, H.order)
+
+
+def test_inclusion_matrix_rejects_a_wrong_fusion_of_a_linear_character():
+    # C2 < C4: fusing the involution into the class of a generator restricts
+    # the character with value i there to (1, i), no character of C2
+    g = perm(4, (1, 2, 3, 4))
+    G = enumerate_group([g])
+    H = G.subgroup_generated([g * g])
+    fusion = class_fusion(G, H)
+    assert fusion.mapping[1] == G.class_index(g * g)
+    wrong = ClassFusion((fusion.mapping[0], G.class_index(g)))
+    tabG = compute_character_table(G)
+    tabH = compute_character_table(H.as_group())
+    assert inclusion_matrix(tabG, tabH, fusion).to_lists() == [[1, 0, 0, 1], [0, 1, 1, 0]]
+    with pytest.raises(AssertionError, match="restricted linear character"):
+        inclusion_matrix(tabG, tabH, wrong)
 
 
 def test_permutation_character_examples(s3):

@@ -247,6 +247,8 @@ def test_hopf_mode_rejects_wrong_json_types(field, corrupt, tmp_path, capsys, uq
 
 
 def test_character_table_failure_is_an_error(s2s3_file, monkeypatch, capsys):
+    # S3 is nonabelian, so its table goes through Dixon-Schneider and the
+    # loop over primes
     def always_fails(G, classes, e, p):
         raise DixonInternalError("eigenvector vanishes at the identity class")
     monkeypatch.setattr(chartab, "_dixon_schneider", always_fails)

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import (corpus_pairs_reps, evaluate_matrix, from_roots, group_table,
                      pair_report, perm, reference_minimal_polynomial)
-from subdepth import corpus, depthmat
+from subdepth import chartab, corpus, depthmat
 from subdepth.chartab import InclusionMatrix, class_fusion, compute_character_table, inclusion_matrix
 from subdepth.corpus import analyze_pair, corpus_groups
 from subdepth.depthmat import (bipartite_dot, depth_report,
@@ -69,17 +69,26 @@ def test_full_subgroup_pair_reuses_the_group_table(name):
 
 def test_sweep_computes_one_table_per_group_and_proper_subgroup(monkeypatch):
     calls = []
+    dixon_calls = []
+    dixon_schneider = chartab._dixon_schneider
 
     def counted(G):
         calls.append(G.order)
         return compute_character_table(G)
 
+    def counted_dixon(G, *args):
+        dixon_calls.append(G.order)
+        return dixon_schneider(G, *args)
+
     monkeypatch.setattr(corpus, "_TABLES", {})
     monkeypatch.setattr(corpus, "compute_character_table", counted)
+    monkeypatch.setattr(chartab, "_dixon_schneider", counted_dixon)
     report = corpus.run_sweep(16)
     # 30 group tables, and one per pair except the 30 pairs H = G
     assert len(report.rows) == 215
     assert len(calls) == 215
+    # the 198 abelian tables are written down in closed form
+    assert len(dixon_calls) == 17
 
 
 def test_depth_one_gating():
