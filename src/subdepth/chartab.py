@@ -231,15 +231,13 @@ class CharacterTable:
         n = lcm(self.exponent, *(v.order for row in self.irreducibles for v in row))
         sizes = [c.size for c in self.classes]
         self._n = n
+        # the values at the identity class, read once per table
+        self.degrees = [int(row[0].as_fraction()) for row in self.irreducibles]
         self._rows, self._den = _int_rows(self.irreducibles, n)
         self._weighted_conj = [_weighted_conjugates(row, sizes, n) for row in self._rows]
         one = ((0, self._den),)     # the value 1 as a coordinate row entry
         self._trivial = next((i for i, row in enumerate(self._rows)
                               if all(v == one for v in row)), None)
-
-    @property
-    def degrees(self) -> list[int]:
-        return [int(row[0].as_fraction()) for row in self.irreducibles]
 
     def trivial_index(self) -> int:
         if self._trivial is None:

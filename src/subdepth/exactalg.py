@@ -255,9 +255,14 @@ class Cyc:
         if type(other) is Cyc and self.order == 1 == other.order:
             x = self.coeffs[0] * other.coeffs[0]
             return _cyc(1, (x if type(x) is int else _rat(x),))
-        a, b = Cyc._pair(self, as_cyc(other))
-        if a.order == 1:
-            return _cyc(1, (_rat(a.coeffs[0] * b.coeffs[0]),))
+        other = as_cyc(other)
+        if self.order == 1 or other.order == 1:
+            # a rational factor scales the other operand's coordinates
+            r, z = (self.coeffs[0], other) if self.order == 1 else (other.coeffs[0], self)
+            if r == 1:
+                return z
+            return _cyc(z.order, tuple(_rat(r * c) for c in z.coeffs))
+        a, b = Cyc._pair(self, other)
         # multiply integer numerators over one common denominator per operand
         xs, da = _common_denominator(a.coeffs)
         ys, db = _common_denominator(b.coeffs)

@@ -16,6 +16,13 @@ decided by exact linear algebra over Q(zeta_n), through three shared pieces:
   slots" step, with `SubalgebraEmbedding.coords` and `_tensor_coords`
   reading sparse coordinates in a subalgebra at its pivot columns.
 
+The annihilator chain builds no tensor power: Ann(Q^x(n+1)) is the kernel
+of h -> (pi_n x pi_1) Delta(h) for the quotient maps pi_n : H -> H/Ann(Q^xn)
+and pi_1 : H -> H/Ann Q (proof in `annihilator_chain`), at most (dim H)^2
+rows for every n.  So the tensor cap stops that chain by the count
+(dim Q)^n > cap alone.  The trace-ideal chain reads the action matrices of
+each Q^xn, built one coproduct step at a time by `TensorPowerModule.times_q`.
+
 A statement that must hold for every h in H (a module law of Q, the
 two-sided ideal test, the equations of integrals and of the idealizer) is
 checked at the algebra generators of `HopfAlgebraData.generators` only.  Each
@@ -726,10 +733,7 @@ class QuotientModule:
                     mat[(rr, b)] = c
             self.action.append(mat)
         self.counit_q = [H.counit_vec(H.basis_vec(j)) for j in self.section]
-
-        def project_at(x: int) -> Vec:
-            return self.project(H.basis_vec(x))
-
+        project_at = _projector(space).__getitem__
         self.coproduct_q: list[TVec] = [
             _tensor_image(H.comult_vec(H.basis_vec(j)), project_at, project_at)
             for j in self.section]
@@ -889,21 +893,26 @@ def _is_two_sided(H: HopfAlgebraData, space: RowSpace) -> bool:
                for b in space.basis_rows() for g in H.generators)
 
 
-def _is_hopf_ideal(H: HopfAlgebraData, space: RowSpace) -> bool:
+def _projector(space: RowSpace) -> list[Vec]:
+    """The quotient map pi : H -> H/I of the subspace I at every basis
+    element, pi(e_x) at index x, in coordinates on the non-pivot columns."""
+    sec = [j for j in range(space.width) if j not in space.pivots]
+    sec_index = {j: i for i, j in enumerate(sec)}
+    return [_project(space, sec_index, {x: Cyc.one()}) for x in range(space.width)]
+
+
+def _is_hopf_ideal(H: HopfAlgebraData, space: RowSpace,
+                   proj: Optional[list[Vec]] = None) -> bool:
     """eps(I) = 0, S(I) in I, Delta(I) in I x H + H x I; the coproduct test
-    applies the quotient projection on both slots."""
+    applies the quotient projection on both slots, the `_projector` of I,
+    built here unless the caller has it already."""
     basis = space.basis_rows()
     for b in basis:
         if not H.counit_vec(b).is_zero():
             return False
         if not space.contains(H.antipode_vec(b)):
             return False
-    sec = [j for j in range(H.dim) if j not in space.pivots]
-    sec_index = {j: i for i, j in enumerate(sec)}
-
-    def project_at(x: int) -> Vec:
-        return _project(space, sec_index, H.basis_vec(x))
-
+    project_at = (proj or _projector(space)).__getitem__
     return not any(_tensor_image(H.comult_vec(b), project_at, project_at)
                    for b in basis)
 
@@ -916,52 +925,86 @@ class AnnihilatorChain:
     complete: bool
 
 
-def _annihilator(tp: TensorPowerModule) -> RowSpace:
-    """The h in H that act as zero on the tensor power, as a subspace."""
-    H = tp.base.hopf
-    columns = [{(r * tp.dim + c): v for (r, c), v in tp.action[h].items()}
-               for h in range(H.dim)]
-    space = RowSpace(H.dim)
+def _kernel_space(columns: list[dict]) -> RowSpace:
+    """The kernel of the map h -> sum_h x_h columns[h], as a subspace of H."""
+    space = RowSpace(len(columns))
     for v in kernel_of_sparse_columns(columns):
         space.add(v)
     return space
+
+
+def _annihilator(tp: TensorPowerModule) -> RowSpace:
+    """The h in H that act as zero on the tensor power, as a subspace."""
+    return _kernel_space([{(r * tp.dim + c): v for (r, c), v in tp.action[h].items()}
+                          for h in range(tp.base.hopf.dim)])
+
+
+def _annihilator_step(H: HopfAlgebraData, proj_n: list[Vec],
+                      proj_1: list[Vec]) -> RowSpace:
+    """Ann(Q^x(n+1)) as the kernel of h -> (pi_n x pi_1) Delta(h), from the
+    `_projector`s of Ann(Q^xn) and Ann Q (see `annihilator_chain`)."""
+    return _kernel_space([_tensor_image(H.comult[h], proj_n.__getitem__,
+                                        proj_1.__getitem__)
+                          for h in range(H.dim)])
 
 
 def annihilator_chain(Q: QuotientModule,
                       cap: int = DEFAULT_TENSOR_CAP) -> AnnihilatorChain:
     """Descending chain Ann Q >= Ann Q^x2 >= ...; ell_Q is the least n whose
     annihilator is a Hopf ideal, and the chain is checked to stabilize there.
-    If a cap stops the scan first, the chain is reported incomplete: without
-    ell_Q when no annihilator so far is a Hopf ideal, and with ell_Q but
-    without the stabilization check when the cap stops that check.  The scan
-    also stops, incomplete, after ANNIHILATOR_POWERS tensor powers."""
+
+    Only Ann Q is read off an action; every later annihilator comes from the
+    one before and Ann Q, by a kernel with at most (dim H)^2 rows whatever
+    the power.  For right H-modules M and N:
+
+    - h acts on M x N as (rho_M x rho_N)(Delta h), rho the linear action
+      map H -> End;
+    - rho_M = iota_M pi_M, where pi_M : H -> H/Ann M is the quotient map
+      and iota_M is injective; likewise for N;
+    - ker(f x g) = ker f x W + V x ker g for linear maps f on V and g on W,
+      so iota_M x iota_N is injective.
+
+    Hence h annihilates M x N iff (pi_M x pi_N)(Delta h) = 0: Ann(M x N)
+    depends only on Ann M and Ann N.  With Q^x(n+1) = Q^xn x Q (the slot
+    order of `TensorPowerModule.times_q`), Ann_(n+1) is the kernel of
+    h -> (pi_n x pi_1) Delta(h), built by `_annihilator_step` from the
+    `_projector`s of Ann_n and Ann_1.  The reduced echelon form of a
+    subspace is unique, so each Ann_n is the same `RowSpace` as the kernel
+    of the action of Q^xn.
+
+    The cap is a dimension count: the scan stops before any n with
+    dim Q^n > cap.  It is then reported incomplete: without ell_Q when no
+    annihilator so far is a Hopf ideal, and with ell_Q but without the
+    stabilization check when the cap stops that check.  The scan also
+    stops, incomplete, after ANNIHILATOR_POWERS tensor powers."""
     H = Q.hopf
     ideals: list[IdealSubspace] = []
-    tp: Optional[TensorPowerModule] = None
+    proj_1: list[Vec] = []
     for n in range(1, ANNIHILATOR_POWERS + 1):
-        try:
-            tp = tensor_power_action(Q, 1, cap=cap) if tp is None else tp.times_q(cap)
-        except TensorCapExceededError:
+        if Q.dim_q ** n > cap:
             return AnnihilatorChain(ideals, None, None, False)
-        space = _annihilator(tp)
+        if n == 1:
+            space = _annihilator(tensor_power_action(Q, 1, cap=cap))
+        else:
+            space = _annihilator_step(H, proj, proj_1)
         if not _is_two_sided(H, space):
             raise AssertionError("annihilator is not a two-sided ideal")
         ideal = IdealSubspace(space)
         if ideals and not (space <= ideals[-1].space):
             raise AssertionError("annihilator chain is not descending")
         ideals.append(ideal)
-        if _is_hopf_ideal(H, space):
-            ell = n
+        proj = _projector(space)
+        if n == 1:
+            proj_1 = proj
+        if _is_hopf_ideal(H, space, proj):
             if space.rank == 0:
                 # zero ideal: all later annihilators are zero by descent
-                return AnnihilatorChain(ideals, ell, ideal, True)
-            try:
-                space2 = _annihilator(tp.times_q(cap))
-            except TensorCapExceededError:
-                return AnnihilatorChain(ideals, ell, ideal, False)
-            if not space.equals(space2):
+                return AnnihilatorChain(ideals, n, ideal, True)
+            if Q.dim_q ** (n + 1) > cap:
+                return AnnihilatorChain(ideals, n, ideal, False)
+            if not space.equals(_annihilator_step(H, proj, proj_1)):
                 raise AssertionError("annihilator chain did not stabilize at the Hopf ideal")
-            return AnnihilatorChain(ideals, ell, ideal, True)
+            return AnnihilatorChain(ideals, n, ideal, True)
     return AnnihilatorChain(ideals, None, None, False)
 
 

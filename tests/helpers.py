@@ -16,8 +16,9 @@ from subdepth.exactalg import (_CYC_ONE, _CYC_ZERO, _ZERO, Cyc, ExactMatrix,
                                _poly_divmod, kernel_of_sparse_columns)
 from subdepth.hopfcore import (HopfAlgebraData, QuotientModule,
                                SubalgebraEmbedding, TensorPowerModule, TVec, Vec,
-                               _is_hopf_ideal, _project, _tensor_image, _vadd,
-                               _veq, _vscale, build_group_algebra)
+                               _annihilator, _is_hopf_ideal, _project,
+                               _tensor_image, _vadd, _veq, _vscale,
+                               build_group_algebra, tensor_power_action)
 from subdepth.permgroup import (GroupHandle, Permutation, SubgroupHandle, _closure,
                                 enumerate_group)
 
@@ -246,6 +247,13 @@ def reference_tensor_power_action(Q, n) -> list[dict]:
                 _vadd(mat, (r, cidx), v)
         action.append(mat)
     return action
+
+
+def reference_annihilator(Q: QuotientModule, n: int) -> RowSpace:
+    """Ann(Q^xn) as the kernel of the action of the tensor power, its dim H
+    matrices of size (dim Q)^n built one coproduct step at a time: the
+    reference for the H x H step of `annihilator_chain`."""
+    return _annihilator(tensor_power_action(Q, n, cap=Q.dim_q ** n))
 
 
 def tensor_power_character(tp: TensorPowerModule) -> list[Cyc]:

@@ -177,6 +177,25 @@ def test_product_matches_fraction_reference(data):
         assert a * a.inverse() == 1 and (b / a) * a == b
 
 
+@pytest.mark.parametrize("z", [
+    Cyc.rational(4), Cyc.rational(Fraction(-5, 7)),
+    Cyc(3, (2, -1)), Cyc(3, (Fraction(1, 2), 3)),
+    Cyc(4, (0, 5)), Cyc(4, (Fraction(-2, 3), Fraction(7, 4))),
+    Cyc(12, (1, 0, -2, 6)), Cyc(12, (Fraction(3, 4), -1, 0, Fraction(5, 9)))])
+def test_rational_factor_scales_like_lift_then_multiply(z):
+    for r in (0, 1, -1, Fraction(-3, 2)):
+        # the rational factor lifted to Q(zeta_n), then the general product
+        want = (Cyc.rational(r).lift(z.order) * z).coeffs if z.order > 1 \
+            else (Fraction(r) * z.coeffs[0],)
+        for got in (Cyc.rational(r) * z, z * Cyc.rational(r), z * r, r * z):
+            assert got.order == z.order and got.coeffs == want
+            assert_exact_coords(got)
+    assert (Cyc.zero() * z).coeffs == (0,) * euler_phi(z.order)
+    if z.order > 1:
+        # no arithmetic at all for a factor of 1
+        assert Cyc.one() * z is z and z * Cyc.one() is z
+
+
 @given(small_rationals)
 @settings(max_examples=60, deadline=None)
 def test_as_fraction_returns_fraction(r):

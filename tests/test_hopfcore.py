@@ -8,13 +8,15 @@ from helpers import (augmentation_core_ideal, cached_group_algebra,
                      ideal_from_span, linear_disjoint_check, perm,
                      quotient_lift, reference_idealizer, reference_ideal_flags,
                      reference_module_hom_basis, reference_q_integrals,
-                     reference_quotient_verify, reference_right_integrals,
+                     reference_annihilator, reference_quotient_verify,
+                     reference_right_integrals,
                      reference_tensor_power_action, regular_r_module,
                      tensor_power_character, trivial_r_module, ulbrich_verify)
 from subdepth import hopfcore
 from subdepth.exactalg import Cyc, RowSpace
 from subdepth.hopfcore import (HopfAlgebraData, SubalgebraEmbedding,
-                               TensorCapExceededError, _frobenius_terms,
+                               TensorCapExceededError, TensorPowerModule,
+                               _frobenius_terms,
                                _is_hopf_ideal, _is_two_sided, _right_integrals,
                                annihilator_chain, build_group_algebra,
                                build_small_quantum_group, idealizer_and_endQ,
@@ -521,6 +523,43 @@ def test_chain_descending(s3):
     chain = annihilator_chain(Q)
     for a, b in zip(chain.ideals, chain.ideals[1:]):
         assert b.space <= a.space
+
+
+@pytest.mark.parametrize("case", ["kS3", "uq2", "taft uq2", "taft uq3",
+                                  "uq3 B", "uq3 R1", "uq3 R2"])
+def test_annihilator_chain_equals_the_tensor_power_route(case, request):
+    # every Ann_n of the H x H step, and Ann_(ell+1) of the stabilization
+    # check, is the kernel of the action of Q^xn, pivot row for pivot row;
+    # uq3 runs while dim Q^n <= 81
+    for H, R in _closure_pairs(case, request):
+        Q = quotient_module(H, R)
+        chain = annihilator_chain(Q, cap=81 if H.dim == 27 else 4096)
+        assert chain.complete
+        for n, ideal in enumerate(chain.ideals, 1):
+            assert ideal.space.pivots == reference_annihilator(Q, n).pivots
+        if chain.hopf_core.dim:
+            stable = reference_annihilator(Q, chain.ell_q + 1)
+            assert stable.pivots == chain.hopf_core.space.pivots
+
+
+def test_annihilator_chain_cap_counts_dimensions_only(uq3, monkeypatch):
+    H, subs = uq3
+    Q = quotient_module(H, subs["R1"])
+    calls = []
+    times_q = TensorPowerModule.times_q
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.n)
+        return times_q(self, *args, **kwargs)
+
+    monkeypatch.setattr(TensorPowerModule, "times_q", counted)
+    for cap, dims in [(3, [20]), (9, [20, 9]), (27, [20, 9, 1]), (81, [20, 9, 1, 0])]:
+        chain = annihilator_chain(Q, cap=cap)
+        assert [i.dim for i in chain.ideals] == dims
+        assert chain.complete == (cap == 81)
+        assert chain.ell_q == (4 if cap == 81 else None)
+    # no tensor power beyond Q itself is built
+    assert calls == []
 
 
 def test_faithfulness_cross_check(s3):
