@@ -18,10 +18,9 @@ from .chartab import (InclusionMatrix, compute_character_table, load_table_file,
 from .corpus import analyze_pair, run_sweep
 from .depthmat import DepthReport, bipartite_dot, depth_report
 from .exactalg import json_int, json_kind, load_json_file, scalar_to_string
-from .hopfcore import (DEFAULT_TENSOR_CAP, HopfAlgebraData, annihilator_chain,
-                       build_group_algebra, idealizer_and_endQ,
-                       integrals_and_modular, quotient_module,
-                       subgroup_embedding, trace_ideals)
+from .hopfcore import (HopfAlgebraData, annihilator_chain, build_group_algebra,
+                       idealizer_and_endQ, integrals_and_modular,
+                       quotient_module, subgroup_embedding, trace_ideals)
 from .mackey import (BudgetExceededError, combinatorial_bound_check,
                      core_depth_bound, hecke_algebra, mackey_restrict,
                      q_tensor_decomposition)
@@ -38,7 +37,6 @@ class AnalysisRequest:
     max_order: int = 24
     conjecture: bool = False
     cap_order: int = DEFAULT_ORDER_CAP
-    cap_tensor_dim: int = DEFAULT_TENSOR_CAP
     json_path: Optional[str] = None
     dot_path: Optional[str] = None
 
@@ -222,13 +220,13 @@ def _run_hopf(req: AnalysisRequest) -> int:
     for name, emb in sorted(subs.items()):
         Q = quotient_module(H, emb)
         rep = integrals_and_modular(H, emb, Q)
-        chain = annihilator_chain(Q, cap=req.cap_tensor_dim)
-        ti = trace_ideals(H, Q, rep, cap=req.cap_tensor_dim, ell_q=chain.ell_q)
+        chain = annihilator_chain(Q)
+        ti = trace_ideals(H, rep, chain)
         ir = idealizer_and_endQ(H, emb, Q)
         print(f"pair {name}: dim R = {emb.dim}, dim Q = {Q.dim_q}")
         print(f"  Ann Q dims: {[i.dim for i in chain.ideals]}; "
               f"ell_Q = {chain.ell_q}; Hopf core dim = "
-              f"{chain.hopf_core.dim if chain.hopf_core else None}")
+              f"{chain.hopf_core.dim}")
         print(f"  trace ideal dims: {[i.dim for i in ti.ideals]}; L_Q = {ti.L_q}; "
               f"tau(Q) = H t_R H: {ti.htrh_matches}")
         print(f"  dim T = {ir.dim_T}; dim End Q = {ir.dim_end_q}; "
@@ -242,7 +240,7 @@ def _run_hopf(req: AnalysisRequest) -> int:
             "dim_R": emb.dim, "dim_Q": Q.dim_q,
             "ann_dims": [i.dim for i in chain.ideals],
             "ell_Q": chain.ell_q,
-            "hopf_core_dim": chain.hopf_core.dim if chain.hopf_core else None,
+            "hopf_core_dim": chain.hopf_core.dim,
             "trace_dims": [i.dim for i in ti.ideals],
             "L_Q": ti.L_q,
             "tau_matches_HtRH": ti.htrh_matches,
@@ -329,8 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_hopf = sub.add_parser("hopf", help="Hopf-subalgebra pair report")
     p_hopf.add_argument("file")
-    p_hopf.add_argument("--cap-tensor-dim", type=int, default=DEFAULT_TENSOR_CAP,
-                        help="tensor power dimension cap")
     common(p_hopf)
 
     p_sweep = sub.add_parser("sweep", help="corpus sweep")
@@ -357,7 +353,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         max_order=getattr(args, "max_order", 24),
         conjecture=getattr(args, "conjecture", False),
         cap_order=getattr(args, "cap_order", DEFAULT_ORDER_CAP),
-        cap_tensor_dim=getattr(args, "cap_tensor_dim", DEFAULT_TENSOR_CAP),
         json_path=getattr(args, "json_path", None),
         dot_path=getattr(args, "dot_path", None),
     )

@@ -297,29 +297,10 @@ def eigenvalues_via_class_formula(G: GroupHandle, H: SubgroupHandle) -> Eigenval
                          all_classes_restrict_to_one=restrict_one)
 
 
-def ell_from_trivial_row(C: list[list[int]], trivial_index: int,
-                         k_max: Optional[int] = None) -> Optional[int]:
+def ell_from_trivial_row(C: list[list[int]], trivial_index: int) -> Optional[int]:
     """Stabilization index of the support of e_triv C^n; for semisimple pairs
     2*ell + 1 equals the h-depth."""
-    q = len(C)
-    budget = k_max if k_max is not None else max(q, 2)
-    support = {trivial_index}
-
-    def step(s: set[int]) -> set[int]:
-        out = set()
-        for i in s:
-            for j in range(q):
-                if C[i][j]:
-                    out.add(j)
-        return out
-
-    cur = step(support)
-    for n in range(1, budget + 1):
-        nxt = step(cur)
-        if nxt == cur:
-            return n
-        cur = nxt
-    return None
+    return pattern_stabilization_index([C[trivial_index]], C, max(len(C), 2))
 
 
 def bipartite_dot(M: InclusionMatrix) -> str:

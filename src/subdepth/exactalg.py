@@ -293,14 +293,18 @@ class Cyc:
     def inverse(self) -> "Cyc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        if self.order == 1:
+        n = self.order
+        if n == 1:
             return _cyc(1, (_rat(_ONE / self.coeffs[0]),))
-        # extended Euclid against Phi_n, which is irreducible over Q
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        inv = _poly_modular_inverse(list(self.coeffs), mod)
-        phi = euler_phi(self.order)
-        inv = inv + [0] * (phi - len(inv))
-        return _cyc(self.order, tuple(map(_rat, inv[:phi])))
+        # z^-1 = r / N(z) for r the product of the Galois conjugates
+        # sigma_k(z), zeta -> zeta^k, over k in (Z/n)* other than 1; the norm
+        # N(z) = z r is rational, and nonzero as Phi_n is irreducible over Q
+        r = _CYC_ONE
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                r = r * Cyc.from_power_sum(
+                    n, {i * k % n: c for i, c in enumerate(self.coeffs) if c})
+        return (r * (_ONE / (self * r).as_fraction())).lift(n)
 
     def __truediv__(self, other) -> "Cyc":
         return self * as_cyc(other).inverse()
@@ -406,46 +410,6 @@ def _coords_in_subfield(z: Cyc, d: int) -> Optional[tuple[Rat, ...]]:
     if phi_d in space.pivots:
         return None
     return tuple(space.pivots[j].get(phi_d, _CYC_ZERO).coeffs[0] for j in range(phi_d))
-
-
-def _poly_strip(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    _poly_strip(a)
-    db, inv_lead = len(b) - 1, _ONE / b[-1]
-    q = [_ZERO] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * inv_lead
-        k = len(a) - 1 - db
-        q[k] = c
-        for j in range(db + 1):
-            a[k + j] -= c * b[j]
-        _poly_strip(a)
-    return q, a
-
-
-def _poly_modular_inverse(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    # extended Euclid: returns a^-1 modulo mod
-    r0, r1 = list(mod), _poly_strip(list(a))
-    s0, s1 = [_ZERO], [_ONE]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        conv = [_ZERO] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, x in enumerate(q):
-            for j, y in enumerate(s1):
-                conv[i + j] += x * y
-        s = [p - q_ for p, q_ in itertools.zip_longest(s0, conv, fillvalue=_ZERO)]
-        s0, s1 = s1, _poly_strip(s)
-    # r0 is the gcd, a nonzero constant since Phi_n is irreducible
-    assert len(r0) == 1
-    inv_c = _ONE / r0[0]
-    return [x * inv_c for x in s0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,15 @@ decided by exact linear algebra over Q(zeta_n), through three shared pieces:
   slots" step, with `SubalgebraEmbedding.coords` and `_tensor_coords`
   reading sparse coordinates in a subalgebra at its pivot columns.
 
-The annihilator chain builds no tensor power: Ann(Q^x(n+1)) is the kernel
-of h -> (pi_n x pi_1) Delta(h) for the quotient maps pi_n : H -> H/Ann(Q^xn)
-and pi_1 : H -> H/Ann Q (proof in `annihilator_chain`), at most (dim H)^2
-rows for every n.  So the tensor cap stops that chain by the count
-(dim Q)^n > cap alone.  The trace-ideal chain reads the action matrices of
-each Q^xn, built one coproduct step at a time by `TensorPowerModule.times_q`.
+Neither chain of the `hopf` report builds a tensor power.  Ann(Q^x(n+1))
+is the kernel of h -> (pi_n x pi_1) Delta(h) for the quotient maps
+pi_n : H -> H/Ann(Q^xn) and pi_1 : H -> H/Ann Q (proof in
+`annihilator_chain`), at most (dim H)^2 rows for every n, and the chain
+ends at the least Hopf ideal it reaches.  The trace ideal tau(Q^xn) is the
+image of Ann(Q^xn)^perp under the injective map Phi : H* -> H of the left
+integral (proof in `trace_ideals`), read off the same quotient map pi_n.
+`tensor_power_action` and `module_hom_basis` build Q^xn and its maps into
+H directly; the tests keep them as the reference route.
 
 A statement that must hold for every h in H (a module law of Q, the
 two-sided ideal test, the equations of integrals and of the idealizer) is
@@ -42,8 +45,6 @@ from .exactalg import (Cyc, RowSpace, json_int, json_kind, json_scalar,
 from .permgroup import GroupHandle, SubgroupHandle
 
 DEFAULT_TENSOR_CAP = 4096
-ANNIHILATOR_POWERS = 12        # tensor powers scanned by `annihilator_chain`
-TRACE_POWERS = 6               # and by `trace_ideals`
 
 Vec = dict[int, Cyc]           # sparse element of H
 TVec = dict[tuple, Cyc]        # sparse element of a tensor power of H
@@ -919,10 +920,10 @@ def _is_hopf_ideal(H: HopfAlgebraData, space: RowSpace,
 
 @dataclass
 class AnnihilatorChain:
-    ideals: list[IdealSubspace]
-    ell_q: Optional[int]
-    hopf_core: Optional[IdealSubspace]
-    complete: bool
+    ideals: list[IdealSubspace]        # Ann(Q^xn) for n = 1 .. ell_q
+    ell_q: int
+    hopf_core: IdealSubspace           # the last ideal, a Hopf ideal
+    projectors: list[list[Vec]]        # the `_projector` of each ideal
 
 
 def _kernel_space(columns: list[dict]) -> RowSpace:
@@ -933,10 +934,11 @@ def _kernel_space(columns: list[dict]) -> RowSpace:
     return space
 
 
-def _annihilator(tp: TensorPowerModule) -> RowSpace:
-    """The h in H that act as zero on the tensor power, as a subspace."""
-    return _kernel_space([{(r * tp.dim + c): v for (r, c), v in tp.action[h].items()}
-                          for h in range(tp.base.hopf.dim)])
+def _annihilator(action: list[dict[tuple[int, int], Cyc]], dim: int) -> RowSpace:
+    """The h in H that act as zero, from the sparse dim x dim action matrix
+    of each H-basis element, as a subspace."""
+    return _kernel_space([{r * dim + c: v for (r, c), v in mat.items()}
+                          for mat in action])
 
 
 def _annihilator_step(H: HopfAlgebraData, proj_n: list[Vec],
@@ -948,10 +950,9 @@ def _annihilator_step(H: HopfAlgebraData, proj_n: list[Vec],
                           for h in range(H.dim)])
 
 
-def annihilator_chain(Q: QuotientModule,
-                      cap: int = DEFAULT_TENSOR_CAP) -> AnnihilatorChain:
-    """Descending chain Ann Q >= Ann Q^x2 >= ...; ell_Q is the least n whose
-    annihilator is a Hopf ideal, and the chain is checked to stabilize there.
+def annihilator_chain(Q: QuotientModule) -> AnnihilatorChain:
+    """Descending chain Ann Q > Ann Q^x2 > ... > Ann Q^x ell_Q, where ell_Q
+    is the least n whose annihilator is a Hopf ideal, the Hopf core.
 
     Only Ann Q is read off an action; every later annihilator comes from the
     one before and Ann Q, by a kernel with at most (dim H)^2 rows whatever
@@ -972,40 +973,45 @@ def annihilator_chain(Q: QuotientModule,
     subspace is unique, so each Ann_n is the same `RowSpace` as the kernel
     of the action of Q^xn.
 
-    The cap is a dimension count: the scan stops before any n with
-    dim Q^n > cap.  It is then reported incomplete: without ell_Q when no
-    annihilator so far is a Hopf ideal, and with ell_Q but without the
-    stabilization check when the cap stops that check.  The scan also
-    stops, incomplete, after ANNIHILATOR_POWERS tensor powers."""
+    The chain ends by itself:
+
+    - A stable annihilator I = Ann_n = Ann_(n+1) is a bi-ideal.  The step
+      takes Ann_(n+1) to Ann_(n+2) as it took Ann_n to Ann_(n+1), so
+      I = Ann_m for every m >= n.  eps vanishes on I: the counit
+      eps_Q : Q -> k is H-linear and onto, so k is a quotient of Q^xn and
+      I <= Ann k = ker eps.  And I = Ann(Q^xn x Q^xn) = ker((pi_I x pi_I)
+      Delta) by the step, so Delta(I) <= I x H + H x I.
+    - A bi-ideal of a finite-dimensional Hopf algebra is a Hopf ideal
+      (Nichols, Quotients of Hopf algebras, 1978).
+    - A Hopf ideal I = Ann_n lies in Ann_1 and has
+      Delta(I) <= I x H + H x I, so (pi_n x pi_1) Delta kills I and
+      Ann_(n+1) = I.
+
+    So the rank drops at every step until the chain reaches a Hopf ideal,
+    where it stays: both are asserted, and the chain holds at most
+    rank(Ann Q) + 1 ideals.  Each ideal is also checked two-sided and
+    contained in the one before."""
     H = Q.hopf
     ideals: list[IdealSubspace] = []
-    proj_1: list[Vec] = []
-    for n in range(1, ANNIHILATOR_POWERS + 1):
-        if Q.dim_q ** n > cap:
-            return AnnihilatorChain(ideals, None, None, False)
-        if n == 1:
-            space = _annihilator(tensor_power_action(Q, 1, cap=cap))
-        else:
-            space = _annihilator_step(H, proj, proj_1)
+    projectors: list[list[Vec]] = []
+    space = _annihilator(Q.action, Q.dim_q)
+    while True:
         if not _is_two_sided(H, space):
             raise AssertionError("annihilator is not a two-sided ideal")
-        ideal = IdealSubspace(space)
         if ideals and not (space <= ideals[-1].space):
             raise AssertionError("annihilator chain is not descending")
+        if ideals and space.rank == ideals[-1].dim:
+            raise AssertionError("annihilator chain stopped descending before a Hopf ideal")
+        ideal = IdealSubspace(space)
         ideals.append(ideal)
         proj = _projector(space)
-        if n == 1:
-            proj_1 = proj
+        projectors.append(proj)
         if _is_hopf_ideal(H, space, proj):
-            if space.rank == 0:
-                # zero ideal: all later annihilators are zero by descent
-                return AnnihilatorChain(ideals, n, ideal, True)
-            if Q.dim_q ** (n + 1) > cap:
-                return AnnihilatorChain(ideals, n, ideal, False)
-            if not space.equals(_annihilator_step(H, proj, proj_1)):
+            # the zero ideal needs no step: all later annihilators are zero
+            if space.rank and not space.equals(_annihilator_step(H, proj, projectors[0])):
                 raise AssertionError("annihilator chain did not stabilize at the Hopf ideal")
-            return AnnihilatorChain(ideals, n, ideal, True)
-    return AnnihilatorChain(ideals, None, None, False)
+            return AnnihilatorChain(ideals, len(ideals), ideal, projectors)
+        space = _annihilator_step(H, proj, projectors[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1119,9 +1125,8 @@ def _q_counit(Q: QuotientModule, q: Vec) -> Cyc:
 @dataclass
 class TraceIdealChain:
     ideals: list[IdealSubspace]
-    L_q: Optional[int]
-    complete: bool
-    htrh_matches: Optional[bool] = None
+    L_q: int
+    htrh_matches: bool
 
 
 def _frobenius_terms(H: HopfAlgebraData, lam: Vec) -> TVec:
@@ -1169,59 +1174,72 @@ def module_hom_basis(Q: QuotientModule, tp: TensorPowerModule,
     return homs
 
 
-def trace_ideals(H: HopfAlgebraData, Q: QuotientModule,
-                 integrals: IntegralReport, cap: int = DEFAULT_TENSOR_CAP,
-                 ell_q: Optional[int] = None) -> TraceIdealChain:
-    """Ascending chain of trace ideals of the tensor powers of Q: each is
-    the sum of the images of the closed-form basis of `module_hom_basis`,
-    all from the left integral S(t_H) of H, whose Frobenius identity is
-    checked once here since it does not depend on n.
+def trace_ideals(H: HopfAlgebraData, integrals: IntegralReport,
+                 chain: AnnihilatorChain) -> TraceIdealChain:
+    """Ascending chain of the trace ideals tau(Q^xn), each the sum of the
+    images of all H-module maps Q^xn -> H, read off the quotient maps of
+    the annihilator chain: no tensor power and no map into H is built.
 
     t_H and t_R are read from the pair's `integrals_and_modular` report.
-    tau(Q) is checked against H t_R H, and L_Q = ell_Q is asserted when some
-    tensor power is faithful.  The scan stops after TRACE_POWERS tensor
-    powers."""
-    terms = _frobenius_terms(H, H.antipode_vec(integrals.t_H))
+    For the left integral Lambda = S(t_H), H is Frobenius (Larson-Sweedler)
+    and the maps f_xi(m) = sum xi(m Lambda_1) S(Lambda_2), xi in M*, are
+    all of Hom_H(M, H) (the claim of `module_hom_basis`).  Write
+    sum Lambda_1 x S(Lambda_2) = sum c e_x x e_z (`_frobenius_terms`, whose
+    Frobenius identity is checked at the generators) and let
+    Phi : H* -> H, xi -> sum c xi(e_x) e_z.
+
+    - f_xi(m) = sum c xi(m e_x) e_z, and the functionals x -> xi(m e_x)
+      span {x -> phi(rho_M(e_x)) : phi in End(M)*} as xi and m vary.  So
+      tau(M) = {sum c phi(rho_M(e_x)) e_z : phi in End(M)*}.
+    - rho_M = iota_M pi_M with iota_M injective, so phi o iota_M runs over
+      all of (H/Ann M)*.  Hence tau(M) is spanned by
+      u_k = sum_x pi_M(e_x)[k] Phi(e_x*), one vector per coordinate k of
+      H/Ann M.
+    - Phi is injective: for M = H, Phi(xi) = f_xi(1) determines the module
+      map f_xi(m) = f_xi(1) m, and xi -> f_xi maps H* onto Hom_H(H, H),
+      both of dimension dim H, so it is injective too.
+
+    So dim tau(M) = dim H - dim Ann(M), and tau_n = tau_(n+1) exactly when
+    Ann_n = Ann_(n+1), which gives L_Q = ell_Q.  The ideals are tau_n for
+    n = 1 .. ell_Q, and tau_(ell_Q + 1) = tau_(ell_Q) once more when the
+    Hopf core is nonzero.  rank Phi = dim H is certified once,
+    dim tau_n + dim Ann_n = dim H and the ascent are asserted at every n,
+    and tau(Q) is checked against H t_R H."""
+    phi: list[Vec] = [{} for _ in range(H.dim)]
+    for (x, z), c in _frobenius_terms(H, H.antipode_vec(integrals.t_H)).items():
+        phi[x][z] = c
+    phi_space = RowSpace(H.dim)
+    for v in phi:
+        phi_space.add(v)
+    if phi_space.rank != H.dim:
+        raise AssertionError(f"Phi : H* -> H has rank {phi_space.rank} < dim H")
     ideals: list[IdealSubspace] = []
-    L_q: Optional[int] = None
-    faithful_seen = False
-    tp: Optional[TensorPowerModule] = None
-    for n in range(1, TRACE_POWERS + 1):
-        try:
-            tp = tensor_power_action(Q, 1, cap=cap) if tp is None else tp.times_q(cap)
-        except TensorCapExceededError:
-            return TraceIdealChain(ideals, L_q, False)
-        homs = module_hom_basis(Q, tp, terms)
+    for ann, proj in zip(chain.ideals, chain.projectors):
+        u: dict[int, Vec] = {}
+        for x, pi_x in enumerate(proj):
+            for k, a in pi_x.items():
+                u_k = u.setdefault(k, {})
+                for z, c in phi[x].items():
+                    _vadd(u_k, z, a * c)
         space = RowSpace(H.dim)
-        for images in homs:
-            for img in images:
-                space.add(dict(img))
+        for v in u.values():
+            space.add(v)
+        if space.rank + ann.dim != H.dim:
+            raise AssertionError("dim tau(Q^xn) + dim Ann(Q^xn) differs from dim H")
         if ideals and not (ideals[-1].space <= space):
             raise AssertionError("trace ideal chain is not ascending")
-        if ideals and ideals[-1].space.equals(space) and L_q is None:
-            L_q = n - 1
         ideals.append(IdealSubspace(space))
-        if space.rank == H.dim:
-            faithful_seen = True
-            if L_q is None:
-                L_q = n
-            break
-        if L_q is not None:
-            break
-    htrh = None
-    if ideals:
-        htrh_space = RowSpace(H.dim)
-        for i in range(H.dim):
-            left = H.mult_vec(H.basis_vec(i), integrals.t_R)
-            for j in range(H.dim):
-                htrh_space.add(H.mult_vec(left, H.basis_vec(j)))
-        htrh = ideals[0].space.equals(htrh_space)
-        if not htrh:
-            raise AssertionError("tau(Q) differs from H t_R H")
-    if faithful_seen and ell_q is not None and L_q != ell_q:
-        raise AssertionError(
-            f"conditionally faithful but L_Q = {L_q} differs from ell_Q = {ell_q}")
-    return TraceIdealChain(ideals, L_q, L_q is not None, htrh)
+    if chain.hopf_core.dim:
+        # Ann_(ell+1) = Ann_ell, checked by `annihilator_chain`
+        ideals.append(ideals[-1])
+    htrh_space = RowSpace(H.dim)
+    for i in range(H.dim):
+        left = H.mult_vec(H.basis_vec(i), integrals.t_R)
+        for j in range(H.dim):
+            htrh_space.add(H.mult_vec(left, H.basis_vec(j)))
+    if not ideals[0].space.equals(htrh_space):
+        raise AssertionError("tau(Q) differs from H t_R H")
+    return TraceIdealChain(ideals, chain.ell_q, True)
 
 
 # ---------------------------------------------------------------------------

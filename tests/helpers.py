@@ -13,7 +13,8 @@ from subdepth.corpus import (analyze_pair, cached_table, corpus_groups,
 from subdepth.chartab import _apply_modp, _modp_rref, _unit
 from subdepth.exactalg import (_CYC_ONE, _CYC_ZERO, _ZERO, Cyc, ExactMatrix,
                                ExactPolynomial, MalformedSequenceError, RowSpace,
-                               _poly_divmod, kernel_of_sparse_columns)
+                               cyclotomic_polynomial, euler_phi,
+                               kernel_of_sparse_columns)
 from subdepth.hopfcore import (HopfAlgebraData, QuotientModule,
                                SubalgebraEmbedding, TensorPowerModule, TVec, Vec,
                                _annihilator, _is_hopf_ideal, _project,
@@ -253,7 +254,8 @@ def reference_annihilator(Q: QuotientModule, n: int) -> RowSpace:
     """Ann(Q^xn) as the kernel of the action of the tensor power, its dim H
     matrices of size (dim Q)^n built one coproduct step at a time: the
     reference for the H x H step of `annihilator_chain`."""
-    return _annihilator(tensor_power_action(Q, n, cap=Q.dim_q ** n))
+    tp = tensor_power_action(Q, n, cap=Q.dim_q ** n)
+    return _annihilator(tp.action, tp.dim)
 
 
 def tensor_power_character(tp: TensorPowerModule) -> list[Cyc]:
@@ -414,6 +416,51 @@ def from_roots(roots) -> ExactPolynomial:
     for r in roots:
         p = p * ExactPolynomial((-Fraction(r), 1))
     return p
+
+
+def _poly_strip(p: list[Fraction]) -> list[Fraction]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_divmod(a: list[Fraction], b: list[Fraction]):
+    a = list(a)
+    _poly_strip(a)
+    db, inv_lead = len(b) - 1, Fraction(1) / b[-1]
+    q = [_ZERO] * max(0, len(a) - db)
+    while len(a) - 1 >= db and a:
+        c = a[-1] * inv_lead
+        k = len(a) - 1 - db
+        q[k] = c
+        for j in range(db + 1):
+            a[k + j] -= c * b[j]
+        _poly_strip(a)
+    return q, a
+
+
+def reference_inverse(z: Cyc) -> Cyc:
+    """z^-1 by extended Euclid against Phi_n, which is irreducible over Q:
+    the reference for the norm-based `Cyc.inverse`."""
+    if z.order == 1:
+        return Cyc.rational(1 / z.as_fraction())
+    r0 = [Fraction(c) for c in cyclotomic_polynomial(z.order)]
+    r1 = _poly_strip([Fraction(c) for c in z.coeffs])
+    s0, s1 = [_ZERO], [Fraction(1)]
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        conv = [_ZERO] * (len(q) + len(s1) - 1) if q and s1 else []
+        for i, x in enumerate(q):
+            for j, y in enumerate(s1):
+                conv[i + j] += x * y
+        s = [p - q_ for p, q_ in itertools.zip_longest(s0, conv, fillvalue=_ZERO)]
+        s0, s1 = s1, _poly_strip(s)
+    # r0 is the gcd, a nonzero constant
+    assert len(r0) == 1
+    phi = euler_phi(z.order)
+    inv = [x / r0[0] for x in s0] + [_ZERO] * phi
+    return Cyc(z.order, inv[:phi])
 
 
 def poly_divmod(a: ExactPolynomial, b: ExactPolynomial):

@@ -17,7 +17,8 @@ from subdepth.exactalg import (Cyc, ExactMatrix, ExactPolynomial,
 from helpers import (conjugate, derivative, evaluate_matrix,
                      exact_pattern_stabilization_index, from_roots, matpow,
                      poly_gcd, reference_cyc_minimal_polynomial,
-                     reference_factor_rational_roots, reference_minimal_polynomial)
+                     reference_factor_rational_roots, reference_inverse,
+                     reference_minimal_polynomial)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
@@ -194,6 +195,22 @@ def test_rational_factor_scales_like_lift_then_multiply(z):
     if z.order > 1:
         # no arithmetic at all for a factor of 1
         assert Cyc.one() * z is z and z * Cyc.one() is z
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 24])
+def test_inverse_equals_the_euclid_reference(n):
+    # int and Fraction coordinates, dense and sparse, and every root of unity
+    rng = random.Random(n)
+    values = [0, 0, 1, -1, 3, -7, Fraction(1, 2), Fraction(-5, 3), Fraction(9, 4)]
+    elements = [Cyc.root_of_unity(n, k) for k in range(n)]
+    elements += [Cyc(n, [rng.choice(values) for _ in range(euler_phi(n))])
+                 for _ in range(40)]
+    for z in elements:
+        if z.is_zero():
+            continue
+        got, want = z.inverse(), reference_inverse(z)
+        assert got.order == want.order == n and got.coeffs == want.coeffs
+        assert_exact_coords(got)
 
 
 @given(small_rationals)

@@ -4,9 +4,11 @@ The group-pair, matrix and sweep reports were written by the CLI before the
 integer sweep kernels replaced the Cyc-based inner products and power scans;
 the `subdepth hopf` reports on the small quantum groups (inputs written by
 `scripts/make_hopf_input.py`) were written before the quotient-module checks
-moved to algebra generators, and the uncapped uq3 report before the trace
-ideals came from the closed form; the `subdepth chartab` tables of S4 and A5
-before the Dixon-Schneider and minimal-polynomial kernels were reworked.
+moved to algebra generators, the uq3 report before the trace ideals came
+from the closed form of the maps into H, and both still hold now that the
+annihilator and trace chains build no tensor power; the `subdepth chartab`
+tables of S4 and A5 before the Dixon-Schneider and minimal-polynomial
+kernels were reworked.
 Every later change must reproduce them exactly.
 """
 
@@ -43,17 +45,12 @@ def test_sweep24_json_is_golden(sweep24, tmp_path):
     assert out.read_bytes() == (GOLDEN / "sweep24.json").read_bytes()
 
 
-@pytest.mark.parametrize("algebra, extra, golden", [
-    ("uq2", [], "hopf_uq2"),
-    # the cap stops both chains of every pair, so the cap path is frozen too
-    ("uq3", ["--cap-tensor-dim", "9"], "hopf_uq3_cap9"),
-    ("uq3", [], "hopf_uq3"),
-])
-def test_hopf_json_is_golden(algebra, extra, golden, tmp_path, capsys):
+@pytest.mark.parametrize("algebra", ["uq2", "uq3"])
+def test_hopf_json_is_golden(algebra, tmp_path, capsys):
     out = tmp_path / "rep.json"
-    assert main(["hopf", str(GOLDEN / f"{algebra}.json"), *extra,
+    assert main(["hopf", str(GOLDEN / f"{algebra}.json"),
                  "--json", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
+    assert out.read_bytes() == (GOLDEN / f"hopf_{algebra}.json").read_bytes()
 
 
 @pytest.mark.parametrize("n", ["2", "3"])

@@ -398,7 +398,7 @@ def test_generator_checks_agree_with_all_basis_references(case, request):
         n_max = max(n for n in (1, 2, 3) if Q.dim_q ** n <= 81)
         for n in range(1, n_max + 1):
             assert tensor_power_action(Q, n).action == reference_tensor_power_action(Q, n)
-        chain = annihilator_chain(Q, cap=Q.dim_q ** n_max)
+        chain = annihilator_chain(Q)
         for space in [i.space for i in chain.ideals] + [Q.rpH, R.space]:
             two_sided = _is_two_sided(H, space)
             flags = (two_sided, two_sided and _is_hopf_ideal(H, space))
@@ -485,7 +485,7 @@ def test_eight_dim_annihilator_chain(uq2):
     # direction (K-1)F under "The 8-dimensional pair")
     assert [i.dim for i in chain.ideals] == [5, 4]
     assert chain.ell_q == 2
-    assert chain.complete
+    assert chain.hopf_core is chain.ideals[-1]
     EH = ideal_from_span(H8, [H8.mult_vec({2: Cyc.one()}, H8.basis_vec(i))
                               for i in range(8)])
     assert EH.rank == 4 and reference_ideal_flags(H8, EH)[1]
@@ -525,41 +525,82 @@ def test_chain_descending(s3):
         assert b.space <= a.space
 
 
-@pytest.mark.parametrize("case", ["kS3", "uq2", "taft uq2", "taft uq3",
-                                  "uq3 B", "uq3 R1", "uq3 R2"])
+# the pairs of both tensor-power route tests; uq3 runs while dim Q^n <= 81
+ROUTE_CASES = ["kS3", "uq2", "taft uq2", "taft uq3", "uq3 B", "uq3 R1", "uq3 R2"]
+
+
+def _on_route(H, Q, n):
+    return Q.dim_q ** n <= (81 if H.dim == 27 else 4096)
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
 def test_annihilator_chain_equals_the_tensor_power_route(case, request):
     # every Ann_n of the H x H step, and Ann_(ell+1) of the stabilization
-    # check, is the kernel of the action of Q^xn, pivot row for pivot row;
-    # uq3 runs while dim Q^n <= 81
+    # check, is the kernel of the action of Q^xn, pivot row for pivot row
     for H, R in _closure_pairs(case, request):
         Q = quotient_module(H, R)
-        chain = annihilator_chain(Q, cap=81 if H.dim == 27 else 4096)
-        assert chain.complete
+        chain = annihilator_chain(Q)
         for n, ideal in enumerate(chain.ideals, 1):
-            assert ideal.space.pivots == reference_annihilator(Q, n).pivots
-        if chain.hopf_core.dim:
+            if _on_route(H, Q, n):
+                assert ideal.space.pivots == reference_annihilator(Q, n).pivots
+        if chain.hopf_core.dim and _on_route(H, Q, chain.ell_q + 1):
             stable = reference_annihilator(Q, chain.ell_q + 1)
             assert stable.pivots == chain.hopf_core.space.pivots
 
 
-def test_annihilator_chain_cap_counts_dimensions_only(uq3, monkeypatch):
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_trace_ideals_equal_the_tensor_power_route(case, request):
+    # every tau_n read off Ann_n is the sum of the images of the closed-form
+    # maps Q^xn -> H of `module_hom_basis`, basis row for basis row
+    for H, R in _closure_pairs(case, request):
+        Q = quotient_module(H, R)
+        rep = integrals_and_modular(H, R, Q)
+        ti = trace_ideals(H, rep, annihilator_chain(Q))
+        terms = _frobenius_terms(H, H.antipode_vec(rep.t_H))
+        for n, ideal in enumerate(ti.ideals, 1):
+            if _on_route(H, Q, n):
+                tp = tensor_power_action(Q, n)
+                _, images = _hom_space(H, tp, module_hom_basis(Q, tp, terms))
+                assert ideal.space.basis_rows() == images.basis_rows()
+
+
+def test_uq3_r1_annihilator_chain_runs_to_the_zero_ideal(uq3):
+    # ell_Q = 4 and the Hopf core is zero, with dim Q^4 = 81
     H, subs = uq3
-    Q = quotient_module(H, subs["R1"])
+    chain = annihilator_chain(quotient_module(H, subs["R1"]))
+    assert [i.dim for i in chain.ideals] == [20, 9, 1, 0]
+    assert chain.ell_q == 4 and chain.hopf_core.dim == 0
+
+
+def test_hopf_chains_build_no_tensor_power(uq2, uq3, monkeypatch):
     calls = []
-    times_q = TensorPowerModule.times_q
 
-    def counted(self, *args, **kwargs):
-        calls.append(self.n)
-        return times_q(self, *args, **kwargs)
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(TensorPowerModule, "times_q", counted)
-    for cap, dims in [(3, [20]), (9, [20, 9]), (27, [20, 9, 1]), (81, [20, 9, 1, 0])]:
-        chain = annihilator_chain(Q, cap=cap)
-        assert [i.dim for i in chain.ideals] == dims
-        assert chain.complete == (cap == 81)
-        assert chain.ell_q == (4 if cap == 81 else None)
-    # no tensor power beyond Q itself is built
+    for name in ("tensor_power_action", "module_hom_basis"):
+        monkeypatch.setattr(hopfcore, name, counted(getattr(hopfcore, name), name))
+    monkeypatch.setattr(TensorPowerModule, "times_q",
+                        counted(TensorPowerModule.times_q, "times_q"))
+    for H, subs in (uq2, uq3):
+        for R in subs.values():
+            Q = quotient_module(H, R)
+            chain = annihilator_chain(Q)
+            trace_ideals(H, integrals_and_modular(H, R, Q), chain)
     assert calls == []
+
+
+def test_annihilator_chain_without_a_hopf_ideal_raises(uq2, monkeypatch):
+    # the chain has no budget: a chain that never meets a Hopf ideal stops
+    # descending, at the Hopf core or at the zero ideal, and that is an error
+    monkeypatch.setattr(hopfcore, "_is_hopf_ideal", lambda *args: False)
+    H8, subs8 = uq2
+    for R in subs8.values():
+        with pytest.raises(AssertionError, match="stopped descending"):
+            annihilator_chain(quotient_module(H8, R))
 
 
 def test_faithfulness_cross_check(s3):
@@ -641,8 +682,7 @@ def test_trace_ideal_eight_dim(uq2):
     H8, subs8 = uq2
     Q = quotient_module(H8, subs8["R2"])
     rep = integrals_and_modular(H8, subs8["R2"], Q)
-    chain = annihilator_chain(Q)
-    ti = trace_ideals(H8, Q, rep, ell_q=chain.ell_q)
+    ti = trace_ideals(H8, rep, annihilator_chain(Q))
     assert ti.ideals[0].dim == 3
     assert ti.htrh_matches
     # ascending
@@ -663,11 +703,11 @@ def test_trace_ideals_solve_for_the_integral_once(uq2, monkeypatch):
     Q = quotient_module(H8, subs8["R2"])
     rep = integrals_and_modular(H8, subs8["R2"], Q)
     assert calls["_right_integrals"] == 2
-    ti = trace_ideals(H8, Q, rep)
+    ti = trace_ideals(H8, rep, annihilator_chain(Q))
     assert len(ti.ideals) >= 2
     assert ti.htrh_matches
     assert calls == {"_right_integrals": 2, "_frobenius_terms": 1,
-                     "module_hom_basis": len(ti.ideals)}
+                     "module_hom_basis": 0}
 
 
 def test_trace_ideals_beyond_dimension_eight(uq3):
@@ -678,9 +718,8 @@ def test_trace_ideals_beyond_dimension_eight(uq3):
     Q = quotient_module(H, R)
     rep = integrals_and_modular(H, R, Q)
     chain = annihilator_chain(Q)
-    ti = trace_ideals(H, Q, rep, ell_q=chain.ell_q)
+    ti = trace_ideals(H, rep, chain)
     assert ti.htrh_matches
-    assert ti.complete
     assert ti.L_q == chain.ell_q
     assert [i.dim for i in ti.ideals] == [7, 18, 26, 27]
 
@@ -731,7 +770,7 @@ def test_trace_ideal_free_case(s3):
     triv = SubalgebraEmbedding(H, [dict(H.unit)])
     Q = quotient_module(H, triv)
     rep = integrals_and_modular(H, triv, Q)
-    ti = trace_ideals(H, Q, rep, ell_q=1)
+    ti = trace_ideals(H, rep, annihilator_chain(Q))
     assert ti.ideals[0].dim == H.dim
     assert ti.L_q == 1
 
@@ -741,7 +780,7 @@ def test_generator_implies_semisimple_r(s3):
     H, R = s3_pair(s3)
     Q = quotient_module(H, R)
     rep = integrals_and_modular(H, R, Q)
-    ti = trace_ideals(H, Q, rep, ell_q=None)
+    ti = trace_ideals(H, rep, annihilator_chain(Q))
     if ti.ideals[-1].dim == H.dim:
         assert not H.counit_vec(rep.t_R).is_zero()
 

@@ -68,7 +68,7 @@ def test_chain_monotonicity_samples(s3, s4, a4, uq2):
         for a, b in zip(chain.ideals, chain.ideals[1:]):
             assert b.space <= a.space
         rep = integrals_and_modular(H, emb, Q)
-        ti = trace_ideals(H, Q, rep, ell_q=chain.ell_q)
+        ti = trace_ideals(H, rep, chain)
         assert ti.htrh_matches
         for a, b in zip(ti.ideals, ti.ideals[1:]):
             assert a.space <= b.space
