@@ -106,7 +106,7 @@ def _depth_text(rep: DepthReport) -> None:
     print(f"d_odd = {rep.d_odd}  d_ev = {rep.d_ev}  d_0 = {rep.d_0}  d_h = {rep.d_h}")
     eig = ", ".join(f"{v} (x{m})" for v, m in sorted(rep.eigen_B.values.items()))
     print(f"eigenvalues of B: {eig}; residual {rep.eigen_B.residual.to_string()}")
-    print(f"C indecomposable: {rep.indecomposable_C}")
+    print(f"C indecomposable: {rep.mckay.indecomposable}")
     if rep.pf_check is not None:
         print(f"Perron-Frobenius check (root = index): {rep.pf_check}")
 
@@ -121,8 +121,10 @@ def _run_group_pair(req: AnalysisRequest) -> int:
     print("class-formula eigenvalues: {"
           + ", ".join(str(v) for v in sorted(es.value_set()))
           + f"}} (t = {es.t}, d_0 <= {es.depth_bound})")
-    assert a.eigen_ok, "class formula disagrees with minpoly roots"
-    assert a.pf_ok, "minpoly(C) does not have the index as its Perron-Frobenius root"
+    if not a.eigen_ok:
+        raise AssertionError("class formula disagrees with minpoly roots")
+    if not rep.pf_check:
+        raise AssertionError("minpoly(C) does not have the index as its Perron-Frobenius root")
     cb = core_depth_bound(G, H, d_h=rep.d_h)
     print(f"core witness r = {cb.r}; bounds d(Q) <= {cb.bound_dQ}, d_h <= {cb.bound_dh}")
     comb = combinatorial_bound_check(G, H, d_h=rep.d_h)
@@ -131,10 +133,11 @@ def _run_group_pair(req: AnalysisRequest) -> int:
     hk = hecke_algebra(G, H)
     HG = build_group_algebra(G)
     emb = subgroup_embedding(HG, G, H)
-    ir = idealizer_and_endQ(HG, emb)
+    ir = idealizer_and_endQ(HG, emb, quotient_module(HG, emb))
     print(f"Hecke dimension = {hk.dimension}; dim End Q = {ir.dim_end_q}; "
           f"normal = {ir.normal}")
-    assert hk.dimension == ir.dim_end_q, "Hecke dimension differs from dim End Q"
+    if hk.dimension != ir.dim_end_q:
+        raise AssertionError("Hecke dimension differs from dim End Q")
     data = {
         "order": G.order, "subgroup_order": H.order,
         "depth": rep.to_json(),
@@ -174,7 +177,7 @@ def _run_mackey(req: AnalysisRequest) -> int:
             "character": list(char)}
     if "K" in subs:
         mr = mackey_restrict(G, subs["K"], H)
-        data["restriction_of_K"] = mr.to_json()
+        data["restriction_of_K"] = mr.to_json(mr.merged())
         orders = sorted(s.order for _, s in mr.entries)
         print(f"Q_K restricted to H: summand subgroup orders {orders}")
     _emit_json(data, req.json_path)
@@ -204,7 +207,8 @@ def _run_chartab(req: AnalysisRequest) -> int:
         imported = load_table_file(G, req.import_path)
         ok = tables_agree_up_to_row_permutation(tab, imported)
         print(f"imported table agrees up to row permutation: {ok}")
-        assert ok, "imported table disagrees with the computed table"
+        if not ok:
+            raise AssertionError("imported table disagrees with the computed table")
     _emit_json(tab.to_json(), req.json_path)
     return 0
 
@@ -221,14 +225,15 @@ def _run_hopf(req: AnalysisRequest) -> int:
         Q = quotient_module(H, emb)
         rep = integrals_and_modular(H, emb, Q)
         chain = annihilator_chain(Q)
-        ti = trace_ideals(H, rep, chain)
+        taus = trace_ideals(H, rep, chain)
         ir = idealizer_and_endQ(H, emb, Q)
         print(f"pair {name}: dim R = {emb.dim}, dim Q = {Q.dim_q}")
         print(f"  Ann Q dims: {[i.dim for i in chain.ideals]}; "
               f"ell_Q = {chain.ell_q}; Hopf core dim = "
               f"{chain.hopf_core.dim}")
-        print(f"  trace ideal dims: {[i.dim for i in ti.ideals]}; L_Q = {ti.L_q}; "
-              f"tau(Q) = H t_R H: {ti.htrh_matches}")
+        # trace_ideals raises unless tau(Q) = H t_R H; L_Q = ell_Q by its proof
+        print(f"  trace ideal dims: {[i.dim for i in taus]}; L_Q = {chain.ell_q}; "
+              f"tau(Q) = H t_R H: True")
         print(f"  dim T = {ir.dim_T}; dim End Q = {ir.dim_end_q}; "
               f"normal: {ir.normal}")
         print(f"  Frobenius extension: {rep.frobenius}; "
@@ -241,9 +246,9 @@ def _run_hopf(req: AnalysisRequest) -> int:
             "ann_dims": [i.dim for i in chain.ideals],
             "ell_Q": chain.ell_q,
             "hopf_core_dim": chain.hopf_core.dim,
-            "trace_dims": [i.dim for i in ti.ideals],
-            "L_Q": ti.L_q,
-            "tau_matches_HtRH": ti.htrh_matches,
+            "trace_dims": [i.dim for i in taus],
+            "L_Q": chain.ell_q,
+            "tau_matches_HtRH": True,
             "dim_T": ir.dim_T, "dim_end_q": ir.dim_end_q, "normal": ir.normal,
             "frobenius": rep.frobenius,
             "has_q_integral": bool(rep.q_integral_basis),

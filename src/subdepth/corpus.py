@@ -20,8 +20,8 @@ from .depthmat import (DepthReport, EigenvalueSet, depth_report,
 from .permgroup import GroupHandle, Permutation, SubgroupHandle, enumerate_group
 
 
-def _cycle(n: int, shift: int = 0) -> Permutation:
-    return Permutation.from_cycles(n + shift, [tuple(range(shift + 1, shift + n + 1))])
+def _cycle(n: int) -> Permutation:
+    return Permutation.from_cycles(n, [tuple(range(1, n + 1))])
 
 
 def cyclic(n: int) -> list[Permutation]:
@@ -88,53 +88,36 @@ def direct_product(gens_a: list[Permutation], deg_a: int,
     return out
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    degree: int
-    generators: tuple[Permutation, ...]
-    order: int
-
-
-def _entry(name: str, degree: int, gens: list[Permutation]) -> CatalogEntry:
-    G = enumerate_group(gens, degree=degree)
-    return CatalogEntry(name, degree, tuple(gens), G.order)
-
-
 @lru_cache(maxsize=1)
-def catalog() -> tuple[CatalogEntry, ...]:
+def catalog() -> tuple[tuple[str, GroupHandle], ...]:
+    """(name, group) for every catalog group, each enumerated once."""
+    def group(name: str, degree: int, gens: list[Permutation]):
+        return name, enumerate_group(gens, degree=degree)
+
     entries = []
     for n in range(1, 25):
-        entries.append(_entry(f"C{n}", max(n, 1), cyclic(n)))
+        entries.append(group(f"C{n}", n, cyclic(n)))
     for n in range(3, 13):
-        entries.append(_entry(f"D{2 * n}", n, dihedral(n)))
-    entries.append(_entry("S4", 4, symmetric(4)))
-    entries.append(_entry("A4", 4, alternating(4)))
-    entries.append(_entry("Q8", 8, quaternion()))
-    entries.append(_entry("C2xC2", 4, direct_product(cyclic(2), 2, cyclic(2), 2)))
-    entries.append(_entry("C2xC4", 6, direct_product(cyclic(2), 2, cyclic(4), 4)))
-    entries.append(_entry("C2xC2xC2", 6,
-                          direct_product(direct_product(cyclic(2), 2, cyclic(2), 2), 4,
-                                         cyclic(2), 2)))
-    entries.append(_entry("C2xC6", 8, direct_product(cyclic(2), 2, cyclic(6), 6)))
-    entries.append(_entry("C3xC3", 6, direct_product(cyclic(3), 3, cyclic(3), 3)))
-    entries.append(_entry("C2xD8", 6, direct_product(cyclic(2), 2, dihedral(4), 4)))
+        entries.append(group(f"D{2 * n}", n, dihedral(n)))
+    entries.append(group("S4", 4, symmetric(4)))
+    entries.append(group("A4", 4, alternating(4)))
+    entries.append(group("Q8", 8, quaternion()))
+    entries.append(group("C2xC2", 4, direct_product(cyclic(2), 2, cyclic(2), 2)))
+    entries.append(group("C2xC4", 6, direct_product(cyclic(2), 2, cyclic(4), 4)))
+    entries.append(group("C2xC2xC2", 6,
+                         direct_product(direct_product(cyclic(2), 2, cyclic(2), 2), 4,
+                                        cyclic(2), 2)))
+    entries.append(group("C2xC6", 8, direct_product(cyclic(2), 2, cyclic(6), 6)))
+    entries.append(group("C3xC3", 6, direct_product(cyclic(3), 3, cyclic(3), 3)))
+    entries.append(group("C2xD8", 6, direct_product(cyclic(2), 2, dihedral(4), 4)))
     return tuple(entries)
 
 
-_GROUPS: dict[str, GroupHandle] = {}
 _TABLES: dict[str, CharacterTable] = {}
 
 
 def corpus_groups(max_order: int) -> list[tuple[str, GroupHandle]]:
-    out = []
-    for entry in catalog():
-        if entry.order <= max_order:
-            if entry.name not in _GROUPS:
-                _GROUPS[entry.name] = enumerate_group(list(entry.generators),
-                                                      degree=entry.degree)
-            out.append((entry.name, _GROUPS[entry.name]))
-    return out
+    return [(name, G) for name, G in catalog() if G.order <= max_order]
 
 
 def cached_table(name: str, G: GroupHandle) -> CharacterTable:
@@ -193,11 +176,11 @@ class SweepReport:
 class PairAnalysis:
     """The subgroup-side invariants of one pair: the depth report (with the
     inclusion matrix as ``depth.M``), the class-formula eigenvalues, and
-    whether they and the Perron-Frobenius root agree with the minpolys."""
+    whether they agree with the minpolys (the Perron-Frobenius check is
+    ``depth.pf_check``)."""
     depth: DepthReport
     eigen: EigenvalueSet
     eigen_ok: bool
-    pf_ok: bool
 
 
 def analyze_pair(G: GroupHandle, H: SubgroupHandle,
@@ -207,7 +190,7 @@ def analyze_pair(G: GroupHandle, H: SubgroupHandle,
     ``depth_report`` checks C m(C) = 0 and the Perron-Frobenius root; the
     trivial-row stabilization index is checked against d_h here.  Whether the
     class formula gives the nonzero roots of minpoly(B), with residual 1, is
-    returned as ``eigen_ok`` for the caller to act on, like ``pf_ok``.
+    returned as ``eigen_ok`` for the caller to act on, like ``depth.pf_check``.
 
     For H = G the subgroup table is ``tabG`` itself: a computed table
     depends only on the sorted element set, which H and G share.
@@ -224,7 +207,7 @@ def analyze_pair(G: GroupHandle, H: SubgroupHandle,
     nonzero_roots = {v for v in rep.eigen_B.values if v != 0}
     eigen_ok = (es.value_set() == nonzero_roots
                 and rep.eigen_B.residual.degree == 0)
-    return PairAnalysis(rep, es, eigen_ok, rep.pf_check)
+    return PairAnalysis(rep, es, eigen_ok)
 
 
 def run_sweep(max_order: int) -> SweepReport:
@@ -240,8 +223,8 @@ def run_sweep(max_order: int) -> SweepReport:
             conj_ok = rep.d_0 is None or rep.d_h is None or rep.d_0 <= rep.d_h
             row = SweepRow(name, si, H.order, G.order // H.order,
                            rep.d_0, rep.d_ev, rep.d_odd, rep.d_h,
-                           a.eigen_ok, a.pf_ok, conj_ok)
+                           a.eigen_ok, rep.pf_check, conj_ok)
             rows.append(row)
-            if not (a.eigen_ok and a.pf_ok and conj_ok):
+            if not (a.eigen_ok and rep.pf_check and conj_ok):
                 violations.append(row)
     return SweepReport(max_order, rows, violations)

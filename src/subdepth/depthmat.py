@@ -2,9 +2,9 @@
 
 Zero-pattern stabilization of powers of B = M M^t and C = M^t M is the
 operational form of the similarity conditions for semisimple pairs; the
-bipartite-graph diameters are computed alongside as an independent
-cross-check.  Depth 1 and h-depth 1 are not visible from M alone, so those
-cases are gated by group data (adjoint test, permutation matrix test).
+bipartite-graph diameters are reported alongside.  Depth 1 and h-depth 1
+are not visible from M alone, so those cases are gated by group data
+(adjoint test, permutation matrix test).
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class DepthReport:
     pf_check: Optional[bool]
     pf_value: Optional[Fraction]
     mckay: McKayQuiver
-    indecomposable_C: bool
     white_diameter_plus_one: Optional[int]
     black_diameter_plus_one: Optional[int]
     method_tags: dict[str, str] = field(default_factory=dict)
@@ -94,7 +93,7 @@ class DepthReport:
             },
             "pf_check": self.pf_check,
             "pf_value": str(self.pf_value) if self.pf_value is not None else None,
-            "indecomposable_C": self.indecomposable_C,
+            "indecomposable_C": self.mckay.indecomposable,
             "mckay_edges": [list(e) for e in self.mckay.edges],
             "white_diameter_plus_one": self.white_diameter_plus_one,
             "black_diameter_plus_one": self.black_diameter_plus_one,
@@ -164,22 +163,17 @@ def _bipartite_diameters(M: InclusionMatrix) -> tuple[Optional[int], Optional[in
     return white + 1, black + 1
 
 
-def mckay_quiver(C: list[list[int]], pf_candidate: Optional[Fraction] = None,
-                 roots: Optional[list[Fraction]] = None) -> McKayQuiver:
+def mckay_quiver(C: list[list[int]], roots: dict[Fraction, int],
+                 pf_candidate: Optional[Fraction] = None) -> McKayQuiver:
     """Weighted digraph on the group irreducibles U0, U1, ... with adjacency C.
 
-    ``roots`` are the rational roots of the minimal polynomial of C when the
-    caller already has them; otherwise they are computed here.
+    ``roots`` are the rational roots of the minimal polynomial of C.
     """
     q = len(C)
     labels = [f"U{j}" for j in range(q)]
     edges = [(i, j, C[i][j]) for i in range(q) for j in range(q) if C[i][j] > 0]
     indec = is_indecomposable(C)
-    pf_root = None
-    if roots is None:
-        roots, _ = factor_rational_roots(minimal_polynomial(C))
-    if roots:
-        pf_root = max(roots)
+    pf_root = max(roots) if roots else None
     if pf_candidate is not None and pf_root is not None and pf_root != pf_candidate:
         raise AssertionError(
             f"Perron-Frobenius root {pf_root} does not match dim H / dim R = {pf_candidate}")
@@ -187,21 +181,22 @@ def mckay_quiver(C: list[list[int]], pf_candidate: Optional[Fraction] = None,
 
 
 def depth_report(M: InclusionMatrix,
-                 group_data: Optional[tuple[GroupHandle, SubgroupHandle]] = None,
-                 k_max: Optional[int] = None) -> DepthReport:
+                 group_data: Optional[tuple[GroupHandle, SubgroupHandle]] = None
+                 ) -> DepthReport:
     """All depth invariants readable from M, with group-gated depth-1 cases.
 
     d_odd = 2n+1 for the least n >= 1 with pattern(B^n) = pattern(B^(n+1)),
     d_ev = 2n for the least n >= 1 with pattern(M C^(n-1)) = pattern(M C^n),
     d_h = 2n+1 for the least n >= 1 with pattern(C^n) = pattern(C^(n+1)),
-    d_0 = min(d_ev, d_odd).
+    d_0 = min(d_ev, d_odd).  Each index is searched up to
+    max(rows, cols, 2) of M.
     """
     tags: dict[str, str] = {}
     grid = M.to_lists()
     grid_t = [list(col) for col in zip(*grid)]
     B = _int_matmul(grid, grid_t)
     C = _int_matmul(grid_t, grid)
-    budget = k_max if k_max is not None else max(M.rows, M.cols, 2)
+    budget = max(M.rows, M.cols, 2)
 
     n_odd = pattern_stabilization_index(B, B, budget)
     d_odd = 2 * n_odd + 1 if n_odd is not None else None
@@ -258,13 +253,12 @@ def depth_report(M: InclusionMatrix,
                     and pf_value == index)
         tags["pf_check"] = "minpoly_C vanishes at |G:H|"
 
-    quiver = mckay_quiver(C, pf_candidate=index, roots=roots_c)
+    quiver = mckay_quiver(C, roots_c, pf_candidate=index)
     white_d, black_d = _bipartite_diameters(M)
 
     return DepthReport(M=M, B=B, C=C, d_odd=d_odd, d_ev=d_ev, d_0=d_0, d_h=d_h,
                        minpoly_B=mp_b, minpoly_C=mp_c, eigen_B=eigen_b,
                        pf_check=pf_check, pf_value=pf_value, mckay=quiver,
-                       indecomposable_C=quiver.indecomposable,
                        white_diameter_plus_one=white_d,
                        black_diameter_plus_one=black_d,
                        method_tags=tags)

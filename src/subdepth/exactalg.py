@@ -61,12 +61,14 @@ def _int_poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
         c = num[i]
         if c == 0:
             continue
-        assert c % lead == 0
+        if c % lead:
+            raise AssertionError("inexact integer polynomial division")
         q = c // lead
         quot[i - dd] = q
         for j, dc in enumerate(den):
             num[i - dd + j] -= q * dc
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise AssertionError("integer polynomial division leaves a remainder")
     return quot
 
 
@@ -766,7 +768,7 @@ class ExactPolynomial:
             acc = acc * x + c
         return acc
 
-    def to_string(self, var: str = "X") -> str:
+    def to_string(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
@@ -778,7 +780,7 @@ class ExactPolynomial:
                 term = str(abs(c))
             else:
                 mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
+                term = f"{mag}X" + (f"^{i}" if i > 1 else "")
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
             else:

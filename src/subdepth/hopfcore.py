@@ -44,14 +44,8 @@ from .exactalg import (Cyc, RowSpace, json_int, json_kind, json_scalar,
                        kernel_of_sparse_columns, scalar_to_string)
 from .permgroup import GroupHandle, SubgroupHandle
 
-DEFAULT_TENSOR_CAP = 4096
-
 Vec = dict[int, Cyc]           # sparse element of H
 TVec = dict[tuple, Cyc]        # sparse element of a tensor power of H
-
-
-class TensorCapExceededError(RuntimeError):
-    pass
 
 
 def _vadd(acc: Vec, idx, val: Cyc) -> None:
@@ -490,7 +484,8 @@ def build_small_quantum_group(n: int):
     if n == 2:
         def qpow(k: int) -> Cyc:
             # only even powers of q = i occur in the n = 2 presentation
-            assert k % 2 == 0
+            if k % 2:
+                raise AssertionError(f"odd power {k} of q = i")
             return Cyc.rational(1 if k % 4 == 0 else -1)
     else:
         def qpow(k: int) -> Cyc:
@@ -828,7 +823,7 @@ class TensorPowerModule:
     dim: int
     action: list[dict[tuple[int, int], Cyc]]   # per H-basis element
 
-    def times_q(self, cap: int = DEFAULT_TENSOR_CAP) -> "TensorPowerModule":
+    def times_q(self) -> "TensorPowerModule":
         """The next power Q^x(n+1), from rho_(n+1)(h) = sum rho_n(h_1) x rho_1(h_2)
         over Delta(h) = sum h_1 x h_2.  By coassociativity (proved by
         `HopfAlgebraData.verify`) this is the action through the iterated
@@ -837,7 +832,6 @@ class TensorPowerModule:
         Q = self.base
         dq = Q.dim_q
         dim = self.dim * dq
-        _check_tensor_cap(dim, cap)
         action = []
         for h in range(Q.hopf.dim):
             mat: dict[tuple[int, int], Cyc] = {}
@@ -851,22 +845,14 @@ class TensorPowerModule:
         return TensorPowerModule(Q, self.n + 1, dim, action)
 
 
-def _check_tensor_cap(dim: int, cap: int) -> None:
-    if dim > cap:
-        raise TensorCapExceededError(
-            f"tensor power dimension {dim} exceeds the cap {cap}")
-
-
-def tensor_power_action(Q: QuotientModule, n: int,
-                        cap: int = DEFAULT_TENSOR_CAP) -> TensorPowerModule:
+def tensor_power_action(Q: QuotientModule, n: int) -> TensorPowerModule:
     """Action of H on Q tensor ... tensor Q via the iterated coproduct, one
     coproduct step at a time (`TensorPowerModule.times_q`)."""
     if n < 1:
         raise ValueError("tensor power must be >= 1")
-    _check_tensor_cap(Q.dim_q ** n, cap)
     tp = TensorPowerModule(Q, 1, Q.dim_q, [dict(m) for m in Q.action])
     for _ in range(n - 1):
-        tp = tp.times_q(cap)
+        tp = tp.times_q()
     return tp
 
 
@@ -902,18 +888,17 @@ def _projector(space: RowSpace) -> list[Vec]:
     return [_project(space, sec_index, {x: Cyc.one()}) for x in range(space.width)]
 
 
-def _is_hopf_ideal(H: HopfAlgebraData, space: RowSpace,
-                   proj: Optional[list[Vec]] = None) -> bool:
+def _is_hopf_ideal(H: HopfAlgebraData, space: RowSpace, proj: list[Vec]) -> bool:
     """eps(I) = 0, S(I) in I, Delta(I) in I x H + H x I; the coproduct test
-    applies the quotient projection on both slots, the `_projector` of I,
-    built here unless the caller has it already."""
+    applies the quotient projection ``proj``, the `_projector` of I, on both
+    slots."""
     basis = space.basis_rows()
     for b in basis:
         if not H.counit_vec(b).is_zero():
             return False
         if not space.contains(H.antipode_vec(b)):
             return False
-    project_at = (proj or _projector(space)).__getitem__
+    project_at = proj.__getitem__
     return not any(_tensor_image(H.comult_vec(b), project_at, project_at)
                    for b in basis)
 
@@ -921,9 +906,16 @@ def _is_hopf_ideal(H: HopfAlgebraData, space: RowSpace,
 @dataclass
 class AnnihilatorChain:
     ideals: list[IdealSubspace]        # Ann(Q^xn) for n = 1 .. ell_q
-    ell_q: int
-    hopf_core: IdealSubspace           # the last ideal, a Hopf ideal
     projectors: list[list[Vec]]        # the `_projector` of each ideal
+
+    @property
+    def ell_q(self) -> int:
+        return len(self.ideals)
+
+    @property
+    def hopf_core(self) -> IdealSubspace:
+        """The last ideal, a Hopf ideal."""
+        return self.ideals[-1]
 
 
 def _kernel_space(columns: list[dict]) -> RowSpace:
@@ -1002,15 +994,14 @@ def annihilator_chain(Q: QuotientModule) -> AnnihilatorChain:
             raise AssertionError("annihilator chain is not descending")
         if ideals and space.rank == ideals[-1].dim:
             raise AssertionError("annihilator chain stopped descending before a Hopf ideal")
-        ideal = IdealSubspace(space)
-        ideals.append(ideal)
+        ideals.append(IdealSubspace(space))
         proj = _projector(space)
         projectors.append(proj)
         if _is_hopf_ideal(H, space, proj):
             # the zero ideal needs no step: all later annihilators are zero
             if space.rank and not space.equals(_annihilator_step(H, proj, projectors[0])):
                 raise AssertionError("annihilator chain did not stabilize at the Hopf ideal")
-            return AnnihilatorChain(ideals, len(ideals), ideal, projectors)
+            return AnnihilatorChain(ideals, projectors)
         space = _annihilator_step(H, proj, projectors[0])
 
 
@@ -1072,13 +1063,14 @@ def _modular_function(H: HopfAlgebraData, t: Vec) -> list[Cyc]:
 
 
 def integrals_and_modular(H: HopfAlgebraData, R: SubalgebraEmbedding,
-                          Q: Optional[QuotientModule] = None) -> IntegralReport:
+                          Q: QuotientModule) -> IntegralReport:
     """Integrals of R and H, both modular functions, the integrals in Q, and
     the Frobenius criterion m_H|_R = m_R; the equivalence of "Q has a nonzero
     integral" with the criterion is asserted.
 
-    The integrals of Q are the `_invariants` of its action, which
-    `QuotientModule._verify` proves multiplicative."""
+    Q is the pair's `quotient_module`.  The integrals of Q are the
+    `_invariants` of its action, which `QuotientModule._verify` proves
+    multiplicative."""
     ints_h = _right_integrals(H)
     if len(ints_h) != 1:
         raise AssertionError(f"right integral space of H has dimension {len(ints_h)}")
@@ -1100,8 +1092,6 @@ def integrals_and_modular(H: HopfAlgebraData, R: SubalgebraEmbedding,
         if not (restricted - m_R[i]).is_zero():
             frobenius = False
             break
-    if Q is None:
-        Q = QuotientModule(H, R)
     q_ints = _invariants(H, Q.dim_q,
                          lambda b, g: Q.act({b: Cyc.one()}, H.basis_vec(g)))
     if bool(q_ints) != frobenius:
@@ -1121,13 +1111,6 @@ def _q_counit(Q: QuotientModule, q: Vec) -> Cyc:
 # ---------------------------------------------------------------------------
 # trace ideals
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TraceIdealChain:
-    ideals: list[IdealSubspace]
-    L_q: int
-    htrh_matches: bool
-
 
 def _frobenius_terms(H: HopfAlgebraData, lam: Vec) -> TVec:
     """sum Lambda_1 x S(Lambda_2) over Delta(lam), checked against the
@@ -1175,7 +1158,7 @@ def module_hom_basis(Q: QuotientModule, tp: TensorPowerModule,
 
 
 def trace_ideals(H: HopfAlgebraData, integrals: IntegralReport,
-                 chain: AnnihilatorChain) -> TraceIdealChain:
+                 chain: AnnihilatorChain) -> list[IdealSubspace]:
     """Ascending chain of the trace ideals tau(Q^xn), each the sum of the
     images of all H-module maps Q^xn -> H, read off the quotient maps of
     the annihilator chain: no tensor power and no map into H is built.
@@ -1239,7 +1222,7 @@ def trace_ideals(H: HopfAlgebraData, integrals: IntegralReport,
             htrh_space.add(H.mult_vec(left, H.basis_vec(j)))
     if not ideals[0].space.equals(htrh_space):
         raise AssertionError("tau(Q) differs from H t_R H")
-    return TraceIdealChain(ideals, chain.ell_q, True)
+    return ideals
 
 
 # ---------------------------------------------------------------------------
@@ -1255,16 +1238,15 @@ class IdealizerReport:
 
 
 def idealizer_and_endQ(H: HopfAlgebraData, R: SubalgebraEmbedding,
-                       Q: Optional[QuotientModule] = None) -> IdealizerReport:
+                       Q: QuotientModule) -> IdealizerReport:
     """T = {h : h R+H <= R+H}; dim End Q = dim T - dim R+H, and the
-    evaluation End Q -> Q is an isomorphism iff R+H = HR+.
+    evaluation End Q -> Q is an isomorphism iff R+H = HR+.  Everything is
+    read off Q, the pair's `quotient_module`.
 
     T is solved from h r+ in R+H for the spanning vectors r+ = r - eps(r) 1
     of R+ only, not for a basis of R+H: R+H is a right ideal, so h r+ in R+H
     gives h r+ x in R+H for every x, and these h r+ x span h R+H.  The
     kernel is the same subspace, so its reduced echelon basis is the same."""
-    if Q is None:
-        Q = QuotientModule(H, R)
     dq = Q.dim_q
     columns: list[dict[int, Cyc]] = []
     for i in range(H.dim):

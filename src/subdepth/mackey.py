@@ -65,11 +65,10 @@ class QSummandMultiset:
                 buckets.append((s, char, [s]))
         return [(rep, len(members)) for rep, _, members in buckets]
 
-    def to_json(self, merged: Optional[list[tuple[SubgroupHandle, int]]] = None) -> list[dict]:
-        """The merged summands as JSON; pass ``merged`` when the caller
-        already holds ``self.merged()``."""
+    def to_json(self, merged: list[tuple[SubgroupHandle, int]]) -> list[dict]:
+        """The summands of ``merged``, which is ``self.merged()``, as JSON."""
         out = []
-        for rep, mult in merged if merged is not None else self.merged():
+        for rep, mult in merged:
             gens = rep.generating_set()
             out.append({
                 "subgroup_generators": [list(p.images) for p in gens],
@@ -91,7 +90,8 @@ def mackey_restrict(G: GroupHandle, K: SubgroupHandle,
     ms = QSummandMultiset(G, K, 1, entries)
     # dimension bookkeeping: sum |H : K^g cap H| = |G : K|
     total = sum(H.order // s.order for _, s in entries)
-    assert total == G.order // K.order, "Mackey restriction dimension mismatch"
+    if total != G.order // K.order:
+        raise AssertionError("Mackey restriction dimension mismatch")
     return ms
 
 
@@ -136,8 +136,8 @@ def q_tensor_decomposition(G: GroupHandle, H: SubgroupHandle, n: int,
                     raise BudgetExceededError("tensor decomposition exceeded the budget")
         entries = new
     ms = QSummandMultiset(G, H, n, entries)
-    assert ms.character() == tuple(v ** n for v in pi), \
-        "decomposition character differs from (eps induced)^n"
+    if ms.character() != tuple(v ** n for v in pi):
+        raise AssertionError("decomposition character differs from (eps induced)^n")
     return ms
 
 
@@ -240,7 +240,8 @@ def hecke_algebra(G: GroupHandle, K: SubgroupHandle) -> HeckeAlgebra:
 
 def _verify_hecke(alg: HeckeAlgebra) -> None:
     t = alg.dimension
-    assert alg.reps[0].is_identity(), "identity double coset must come first"
+    if not alg.reps[0].is_identity():
+        raise AssertionError("identity double coset must come first")
     for j in range(t):
         if alg.mu[0][j] != {j: Fraction(1)} or alg.mu[j][0] != {j: Fraction(1)}:
             raise AssertionError("identity double coset is not a two-sided unit")
@@ -260,20 +261,13 @@ class CombinatorialBoundReport:
     d_c_ev: int
     d_c_bracket: tuple[int, int]
     d_c_is_one: bool
-    d_h: Optional[int]
-    bound_holds: Optional[bool]
 
 
 def combinatorial_bound_check(G: GroupHandle, H: SubgroupHandle,
-                              d_h: Optional[int] = None) -> CombinatorialBoundReport:
+                              d_h: Optional[int]) -> CombinatorialBoundReport:
     """Reports the even combinatorial depth and checks d_h <= d_c_ev + 1
-    against a supplied h-depth."""
+    against the pair's h-depth, when it is known."""
     ic = intersection_chain(G, H)
-    holds = None
-    if d_h is not None:
-        holds = d_h <= ic.d_c_ev + 1
-        if not holds:
-            raise AssertionError(
-                f"d_h = {d_h} exceeds d_c_ev + 1 = {ic.d_c_ev + 1}")
-    return CombinatorialBoundReport(ic.d_c_ev, ic.d_c_bracket, ic.d_c_is_one,
-                                    d_h, holds)
+    if d_h is not None and d_h > ic.d_c_ev + 1:
+        raise AssertionError(f"d_h = {d_h} exceeds d_c_ev + 1 = {ic.d_c_ev + 1}")
+    return CombinatorialBoundReport(ic.d_c_ev, ic.d_c_bracket, ic.d_c_is_one)

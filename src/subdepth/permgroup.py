@@ -371,10 +371,6 @@ def enumerate_group(generators: Sequence[Permutation], degree: Optional[int] = N
     return GroupHandle(degree, gens, elems)
 
 
-def conjugacy_classes(G: GroupHandle) -> list[ConjClass]:
-    return G.conjugacy_classes()
-
-
 # ---------------------------------------------------------------------------
 # cores, witnesses, double cosets, intersection chains
 # ---------------------------------------------------------------------------
@@ -450,7 +446,8 @@ def double_cosets(G: GroupHandle, K: SubgroupHandle, H: SubgroupHandle) -> Doubl
         reps.append(g)
         cosets.append(coset_t)
         sizes.append(len(coset_t))
-    assert sum(sizes) == G.order
+    if sum(sizes) != G.order:
+        raise AssertionError("double cosets do not partition the group")
     out = DoubleCosets(tuple(reps), tuple(cosets), tuple(sizes))
     G._double_cosets[cache_key] = out
     return out

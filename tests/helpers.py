@@ -17,7 +17,7 @@ from subdepth.exactalg import (_CYC_ONE, _CYC_ZERO, _ZERO, Cyc, ExactMatrix,
                                kernel_of_sparse_columns)
 from subdepth.hopfcore import (HopfAlgebraData, QuotientModule,
                                SubalgebraEmbedding, TensorPowerModule, TVec, Vec,
-                               _annihilator, _is_hopf_ideal, _project,
+                               _annihilator, _is_hopf_ideal, _project, _projector,
                                _tensor_image, _vadd, _veq, _vscale,
                                build_group_algebra, tensor_power_action)
 from subdepth.permgroup import (GroupHandle, Permutation, SubgroupHandle, _closure,
@@ -254,7 +254,7 @@ def reference_annihilator(Q: QuotientModule, n: int) -> RowSpace:
     """Ann(Q^xn) as the kernel of the action of the tensor power, its dim H
     matrices of size (dim Q)^n built one coproduct step at a time: the
     reference for the H x H step of `annihilator_chain`."""
-    tp = tensor_power_action(Q, n, cap=Q.dim_q ** n)
+    tp = tensor_power_action(Q, n)
     return _annihilator(tp.action, tp.dim)
 
 
@@ -319,7 +319,7 @@ def reference_ideal_flags(H, space) -> tuple[bool, bool]:
     two_sided = all(space.contains(H.mult_vec(b, H.basis_vec(i)))
                     and space.contains(H.mult_vec(H.basis_vec(i), b))
                     for b in basis for i in range(H.dim))
-    return two_sided, two_sided and _is_hopf_ideal(H, space)
+    return two_sided, two_sided and _is_hopf_ideal(H, space, _projector(space))
 
 
 def reference_right_integrals(H) -> list[dict]:

@@ -85,7 +85,7 @@ def _abelian_handles():
             if len(K.conjugacy_classes()) == K.order and key not in seen:
                 seen.add(key)
                 out.append((label, K))
-    gens = {e.name: list(e.generators) for e in catalog()}
+    gens = {name: list(G.generators) for name, G in catalog()}
     for name in ("C2xC6", "C2xC2xC2"):
         a, b = gens[name][:2]
         out.append((f"{name} and a b", enumerate_group(gens[name] + [a * b])))

@@ -137,6 +137,23 @@ def test_chartab_import_of_a_value_written_at_another_order(tmp_path, capsys):
     assert "agrees up to row permutation: True" in capsys.readouterr().out
 
 
+def test_failed_check_exits_nonzero_under_python_O():
+    # python -O skips assert statements; the checks of a run must not be
+    # asserts, or a disagreeing imported table would exit 0
+    golden = ROOT / "tests" / "golden"
+    code = ("import sys\n"
+            "from subdepth import cli\n"
+            "cli.tables_agree_up_to_row_permutation = lambda *args: False\n"
+            f"sys.exit(cli.main(['chartab', {str(golden / 'd8_s4.json')!r}, "
+            f"'--import', {str(golden / 'chartab_s4.json')!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1, proc.stdout
+    assert "error: imported table disagrees with the computed table" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_hopf_mode(tmp_path, capsys, uq2):
     H8, subs8 = uq2
     path = tmp_path / "uq2.json"

@@ -23,7 +23,7 @@ def test_s2_s3_full_report(s3):
     assert rep.minpoly_C == from_roots([0, 1, 3])
     assert (rep.d_0, rep.d_h, rep.d_odd, rep.d_ev) == (3, 5, 3, 4)
     assert rep.pf_check and rep.pf_value == 3
-    assert rep.indecomposable_C
+    assert rep.mckay.indecomposable
 
 
 def test_a4_a5_report(a5):
@@ -43,7 +43,7 @@ def test_d8_s4_report(s4):
     D8 = s4.subgroup_generated([perm(4, (1, 2, 3, 4)), perm(4, (1, 3))])
     M, rep = pair_report(s4, D8)
     assert (rep.d_0, rep.d_odd, rep.d_h) == (4, 5, 5)
-    assert not rep.indecomposable_C
+    assert not rep.mckay.indecomposable
 
 
 def test_identity_inclusion(s3):
@@ -179,7 +179,7 @@ def test_mckay_quiver_s2_s3(s3):
 
 
 def test_mckay_identity_matrix():
-    q = mckay_quiver([[int(i == j) for j in range(4)] for i in range(4)])
+    q = mckay_quiver([[int(i == j) for j in range(4)] for i in range(4)], {Fraction(1): 1})
     assert len(q.edges) == 4
     assert all(i == j for i, j, _ in q.edges)
 
@@ -187,7 +187,8 @@ def test_mckay_identity_matrix():
 def test_mckay_pf_mismatch_raises():
     C = [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
     with pytest.raises(AssertionError):
-        mckay_quiver(C, pf_candidate=Fraction(7))
+        mckay_quiver(C, {Fraction(0): 1, Fraction(1): 1, Fraction(3): 1},
+                     pf_candidate=Fraction(7))
 
 
 def test_ell_from_trivial_row(s3, s4):

@@ -1,11 +1,21 @@
-"""Every function, class and method defined in `src/subdepth` has a caller in
-`src/` or is a target of the benchmark's per-layer tracing.
+"""Static scans of `src/subdepth`.
 
-The scan is by name: a definition counts as called when its name appears
-anywhere under `src/` as a name, an attribute or an import other than its own
-definition.  So it cannot tell apart two methods that share a name (a
-reference to one counts for both), and a function that only calls itself
-counts as called.
+Every function, class and method defined there has a caller in `src/` or is
+a target of the benchmark's per-layer tracing.  The scan is by name:
+
+- a module-level function counts as called when its name appears under
+  `src/` as a bare name or in an import, other than its own definition; an
+  attribute such as `G.conjugacy_classes()` may name a method of the same
+  name, so it does not count for the function;
+- a class or a method counts as called when its name appears as a name, an
+  attribute or an import, so two methods that share a name cannot be told
+  apart (a reference to one counts for both);
+- a tracing target exempts only the definition it names, a module-level
+  function or a method of the named class;
+- a function that only calls itself counts as called.
+
+No `assert` statement appears in `src/`: `python -O` would skip it, and a
+failed check would exit 0.
 """
 
 import ast
@@ -24,14 +34,19 @@ ALLOWED = {"ExactMatrix", "solve_kernel", "rref", "inner_product",
            "subgroups_up_to_conjugacy"}
 
 
-def _tracing_targets() -> set[str]:
-    """The last name of each (module, "attr" or "Class.method") target in
-    TARGETS of bench/tracing.py."""
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _tracing_targets() -> set[tuple]:
+    """(class or None, name) of each (module, "attr" or "Class.method")
+    target in TARGETS of bench/tracing.py."""
     tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "TARGETS":
             targets = ast.literal_eval(node.value)
-            return {attr.rpartition(".")[2] for _, attr, _ in targets.values()}
+            return {(owner or None, name) for owner, _, name in
+                    (attr.rpartition(".") for _, attr, _ in targets.values())}
     raise LookupError("no TARGETS in bench/tracing.py")
 
 
@@ -48,26 +63,42 @@ def _definitions(tree: ast.Module):
     yield from walk(tree, None)
 
 
-def _references(tree: ast.Module) -> set[str]:
-    names = set()
+def _references(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(bare names and imported names, attribute names)."""
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
-    return names
+    return names, attrs
 
 
 def test_every_src_definition_has_a_caller():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    referenced = set().union(*(_references(t) for t in trees.values()))
-    allowed = ALLOWED | _tracing_targets()
+    trees = _trees()
+    refs = [_references(t) for t in trees.values()]
+    names = set().union(*(n for n, _ in refs))
+    attrs = set().union(*(a for _, a in refs))
+    traced = _tracing_targets()
+
+    def called(name, owner, node):
+        if owner is None and not isinstance(node, ast.ClassDef):
+            return name in names
+        return name in names or name in attrs
+
     orphans = [f"{module}:{node.lineno} {name}"
                for module, tree in trees.items()
                for name, owner, node in _definitions(tree)
-               if name not in referenced and name not in allowed
-               and owner not in ALLOWED
+               if not called(name, owner, node) and name not in ALLOWED
+               and (owner, name) not in traced and owner not in ALLOWED
                and not (name.startswith("__") and name.endswith("__"))]
     assert orphans == [], "defined in src/ but never called there: " + ", ".join(orphans)
+
+
+def test_src_has_no_assert_statement():
+    found = [f"{module}:{node.lineno}"
+             for module, tree in _trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == [], "assert statements in src/: " + ", ".join(found)
