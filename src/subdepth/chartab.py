@@ -244,15 +244,6 @@ class CharacterTable:
             raise AssertionError("no trivial character found")
         return self._trivial
 
-    def inner_product(self, a: Sequence[Cyc], b: Sequence[Cyc]) -> Cyc:
-        """<a, b> = (1/|G|) sum_C |C| a(C) conj(b(C)), exact."""
-        n = lcm(*(v.order for v in (*a, *b)))
-        (xs,), da = _int_rows([a], n)
-        (ys,), db = _int_rows([b], n)
-        ws = _weighted_conjugates(ys, [c.size for c in self.classes], n)
-        den = self.group.order * da * db
-        return Cyc(n, [Fraction(c, den) for c in _int_inner(n, xs, ws)])
-
     def verify(self) -> None:
         """Row orthogonality and the degree sum, exactly."""
         n = len(self.irreducibles)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .chartab import (InclusionMatrix, compute_character_table, load_table_file,
@@ -290,10 +290,18 @@ def run(req: AnalysisRequest) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser; each subcommand sets its ``mode``, and an option left out
+    stays out of the namespace, so its default is the `AnalysisRequest`
+    field's."""
     ap = argparse.ArgumentParser(
         prog="subdepth",
         description="Exact depth invariants of subgroup and Hopf-subalgebra pairs")
     sub = ap.add_subparsers(dest="command", required=True)
+
+    def parser(subparsers, name: str, mode: str, help: str):
+        p = subparsers.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.set_defaults(mode=mode)
+        return p
 
     def common(p, dot=False, cap_order=False):
         # each subcommand gets only the caps it reads
@@ -303,39 +311,38 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dot", dest="dot_path", metavar="PATH",
                            help="write Graphviz output to PATH")
         if cap_order:
-            p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP,
-                           help="group enumeration cap")
+            p.add_argument("--cap-order", type=int, help="group enumeration cap")
 
     p_depth = sub.add_parser("depth", help="depth invariants of a pair")
     dsub = p_depth.add_subparsers(dest="depth_mode", required=True)
-    p_dg = dsub.add_parser("group", help="from a group-pair JSON file")
-    p_dg.add_argument("file")
+    p_dg = parser(dsub, "group", "group-pair", "from a group-pair JSON file")
+    p_dg.add_argument("input_path", metavar="file")
     common(p_dg, dot=True, cap_order=True)
-    p_dm = dsub.add_parser("matrix", help="from a bare inclusion matrix")
-    p_dm.add_argument("file")
+    p_dm = parser(dsub, "matrix", "matrix-only", "from a bare inclusion matrix")
+    p_dm.add_argument("input_path", metavar="file")
     common(p_dm, dot=True)
 
-    p_mackey = sub.add_parser("mackey", help="tensor-power decompositions")
-    p_mackey.add_argument("file")
-    p_mackey.add_argument("--power", type=int, default=2)
+    p_mackey = parser(sub, "mackey", "mackey", "tensor-power decompositions")
+    p_mackey.add_argument("input_path", metavar="file")
+    p_mackey.add_argument("--power", type=int)
     common(p_mackey, cap_order=True)
 
-    p_hecke = sub.add_parser("hecke", help="double-coset Hecke algebra")
-    p_hecke.add_argument("file")
+    p_hecke = parser(sub, "hecke", "hecke", "double-coset Hecke algebra")
+    p_hecke.add_argument("input_path", metavar="file")
     common(p_hecke, cap_order=True)
 
-    p_chartab = sub.add_parser("chartab", help="exact character table")
-    p_chartab.add_argument("file")
+    p_chartab = parser(sub, "chartab", "chartab", "exact character table")
+    p_chartab.add_argument("input_path", metavar="file")
     p_chartab.add_argument("--import", dest="import_path", metavar="TABLE",
                            help="cross-validate against an imported table")
     common(p_chartab, cap_order=True)
 
-    p_hopf = sub.add_parser("hopf", help="Hopf-subalgebra pair report")
-    p_hopf.add_argument("file")
+    p_hopf = parser(sub, "hopf", "hopf-pair", "Hopf-subalgebra pair report")
+    p_hopf.add_argument("input_path", metavar="file")
     common(p_hopf)
 
-    p_sweep = sub.add_parser("sweep", help="corpus sweep")
-    p_sweep.add_argument("--max-order", type=int, default=24)
+    p_sweep = parser(sub, "sweep", "sweep", "corpus sweep")
+    p_sweep.add_argument("--max-order", type=int)
     p_sweep.add_argument("--conjecture", action="store_true",
                          help="report d_0 <= d_h violations")
     common(p_sweep)
@@ -343,24 +350,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "depth":
-        mode = "group-pair" if args.depth_mode == "group" else "matrix-only"
-    elif args.command == "hopf":
-        mode = "hopf-pair"
-    else:
-        mode = args.command
-    req = AnalysisRequest(
-        mode=mode,
-        input_path=getattr(args, "file", None),
-        power=getattr(args, "power", 2),
-        import_path=getattr(args, "import_path", None),
-        max_order=getattr(args, "max_order", 24),
-        conjecture=getattr(args, "conjecture", False),
-        cap_order=getattr(args, "cap_order", DEFAULT_ORDER_CAP),
-        json_path=getattr(args, "json_path", None),
-        dot_path=getattr(args, "dot_path", None),
-    )
+    args = vars(_build_parser().parse_args(argv))
+    req = AnalysisRequest(**{f.name: args[f.name] for f in fields(AnalysisRequest)
+                             if f.name in args})
     try:
         return run(req)
     except (OSError, ValueError, AssertionError, BudgetExceededError) as exc:

@@ -133,8 +133,7 @@ def subgroups_up_to_conjugacy(G: GroupHandle) -> list[SubgroupHandle]:
     for H in G.subgroups():
         if H.key() in seen:
             continue
-        orbit = {H.conjugate(g).key() for g in G.elements}
-        seen |= orbit
+        seen |= G.conjugates(H).keys()
         reps.append(H)
     return reps
 

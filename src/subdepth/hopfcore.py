@@ -32,6 +32,8 @@ checked at the algebra generators of `HopfAlgebraData.generators` only.  Each
 such statement is closure under a set of h that is a subalgebra containing 1,
 so it holds on all of H once it holds at the generators; every docstring
 names its subalgebra, the same argument that `HopfAlgebraData.verify` uses.
+Spans close at the generators too: `_ideal` builds R+H, HR+ and H t_R H by
+multiplying by the generators until the span stops growing.
 """
 
 from __future__ import annotations
@@ -55,6 +57,22 @@ def _vadd(acc: Vec, idx, val: Cyc) -> None:
         acc.pop(idx, None)
     else:
         acc[idx] = nv
+
+
+def _apply_map(images: Sequence[dict], v: Vec) -> dict:
+    """The image of v under the linear map with images[i] the sparse image
+    of the i-th basis element."""
+    out: dict = {}
+    for i, c in v.items():
+        for k, m in images[i].items():
+            _vadd(out, k, c * m)
+    return out
+
+
+def _apply_form(values: Sequence[Cyc], v: Vec) -> Cyc:
+    """The value at v of the linear form with values[i] its value at the
+    i-th basis element."""
+    return sum((c * values[i] for i, c in v.items()), Cyc.zero())
 
 
 def _vscale(v: dict, c: Cyc) -> dict:
@@ -174,7 +192,7 @@ class HopfAlgebraData:
 
     def __init__(self, dim: int, field_order: int, labels: Sequence[str],
                  mult: list[list[Vec]], unit: Vec, comult: list[TVec],
-                 counit: list[Cyc], antipode: list[Vec], verify: bool = True):
+                 counit: list[Cyc], antipode: list[Vec]):
         self.dim = dim
         self.field_order = field_order
         self.labels = list(labels)
@@ -183,17 +201,7 @@ class HopfAlgebraData:
         self.comult = comult
         self.counit = counit
         self.antipode = antipode
-        self._gens: Optional[list[int]] = None
-        if verify:
-            self.verify()
-
-    @property
-    def generators(self) -> list[int]:
-        """The algebra generators of `_generators`: the list `verify` found,
-        or, for an algebra built with verify=False, computed on first use."""
-        if self._gens is None:
-            self._gens = self._generators()
-        return self._gens
+        self.verify()
 
     # -- element algebra -----------------------------------------------------
 
@@ -204,24 +212,13 @@ class HopfAlgebraData:
         return _tensor_mult(self.mult, a, b)
 
     def comult_vec(self, v: Vec) -> TVec:
-        out: TVec = {}
-        for i, c in v.items():
-            for jk, m in self.comult[i].items():
-                _vadd(out, jk, c * m)
-        return out
+        return _apply_map(self.comult, v)
 
     def counit_vec(self, v: Vec) -> Cyc:
-        acc = Cyc.zero()
-        for i, c in v.items():
-            acc = acc + c * self.counit[i]
-        return acc
+        return _apply_form(self.counit, v)
 
     def antipode_vec(self, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, c in v.items():
-            for j, m in self.antipode[i].items():
-                _vadd(out, j, c * m)
-        return out
+        return _apply_map(self.antipode, v)
 
     def basis_vec(self, i: int) -> Vec:
         return {i: Cyc.one()}
@@ -287,8 +284,8 @@ class HopfAlgebraData:
                 raise AssertionError(f"unit law fails on the left at {i}")
             if not _veq(self.mult_vec(ei, self.unit), ei):
                 raise AssertionError(f"unit law fails on the right at {i}")
-        # recomputed on every call: the tables may have changed since the last
-        gens = self._gens = self._generators()
+        # the algebra generators every generator-closure check runs at
+        gens = self.generators = self._generators()
         for s in gens:
             for x in range(d):
                 xs = self.mult[x][s]
@@ -673,11 +670,7 @@ class SubalgebraEmbedding:
 
     def embed(self, v: Vec) -> Vec:
         """Map a vector in subalgebra coordinates into the parent."""
-        out: Vec = {}
-        for i, c in v.items():
-            for j, x in self.basis[i].items():
-                _vadd(out, j, c * x)
-        return out
+        return _apply_map(self.basis, v)
 
     def __repr__(self):
         return f"SubalgebraEmbedding(dim={self.dim} in dim {self.parent.dim})"
@@ -709,11 +702,7 @@ class QuotientModule:
         self.emb = emb
         H = hopf
         self.r_plus = _augmentation(H, emb)
-        space = RowSpace(H.dim)
-        for rp in self.r_plus:
-            for h in range(H.dim):
-                space.add(H.mult_vec(rp, H.basis_vec(h)))
-        self.rpH = space
+        space = self.rpH = _ideal(H, self.r_plus, left=False, right=True)
         self.section = [j for j in range(H.dim) if j not in space.pivots]
         self.dim_q = len(self.section)
         if self.dim_q * emb.dim != H.dim:
@@ -787,15 +776,10 @@ class QuotientModule:
         for b in range(self.dim_q):
             for h in gens:
                 qh = self.act({b: Cyc.one()}, H.basis_vec(h))
-                eps_qh = Cyc.zero()
-                for rr, c in qh.items():
-                    eps_qh = eps_qh + c * self.counit_q[rr]
+                eps_qh = _apply_form(self.counit_q, qh)
                 if not (eps_qh - self.counit_q[b] * H.counit[h]).is_zero():
                     raise AssertionError("counit of Q is not H-linear")
-                lhs: TVec = {}
-                for rr, c in qh.items():
-                    for key, v in self.coproduct_q[rr].items():
-                        _vadd(lhs, key, c * v)
+                lhs = _apply_map(self.coproduct_q, qh)
                 # Delta_Q(b) Delta(h) = sum (q1 h1) x (q2 h2), slot pairs (q, h)
                 pairs = {((q1, h1), (q2, h2)): hc * qc
                          for (h1, h2), hc in H.comult[h].items()
@@ -867,6 +851,31 @@ class IdealSubspace:
     @property
     def dim(self) -> int:
         return self.space.rank
+
+
+def _ideal(H: HopfAlgebraData, rows: Sequence[Vec], left: bool, right: bool) -> RowSpace:
+    """The ideal that the rows generate: H V, V H or H V H for V their span,
+    as ``left``, ``right`` or both are set.
+
+    V is closed under multiplication by the algebra generators only, on the
+    chosen sides.  Let W be the span reached.  Each vector added after the
+    rows is a generator times a vector of W, so W lies in the ideal.  The
+    vectors added are a basis of W, and each was multiplied by every
+    generator, so W g <= W at every generator g.  {h : W h <= W} is a
+    subalgebra containing 1, as W (hk) = (W h) k <= W k <= W, so it is all
+    of H; likewise {h : h W <= W} on the left.  So W is an ideal containing
+    V, and it holds the ideal."""
+    space = RowSpace(H.dim)
+    work = [v for v in rows if space.add(v)]
+    while work:
+        v = work.pop()
+        for g in H.generators:
+            e = H.basis_vec(g)
+            if left and space.add(p := H.mult_vec(e, v)):
+                work.append(p)
+            if right and space.add(p := H.mult_vec(v, e)):
+                work.append(p)
+    return space
 
 
 def _is_two_sided(H: HopfAlgebraData, space: RowSpace) -> bool:
@@ -1084,28 +1093,15 @@ def integrals_and_modular(H: HopfAlgebraData, R: SubalgebraEmbedding,
     m_H = _modular_function(H, t_H)
     m_R = _modular_function(Rh, t_R_local)
     # restriction of m_H to R, computed on the R basis by linearity
-    frobenius = True
-    for i, b in enumerate(R.basis):
-        restricted = Cyc.zero()
-        for j, c in b.items():
-            restricted = restricted + c * m_H[j]
-        if not (restricted - m_R[i]).is_zero():
-            frobenius = False
-            break
+    frobenius = all((_apply_form(m_H, b) - m_R[i]).is_zero()
+                    for i, b in enumerate(R.basis))
     q_ints = _invariants(H, Q.dim_q,
                          lambda b, g: Q.act({b: Cyc.one()}, H.basis_vec(g)))
     if bool(q_ints) != frobenius:
         raise AssertionError(
             "existence of a nonzero integral in Q disagrees with m_H|_R = m_R")
-    semis = any(not _q_counit(Q, q).is_zero() for q in q_ints)
+    semis = any(not _apply_form(Q.counit_q, q).is_zero() for q in q_ints)
     return IntegralReport(t_R, t_H, m_R, m_H, q_ints, frobenius, semis)
-
-
-def _q_counit(Q: QuotientModule, q: Vec) -> Cyc:
-    acc = Cyc.zero()
-    for b, c in q.items():
-        acc = acc + c * Q.counit_q[b]
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -1215,11 +1211,7 @@ def trace_ideals(H: HopfAlgebraData, integrals: IntegralReport,
     if chain.hopf_core.dim:
         # Ann_(ell+1) = Ann_ell, checked by `annihilator_chain`
         ideals.append(ideals[-1])
-    htrh_space = RowSpace(H.dim)
-    for i in range(H.dim):
-        left = H.mult_vec(H.basis_vec(i), integrals.t_R)
-        for j in range(H.dim):
-            htrh_space.add(H.mult_vec(left, H.basis_vec(j)))
+    htrh_space = _ideal(H, [integrals.t_R], left=True, right=True)
     if not ideals[0].space.equals(htrh_space):
         raise AssertionError("tau(Q) differs from H t_R H")
     return ideals
@@ -1259,11 +1251,7 @@ def idealizer_and_endQ(H: HopfAlgebraData, R: SubalgebraEmbedding,
     T_basis = kernel_of_sparse_columns(columns)
     dim_T = len(T_basis)
     dim_end = dim_T - Q.rpH.rank
-    hrp = RowSpace(H.dim)
-    for rp in Q.r_plus:
-        for h in range(H.dim):
-            hrp.add(H.mult_vec(H.basis_vec(h), rp))
-    normal = hrp.equals(Q.rpH)
+    normal = _ideal(H, Q.r_plus, left=True, right=False).equals(Q.rpH)
     if normal and dim_end != dq:
         raise AssertionError("normal pair but End Q is not all of Q")
     return IdealizerReport(dim_T, dim_end, normal, T_basis)

@@ -48,22 +48,17 @@ class QSummandMultiset:
         return tuple(acc)
 
     def merged(self) -> list[tuple[SubgroupHandle, int]]:
-        """Group summands that are conjugate with equal permutation
-        characters; returns (representative, multiplicity) pairs."""
-        buckets: list[tuple[SubgroupHandle, tuple[int, ...], list]] = []
+        """Group conjugate summands; returns (representative, multiplicity)
+        pairs, each representative the first summand of its class, in order
+        of first appearance."""
+        rep_of: dict[tuple, SubgroupHandle] = {}   # conjugate key -> representative
+        mult: dict[SubgroupHandle, int] = {}
         for _, s in self.entries:
-            char = self.chars[s.key()]
-            placed = False
-            for rep, rchar, members in buckets:
-                if rchar != char or rep.order != s.order:
-                    continue
-                if any(s.conjugate(g).key() == rep.key() for g in self.ambient.elements):
-                    members.append(s)
-                    placed = True
-                    break
-            if not placed:
-                buckets.append((s, char, [s]))
-        return [(rep, len(members)) for rep, _, members in buckets]
+            if s.key() not in rep_of:
+                rep_of.update(dict.fromkeys(self.ambient.conjugates(s), s))
+            rep = rep_of[s.key()]
+            mult[rep] = mult.get(rep, 0) + 1
+        return list(mult.items())
 
     def to_json(self, merged: list[tuple[SubgroupHandle, int]]) -> list[dict]:
         """The summands of ``merged``, which is ``self.merged()``, as JSON."""

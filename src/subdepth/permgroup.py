@@ -226,6 +226,27 @@ class GroupHandle:
                 key=lambda s: (s.order, tuple(p.images for p in s.elements)))
         return self._subgroups
 
+    def conjugates(self, sub: "SubgroupHandle") -> dict[tuple, tuple["SubgroupHandle", Permutation]]:
+        """key -> (sub^g, g) for every conjugate of sub, found breadth first
+        from (sub, 1) by conjugating with the generators of G.
+
+        The orbit is closed at the generators only: (sub^g)^s = sub^(g s),
+        and every element of the finite group G is a product of generators
+        (an inverse is a positive power), so each sub^g is reached by
+        conjugating with one generator at a time."""
+        orbit = {sub.key(): (sub, self.identity)}
+        frontier = [(sub, self.identity)]
+        while frontier:
+            nxt = []
+            for c, g in frontier:
+                for s in self.generators:
+                    cs = c.conjugate(s)
+                    if cs.key() not in orbit:
+                        orbit[cs.key()] = (cs, g * s)
+                        nxt.append((cs, g * s))
+            frontier = nxt
+        return orbit
+
     def centralizer(self, sub: "SubgroupHandle") -> "SubgroupHandle":
         gens = sub.generating_set()
         elems = [g for g in self.elements if all(g * h == h * g for h in gens)]
@@ -392,12 +413,8 @@ def core_and_witness(G: GroupHandle, H: SubgroupHandle) -> CoreWitness:
     Search is breadth-first over r through combinations of the distinct
     nontrivial conjugates of H, so the returned r is minimal.
     """
-    conjugates: dict[tuple, tuple[SubgroupHandle, Permutation]] = {}
-    for g in G.elements:
-        c = H.conjugate(g)
-        k = c.key()
-        if k != H.key() and k not in conjugates:
-            conjugates[k] = (c, g)
+    conjugates = G.conjugates(H)
+    del conjugates[H.key()]
     core_elems = set(H.elements)
     for c, _ in conjugates.values():
         core_elems &= set(c.elements)
@@ -471,13 +488,7 @@ def intersection_chain(G: GroupHandle, H: SubgroupHandle) -> IntersectionChain:
     with F_{n-1} = F_n; the true combinatorial depth lies in
     [d_c_ev - 1, d_c_ev], and equals 1 iff G = H C_G(H).
     """
-    conjugates = []
-    seen_keys = set()
-    for g in G.elements:
-        c = H.conjugate(g)
-        if c.key() not in seen_keys:
-            seen_keys.add(c.key())
-            conjugates.append(c)
+    conjugates = [c for c, _ in G.conjugates(H).values()]
     subgroups = {H.key(): H}
     chain = [frozenset([H.key()])]
     while True:

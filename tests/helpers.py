@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -10,7 +11,8 @@ from typing import Optional, Sequence
 
 from subdepth.corpus import (analyze_pair, cached_table, corpus_groups,
                              subgroups_up_to_conjugacy)
-from subdepth.chartab import _apply_modp, _modp_rref, _unit
+from subdepth.chartab import (_apply_modp, _int_inner, _int_rows, _modp_rref,
+                              _unit, _weighted_conjugates)
 from subdepth.exactalg import (_CYC_ONE, _CYC_ZERO, _ZERO, Cyc, ExactMatrix,
                                ExactPolynomial, MalformedSequenceError, RowSpace,
                                cyclotomic_polynomial, euler_phi,
@@ -73,6 +75,16 @@ def reference_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
     return sorted(found.values(), key=lambda s: (s.order, s.key()))
 
 
+def reference_conjugates(G: GroupHandle, H: SubgroupHandle) -> dict[tuple, SubgroupHandle]:
+    """key -> H^g for every conjugate of H, found by conjugating with every g
+    in G, the reference for `GroupHandle.conjugates`."""
+    out: dict[tuple, SubgroupHandle] = {}
+    for g in G.elements:
+        c = H.conjugate(g)
+        out.setdefault(c.key(), c)
+    return out
+
+
 def pair_report(G, H, tabG=None):
     """(M, depth report) of a pair, from the package's group-pair pipeline."""
     a = analyze_pair(G, H, tabG)
@@ -122,6 +134,16 @@ def cached_group_algebra(G):
 
 def group_table(name, G):
     return cached_table(name, G)
+
+
+def unverified_copy(H: HopfAlgebraData, **tables) -> HopfAlgebraData:
+    """A copy of the verified H with some of its mult, comult, counit and
+    antipode tables replaced by keyword and not verified: the constructor
+    verifies, so a corrupted table is built this way and its `verify` is
+    called by the test."""
+    bad = copy.copy(H)
+    vars(bad).update(tables)
+    return bad
 
 
 def full_axioms_hold(H) -> bool:
@@ -207,6 +229,20 @@ def _full_axiom_check(self) -> None:
 #
 # Each check here runs over every basis element h of H, where hopfcore runs
 # over the algebra generators only; the tests require the two to agree.
+
+def reference_ideal(H, rows, left: bool, right: bool) -> RowSpace:
+    """The span of h v k over every row v and all basis elements h and k,
+    h = 1 unless ``left`` and k = 1 unless ``right``: H V, V H or H V H,
+    the reference for `hopfcore._ideal`."""
+    basis = [H.basis_vec(i) for i in range(H.dim)]
+    space = RowSpace(H.dim)
+    for v in rows:
+        for h in basis if left else [H.unit]:
+            hv = H.mult_vec(h, v)
+            for k in basis if right else [H.unit]:
+                space.add(H.mult_vec(hv, k))
+    return space
+
 
 def iterated_comult(H, i, n) -> dict:
     """Delta^(n-1) of e_i as a sparse vector over basis n-tuples."""
@@ -489,9 +525,20 @@ def conjugate(z: Cyc) -> Cyc:
 
 # -- Cyc reference implementations of the integer sweep kernels ---------------
 
+def inner_product(tab, a, b) -> Cyc:
+    """<a, b> = (1/|G|) sum_C |C| a(C) conj(b(C)) for class functions a, b
+    of the table's group, exact, on the integer kernels of `chartab`."""
+    n = lcm(*(v.order for v in (*a, *b)))
+    (xs,), da = _int_rows([a], n)
+    (ys,), db = _int_rows([b], n)
+    ws = _weighted_conjugates(ys, [c.size for c in tab.classes], n)
+    den = tab.group.order * da * db
+    return Cyc(n, [Fraction(c, den) for c in _int_inner(n, xs, ws)])
+
+
 def cyc_inner_product(tab, a, b) -> Cyc:
     """<a, b> = (1/|G|) sum_C |C| a(C) conj(b(C)) in Cyc arithmetic, the
-    reference for `CharacterTable.inner_product`."""
+    reference for `inner_product`."""
     acc = Cyc.zero()
     for cls, x, y in zip(tab.classes, a, b):
         acc = acc + x * conjugate(y) * cls.size
@@ -506,7 +553,7 @@ def reference_inclusion_matrix(tabG, tabH, fusion) -> list[list[int]]:
     for phi in tabH.irreducibles:
         row = []
         for chi in tabG.irreducibles:
-            m = tabH.inner_product([chi[c] for c in fusion.mapping], phi).as_fraction()
+            m = inner_product(tabH, [chi[c] for c in fusion.mapping], phi).as_fraction()
             assert m.denominator == 1 and m >= 0
             row.append(int(m))
         rows.append(row)

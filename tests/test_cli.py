@@ -359,6 +359,42 @@ def test_unusable_side_file_is_an_error(args, s2s3_file, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, mode", [
+    (["depth", "group", "in.json"], "group-pair"),
+    (["depth", "matrix", "in.json"], "matrix-only"),
+    (["mackey", "in.json"], "mackey"),
+    (["hecke", "in.json"], "hecke"),
+    (["chartab", "in.json"], "chartab"),
+    (["hopf", "in.json"], "hopf-pair"),
+    (["sweep"], "sweep"),
+])
+def test_each_subcommand_without_options_takes_the_request_defaults(argv, mode,
+                                                                    monkeypatch):
+    # every default is written once, in AnalysisRequest
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda req: seen.append(req) or 0)
+    assert main(argv) == 0
+    input_path = "in.json" if len(argv) > 1 else None
+    assert seen == [AnalysisRequest(mode=mode, input_path=input_path)]
+
+
+def test_options_set_their_request_fields(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda req: seen.append(req) or 0)
+    assert main(["mackey", "in.json", "--power", "3", "--cap-order", "50",
+                 "--json", "out.json"]) == 0
+    assert main(["sweep", "--max-order", "8", "--conjecture"]) == 0
+    assert main(["chartab", "in.json", "--import", "t.json"]) == 0
+    assert main(["depth", "matrix", "in.json", "--dot", "g.dot"]) == 0
+    assert seen == [
+        AnalysisRequest(mode="mackey", input_path="in.json", power=3, cap_order=50,
+                        json_path="out.json"),
+        AnalysisRequest(mode="sweep", max_order=8, conjecture=True),
+        AnalysisRequest(mode="chartab", input_path="in.json", import_path="t.json"),
+        AnalysisRequest(mode="matrix-only", input_path="in.json", dot_path="g.dot"),
+    ]
+
+
 def test_analysis_request_direct():
     req = AnalysisRequest(mode="sweep", max_order=6, conjecture=True)
     assert run(req) == 0

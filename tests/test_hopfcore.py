@@ -8,14 +8,16 @@ from helpers import (augmentation_core_ideal, cached_group_algebra,
                      ideal_from_span, linear_disjoint_check, perm,
                      quotient_lift, reference_idealizer, reference_ideal_flags,
                      reference_module_hom_basis, reference_q_integrals,
-                     reference_annihilator, reference_quotient_verify,
+                     reference_annihilator, reference_ideal,
+                     reference_quotient_verify,
                      reference_right_integrals,
                      reference_tensor_power_action, regular_r_module,
-                     tensor_power_character, trivial_r_module, ulbrich_verify)
+                     tensor_power_character, trivial_r_module, ulbrich_verify,
+                     unverified_copy)
 from subdepth import hopfcore
 from subdepth.exactalg import Cyc, RowSpace
 from subdepth.hopfcore import (HopfAlgebraData, SubalgebraEmbedding,
-                               TensorPowerModule, _frobenius_terms,
+                               TensorPowerModule, _frobenius_terms, _ideal,
                                _is_hopf_ideal, _is_two_sided, _projector,
                                _right_integrals,
                                annihilator_chain, build_group_algebra,
@@ -138,8 +140,8 @@ def _corrupted(H, rng):
     else:
         antipode = list(H.antipode)
         antipode[i] = bump(antipode[i], pick_key(antipode[i], lambda: rng.randrange(d)))
-    return HopfAlgebraData(d, H.field_order, H.labels, mult, H.unit, comult,
-                           counit, antipode, verify=False)
+    return unverified_copy(H, mult=mult, comult=comult, counit=counit,
+                           antipode=antipode)
 
 
 def test_verify_raises_exactly_when_an_axiom_fails(s3, uq2, uq3):
@@ -164,8 +166,7 @@ def _klein_four_with(mult=None, comult=None):
     G = enumerate_group([perm(4, (3, 4)), perm(4, (1, 2))])
     H = build_group_algebra(G)
     assert H._generators() == [1, 2]    # e_1 = (3 4), e_2 = (1 2), e_3 = e_1 e_2
-    return HopfAlgebraData(H.dim, 1, H.labels, mult or H.mult, H.unit,
-                           comult or H.comult, H.counit, H.antipode, verify=False)
+    return unverified_copy(H, mult=mult or H.mult, comult=comult or H.comult)
 
 
 def test_verify_checks_associativity_at_every_generator():
@@ -524,6 +525,20 @@ ROUTE_CASES = ["kS3", "uq2", "taft uq2", "taft uq3", "uq3 B", "uq3 R1", "uq3 R2"
 
 def _on_route(H, Q, n):
     return Q.dim_q ** n <= (81 if H.dim == 27 else 4096)
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_generator_closed_ideals_equal_the_all_basis_spans(case, request):
+    # R+H, HR+ and H t_R H, spanned by closing at the generators, are the
+    # spans of the products with every basis element
+    for H, R in _closure_pairs(case, request):
+        Q = quotient_module(H, R)
+        t_R = integrals_and_modular(H, R, Q).t_R
+        for rows, left, right in [(Q.r_plus, False, True), (Q.r_plus, True, False),
+                                  ([t_R], True, True)]:
+            assert _ideal(H, rows, left, right).equals(
+                reference_ideal(H, rows, left, right))
+        assert Q.rpH.equals(reference_ideal(H, Q.r_plus, False, True))
 
 
 @pytest.mark.parametrize("case", ROUTE_CASES)

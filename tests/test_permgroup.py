@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (make_a4, make_a5, make_s3, make_s4, make_s5, perm,
-                     reference_subgroups)
+                     reference_conjugates, reference_subgroups)
 from subdepth.corpus import corpus_groups
 from subdepth.permgroup import (GroupTooLargeError, Permutation,
                                 core_and_witness, depth_one_adjoint_test,
@@ -157,6 +157,35 @@ def test_generating_set_is_greedy_and_generates(s4):
             assert g not in earlier.elements
             # the greedy choice is the least element outside the earlier span
             assert g == min(x for x in H.elements if x not in earlier.elements)
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "Q8", "C2xD8", "A5"])
+def test_conjugates_match_the_all_g_reference(name):
+    # the generator orbit reaches every conjugate, each with a true witness
+    G = make_a5() if name == "A5" else dict(corpus_groups(24))[name]
+    for H in G.subgroups():
+        orbit = G.conjugates(H)
+        assert orbit.keys() == reference_conjugates(G, H).keys()
+        for key, (c, g) in orbit.items():
+            assert c.key() == key and H.conjugate(g).key() == key
+
+
+def test_core_and_witness_conjugates_at_the_generators(monkeypatch, a5):
+    # the 5 conjugates of A4 in A5 are reached by conjugating each one by
+    # the 2 generators: at most 2 * 5 * 12 = 120 element conjugations,
+    # where conjugating by all 60 elements of A5 would take 720
+    A4 = a5.subgroup_generated([perm(5, (1, 2, 3)), perm(5, (1, 2), (3, 4))])
+    conjugate_by = Permutation.conjugate_by
+    calls = []
+
+    def counted(p, g):
+        calls.append(g)
+        return conjugate_by(p, g)
+
+    monkeypatch.setattr(Permutation, "conjugate_by", counted)
+    cw = core_and_witness(a5, A4)
+    assert len(calls) <= len(a5.generators) * 5 * A4.order == 120
+    assert cw.core.order == 1 and cw.r == 2
 
 
 def test_core_and_witness_normal():

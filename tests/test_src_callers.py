@@ -27,11 +27,9 @@ SRC = ROOT / "src" / "subdepth"
 # kept without a caller in src/, besides dunders, which Python calls:
 # ExactMatrix (a class here covers its methods), solve_kernel and rref, while
 # the benchmark's tracing names solve_kernel and rref as targets; and
-# CharacterTable.inner_product and subgroups_up_to_conjugacy, which the d(Q)
-# character test and the sweep over subgroup classes (ROADMAP items 1 and 3)
-# are to call
-ALLOWED = {"ExactMatrix", "solve_kernel", "rref", "inner_product",
-           "subgroups_up_to_conjugacy"}
+# subgroups_up_to_conjugacy, which the sweep over subgroup classes (ROADMAP
+# item 3) is to call
+ALLOWED = {"ExactMatrix", "solve_kernel", "rref", "subgroups_up_to_conjugacy"}
 
 
 def _trees() -> dict[str, ast.Module]:
