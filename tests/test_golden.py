@@ -8,7 +8,9 @@ moved to algebra generators, the uq3 report before the trace ideals came
 from the closed form of the maps into H, and both still hold now that the
 annihilator and trace chains build no tensor power; the `subdepth chartab`
 tables of S4 and A5 before the Dixon-Schneider and minimal-polynomial
-kernels were reworked.
+kernels were reworked; the `subdepth mackey` reports (JSON and stdout) on
+A4<A5 at power 6, and at power 4 with the restriction of a subgroup K of
+order 6, before the tensor powers were kept as counted multisets.
 Every later change must reproduce them exactly.
 """
 
@@ -73,3 +75,13 @@ def test_chartab_json_is_golden(group, golden, tmp_path, capsys):
     assert main(["chartab", str(GOLDEN / f"{group}.json"),
                  "--json", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
+
+
+@pytest.mark.parametrize("pair, power", [("a4_a5", 6), ("a4_a5_k", 4)])
+def test_mackey_report_is_golden(pair, power, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert main(["mackey", str(GOLDEN / f"{pair}.json"), "--power", str(power),
+                 "--json", str(out)]) == 0
+    stem = f"mackey_{pair}_p{power}"
+    assert out.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
+    assert capsys.readouterr().out == (GOLDEN / f"{stem}.txt").read_text()
