@@ -607,20 +607,12 @@ def inclusion_matrix(tabG: CharacterTable, tabH: CharacterTable,
 
 
 def permutation_character(G: GroupHandle, H: SubgroupHandle) -> tuple[int, ...]:
-    """Character of the right coset module: value at a class C is the number
-    of right cosets Hx fixed by a representative of C."""
-    cosets = G.right_cosets(H)
-    reps = [c[0] for c in cosets]
+    """Character of the right coset module: its value at a class C is the
+    number of right cosets Hx fixed by C, which is |G:H| |C cap H| / |C|."""
     hset = set(H.elements)
-    values = []
-    for cls in G.conjugacy_classes():
-        g = cls.rep
-        count = 0
-        for x in reps:
-            if x * g * x.inverse() in hset:
-                count += 1
-        values.append(count)
-    return tuple(values)
+    index = G.order // H.order
+    return tuple(index * sum(g in hset for g in cls.elements) // cls.size
+                 for cls in G.conjugacy_classes())
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def _run_mackey(req: AnalysisRequest) -> int:
     if "K" in subs:
         mr = mackey_restrict(G, subs["K"], H)
         data["restriction_of_K"] = mr.to_json(mr.merged())
-        orders = sorted(s.order for _, s in mr.entries)
+        orders = sorted(s.order for s, m in mr.counts.items() for _ in range(m))
         print(f"Q_K restricted to H: summand subgroup orders {orders}")
     _emit_json(data, req.json_path)
     return 0

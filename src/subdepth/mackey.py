@@ -2,9 +2,9 @@
 core-based depth bounds, and the Hecke algebra of a subgroup pair.
 
 Tensor powers are expanded by iterating the restriction-induction rule
-Q_K tensor Q_H = sum over K\\G/H of Q_{K^x cap H}; each summand is labelled by
-the (H,H) double cosets met along the way, so the multiset is indexed by
-(n-1)-tuples with per-tuple multiplicities.
+Q_K tensor Q_H = sum over K\\G/H of Q_{K^x cap H}, as in the Burnside ring:
+Q^(xn) is kept as a multiplicity on each distinct summand subgroup, and each
+step runs once per distinct summand.
 """
 
 from __future__ import annotations
@@ -14,9 +14,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .chartab import permutation_character
-from .permgroup import (CoreWitness, GroupHandle, Permutation,
+from .permgroup import (CoreWitness, GroupHandle, IntersectionChain, Permutation,
                         SubgroupHandle, core_and_witness, double_cosets,
                         intersection_chain)
+
+# the most summands a tensor power may have
+SUMMAND_BUDGET = 10 ** 6
 
 
 class BudgetExceededError(RuntimeError):
@@ -26,25 +29,15 @@ class BudgetExceededError(RuntimeError):
 @dataclass
 class QSummandMultiset:
     """Multiset of subgroups S, each standing for the coset module Q of S in
-    the ambient group; entries carry the double-coset tuple that produced
-    them."""
+    the ambient group, with its multiplicity, in order of first appearance."""
     ambient: GroupHandle
-    base: SubgroupHandle
-    power: int
-    entries: list[tuple[tuple[int, ...], SubgroupHandle]]
-
-    def __post_init__(self):
-        # the permutation character of each distinct summand subgroup, by key
-        self.chars: dict[tuple, tuple[int, ...]] = {}
-        for _, s in self.entries:
-            if s.key() not in self.chars:
-                self.chars[s.key()] = permutation_character(self.ambient, s)
+    counts: dict[SubgroupHandle, int]
 
     def character(self) -> tuple[int, ...]:
         acc = [0] * len(self.ambient.conjugacy_classes())
-        for _, s in self.entries:
-            for i, v in enumerate(self.chars[s.key()]):
-                acc[i] += v
+        for s, m in self.counts.items():
+            for i, v in enumerate(permutation_character(self.ambient, s)):
+                acc[i] += m * v
         return tuple(acc)
 
     def merged(self) -> list[tuple[SubgroupHandle, int]]:
@@ -53,11 +46,11 @@ class QSummandMultiset:
         of first appearance."""
         rep_of: dict[tuple, SubgroupHandle] = {}   # conjugate key -> representative
         mult: dict[SubgroupHandle, int] = {}
-        for _, s in self.entries:
+        for s, m in self.counts.items():
             if s.key() not in rep_of:
                 rep_of.update(dict.fromkeys(self.ambient.conjugates(s), s))
             rep = rep_of[s.key()]
-            mult[rep] = mult.get(rep, 0) + 1
+            mult[rep] = mult.get(rep, 0) + m
         return list(mult.items())
 
     def to_json(self, merged: list[tuple[SubgroupHandle, int]]) -> list[dict]:
@@ -73,18 +66,26 @@ class QSummandMultiset:
         return out
 
 
+def _mackey_step(G: GroupHandle, counts: dict[SubgroupHandle, int],
+                 H: SubgroupHandle) -> dict[SubgroupHandle, int]:
+    """Each Q_K of ``counts`` restricted to H, kept with K's multiplicity:
+    Q_K restricted to H is the sum over K\\G/H of Q_{K^x cap H}."""
+    out: dict[SubgroupHandle, int] = {}
+    for K, m in counts.items():
+        for x in double_cosets(G, K, H).reps:
+            s = K.conjugate(x).intersect(H)
+            out[s] = out.get(s, 0) + m
+    return out
+
+
 def mackey_restrict(G: GroupHandle, K: SubgroupHandle,
                     H: SubgroupHandle) -> QSummandMultiset:
     """Restriction of the coset module of K down to H: one summand
     K^{g_i} cap H per (K,H) double-coset representative g_i, read as the
     multiset of H-coset modules Q^H_{K^{g_i} cap H}."""
-    dc = double_cosets(G, K, H)
-    entries = []
-    for idx, g in enumerate(dc.reps):
-        entries.append(((idx,), K.conjugate(g).intersect(H)))
-    ms = QSummandMultiset(G, K, 1, entries)
+    ms = QSummandMultiset(G, _mackey_step(G, {K: 1}, H))
     # dimension bookkeeping: sum |H : K^g cap H| = |G : K|
-    total = sum(H.order // s.order for _, s in entries)
+    total = sum(m * (H.order // s.order) for s, m in ms.counts.items())
     if total != G.order // K.order:
         raise AssertionError("Mackey restriction dimension mismatch")
     return ms
@@ -98,39 +99,28 @@ def tensor_summand_count(G: GroupHandle, pi: tuple[int, ...], n: int) -> int:
                for cls, v in zip(G.conjugacy_classes(), pi)) // G.order
 
 
-def q_tensor_decomposition(G: GroupHandle, H: SubgroupHandle, n: int,
-                           budget: int = 10 ** 6) -> QSummandMultiset:
+def q_tensor_decomposition(G: GroupHandle, H: SubgroupHandle, n: int) -> QSummandMultiset:
     """The n-th tensor power of the coset module of H as a multiset of
-    conjugate-intersection stabilizers, indexed by (n-1)-tuples of (H,H)
-    double-coset labels.  The summand count is checked against the budget
-    before any tensor step runs, and the character of the result against
-    pi^n for the permutation character pi of H."""
+    conjugate-intersection stabilizers.  The summand count is checked against
+    the budget before any tensor step runs, and the character of the result
+    against pi^n for the permutation character pi of H."""
     if n < 1:
         raise ValueError("tensor power must be >= 1")
-    hdc = double_cosets(G, H, H)
     pi = permutation_character(G, H)
     # The count never falls as n grows and is at least 2^(n-1) when H != G
     # (and 1 when H = G), so a power past the budget's bit length is judged
     # without the huge power sums.
-    count = tensor_summand_count(G, pi, min(n, budget.bit_length() + 1))
-    if count > budget:
-        raise BudgetExceededError(
-            f"Q^(x{n}) has at least {count} summands, which exceeds the budget {budget}")
-    label_of: dict[Permutation, int] = {}
-    for idx, coset in enumerate(hdc.cosets):
-        for g in coset:
-            label_of[g] = idx
-    entries: list[tuple[tuple[int, ...], SubgroupHandle]] = [((), H)]
+    count = tensor_summand_count(G, pi, min(n, SUMMAND_BUDGET.bit_length() + 1))
+    if count > SUMMAND_BUDGET:
+        raise BudgetExceededError(f"Q^(x{n}) has at least {count} summands, "
+                                  f"which exceeds the budget {SUMMAND_BUDGET}")
+    counts = {H: 1}
     for _ in range(n - 1):
-        new = []
-        for label, K in entries:
-            dk = double_cosets(G, K, H)
-            for x in dk.reps:
-                new.append((label + (label_of[x],), K.conjugate(x).intersect(H)))
-                if len(new) > budget:
-                    raise BudgetExceededError("tensor decomposition exceeded the budget")
-        entries = new
-    ms = QSummandMultiset(G, H, n, entries)
+        new = _mackey_step(G, counts, H)
+        if list(new.items()) == list(counts.items()):
+            break   # a fixed point: every later power is this multiset
+        counts = new
+    ms = QSummandMultiset(G, counts)
     if ms.character() != tuple(v ** n for v in pi):
         raise AssertionError("decomposition character differs from (eps induced)^n")
     return ms
@@ -251,18 +241,12 @@ def _verify_hecke(alg: HeckeAlgebra) -> None:
                         f"Hecke multiplication not associative at ({i},{j},{k})")
 
 
-@dataclass(frozen=True)
-class CombinatorialBoundReport:
-    d_c_ev: int
-    d_c_bracket: tuple[int, int]
-    d_c_is_one: bool
-
-
 def combinatorial_bound_check(G: GroupHandle, H: SubgroupHandle,
-                              d_h: Optional[int]) -> CombinatorialBoundReport:
-    """Reports the even combinatorial depth and checks d_h <= d_c_ev + 1
-    against the pair's h-depth, when it is known."""
+                              d_h: Optional[int]) -> IntersectionChain:
+    """The intersection chain, whose d_c_ev is the even combinatorial depth,
+    with d_h <= d_c_ev + 1 checked against the pair's h-depth, when it is
+    known."""
     ic = intersection_chain(G, H)
     if d_h is not None and d_h > ic.d_c_ev + 1:
         raise AssertionError(f"d_h = {d_h} exceeds d_c_ev + 1 = {ic.d_c_ev + 1}")
-    return CombinatorialBoundReport(ic.d_c_ev, ic.d_c_bracket, ic.d_c_is_one)
+    return ic

@@ -68,8 +68,15 @@ class Permutation:
         return _perm(tuple(inv))
 
     def conjugate_by(self, g: "Permutation") -> "Permutation":
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
+        """g^-1 * self * g, which sends g(i) to g(self(i))."""
+        gi = g.images
+        if len(self.images) != len(gi):
+            raise ValueError("cannot conjugate a permutation of degree "
+                             f"{self.degree} by one of degree {g.degree}")
+        out = [0] * len(gi)
+        for i, h in enumerate(self.images):
+            out[gi[i] - 1] = gi[h - 1]
+        return _perm(tuple(out))
 
     def is_identity(self) -> bool:
         return all(i + 1 == img for i, img in enumerate(self.images))
@@ -251,18 +258,6 @@ class GroupHandle:
         gens = sub.generating_set()
         elems = [g for g in self.elements if all(g * h == h * g for h in gens)]
         return SubgroupHandle(self, elems)
-
-    def right_cosets(self, sub: "SubgroupHandle") -> list[tuple[Permutation, ...]]:
-        """Right cosets Hx, each sorted, reps canonical-minimal, deterministic."""
-        seen: set[Permutation] = set()
-        cosets = []
-        for g in self.elements:
-            if g in seen:
-                continue
-            coset = tuple(sorted(h * g for h in sub.elements))
-            seen.update(coset)
-            cosets.append(coset)
-        return cosets
 
     def __repr__(self):
         return f"GroupHandle(order={self.order}, degree={self.degree})"

@@ -23,7 +23,7 @@ from subdepth.hopfcore import (HopfAlgebraData, QuotientModule,
                                _tensor_image, _vadd, _veq, _vscale,
                                build_group_algebra, tensor_power_action)
 from subdepth.permgroup import (GroupHandle, Permutation, SubgroupHandle, _closure,
-                                enumerate_group)
+                                double_cosets, enumerate_group)
 
 
 def perm(degree, *cycles):
@@ -83,6 +83,48 @@ def reference_conjugates(G: GroupHandle, H: SubgroupHandle) -> dict[tuple, Subgr
         c = H.conjugate(g)
         out.setdefault(c.key(), c)
     return out
+
+
+def reference_tensor_entries(G: GroupHandle, H: SubgroupHandle,
+                             n: int) -> list[tuple[tuple[int, ...], SubgroupHandle]]:
+    """The n-th tensor power of the coset module of H with one entry per
+    summand K^x cap H, each labelled by the (n-1)-tuple of (H,H) double
+    cosets met along the way, the reference for the counted multiset of
+    `q_tensor_decomposition`."""
+    label_of = {g: idx for idx, coset in enumerate(double_cosets(G, H, H).cosets)
+                for g in coset}
+    entries = [((), H)]
+    for _ in range(n - 1):
+        entries = [(label + (label_of[x],), K.conjugate(x).intersect(H))
+                   for label, K in entries for x in double_cosets(G, K, H).reps]
+    return entries
+
+
+def reference_merged(G: GroupHandle, subs) -> list[tuple[tuple, int]]:
+    """(key of the first summand of each conjugacy class, multiplicity) over
+    the summand subgroups subs, in order of first appearance."""
+    rep_of: dict[tuple, tuple] = {}
+    mult: dict[tuple, int] = {}
+    for s in subs:
+        if s.key() not in rep_of:
+            rep_of.update(dict.fromkeys(G.conjugates(s), s.key()))
+        rep = rep_of[s.key()]
+        mult[rep] = mult.get(rep, 0) + 1
+    return list(mult.items())
+
+
+def reference_permutation_character(G: GroupHandle, H: SubgroupHandle) -> tuple[int, ...]:
+    """The number of right cosets Hx fixed by a representative g of each
+    class, counted as the x with x g x^-1 in H."""
+    seen: set[Permutation] = set()
+    reps = []
+    for g in G.elements:
+        if g not in seen:
+            seen.update(h * g for h in H.elements)
+            reps.append(g)
+    hset = set(H.elements)
+    return tuple(sum(x * cls.rep * x.inverse() in hset for x in reps)
+                 for cls in G.conjugacy_classes())
 
 
 def pair_report(G, H, tabG=None):

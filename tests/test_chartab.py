@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (conjugate, corpus_pairs_full, cyc_inner_product, group_table,
-                     induce_class_function, inner_product, make_a5, make_s4, perm,
-                     reference_inclusion_matrix, reference_modp_minpoly)
+                     induce_class_function, inner_product, make_a5, make_s4, make_s5,
+                     perm, reference_inclusion_matrix, reference_modp_minpoly,
+                     reference_permutation_character)
 from subdepth.chartab import (CharacterTable, ClassFusion, _dixon_primes,
                               _dixon_schneider, _modp_kernel, _modp_minpoly,
                               _modp_rref, class_fusion, compute_character_table,
@@ -180,6 +181,16 @@ def test_permutation_character_examples(s3):
     assert permutation_character(s3, H) == (3, 1, 0)
     assert permutation_character(s3, s3.subgroup(s3.elements)) == (1, 1, 1)
     assert permutation_character(s3, s3.trivial_subgroup()) == (6, 0, 0)
+
+
+def test_permutation_character_counts_the_fixed_cosets():
+    # |G:H| |C cap H| / |C| against the right cosets fixed by each class
+    pairs = [(G, H) for _, G, H in corpus_pairs_full(24)]
+    for G in (make_a5(), make_s5()):
+        pairs += [(G, H) for H in G.subgroups()]
+    assert len(pairs) == 580
+    for G, H in pairs:
+        assert permutation_character(G, H) == reference_permutation_character(G, H)
 
 
 def test_permutation_character_properties(s4):

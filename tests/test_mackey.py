@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import induce_class_function, make_a4, make_a5, make_s4, perm
+from helpers import (corpus_pairs_full, induce_class_function, make_a4, make_a5,
+                     make_s4, perm, reference_merged, reference_permutation_character,
+                     reference_tensor_entries)
 from subdepth import mackey
 from subdepth.chartab import permutation_character
 from subdepth.cli import main
@@ -14,33 +16,35 @@ from subdepth.mackey import (BudgetExceededError, combinatorial_bound_check,
 from subdepth.permgroup import double_cosets
 
 
+def summand_orders(ms):
+    """The orders of the summand subgroups, one per copy."""
+    return sorted(S.order for S, m in ms.counts.items() for _ in range(m))
+
+
 def test_tensor_power_one_is_q(s3):
     H = s3.subgroup_generated([perm(3, (1, 2))])
     ms = q_tensor_decomposition(s3, H, 1)
-    assert len(ms.entries) == 1
-    assert ms.entries[0][1].elements == H.elements
+    assert ms.counts == {H: 1}
 
 
 def test_tensor_power_normal_pair(s3):
     A3 = s3.subgroup_generated([perm(3, (1, 2, 3))])
     ms = q_tensor_decomposition(s3, A3, 2)
-    assert len(ms.entries) == s3.order // A3.order
-    assert all(S.elements == A3.elements for _, S in ms.entries)
+    assert ms.counts == {A3: s3.order // A3.order}
 
 
 def test_tensor_power_ti_pair():
     G = make_a4()
     C3 = G.subgroup_generated([perm(4, (1, 2, 3))])
     ms = q_tensor_decomposition(G, C3, 2)
-    orders = sorted(S.order for _, S in ms.entries)
-    assert orders == [1, 3]  # one copy of kG (regular) and one of Q
+    assert summand_orders(ms) == [1, 3]  # one copy of kG (regular) and one of Q
 
 
 def test_dimension_bookkeeping(s4):
     for H in s4.subgroups()[::5]:
         for n in (1, 2, 3):
             ms = q_tensor_decomposition(s4, H, n)
-            assert sum(s4.order // S.order for _, S in ms.entries) \
+            assert sum(m * (s4.order // S.order) for S, m in ms.counts.items()) \
                 == (s4.order // H.order) ** n
 
 
@@ -53,10 +57,11 @@ def test_character_oracle(s3, s4):
                 assert ms.character() == tuple(v ** n for v in pc)
 
 
-def test_budget_exceeded(s4):
+def test_budget_exceeded(s4, monkeypatch):
     H = s4.trivial_subgroup()
+    monkeypatch.setattr(mackey, "SUMMAND_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
-        q_tensor_decomposition(s4, H, 3, budget=100)
+        q_tensor_decomposition(s4, H, 3)
 
 
 def group_pairs_pairs():
@@ -75,7 +80,7 @@ def test_summand_count_is_the_number_of_entries():
         pi = permutation_character(G, H)
         for n in (1, 2, 3, 4):
             ms = q_tensor_decomposition(G, H, n)
-            assert tensor_summand_count(G, pi, n) == len(ms.entries), (name, n)
+            assert tensor_summand_count(G, pi, n) == sum(ms.counts.values()), (name, n)
     G, H = group_pairs_pairs()["A4<A5"]
     pi = permutation_character(G, H)
     assert [tensor_summand_count(G, pi, n) for n in (1, 2, 3, 4, 6, 12)] == \
@@ -99,7 +104,7 @@ def test_budget_fires_before_any_tensor_step(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: Q^(x12) has at least 4070376 summands, which "
                           "exceeds the budget 1000000")
-    assert calls == [(12, 12)]  # H\G/H only
+    assert calls == []  # no double cosets at all
 
 
 def test_budget_judges_a_huge_power_at_a_small_one(monkeypatch):
@@ -115,24 +120,71 @@ def test_budget_judges_a_huge_power_at_a_small_one(monkeypatch):
         q_tensor_decomposition(G, H, 10 ** 9)
     assert powers == [21]  # (10^6).bit_length() + 1
     whole = G.subgroup(G.elements)
-    assert len(q_tensor_decomposition(G, whole, 40).entries) == 1
+    assert q_tensor_decomposition(G, whole, 40).counts == {whole: 1}
+
+
+def test_whole_group_power_stops_at_a_fixed_point(monkeypatch, a5):
+    # Q_G = k is its own tensor square, so the first step returns its input
+    # and no later step runs
+    calls = []
+
+    def counted(G, K, H):
+        calls.append((K.order, H.order))
+        assert len(calls) <= 2, "a step ran past the fixed point"
+        return double_cosets(G, K, H)
+
+    monkeypatch.setattr(mackey, "double_cosets", counted)
+    whole = a5.subgroup(a5.elements)
+    assert q_tensor_decomposition(a5, whole, 10 ** 6).counts == {whole: 1}
+
+
+def assert_matches_the_flat_expansion(G, H, n, pcs):
+    """merged() and character() of the counted multiset against the labelled
+    one-entry-per-summand expansion; pcs caches reference characters by key.
+    Returns the number of summands."""
+    ms = q_tensor_decomposition(G, H, n)
+    subs = [S for _, S in reference_tensor_entries(G, H, n)]
+    assert [(rep.key(), m) for rep, m in ms.merged()] == reference_merged(G, subs)
+    acc = [0] * len(G.conjugacy_classes())
+    for S in subs:
+        if S.key() not in pcs:
+            pcs[S.key()] = reference_permutation_character(G, S)
+        acc = [a + v for a, v in zip(acc, pcs[S.key()])]
+    assert ms.character() == tuple(acc)
+    return len(subs)
+
+
+def test_counts_match_the_flat_expansion_on_the_catalog():
+    pcs: dict[int, dict] = {}
+    for name, G, H in corpus_pairs_full(24):
+        for n in (1, 2, 3):
+            assert_matches_the_flat_expansion(G, H, n, pcs.setdefault(id(G), {}))
+
+
+def test_counts_match_the_flat_expansion_on_group_pairs():
+    pcs: dict[int, dict] = {}
+    sizes = {}
+    for name, (G, H) in group_pairs_pairs().items():
+        for n in range(1, 7):
+            sizes[name, n] = assert_matches_the_flat_expansion(
+                G, H, n, pcs.setdefault(id(G), {}))
+    assert sizes["A4<A5", 6] == 282
 
 
 def test_mackey_restrict_examples(s3):
     H = s3.subgroup_generated([perm(3, (1, 2))])
     full = mackey_restrict(s3, s3.subgroup(s3.elements), H)
-    assert len(full.entries) == 1 and full.entries[0][1].elements == H.elements
+    assert full.counts == {H: 1}
     A3 = s3.subgroup_generated([perm(3, (1, 2, 3))])
     normal = mackey_restrict(s3, A3, A3)
-    assert len(normal.entries) == 2
-    assert all(S.elements == A3.elements for _, S in normal.entries)
+    assert normal.counts == {A3: 2}
 
 
 def test_mackey_restrict_ti():
     G = make_a4()
     C3 = G.subgroup_generated([perm(4, (1, 2, 3))])
     ms = mackey_restrict(G, C3, C3)
-    assert sorted(S.order for _, S in ms.entries) == [1, 3]
+    assert summand_orders(ms) == [1, 3]
 
 
 def test_mackey_restrict_dimensions(s4):
@@ -140,8 +192,19 @@ def test_mackey_restrict_dimensions(s4):
     for K in subs[::6]:
         for H in subs[::7]:
             ms = mackey_restrict(s4, K, H)
-            assert sum(H.order // S.order for _, S in ms.entries) \
+            assert sum(m * (H.order // S.order) for S, m in ms.counts.items()) \
                 == s4.order // K.order
+
+
+def test_restriction_counts_match_the_flat_list(s4):
+    # one summand K^x cap H per (K,H) double coset, grouped by conjugacy
+    subs = s4.subgroups()
+    for K in subs[::3]:
+        for H in subs[::4]:
+            flat = [K.conjugate(x).intersect(H) for x in double_cosets(s4, K, H).reps]
+            ms = mackey_restrict(s4, K, H)
+            assert [(rep.key(), m) for rep, m in ms.merged()] == \
+                reference_merged(s4, flat)
 
 
 def test_transitivity_of_induction(s4):

@@ -53,6 +53,21 @@ def test_product_of_different_degrees_raises():
         Permutation.identity(2) * perm(3, (1, 2))
 
 
+def test_conjugate_by_is_the_product(s4):
+    for h in s4.elements:
+        for g in s4.elements:
+            c = h.conjugate_by(g)
+            assert c == g.inverse() * h * g
+            assert c == Permutation(c.images) and type(c.images) is tuple
+
+
+def test_conjugate_by_a_different_degree_raises():
+    with pytest.raises(ValueError, match="degree 3 by one of degree 4"):
+        perm(3, (1, 2)).conjugate_by(perm(4, (1, 2, 3)))
+    with pytest.raises(ValueError):
+        Permutation.identity(2).conjugate_by(perm(3, (1, 2)))
+
+
 def test_products_and_inverses_equal_validated_permutations(s4):
     for a in s4.elements:
         for b in (a.inverse(), *s4.elements[::5]):
