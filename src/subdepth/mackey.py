@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .chartab import permutation_character
 from .permgroup import (CoreWitness, GroupHandle, IntersectionChain, Permutation,
@@ -166,18 +166,6 @@ class HeckeAlgebra:
     def dimension(self) -> int:
         return len(self.reps)
 
-    def product(self, a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for i, ca in a.items():
-            if not ca:
-                continue
-            for j, cb in b.items():
-                if not cb:
-                    continue
-                for k, m in self.mu[i][j].items():
-                    out[k] = out.get(k, Fraction(0)) + ca * cb * m
-        return {k: v for k, v in out.items() if v}
-
     def is_commutative(self) -> bool:
         return all(self.mu[i][j] == self.mu[j][i]
                    for i in range(self.dimension) for j in range(self.dimension))
@@ -223,6 +211,15 @@ def hecke_algebra(G: GroupHandle, K: SubgroupHandle) -> HeckeAlgebra:
     return alg
 
 
+def _contract(images: Sequence[dict], v: dict[int, Fraction]) -> dict[int, Fraction]:
+    # sum_l v_l images[l], without zero entries
+    out: dict[int, Fraction] = {}
+    for l, c in v.items():
+        for k, m in images[l].items():
+            out[k] = out.get(k, 0) + c * m
+    return {k: x for k, x in out.items() if x}
+
+
 def _verify_hecke(alg: HeckeAlgebra) -> None:
     t = alg.dimension
     if not alg.reps[0].is_identity():
@@ -230,13 +227,13 @@ def _verify_hecke(alg: HeckeAlgebra) -> None:
     for j in range(t):
         if alg.mu[0][j] != {j: Fraction(1)} or alg.mu[j][0] != {j: Fraction(1)}:
             raise AssertionError("identity double coset is not a two-sided unit")
+    # (e_i e_j) e_k = e_i (e_j e_k) as sum_l mu_ij^l mu_lk = sum_l mu_jk^l mu_il
+    cols = list(zip(*alg.mu))    # cols[k][l] = mu_lk = e_l e_k
     for i in range(t):
         for j in range(t):
             ij = alg.mu[i][j]
             for k in range(t):
-                left = alg.product(ij, {k: Fraction(1)})
-                right = alg.product({i: Fraction(1)}, alg.mu[j][k])
-                if left != right:
+                if _contract(cols[k], ij) != _contract(alg.mu[i], alg.mu[j][k]):
                     raise AssertionError(
                         f"Hecke multiplication not associative at ({i},{j},{k})")
 

@@ -14,6 +14,7 @@ order 6, before the tensor powers were kept as counted multisets.
 Every later change must reproduce them exactly.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,8 @@ from pathlib import Path
 import pytest
 
 from subdepth.cli import _emit_json, main
+from subdepth.exactalg import Cyc
+from subdepth.hopfcore import HopfAlgebraData
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -53,6 +56,23 @@ def test_hopf_json_is_golden(algebra, tmp_path, capsys):
     assert main(["hopf", str(GOLDEN / f"{algebra}.json"),
                  "--json", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"hopf_{algebra}.json").read_bytes()
+
+
+def test_explicit_zero_entries_leave_the_hopf_report_unchanged(tmp_path, capsys):
+    # from_json drops zero scalars, so verify's exact == on the contracted
+    # structure constants sees the same algebra as without them
+    data = json.loads((GOLDEN / "uq2.json").read_text())
+    assert [0, 0, 5, "1"] not in data["mult"] and [0, 1, 2, "1"] not in data["comult"]
+    data["mult"].append([0, 0, 5, "0"])
+    data["comult"].append([0, 1, 2, "0"])
+    data["unit"]["3"] = "0"
+    path, out = tmp_path / "uq2_zeros.json", tmp_path / "rep.json"
+    path.write_text(json.dumps(data))
+    H, _ = HopfAlgebraData.from_json(data)
+    assert H.mult[0][0] == {0: Cyc.one()} and H.comult[0] == {(0, 0): Cyc.one()}
+    assert H.unit == {0: Cyc.one()}
+    assert main(["hopf", str(path), "--json", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "hopf_uq2.json").read_bytes()
 
 
 @pytest.mark.parametrize("n", ["2", "3"])

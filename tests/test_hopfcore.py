@@ -17,7 +17,7 @@ from helpers import (augmentation_core_ideal, cached_group_algebra,
 from subdepth import hopfcore
 from subdepth.exactalg import Cyc, RowSpace
 from subdepth.hopfcore import (HopfAlgebraData, SubalgebraEmbedding,
-                               TensorPowerModule, _frobenius_terms, _ideal,
+                               TensorPowerModule, _apply_map, _frobenius_terms, _ideal,
                                _is_hopf_ideal, _is_two_sided, _projector,
                                _right_integrals,
                                annihilator_chain, build_group_algebra,
@@ -160,6 +160,42 @@ def test_verify_raises_exactly_when_an_axiom_fails(s3, uq2, uq3):
         else:
             assert full_axioms_hold(bad)
     assert raised > 0
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (1, -1), (2,)],
+                         ids=["sum", "difference", "double"])
+def test_verify_agrees_with_the_reference_on_a_product_of_several_terms(s3, coeffs):
+    # a product with two terms sends the associativity contraction through
+    # both paths of `_apply_map`: a copied row at the leading 1, then a
+    # scaled row; {k: 2} takes the scaled path alone
+    H = cached_group_algebra(s3)
+    (k, _), = H.mult[2][3].items()
+    mult = [list(row) for row in H.mult]
+    mult[2][3] = {(k + t) % H.dim: Cyc.rational(c) for t, c in enumerate(coeffs)}
+    bad = unverified_copy(H, mult=mult)
+    assert not full_axioms_hold(bad)
+    with pytest.raises(AssertionError, match=r"associativity fails at \(\d+,\d+,\d+\)"):
+        bad.verify()
+
+
+def test_apply_map_copies_a_row_at_a_unit_coefficient():
+    row = {3: Cyc.root_of_unity(3), 5: Cyc.rational(Fraction(-2, 7))}
+    out = _apply_map([row], {0: Cyc.one()})
+    assert out == row and out is not row
+    assert [(x.order, x.coeffs) for x in out.values()] == \
+        [(x.order, x.coeffs) for x in row.values()]
+    # a unit coefficient after the first term is added like any other
+    two = Cyc.rational(2)
+    assert _apply_map([row, {3: Cyc.one()}], {1: two, 0: Cyc.one()}) == \
+        {3: two + row[3], 5: row[5]}
+
+
+def test_apply_map_drops_the_terms_that_cancel():
+    one = Cyc.one()
+    images = [{0: one, 1: one}, {1: one, 2: one}]
+    assert _apply_map(images, {0: one, 1: -one}) == {0: one, 2: -one}
+    assert _apply_map(images, {1: -one, 0: one}) == {0: one, 2: -one}
+    assert _apply_map([{0: one}, {0: one}], {0: one, 1: -one}) == {}
 
 
 def _klein_four_with(mult=None, comult=None):

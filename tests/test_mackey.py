@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -256,6 +257,20 @@ def test_hecke_trivial_subgroup_is_group_algebra(s3):
         for j, gj in enumerate(hk.reps):
             k = hk.reps.index(gi * gj)
             assert hk.mu[i][j] == {k: Fraction(1)}
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (1, -1), (2,)],
+                         ids=["sum", "difference", "double"])
+def test_hecke_verify_rejects_a_product_of_several_terms(s3, coeffs):
+    # over the trivial subgroup the Hecke algebra is kS3; a corrupted
+    # product e_2 e_3 breaks (e_2 e_3) e_k = e_2 (e_3 e_k) at some k
+    hk = hecke_algebra(s3, s3.trivial_subgroup())
+    (k, _), = hk.mu[2][3].items()
+    mu = [list(row) for row in hk.mu]
+    mu[2][3] = {(k + t) % 6: Fraction(c) for t, c in enumerate(coeffs)}
+    with pytest.raises(AssertionError,
+                       match=r"Hecke multiplication not associative at \(\d+,\d+,\d+\)"):
+        mackey._verify_hecke(dataclasses.replace(hk, mu=mu))
 
 
 def test_hecke_dimension_counts_double_cosets(s4):
