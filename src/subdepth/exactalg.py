@@ -139,6 +139,8 @@ class Cyc:
     power basis of Q[x]/Phi_n(x), each an ``int`` when integral and a
     ``Fraction`` otherwise.  Order-1 scalars are plain rationals.
     Mixed-order arithmetic lifts both operands to Q(zeta_lcm) first.
+    A rational value has order 1, except as a result of ``lift``, which
+    keeps raw order-n coordinates for mixed-order arithmetic.
     """
 
     __slots__ = ("order", "coeffs")
@@ -149,8 +151,11 @@ class Cyc:
         phi = euler_phi(order)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(coeffs)}")
+        coeffs = tuple(map(_rat, coeffs))
+        if not any(coeffs[1:]):
+            order, coeffs = 1, coeffs[:1]
         _set_order(self, order)
-        _set_coeffs(self, tuple(map(_rat, coeffs)))
+        _set_coeffs(self, coeffs)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Cyc is immutable")
@@ -180,18 +185,7 @@ class Cyc:
     @staticmethod
     def from_power_sum(n: int, powers: dict[int, Rat]) -> "Cyc":
         """Sum of c * zeta_n^e over the given exponent -> coefficient map."""
-        phi = euler_phi(n)
-        table = _xpow_table(n)
-        acc = [0] * phi
-        for e, c in powers.items():
-            c = _rat(c)
-            if not c:
-                continue
-            row = table[e % n]
-            for j in range(phi):
-                if row[j]:
-                    acc[j] += c * row[j]
-        return _cyc(n, tuple(map(_rat, acc)))
+        return _cyc_q(n, _power_sum_coords(n, powers))
 
     # -- coercion ----------------------------------------------------------
 
@@ -204,8 +198,8 @@ class Cyc:
         if self.order == 1:
             return _cyc(n, self.coeffs + (0,) * (euler_phi(n) - 1))
         step = n // self.order
-        return Cyc.from_power_sum(
-            n, {i * step: c for i, c in enumerate(self.coeffs) if c})
+        return _cyc(n, _power_sum_coords(
+            n, {i * step: c for i, c in enumerate(self.coeffs) if c}))
 
     @staticmethod
     def _pair(a: "Cyc", b: "Cyc") -> tuple["Cyc", "Cyc"]:
@@ -236,7 +230,7 @@ class Cyc:
             x = self.coeffs[0] + other.coeffs[0]
             return _cyc(1, (x if type(x) is int else _rat(x),))
         a, b = Cyc._pair(self, as_cyc(other))
-        return _cyc(a.order, tuple(_rat(x + y) for x, y in zip(a.coeffs, b.coeffs)))
+        return _cyc_q(a.order, tuple(_rat(x + y) for x, y in zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
@@ -248,7 +242,7 @@ class Cyc:
             x = self.coeffs[0] - other.coeffs[0]
             return _cyc(1, (x if type(x) is int else _rat(x),))
         a, b = Cyc._pair(self, as_cyc(other))
-        return _cyc(a.order, tuple(_rat(x - y) for x, y in zip(a.coeffs, b.coeffs)))
+        return _cyc_q(a.order, tuple(_rat(x - y) for x, y in zip(a.coeffs, b.coeffs)))
 
     def __rsub__(self, other) -> "Cyc":
         return as_cyc(other) - self
@@ -263,7 +257,7 @@ class Cyc:
             r, z = (self.coeffs[0], other) if self.order == 1 else (other.coeffs[0], self)
             if r == 1:
                 return z
-            return _cyc(z.order, tuple(_rat(r * c) for c in z.coeffs))
+            return _cyc_q(z.order, tuple(_rat(r * c) for c in z.coeffs))
         a, b = Cyc._pair(self, other)
         # multiply integer numerators over one common denominator per operand
         xs, da = _common_denominator(a.coeffs)
@@ -287,8 +281,8 @@ class Cyc:
                         acc[j] += c * row[j]
         den = da * db
         if den == 1:
-            return _cyc(a.order, tuple(acc))
-        return _cyc(a.order, tuple(_rat(Fraction(x, den)) for x in acc))
+            return _cyc_q(a.order, tuple(acc))
+        return _cyc_q(a.order, tuple(_rat(Fraction(x, den)) for x in acc))
 
     __rmul__ = __mul__
 
@@ -306,7 +300,7 @@ class Cyc:
             if gcd(k, n) == 1:
                 r = r * Cyc.from_power_sum(
                     n, {i * k % n: c for i, c in enumerate(self.coeffs) if c})
-        return (r * (_ONE / (self * r).as_fraction())).lift(n)
+        return r * (_ONE / (self * r).as_fraction())
 
     def __truediv__(self, other) -> "Cyc":
         return self * as_cyc(other).inverse()
@@ -384,6 +378,29 @@ def _cyc(order: int, coeffs: tuple) -> Cyc:
     _set_order(z, order)
     _set_coeffs(z, coeffs)
     return z
+
+
+def _cyc_q(order: int, coeffs: tuple) -> Cyc:
+    # _cyc for a result that may be rational: then it drops to order 1
+    if any(coeffs[1:]):
+        return _cyc(order, coeffs)
+    return _cyc(1, coeffs[:1])
+
+
+def _power_sum_coords(n: int, powers: dict[int, Rat]) -> tuple:
+    # the phi(n) coordinates of sum c * zeta_n^e, never dropped to order 1
+    phi = euler_phi(n)
+    table = _xpow_table(n)
+    acc = [0] * phi
+    for e, c in powers.items():
+        c = _rat(c)
+        if not c:
+            continue
+        row = table[e % n]
+        for j in range(phi):
+            if row[j]:
+                acc[j] += c * row[j]
+    return tuple(map(_rat, acc))
 
 
 # Cyc is immutable, so every zero() and one() can share one instance

@@ -470,16 +470,29 @@ def build_small_quantum_group(n: int):
     case is the 8-dimensional algebra with K^2 = 1, E^2 = F^2 = 0, EF = FE,
     KE = -EK, KF = -FK, whose printed relations are all rational.
 
+    The powers of q and right multiplication by E, `times_e` (the sparse
+    images of the basis), are built once.
+
     Returns (H, {"R1": <K,F>, "R2": <K,E>, "B": <K>}).
     """
     if n != 2 and (n < 3 or n % 2 == 0):
         raise ValueError("supported cases: n = 2 or odd n >= 3")
     if n == 2:
         field_order = 1
-        q = Cyc.rational(-1)        # q^2 = -1 never appears alone; see rules
+
+        def qpow(k: int) -> Cyc:
+            # only even powers of q = i occur in the n = 2 presentation
+            if k % 2:
+                raise AssertionError(f"odd power {k} of q = i")
+            return Cyc.rational(1 if k % 4 == 0 else -1)
     else:
         field_order = n
-        q = Cyc.root_of_unity(n)
+        powers = [Cyc.root_of_unity(n, k) for k in range(n)]
+
+        def qpow(k: int) -> Cyc:
+            return powers[k % n]
+
+        lam = (powers[1] - powers[-1]).inverse()     # 1 / (q - q^-1)
 
     def midx(a: int, b: int, c: int) -> int:
         return ((a % n) * n + b) * n + c
@@ -487,41 +500,20 @@ def build_small_quantum_group(n: int):
     def mono(a, b, c, coeff=None) -> Vec:
         return {midx(a, b, c): Cyc.one() if coeff is None else coeff}
 
-    if n == 2:
-        def qpow(k: int) -> Cyc:
-            # only even powers of q = i occur in the n = 2 presentation
-            if k % 2:
-                raise AssertionError(f"odd power {k} of q = i")
-            return Cyc.rational(1 if k % 4 == 0 else -1)
-    else:
-        def qpow(k: int) -> Cyc:
-            return Cyc.root_of_unity(n, k % n)
-
-    lam = None
-    if n != 2:
-        lam = (q - q.inverse()).inverse()
-
-    def times_e(v: Vec) -> Vec:
-        # right multiplication by E with normal reordering
-        out: Vec = {}
-        for i, coeff in v.items():
-            a, rem = divmod(i, n * n)
-            b, c = divmod(rem, n)
-            if b + 1 < n:
-                _vadd(out, midx(a, b + 1, c), coeff)
-            if c == 0 or n == 2:
-                continue
-            s_minus = Cyc.zero()
-            s_plus = Cyc.zero()
-            for j in range(c):
-                s_minus = s_minus + qpow(-2 * j)
-                s_plus = s_plus + qpow(2 * j)
-            # F^c E = E F^c - lam F^(c-1) (s_minus K - s_plus K^-1)
-            t2 = coeff * lam * s_minus * qpow(2 * (c - 1) - 2 * b)
-            _vadd(out, midx(a + 1, b, c - 1), -t2)
-            t3 = coeff * lam * s_plus * qpow(-(2 * (c - 1) - 2 * b))
-            _vadd(out, midx(a - 1, b, c - 1), t3)
+    def e_image(a: int, b: int, c: int) -> Vec:
+        # K^a E^b F^c E in normal order, by
+        # F^c E = E F^c - lam F^(c-1) (s_minus K - s_plus K^-1)
+        out: Vec = {midx(a, b + 1, c): Cyc.one()} if b + 1 < n else {}
+        if c and n != 2:
+            s_minus = sum((qpow(-2 * j) for j in range(c)), Cyc.zero())
+            s_plus = sum((qpow(2 * j) for j in range(c)), Cyc.zero())
+            shift = 2 * (c - 1) - 2 * b
+            _vadd(out, midx(a + 1, b, c - 1), -(lam * s_minus * qpow(shift)))
+            _vadd(out, midx(a - 1, b, c - 1), lam * s_plus * qpow(-shift))
         return out
+
+    monomials = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+    times_e = [e_image(*m) for m in monomials]     # right multiplication by E
 
     def mono_mul(m1: tuple[int, int, int], m2: tuple[int, int, int]) -> Vec:
         a, b, c = m1
@@ -529,7 +521,7 @@ def build_small_quantum_group(n: int):
         scal = qpow(2 * c * dd - 2 * b * dd)
         cur: Vec = mono(a + dd, b, c, scal)
         for _ in range(e):
-            cur = times_e(cur)
+            cur = _apply_map(times_e, cur)
             if not cur:
                 return {}
         out: Vec = {}
@@ -541,7 +533,6 @@ def build_small_quantum_group(n: int):
         return out
 
     d = n ** 3
-    monomials = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
     mult: list[list[Vec]] = [[mono_mul(m1, m2) for m2 in monomials] for m1 in monomials]
 
     # Delta(K) = K x K, Delta(E) = E x 1 + K x E, Delta(F) = F x K^-1 + 1 x F

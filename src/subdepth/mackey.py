@@ -10,7 +10,6 @@ step runs once per distinct summand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .chartab import permutation_character
@@ -155,12 +154,12 @@ def core_depth_bound(G: GroupHandle, H: SubgroupHandle,
 @dataclass
 class HeckeAlgebra:
     """The double-coset algebra e kG e of a subgroup pair, with basis
-    (ind gamma_j) e gamma_j e and exact rational structure constants."""
+    (ind gamma_j) e gamma_j e and nonnegative integer structure constants."""
     group: GroupHandle
     subgroup: SubgroupHandle
     reps: tuple[Permutation, ...]
     indices: tuple[int, ...]
-    mu: list[list[dict[int, Fraction]]]   # mu[i][j] maps k -> mu_ijk
+    mu: list[list[dict[int, int]]]   # mu[i][j] maps k -> mu_ijk
 
     @property
     def dimension(self) -> int:
@@ -185,14 +184,15 @@ class HeckeAlgebra:
 def hecke_algebra(G: GroupHandle, K: SubgroupHandle) -> HeckeAlgebra:
     """Structure constants mu_ijk = |K|^-1 |K g_i K  cap  g_k K g_j^-1 K| on
     the double-coset basis; associativity and the unit are verified on
-    construction."""
+    construction.  Both sets are unions of left K-cosets, so mu_ijk is an
+    integer."""
     dc = double_cosets(G, K, K)
     t = len(dc.reps)
     coset_sets = [set(c) for c in dc.cosets]
     indices = tuple(s // K.order for s in dc.sizes)
     # right-hand sets g_k K g_j^-1 K
     kelem = list(K.elements)
-    mu: list[list[dict[int, Fraction]]] = [[{} for _ in range(t)] for _ in range(t)]
+    mu: list[list[dict[int, int]]] = [[{} for _ in range(t)] for _ in range(t)]
     for k in range(t):
         gk = dc.reps[k]
         for j in range(t):
@@ -203,17 +203,20 @@ def hecke_algebra(G: GroupHandle, K: SubgroupHandle) -> HeckeAlgebra:
                 for k2 in kelem:
                     rhs.add(a * k2)
             for i in range(t):
-                cnt = len(coset_sets[i] & rhs)
+                cnt, rem = divmod(len(coset_sets[i] & rhs), K.order)
+                if rem:
+                    raise AssertionError(f"Hecke count at ({i},{j},{k}) is not a "
+                                         f"multiple of |K| = {K.order}")
                 if cnt:
-                    mu[i][j][k] = Fraction(cnt, K.order)
+                    mu[i][j][k] = cnt
     alg = HeckeAlgebra(G, K, dc.reps, indices, mu)
     _verify_hecke(alg)
     return alg
 
 
-def _contract(images: Sequence[dict], v: dict[int, Fraction]) -> dict[int, Fraction]:
+def _contract(images: Sequence[dict], v: dict[int, int]) -> dict[int, int]:
     # sum_l v_l images[l], without zero entries
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for l, c in v.items():
         for k, m in images[l].items():
             out[k] = out.get(k, 0) + c * m
@@ -225,7 +228,7 @@ def _verify_hecke(alg: HeckeAlgebra) -> None:
     if not alg.reps[0].is_identity():
         raise AssertionError("identity double coset must come first")
     for j in range(t):
-        if alg.mu[0][j] != {j: Fraction(1)} or alg.mu[j][0] != {j: Fraction(1)}:
+        if alg.mu[0][j] != {j: 1} or alg.mu[j][0] != {j: 1}:
             raise AssertionError("identity double coset is not a two-sided unit")
     # (e_i e_j) e_k = e_i (e_j e_k) as sum_l mu_ij^l mu_lk = sum_l mu_jk^l mu_il
     cols = list(zip(*alg.mu))    # cols[k][l] = mu_lk = e_l e_k

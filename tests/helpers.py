@@ -286,6 +286,61 @@ def reference_ideal(H, rows, left: bool, right: bool) -> RowSpace:
     return space
 
 
+def reference_small_quantum_group_mult(n: int) -> list[list[Vec]]:
+    """The structure constants of `build_small_quantum_group(n)` with the
+    E action walked per call: each right multiplication by E reorders every
+    term of its argument and sums s_minus and s_plus afresh."""
+    def midx(a: int, b: int, c: int) -> int:
+        return ((a % n) * n + b) * n + c
+
+    if n == 2:
+        def qpow(k: int) -> Cyc:
+            return Cyc.rational(1 if k % 4 == 0 else -1)
+    else:
+        def qpow(k: int) -> Cyc:
+            return Cyc.root_of_unity(n, k % n)
+        q = Cyc.root_of_unity(n)
+        lam = (q - q.inverse()).inverse()
+
+    def times_e(v: Vec) -> Vec:
+        out: Vec = {}
+        for i, coeff in v.items():
+            a, rem = divmod(i, n * n)
+            b, c = divmod(rem, n)
+            if b + 1 < n:
+                _vadd(out, midx(a, b + 1, c), coeff)
+            if c == 0 or n == 2:
+                continue
+            s_minus = Cyc.zero()
+            s_plus = Cyc.zero()
+            for j in range(c):
+                s_minus = s_minus + qpow(-2 * j)
+                s_plus = s_plus + qpow(2 * j)
+            # F^c E = E F^c - lam F^(c-1) (s_minus K - s_plus K^-1)
+            t2 = coeff * lam * s_minus * qpow(2 * (c - 1) - 2 * b)
+            _vadd(out, midx(a + 1, b, c - 1), -t2)
+            t3 = coeff * lam * s_plus * qpow(-(2 * (c - 1) - 2 * b))
+            _vadd(out, midx(a - 1, b, c - 1), t3)
+        return out
+
+    def mono_mul(m1, m2) -> Vec:
+        a, b, c = m1
+        dd, e, f = m2
+        cur: Vec = {midx(a + dd, b, c): qpow(2 * c * dd - 2 * b * dd)}
+        for _ in range(e):
+            cur = times_e(cur)
+        out: Vec = {}
+        for i, coeff in cur.items():
+            aa, rem = divmod(i, n * n)
+            bb, cc = divmod(rem, n)
+            if cc + f < n:
+                _vadd(out, midx(aa, bb, cc + f), coeff)
+        return out
+
+    monomials = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+    return [[mono_mul(m1, m2) for m2 in monomials] for m1 in monomials]
+
+
 def iterated_comult(H, i, n) -> dict:
     """Delta^(n-1) of e_i as a sparse vector over basis n-tuples."""
     terms = {(i,): Cyc.one()}

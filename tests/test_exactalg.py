@@ -12,7 +12,7 @@ from subdepth.exactalg import (Cyc, ExactMatrix, ExactPolynomial,
                                factor_rational_roots, is_indecomposable,
                                kernel_of_sparse_columns, minimal_polynomial,
                                pattern_stabilization_index, scalar_from_string,
-                               scalar_to_string, solve_kernel)
+                               as_cyc, scalar_to_string, solve_kernel)
 
 from helpers import (conjugate, derivative, evaluate_matrix,
                      exact_pattern_stabilization_index, from_roots, matpow,
@@ -130,13 +130,22 @@ scalars = st.one_of(cyc_elements(), small_rationals, st.integers(-6, 6))
 
 def assert_exact_coords(z):
     """Every coordinate is an int when integral and a Fraction otherwise, and
-    z equals the value the public constructor builds from its coordinates."""
+    z equals the value the public constructor builds from its coordinates,
+    with the same coordinates once lifted back to z's order."""
     assert isinstance(z, Cyc)
     for c in z.coeffs:
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
     public = Cyc(z.order, z.coeffs)
-    assert public == z and public.coeffs == z.coeffs
-    assert [type(c) for c in public.coeffs] == [type(c) for c in z.coeffs]
+    back = public.lift(z.order)
+    assert public == z and back.coeffs == z.coeffs
+    assert [type(c) for c in back.coeffs] == [type(c) for c in z.coeffs]
+
+
+def assert_rational_at_order_one(z):
+    """The invariant of every constructed or computed scalar: a rational
+    value has order 1 and one coordinate."""
+    if z.is_rational():
+        assert z.order == 1 and len(z.coeffs) == 1, (z.order, z.coeffs)
 
 
 def reference_product(a, b):
@@ -162,18 +171,29 @@ def test_arithmetic_results_have_exact_coordinates(a, b):
         results += [a.inverse(), b / a]
     if not Cyc.rational(0) == b:
         results.append(a / b)
-    results += [a.lift(a.order * k) for k in (1, 2, 3)]
     for z in results:
         assert_exact_coords(z)
+        assert_rational_at_order_one(z)
+    # lift is the one raw-coordinate path: phi(n) coordinates, rational or not
+    for k in (1, 2, 3):
+        z = a.lift(a.order * k)
+        assert_exact_coords(z)
+        assert z.order == a.order * k and len(z.coeffs) == euler_phi(z.order)
 
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_product_matches_fraction_reference(data):
-    a = data.draw(cyc_elements())
-    b = data.draw(cyc_elements(orders=[a.order]))
-    assert list((a * b).coeffs) == reference_product(a, b)
-    assert list((a + b).coeffs) == [Fraction(x) + y for x, y in zip(a.coeffs, b.coeffs)]
+    # operands drawn at one order n, whose rational values sit at order 1;
+    # the reference runs on their raw coordinates at order n
+    n = data.draw(st.sampled_from(ORDERS))
+    a = data.draw(cyc_elements(orders=[n]))
+    b = data.draw(cyc_elements(orders=[n]))
+    ra, rb = a.lift(n), b.lift(n)
+    for got in (a * b, a + b):
+        assert_rational_at_order_one(got)
+    assert list((a * b).lift(n).coeffs) == reference_product(ra, rb)
+    assert list((a + b).lift(n).coeffs) == [Fraction(x) + y for x, y in zip(ra.coeffs, rb.coeffs)]
     if not a.is_zero():
         assert a * a.inverse() == 1 and (b / a) * a == b
 
@@ -184,14 +204,19 @@ def test_product_matches_fraction_reference(data):
     Cyc(4, (0, 5)), Cyc(4, (Fraction(-2, 3), Fraction(7, 4))),
     Cyc(12, (1, 0, -2, 6)), Cyc(12, (Fraction(3, 4), -1, 0, Fraction(5, 9)))])
 def test_rational_factor_scales_like_lift_then_multiply(z):
+    n = z.order
     for r in (0, 1, -1, Fraction(-3, 2)):
         # the rational factor lifted to Q(zeta_n), then the general product
-        want = (Cyc.rational(r).lift(z.order) * z).coeffs if z.order > 1 \
+        want = (Cyc.rational(r).lift(n) * z).lift(n).coeffs if n > 1 \
             else (Fraction(r) * z.coeffs[0],)
         for got in (Cyc.rational(r) * z, z * Cyc.rational(r), z * r, r * z):
-            assert got.order == z.order and got.coeffs == want
+            # z is irrational unless n = 1, so r z is rational iff r = 0
+            assert got.order == (n if r else 1) and got.lift(n).coeffs == want
             assert_exact_coords(got)
-    assert (Cyc.zero() * z).coeffs == (0,) * euler_phi(z.order)
+            assert_rational_at_order_one(got)
+    zero = Cyc.zero() * z
+    assert zero.order == 1 and zero.coeffs == (0,)
+    assert zero.lift(n).coeffs == (0,) * euler_phi(n)
     if z.order > 1:
         # no arithmetic at all for a factor of 1
         assert Cyc.one() * z is z and z * Cyc.one() is z
@@ -209,8 +234,40 @@ def test_inverse_equals_the_euclid_reference(n):
         if z.is_zero():
             continue
         got, want = z.inverse(), reference_inverse(z)
-        assert got.order == want.order == n and got.coeffs == want.coeffs
+        assert got.lift(n).coeffs == want.lift(n).coeffs
+        assert got.order == (1 if got.is_rational() else n)
         assert_exact_coords(got)
+        assert_rational_at_order_one(got)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_rational_results_have_order_one(data):
+    n = data.draw(st.sampled_from(ORDERS))
+    a = data.draw(cyc_elements(orders=[n]))
+    b = data.draw(st.one_of(cyc_elements(orders=[n]), cyc_elements(), small_rationals))
+    results = [a + b, b + a, a - b, b - a, a * b, b * a, a * a]
+    if not a.is_zero():
+        results += [a.inverse(), b / a]
+    # results that are rational whatever a is
+    results += [a - a, a * 0, 0 * a, Cyc.zero() * a]
+    coords = data.draw(st.lists(small_rationals, min_size=euler_phi(n),
+                                max_size=euler_phi(n)))
+    results += [Cyc(n, coords), Cyc(n, coords[:1] + [0] * (euler_phi(n) - 1)),
+                Cyc.from_power_sum(n, dict(enumerate(coords))),
+                Cyc.from_power_sum(n, {0: coords[0]}),
+                Cyc.from_power_sum(n, {k: 1 for k in range(n)})]
+    for z in results:
+        assert_rational_at_order_one(z)
+        assert_exact_coords(z)
+    # lift keeps raw coordinates: phi(m) of them at every multiple m of the
+    # order, also when it lifts a value that is already lifted
+    for z in (a, as_cyc(b)):
+        for k in (1, 2, 3):
+            m = z.order * n * k
+            for lifted in (z.lift(m), z.lift(m).lift(2 * m)):
+                assert len(lifted.coeffs) == euler_phi(lifted.order)
+                assert lifted.order in (m, 2 * m) and lifted == z
 
 
 @given(small_rationals)

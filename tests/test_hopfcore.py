@@ -10,7 +10,7 @@ from helpers import (augmentation_core_ideal, cached_group_algebra,
                      reference_module_hom_basis, reference_q_integrals,
                      reference_annihilator, reference_ideal,
                      reference_quotient_verify,
-                     reference_right_integrals,
+                     reference_right_integrals, reference_small_quantum_group_mult,
                      reference_tensor_power_action, regular_r_module,
                      tensor_power_character, trivial_r_module, ulbrich_verify,
                      unverified_copy)
@@ -67,6 +67,28 @@ def test_quantum_group_dimensions(uq2, uq3):
     H27, subs27 = uq3
     assert H27.dim == 27 and H27.field_order == 3
     assert subs27["R1"].dim == 9 and subs27["R2"].dim == 9 and subs27["B"].dim == 3
+
+
+@pytest.mark.parametrize("name", ["uq2", "uq3"])
+def test_precomputed_e_action_gives_the_reference_structure_constants(name, request):
+    H, _ = request.getfixturevalue(name)
+    n = {"uq2": 2, "uq3": 3}[name]
+    ref = reference_small_quantum_group_mult(n)
+    assert len(H.mult) == len(ref) == n ** 3
+    for row, ref_row in zip(H.mult, ref):
+        for got, want in zip(row, ref_row):
+            assert got == want
+
+
+def test_rational_structure_constants_have_order_one(uq3):
+    H, _ = uq3
+    one = H.mult[0][0][0]
+    assert H.mult[0][0] == {0: Cyc.one()}
+    assert one.order == 1 and one.coeffs == (1,)
+    for row in H.mult:
+        for prod in row:
+            for c in prod.values():
+                assert c.order == (1 if c.is_rational() else 3)
 
 
 def test_quantum_group_bad_n():

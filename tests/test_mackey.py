@@ -273,6 +273,19 @@ def test_hecke_verify_rejects_a_product_of_several_terms(s3, coeffs):
         mackey._verify_hecke(dataclasses.replace(hk, mu=mu))
 
 
+def test_hecke_constants_are_ints_respecting_the_augmentation(s4):
+    # b_i b_j = sum_k mu_ijk b_k, and the augmentation takes b_i to the
+    # index of its double coset, so sum_k mu_ijk ind_k = ind_i ind_j
+    for H in s4.subgroups()[::3]:
+        hk = hecke_algebra(s4, H)
+        ind = hk.indices
+        for i in range(hk.dimension):
+            for j in range(hk.dimension):
+                prod = hk.mu[i][j]
+                assert all(type(v) is int and v > 0 for v in prod.values())
+                assert sum(v * ind[k] for k, v in prod.items()) == ind[i] * ind[j]
+
+
 def test_hecke_dimension_counts_double_cosets(s4):
     from subdepth.permgroup import double_cosets
     for H in s4.subgroups()[::5]:
