@@ -159,7 +159,9 @@ def _int_rows(rows: Sequence[Sequence[Cyc]], n: int) -> tuple[list[list[tuple]],
     """(coordinate rows, den): the values lifted to Q(zeta_n), each
     coordinate times one common denominator den, which is 1 when every
     value lies in Z[zeta_n]."""
-    coords = [[v.lift(n).coeffs for v in row] for row in rows]
+    # an order-1 value r needs no lift: its sparse row is ((0, r den),)
+    coords = [[v.coeffs if v.order == 1 else v.lift(n).coeffs for v in row]
+              for row in rows]
     den = lcm(*(c.denominator for row in coords for v in row for c in v
                 if type(c) is not int))
     return [[_sparse(c * den for c in v) for v in row] for row in coords], den

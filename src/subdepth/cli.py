@@ -17,7 +17,8 @@ from .chartab import (InclusionMatrix, compute_character_table, load_table_file,
                       tables_agree_up_to_row_permutation)
 from .corpus import analyze_pair, run_sweep
 from .depthmat import DepthReport, bipartite_dot, depth_report
-from .exactalg import json_int, json_kind, load_json_file, scalar_to_string
+from .exactalg import (json_int, json_kind, load_json_file, poly_to_string,
+                       scalar_to_string)
 from .hopfcore import (HopfAlgebraData, annihilator_chain, build_group_algebra,
                        idealizer_and_endQ, integrals_and_modular,
                        quotient_module, subgroup_embedding, trace_ideals)
@@ -101,11 +102,11 @@ def _depth_text(rep: DepthReport) -> None:
     _print_matrix("M", rep.M.to_lists())
     _print_matrix("B = M M^t", rep.B)
     _print_matrix("C = M^t M", rep.C)
-    print(f"minpoly(B) = {rep.minpoly_B.to_string()}")
-    print(f"minpoly(C) = {rep.minpoly_C.to_string()}")
+    print(f"minpoly(B) = {poly_to_string(rep.minpoly_B)}")
+    print(f"minpoly(C) = {poly_to_string(rep.minpoly_C)}")
     print(f"d_odd = {rep.d_odd}  d_ev = {rep.d_ev}  d_0 = {rep.d_0}  d_h = {rep.d_h}")
     eig = ", ".join(f"{v} (x{m})" for v, m in sorted(rep.eigen_B.values.items()))
-    print(f"eigenvalues of B: {eig}; residual {rep.eigen_B.residual.to_string()}")
+    print(f"eigenvalues of B: {eig}; residual {poly_to_string(rep.eigen_B.residual)}")
     print(f"C indecomposable: {rep.mckay.indecomposable}")
     if rep.pf_check is not None:
         print(f"Perron-Frobenius check (root = index): {rep.pf_check}")

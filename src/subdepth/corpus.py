@@ -205,7 +205,7 @@ def analyze_pair(G: GroupHandle, H: SubgroupHandle,
     es = eigenvalues_via_class_formula(G, H)
     nonzero_roots = {v for v in rep.eigen_B.values if v != 0}
     eigen_ok = (es.value_set() == nonzero_roots
-                and rep.eigen_B.residual.degree == 0)
+                and rep.eigen_B.residual == (1,))
     return PairAnalysis(rep, es, eigen_ok)
 
 

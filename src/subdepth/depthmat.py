@@ -10,28 +10,27 @@ are not visible from M alone, so those cases are gated by group data
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Optional
 
 from .chartab import InclusionMatrix
-from .exactalg import (ExactPolynomial, factor_rational_roots, is_indecomposable,
-                       minimal_polynomial, pattern_stabilization_index)
+from .exactalg import (factor_rational_roots, is_indecomposable, minimal_polynomial,
+                       pattern_stabilization_index, poly_to_string)
 from .permgroup import GroupHandle, SubgroupHandle, depth_one_adjoint_test
 
 
 @dataclass
 class EigenvalueSet:
-    """Exact rational eigenvalue data with its provenance."""
-    values: dict[Fraction, int]          # value -> multiplicity
-    residual: ExactPolynomial            # nonrational part, 1 if none
+    """Exact rational eigenvalue data with its provenance; the matrices are
+    integral, so the rational eigenvalues are integers."""
+    values: dict[int, int]               # value -> multiplicity
+    residual: tuple[int, ...]            # nonrational part, (1,) if none
     source: str                          # "class-formula" | "minpoly"
     t: Optional[int] = None              # |E| when source is class-formula
     depth_bound: Optional[int] = None
     all_classes_restrict_to_one: Optional[bool] = None
 
-    def value_set(self) -> set[Fraction]:
+    def value_set(self) -> set[int]:
         return set(self.values)
 
 
@@ -40,7 +39,7 @@ class McKayQuiver:
     labels: list[str]
     edges: list[tuple[int, int, int]]    # (i, j, weight)
     indecomposable: bool
-    pf_root: Optional[Fraction]
+    pf_root: Optional[int]
 
     def dot(self) -> str:
         lines = ["digraph mckay {"]
@@ -62,11 +61,11 @@ class DepthReport:
     d_ev: Optional[int]
     d_0: Optional[int]
     d_h: Optional[int]
-    minpoly_B: ExactPolynomial
-    minpoly_C: ExactPolynomial
+    minpoly_B: tuple[int, ...]           # monic, lowest degree first
+    minpoly_C: tuple[int, ...]
     eigen_B: EigenvalueSet
     pf_check: Optional[bool]
-    pf_value: Optional[Fraction]
+    pf_value: Optional[int]
     mckay: McKayQuiver
     white_diameter_plus_one: Optional[int]
     black_diameter_plus_one: Optional[int]
@@ -84,11 +83,11 @@ class DepthReport:
             "d_ev": maybe(self.d_ev),
             "d_0": maybe(self.d_0),
             "d_h": maybe(self.d_h),
-            "minpoly_B": self.minpoly_B.to_string(),
-            "minpoly_C": self.minpoly_C.to_string(),
+            "minpoly_B": poly_to_string(self.minpoly_B),
+            "minpoly_C": poly_to_string(self.minpoly_C),
             "eigen_B": {
                 "values": {str(k): v for k, v in sorted(self.eigen_B.values.items())},
-                "residual": self.eigen_B.residual.to_string(),
+                "residual": poly_to_string(self.eigen_B.residual),
                 "source": self.eigen_B.source,
             },
             "pf_check": self.pf_check,
@@ -106,14 +105,12 @@ def _int_matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
-def _vanishes_at(poly: ExactPolynomial, A: list[list[int]]) -> bool:
-    """poly(A) = 0 for a square integer matrix A, by Horner's rule over the
-    integers after clearing the denominators of the coefficients."""
-    den = lcm(*(c.denominator for c in poly.coeffs))
-    coeffs = [int(c * den) for c in poly.coeffs]
+def _vanishes_at(poly: tuple[int, ...], A: list[list[int]]) -> bool:
+    """poly(A) = 0 for an integer polynomial and a square integer matrix A,
+    by Horner's rule."""
     n = len(A)
-    acc = [[coeffs[-1] if i == j else 0 for j in range(n)] for i in range(n)]
-    for c in reversed(coeffs[:-1]):
+    acc = [[poly[-1] if i == j else 0 for j in range(n)] for i in range(n)]
+    for c in reversed(poly[:-1]):
         acc = _int_matmul(acc, A)
         for i in range(n):
             acc[i][i] += c
@@ -163,11 +160,11 @@ def _bipartite_diameters(M: InclusionMatrix) -> tuple[Optional[int], Optional[in
     return white + 1, black + 1
 
 
-def mckay_quiver(C: list[list[int]], roots: dict[Fraction, int],
-                 pf_candidate: Optional[Fraction] = None) -> McKayQuiver:
+def mckay_quiver(C: list[list[int]], roots: dict[int, int],
+                 pf_candidate: Optional[int] = None) -> McKayQuiver:
     """Weighted digraph on the group irreducibles U0, U1, ... with adjacency C.
 
-    ``roots`` are the rational roots of the minimal polynomial of C.
+    ``roots`` are the integer roots of the minimal polynomial of C.
     """
     q = len(C)
     labels = [f"U{j}" for j in range(q)]
@@ -223,12 +220,12 @@ def depth_report(M: InclusionMatrix,
     mp_b = minimal_polynomial(B)
     mp_c = minimal_polynomial(C)
     # C m(C) = 0 for m the minimal polynomial of B
-    x_mp_b = ExactPolynomial((0, 1)) * mp_b
+    x_mp_b = (0,) + mp_b
     if not _vanishes_at(x_mp_b, C):
         raise AssertionError("C m(C) != 0 for m = minpoly(B)")
     # B and C share their nonzero eigenvalues and are diagonalizable, so
     # minpoly(C) is m, X m or, when B is singular and C is not, m / X
-    mp_b_over_x = ExactPolynomial(mp_b.coeffs[1:]) if mp_b.coeffs[0] == 0 else None
+    mp_b_over_x = mp_b[1:] if mp_b[0] == 0 else None
     if mp_c not in (mp_b, x_mp_b, mp_b_over_x):
         raise AssertionError("minpoly(C) is none of m, X m and m / X "
                              "for m = minpoly(B)")
@@ -242,14 +239,15 @@ def depth_report(M: InclusionMatrix,
     roots_c, resid_c = roots_b, resid_b
     if mp_c != mp_b:
         zeros = roots_b.get(0, 0) + (1 if mp_c == x_mp_b else -1)
-        roots_c = {Fraction(0): zeros} if zeros else {}
+        roots_c = {0: zeros} if zeros else {}
         roots_c.update((r, k) for r, k in roots_b.items() if r != 0)
     pf_value = max(roots_c) if roots_c else None
     pf_check = index = None
     if group_data is not None:
         G, H = group_data
-        index = Fraction(G.order, H.order)
-        pf_check = (resid_c.degree == 0 and mp_c.evaluate(index) == 0
+        index = G.order // H.order
+        pf_check = (resid_c == (1,)
+                    and sum(c * index ** i for i, c in enumerate(mp_c)) == 0
                     and pf_value == index)
         tags["pf_check"] = "minpoly_C vanishes at |G:H|"
 
@@ -265,12 +263,13 @@ def depth_report(M: InclusionMatrix,
 
 
 def eigenvalues_via_class_formula(G: GroupHandle, H: SubgroupHandle) -> EigenvalueSet:
-    """The set {(|G|/|H|) |C cap H| / |C| : C a class of G meeting H} as exact
-    rationals, with |E| = t and the bound d_0 <= 2t+1 (2t-1 when every class
-    of G meets H in a single H-class)."""
+    """The set {|G:H| |C cap H| / |C| : C a class of G meeting H}, the
+    positive values of the permutation character on G/H, which are integers,
+    with |E| = t and the bound d_0 <= 2t+1 (2t-1 when every class of G meets
+    H in a single H-class)."""
     hset = set(H.elements)
     Hgrp = H.as_group()
-    values: set[Fraction] = set()
+    values: set[int] = set()
     one_class = True
     meets_all = True
     for cls in G.conjugacy_classes():
@@ -278,7 +277,7 @@ def eigenvalues_via_class_formula(G: GroupHandle, H: SubgroupHandle) -> Eigenval
         if not inter:
             meets_all = False
             continue
-        values.add(Fraction(G.order, H.order) * Fraction(len(inter), cls.size))
+        values.add(G.order * len(inter) // (H.order * cls.size))
         h_classes = {Hgrp.class_index(x) for x in inter}
         if len(h_classes) > 1:
             one_class = False
@@ -286,7 +285,7 @@ def eigenvalues_via_class_formula(G: GroupHandle, H: SubgroupHandle) -> Eigenval
     t = len(values)
     bound = 2 * t - 1 if restrict_one else 2 * t + 1
     return EigenvalueSet(values={v: 1 for v in sorted(values)},
-                         residual=ExactPolynomial.one(),
+                         residual=(1,),
                          source="class-formula", t=t, depth_bound=bound,
                          all_classes_restrict_to_one=restrict_one)
 

@@ -1,9 +1,11 @@
 """Exact scalar and matrix arithmetic over Q and cyclotomic fields Q(zeta_n).
 
 Scalars are elements of Q(zeta_n) stored as rational coordinate vectors in the
-power basis of Q[x]/Phi_n(x).  Matrices, kernels and minimal polynomials are
-built on top, so no floating point ever enters; the zero-pattern scans work
-on nonnegative integer matrices as row bitsets.
+power basis of Q[x]/Phi_n(x).  Matrices and kernels are built on top, so no
+floating point ever enters.  The minimal polynomial of an integer matrix and
+its rational roots, which are integers, are computed on int lists; such a
+polynomial is a monic tuple of ints, lowest degree first.  The zero-pattern
+scans work on nonnegative integer matrices as row bitsets.
 Everything here is immutable after construction and all operations are pure.
 """
 
@@ -25,7 +27,7 @@ class MalformedSequenceError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# integer / rational polynomial helpers (coefficients lowest degree first)
+# integer polynomial helpers (coefficients lowest degree first)
 # ---------------------------------------------------------------------------
 
 def _divisors(n: int) -> list[int]:
@@ -101,11 +103,8 @@ def _xpow_table(n: int) -> tuple[tuple[int, ...], ...]:
     cur[0] = 1
     rows.append(tuple(cur))
     for _ in range(top):
-        nxt = [0] + cur[: phi - 1] if phi > 1 else [0]
-        spill = cur[phi - 1] if phi >= 1 else 0
-        if phi == 1:
-            nxt = [0]
-            spill = cur[0]
+        nxt = [0] + cur[: phi - 1]
+        spill = cur[phi - 1]
         if spill:
             for j in range(phi):
                 nxt[j] -= spill * mod[j]
@@ -118,7 +117,6 @@ def _xpow_table(n: int) -> tuple[tuple[int, ...], ...]:
 # CyclotomicScalar
 # ---------------------------------------------------------------------------
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -711,110 +709,12 @@ def kernel_of_sparse_columns(columns: list[dict[int, Cyc]]) -> list[dict[int, Cy
 
 
 # ---------------------------------------------------------------------------
-# ExactPolynomial
-# ---------------------------------------------------------------------------
-
-class ExactPolynomial:
-    """Polynomial with exact rational coefficients, lowest degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Rat]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ExactPolynomial is immutable")
-
-    @staticmethod
-    def zero() -> "ExactPolynomial":
-        return ExactPolynomial(())
-
-    @staticmethod
-    def one() -> "ExactPolynomial":
-        return ExactPolynomial((1,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        return ExactPolynomial([a + b for a, b in
-                                itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)])
-
-    def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        return ExactPolynomial([a - b for a, b in
-                                itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)])
-
-    def __mul__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        if self.is_zero() or other.is_zero():
-            return ExactPolynomial.zero()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return ExactPolynomial(out)
-
-    def monic(self) -> "ExactPolynomial":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return ExactPolynomial([c / lead for c in self.coeffs])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def evaluate(self, x: Rat) -> Fraction:
-        x = Fraction(x)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def to_string(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}X" + (f"^{i}" if i > 1 else "")
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"ExactPolynomial({self.to_string()!r})"
-
-
-# ---------------------------------------------------------------------------
 # minimal polynomial via Krylov relations
 # ---------------------------------------------------------------------------
 
-def minimal_polynomial(rows: Sequence[Sequence[Rat]]) -> ExactPolynomial:
-    """Monic least-degree m with m(A) = 0 for a square matrix A given as rows
-    of int or Fraction entries, computed exactly.
+def minimal_polynomial(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Monic least-degree m with m(A) = 0 for a square integer matrix A given
+    as rows: its integer coefficients, lowest degree first.
 
     Start vector by start vector, m <- m * mu_w with w = m(A) e, where mu_w,
     the least monic f with f(A) w = 0, is read off a Krylov relation (it is 1
@@ -823,25 +723,21 @@ def minimal_polynomial(rows: Sequence[Sequence[Rat]]) -> ExactPolynomial:
     mu_e / gcd(mu_e, m) | f.  Since m divides the minimal polynomial, the
     loop stops once deg m = n.
 
-    The work is on int lists only.  A' = D A, for D the common denominator
-    of the entries, is an integer matrix, so its minimal polynomial m' and
-    every mu_w are monic with integer coefficients (Gauss's lemma), and
-    m(X) = m'(D X) / D^deg m'.
+    The work is on int lists only: m and every mu_w are monic with integer
+    coefficients (Gauss's lemma).
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("minimal polynomial needs a square matrix")
-    den = lcm(*(x.denominator for row in rows for x in row))
-    A = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
     def apply(v: list[int]) -> list[int]:
-        return [sum(map(mul, row, v)) for row in A]
+        return [sum(map(mul, row, v)) for row in rows]
 
-    m = [1]                             # m' so far, lowest degree first
+    m = [1]                             # m so far, lowest degree first
     for start in range(n):
         if len(m) > n:
             break
-        w = [0] * n                     # m'(A') e by Horner's rule, m' monic
+        w = [0] * n                     # m(A) e by Horner's rule, m monic
         w[start] = 1
         for c in reversed(m[:-1]):
             w = apply(w)
@@ -874,12 +770,11 @@ def minimal_polynomial(rows: Sequence[Sequence[Rat]]) -> ExactPolynomial:
             for j, b in enumerate(mu):
                 prod[i + j] += a * b
         m = prod
-    deg = len(m) - 1
-    return ExactPolynomial([Fraction(c, den ** (deg - i)) for i, c in enumerate(m)])
+    return tuple(m)
 
 
 # ---------------------------------------------------------------------------
-# rational root extraction
+# integer root extraction
 # ---------------------------------------------------------------------------
 
 def _int_poly_primitive(a: list[int]) -> list[int]:
@@ -908,16 +803,13 @@ def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
     return [1]
 
 
-def _int_poly_div_linear(f: list[int], u: int, v: int) -> Optional[list[int]]:
-    """f / (v X - u) for an integer polynomial f and coprime u, v > 0, or
-    None when it does not divide f; the quotient is integral by Gauss's
-    lemma, so every step divides exactly when it divides at all."""
+def _int_poly_div_linear(f: list[int], u: int) -> Optional[list[int]]:
+    """f / (X - u) by synthetic division, or None when X - u does not
+    divide f."""
     quot = [0] * (len(f) - 1)
     acc = 0
     for i in range(len(f) - 1, 0, -1):
-        acc, rem = divmod(f[i] + u * acc, v)
-        if rem:
-            return None
+        acc = f[i] + u * acc
         quot[i - 1] = acc
     return quot if f[0] == -u * acc else None
 
@@ -950,42 +842,54 @@ def _int_root_candidates(g: list[int]) -> list[int]:
     return sorted(out)
 
 
-def factor_rational_roots(p: ExactPolynomial):
-    """Extract all rational roots exactly.
+def factor_rational_roots(f: Sequence[int]) -> tuple[dict[int, int], tuple[int, ...]]:
+    """Extract all rational roots of a monic integer polynomial f exactly;
+    they are integers.
 
-    Returns (roots, residual) where roots maps each rational root to its
+    Returns (roots, residual) where roots maps each root to its
     multiplicity, 0 first and the others ascending, and residual is the
-    monic cofactor with no rational roots.  The candidates come from the
-    square-free part: with a positive leading coefficient a and degree d,
-    g(Y) = a^(d-1) sf(Y / a) is monic with integer coefficients, and the
-    rational roots of p are y / a for the integer roots y of g.  The
-    multiplicities come from repeated exact division of p.
+    monic integer cofactor with no rational roots.  The candidates are the
+    integer roots of the square-free part f / gcd(f, f'), which is monic
+    with integer coefficients (Gauss's lemma); the multiplicities come from
+    repeated synthetic division of f.
     """
-    if p.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    roots: dict[Fraction, int] = {}
-    den = lcm(*(c.denominator for c in p.coeffs))
-    f = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    roots: dict[int, int] = {}
     # root zero first
     k = next(i for i, c in enumerate(f) if c)
     if k:
-        roots[_ZERO] = k
-        f = f[k:]
+        roots[0] = k
+    f = list(f[k:])
     if len(f) == 1:
-        return roots, ExactPolynomial.one()
-    sf = _int_poly_primitive(_int_poly_div_exact(
-        f, _int_poly_gcd(f, [i * c for i, c in enumerate(f)][1:])))
-    a, d = sf[-1], len(sf) - 1
-    g = [c * a ** (d - 1 - i) for i, c in enumerate(sf[:-1])] + [1]
-    for y in _int_root_candidates(g):
-        r = Fraction(y, a)
+        return roots, (1,)
+    sf = _int_poly_div_exact(f, _int_poly_gcd(f, [i * c for i, c in enumerate(f)][1:]))
+    for u in _int_root_candidates(sf):
         mult = 0
-        while (quot := _int_poly_div_linear(f, r.numerator, r.denominator)) is not None:
+        while (quot := _int_poly_div_linear(f, u)) is not None:
             f = quot
             mult += 1
         if mult:
-            roots[r] = mult
-    return roots, ExactPolynomial(f).monic()
+            roots[u] = mult
+    return roots, tuple(f)
+
+
+def poly_to_string(p: Sequence[int]) -> str:
+    """A nonzero integer polynomial, lowest degree first, as text with the
+    highest degree first: (3, -4, 1) is "X^2 - 4*X + 3"."""
+    parts = []
+    for i in range(len(p) - 1, -1, -1):
+        c = p[i]
+        if c == 0:
+            continue
+        if i == 0:
+            term = str(abs(c))
+        else:
+            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            term = f"{mag}X" + (f"^{i}" if i > 1 else "")
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------

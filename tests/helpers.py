@@ -13,8 +13,8 @@ from subdepth.corpus import (analyze_pair, cached_table, corpus_groups,
                              subgroups_up_to_conjugacy)
 from subdepth.chartab import (_apply_modp, _int_inner, _int_rows, _modp_rref,
                               _unit, _weighted_conjugates)
-from subdepth.exactalg import (_CYC_ONE, _CYC_ZERO, _ZERO, Cyc, ExactMatrix,
-                               ExactPolynomial, MalformedSequenceError, RowSpace,
+from subdepth.exactalg import (_CYC_ONE, _CYC_ZERO, Cyc, ExactMatrix,
+                               MalformedSequenceError, RowSpace,
                                cyclotomic_polynomial, euler_phi,
                                kernel_of_sparse_columns)
 from subdepth.hopfcore import (HopfAlgebraData, QuotientModule,
@@ -539,16 +539,40 @@ def reference_module_hom_basis(Q, tp) -> list[list[dict]]:
 
 
 # -- exact polynomials and scalars for the references --------------------------
+# A polynomial is a tuple of exact rationals, lowest degree first, with no
+# trailing zero; () is the zero polynomial.
 
-X = ExactPolynomial((0, 1))
+_ZERO = Fraction(0)
+X = (0, 1)
 
 
-def from_roots(roots) -> ExactPolynomial:
-    """prod (X - r) over the given rationals."""
-    p = ExactPolynomial.one()
+def poly_mul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def from_roots(roots) -> tuple:
+    """prod (X - r) over the given rationals; integers for integer roots."""
+    p = (1,)
     for r in roots:
-        p = p * ExactPolynomial((-Fraction(r), 1))
+        p = poly_mul(p, (-r, 1))
     return p
+
+
+def poly_monic(p: tuple) -> tuple:
+    return tuple(Fraction(c) / p[-1] for c in p)
+
+
+def poly_eval(p: tuple, x) -> Fraction:
+    acc = _ZERO
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def _poly_strip(p: list[Fraction]) -> list[Fraction]:
@@ -596,19 +620,19 @@ def reference_inverse(z: Cyc) -> Cyc:
     return Cyc(z.order, inv[:phi])
 
 
-def poly_divmod(a: ExactPolynomial, b: ExactPolynomial):
-    q, r = _poly_divmod(list(a.coeffs), list(b.coeffs))
-    return ExactPolynomial(q), ExactPolynomial(r)
+def poly_divmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    q, r = _poly_divmod(a, b)
+    return tuple(q), tuple(r)
 
 
-def poly_gcd(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
-    while not b.is_zero():
+def poly_gcd(a: tuple, b: tuple) -> tuple:
+    while b:
         a, b = b, poly_divmod(a, b)[1]
-    return a.monic()
+    return poly_monic(a)
 
 
-def derivative(p: ExactPolynomial) -> ExactPolynomial:
-    return ExactPolynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+def derivative(p: tuple) -> tuple:
+    return tuple(i * c for i, c in enumerate(p))[1:]
 
 
 def conjugate(z: Cyc) -> Cyc:
@@ -668,20 +692,20 @@ def evaluate_matrix(poly, A: ExactMatrix) -> ExactMatrix:
     """poly(A) by Horner's rule over ExactMatrix."""
     n = A.rows
     acc = ExactMatrix.from_rows([[0] * n for _ in range(n)])
-    for c in reversed(poly.coeffs):
+    for c in reversed(poly):
         acc = acc @ A
         acc = ExactMatrix(n, n, [x + c if i % (n + 1) == 0 else x
                                  for i, x in enumerate(acc.entries)])
     return acc
 
 
-def _poly_lcm(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
-    if a.is_zero() or b.is_zero():
-        return ExactPolynomial.zero()
-    return poly_divmod(a * b, poly_gcd(a, b))[0].monic()
+def _poly_lcm(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    return poly_monic(poly_divmod(poly_mul(a, b), poly_gcd(a, b))[0])
 
 
-def reference_minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
+def reference_minimal_polynomial(A: ExactMatrix) -> tuple:
     """The lcm of the Krylov relation polynomials of the start vectors
     outside the accumulated Krylov span: the reference for
     `minimal_polynomial`, which multiplies by the relation of m(A) e
@@ -704,7 +728,7 @@ def reference_minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
         return out
 
     total = RowSpace(n)
-    m = ExactPolynomial.one()
+    m = (1,)
     for start in range(n):
         e = {start: _CYC_ONE}
         if total.contains(e):
@@ -720,16 +744,16 @@ def reference_minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
                 break
             tagged.add(rel)
             v = apply(v)
-        m = _poly_lcm(m, ExactPolynomial([rel.get(n + s, _CYC_ZERO).as_fraction()
-                                          for s in range(t + 1)]))
+        m = _poly_lcm(m, tuple(rel.get(n + s, _CYC_ZERO).as_fraction()
+                               for s in range(t + 1)))
         # the Krylov parts of the tagged basis are the reduced echelon basis
         # of the new Krylov span
         for row in tagged.pivots.values():
             total.add({c: x for c, x in row.items() if c < n})
-    return m.monic()
+    return poly_monic(m)
 
 
-def reference_cyc_minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
+def reference_cyc_minimal_polynomial(A: ExactMatrix) -> tuple:
     """Monic least-degree m with m(A) = 0, computed exactly: the `Cyc`
     reference for `minimal_polynomial`, which runs on int lists.
 
@@ -757,12 +781,12 @@ def reference_cyc_minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
                     out[i] = nv
         return out
 
-    m = ExactPolynomial.one()
+    m = (1,)
     for start in range(n):
-        if m.degree == n:
+        if len(m) - 1 == n:
             break
         w: dict[int, Cyc] = {}      # m(A) e by Horner's rule
-        for c in reversed(m.coeffs):
+        for c in reversed(m):
             w = apply(w)
             nv = w.get(start, _CYC_ZERO) + Cyc.rational(c)
             if nv.is_zero():
@@ -782,8 +806,8 @@ def reference_cyc_minimal_polynomial(A: ExactMatrix) -> ExactPolynomial:
                 break
             tagged.add(rel)
             v = apply(v)
-        m = m * ExactPolynomial([rel.get(n + s, _CYC_ZERO).as_fraction()
-                                 for s in range(t + 1)])
+        m = poly_mul(m, tuple(rel.get(n + s, _CYC_ZERO).as_fraction()
+                              for s in range(t + 1)))
     return m
 
 
@@ -800,7 +824,7 @@ def _int_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def reference_factor_rational_roots(p: ExactPolynomial):
+def reference_factor_rational_roots(p: tuple):
     """Extract all rational roots exactly, trying every divisor pair: the
     reference for the p-adic `factor_rational_roots`.
 
@@ -809,43 +833,43 @@ def reference_factor_rational_roots(p: ExactPolynomial):
     Uses the square-free part for candidate search, then divides out of the
     original polynomial for multiplicities.
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("cannot factor the zero polynomial")
     roots: dict[Fraction, int] = {}
-    work = p.monic()
+    work = poly_monic(p)
     # root zero first
     k = 0
-    while work.coeffs[0] == 0:
+    while work[0] == 0:
         work = poly_divmod(work, X)[0]
         k += 1
     if k:
         roots[_ZERO] = k
-    if work.degree == 0:
-        return roots, ExactPolynomial.one()
-    sf = poly_divmod(work, poly_gcd(work, derivative(work)))[0].monic()
+    if len(work) == 1:
+        return roots, (1,)
+    sf = poly_monic(poly_divmod(work, poly_gcd(work, derivative(work)))[0])
     # integerize the square-free part for the rational root test
     den = 1
-    for c in sf.coeffs:
+    for c in sf:
         den = lcm(den, c.denominator)
-    ic = [int(c * den) for c in sf.coeffs]
+    ic = [int(c * den) for c in sf]
     cands: set[Fraction] = set()
     for num in _int_divisors(ic[0]):
         for d in _int_divisors(ic[-1]):
             cands.add(Fraction(num, d))
             cands.add(Fraction(-num, d))
     for r in sorted(cands):
-        if sf.evaluate(r) == 0:
+        if poly_eval(sf, r) == 0:
             mult = 0
-            lin = ExactPolynomial((-r, 1))
+            lin = (-r, 1)
             while True:
                 q, rem = poly_divmod(work, lin)
-                if rem.is_zero():
+                if not rem:
                     work = q
                     mult += 1
                 else:
                     break
             roots[r] = mult
-    return roots, work.monic()
+    return roots, poly_monic(work)
 
 
 def reference_modp_minpoly(mat: list[list[int]], p: int) -> list[int]:

@@ -61,7 +61,7 @@ def test_criterion_02_a4_a5(a5):
     M, rep = pair_report(a5, A4)
     assert equal_up_to_row_col_permutation(M.to_lists(), EXPECTED_M_A4_A5)
     roots_c, resid = factor_rational_roots(rep.minpoly_C)
-    assert resid.degree == 0
+    assert resid == (1,)
     assert set(roots_c) == {Fraction(0), Fraction(1), Fraction(2), Fraction(5)}
     assert rep.d_0 == 5
     Bx = ExactMatrix.from_rows(rep.B)

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +12,9 @@ from subdepth.corpus import analyze_pair, corpus_groups
 from subdepth.depthmat import (bipartite_dot, depth_report,
                                eigenvalues_via_class_formula,
                                ell_from_trivial_row, mckay_quiver)
-from subdepth.exactalg import (ExactMatrix, ExactPolynomial, factor_rational_roots,
-                               minimal_polynomial)
+from subdepth.exactalg import ExactMatrix, factor_rational_roots, minimal_polynomial
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_s2_s3_full_report(s3):
@@ -111,7 +114,7 @@ def test_matrix_only_reports_start_at_two_three():
 def test_cmc_relation_and_minpoly_shape(s4):
     for H in s4.subgroups()[::3]:
         M, rep = pair_report(s4, H)
-        x_m = ExactPolynomial((0, 1)) * rep.minpoly_B
+        x_m = (0,) + rep.minpoly_B
         assert evaluate_matrix(x_m, ExactMatrix.from_rows(rep.C)).is_zero()
         assert rep.minpoly_C in (rep.minpoly_B, x_m)
 
@@ -143,6 +146,30 @@ def test_depth_report_factors_only_minpoly_b(rows, monkeypatch):
     assert calls == [rep.minpoly_B]
     roots_c, _ = factor_rational_roots(rep.minpoly_C)
     assert rep.pf_value == rep.mckay.pf_root == (max(roots_c) if roots_c else None)
+
+
+def _assert_int_depth_values(rep):
+    for p in (rep.minpoly_B, rep.minpoly_C, rep.eigen_B.residual):
+        assert type(p) is tuple and all(type(c) is int for c in p) and p[-1] == 1
+    assert all(type(r) is int for r in rep.eigen_B.values)
+
+
+def test_depth_layer_values_are_ints_on_the_sweep_and_the_path_matrix(sweep24):
+    # B and C are integer matrices, so every polynomial is monic in Z[X] and
+    # every rational root is an integer; so is every class-formula value
+    path = json.loads((GOLDEN / "path_matrix.json").read_text())["matrix"]
+    _assert_int_depth_values(depth_report(
+        InclusionMatrix(len(path), len(path[0]), tuple(map(tuple, path)))))
+    pairs = [(name, si, G, H) for name, G in corpus_groups(24)
+             for si, H in enumerate(G.subgroups())]
+    assert [(r.group, r.subgroup_index) for r in sweep24.rows] == [p[:2] for p in pairs]
+    for name, _, G, H in pairs:
+        a = analyze_pair(G, H, corpus.cached_table(name, G))
+        _assert_int_depth_values(a.depth)
+        assert type(a.depth.pf_value) is int
+        assert all(type(v) is int for v in a.eigen.values)
+        pi = chartab.permutation_character(G, H)
+        assert a.eigen.value_set() == {v for v in pi if v > 0}
 
 
 def test_class_formula_examples(s3, a5):
