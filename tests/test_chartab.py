@@ -72,6 +72,28 @@ def test_catalog_tables_to_order_16_are_frozen():
     assert digest.hexdigest() == CATALOG16_TABLES_SHA256
 
 
+# SHA-256 of the tables of A5, S5, PSL(2,7), S4xS4 (25 classes) and Q8xD8xC2
+# (50 classes), frozen while Dixon-Schneider took its eigenvalues mod p from
+# a minimal polynomial computed over GF(p)
+LARGE_TABLES_SHA256 = "1b767b0e66097bf0748ba1f60e5a4fda323cc08ebcdad6665a01d2fb52ef5cdc"
+
+
+def test_larger_tables_are_frozen():
+    gens = {name: list(G.generators) for name, G in catalog()}
+    q8_d8 = direct_product(gens["Q8"], 8, gens["D8"], 4)
+    groups = [make_a5(), make_s5(),
+              enumerate_group([perm(7, (1, 2, 3, 4, 5, 6, 7)), perm(7, (1, 2), (3, 6))]),
+              enumerate_group(direct_product(gens["S4"], 4, gens["S4"], 4)),
+              enumerate_group(direct_product(q8_d8, 12, gens["C2"], 2))]
+    assert [(G.order, len(G.conjugacy_classes())) for G in groups] == [
+        (60, 5), (120, 7), (168, 6), (576, 25), (128, 50)]
+    digest = hashlib.sha256()
+    for G in groups:
+        digest.update(json.dumps(compute_character_table(G).to_json(),
+                                 sort_keys=True).encode())
+    assert digest.hexdigest() == LARGE_TABLES_SHA256
+
+
 def _abelian_handles():
     """(label, G) for every abelian catalog group to order 24 and every
     abelian subgroup (each element set once), C1 without generators among
