@@ -5,7 +5,10 @@ in closed form: its characters are the |G| homomorphisms to the roots of
 unity, extended generator by generator.  Every other table is computed by
 the Dixon-Schneider method: simultaneous eigenvectors
 of the class-multiplication matrices over GF(p) for a prime p = 1 (mod e),
-p > 2*sqrt(|G|), lifted to Q(zeta_e) through the eigenvalue multiplicities of
+p > 2*sqrt(|G|), split off by the eigenvalues mod p of each restricted class
+matrix, which are the roots mod p of its minimal polynomial over Q
+(`exactalg.minimal_polynomial`, the one Krylov minimal polynomial), and
+lifted to Q(zeta_e) through the eigenvalue multiplicities of
 a class representative g, found by a discrete Fourier transform over the
 powers of g against a fixed primitive root.  The same multiplicities value
 every power class g^l (the eigenvalues of g^l are those of g raised to l), so
@@ -23,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
-from .exactalg import (Cyc, _is_prime, _polyeval, _xpow_table, euler_phi,
-                       json_int, json_kind, json_scalar, load_json_file,
-                       scalar_to_string)
+from .exactalg import (Cyc, _divisors, _is_prime, _polyeval, _xpow_table,
+                       euler_phi, json_int, json_kind, json_scalar, load_json_file,
+                       minimal_polynomial, scalar_to_string)
 from .permgroup import (ConjClass, GroupHandle, SubgroupHandle,
                         permutation_from_json)
 
@@ -42,20 +46,6 @@ class DixonInternalError(RuntimeError):
 # GF(p) helpers
 # ---------------------------------------------------------------------------
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _dixon_primes(exponent: int, order: int):
     p = exponent + 1
     while True:
@@ -66,7 +56,7 @@ def _dixon_primes(exponent: int, order: int):
 
 
 def _primitive_root(p: int) -> int:
-    qs = _prime_factors(p - 1)
+    qs = [q for q in _divisors(p - 1) if _is_prime(q)]
     for w in range(2, p):
         if all(pow(w, (p - 1) // q, p) != 1 for q in qs):
             return w
@@ -109,43 +99,6 @@ def _modp_kernel(rows: list[list[int]], width: int, p: int) -> list[list[int]]:
             v[c] = -row[free] % p
         basis.append(v)
     return basis
-
-
-def _modp_minpoly(mat: list[list[int]], p: int) -> list[int]:
-    """The minimal polynomial of mat over GF(p), monic, lowest degree first.
-
-    Start vector by start vector, m <- m * mu_w with w = m(A) e, skipping e
-    when w = 0: this is lcm(m, mu_e), because mu_{m(A)e} = mu_e / gcd(mu_e, m)
-    (f(A)w = 0 iff mu_e | f m iff mu_e / gcd(mu_e, m) | f).  Since m divides
-    the minimal polynomial, the loop stops once deg m = n.
-    """
-    n = len(mat)
-    m = [1]
-    for start in range(n):
-        if len(m) > n:
-            break
-        w = [0] * n     # m(A) e by Horner's rule
-        for c in reversed(m):
-            w = _apply_modp(mat, w, p)
-            w[start] = (w[start] + c) % p
-        if not any(w):
-            continue
-        krylov = [w]
-        for _ in range(n):
-            krylov.append(_apply_modp(mat, krylov[-1], p))
-        # rows [A^t w | tags for degrees n..0]: the relations fill the last
-        # rows, and the last one has its pivot at the least degree d, so it
-        # holds the monic relation of degree d
-        tagged = [v + _unit(n + 1, n - t) for t, v in enumerate(krylov)]
-        red, pivots = _modp_rref(tagged, p)
-        d = 2 * n - pivots[-1]
-        mu = red[-1][2 * n - d:][::-1]
-        prod = [0] * (len(m) + d)
-        for i, x in enumerate(m):
-            for j, y in enumerate(mu):
-                prod[i + j] = (prod[i + j] + x * y) % p
-        m = prod
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +271,7 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
     # split GF(p)^r into common eigenspaces of the matrices A_i u = u_i u,
     # where (A_i)[j][k] = a[i][j][k]; each space is kept as mod-p RREF rows
     # so coordinates can be read off at the pivot positions
-    spaces = [[_unit(r, i) for i in range(r)]]
+    spaces = [[[int(i == j) for j in range(r)] for i in range(r)]]
     for i in range(1, r):
         if all(len(b) == 1 for b in spaces):
             break
@@ -330,10 +283,15 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
                 continue
             d = len(basis)
             piv = [_pivot_row(v) for v in basis]
-            images = [_apply_modp(A, v, p) for v in basis]
-            # A b_m = sum_l R[l][m] b_l, coordinates read at pivot rows
+            images = [[sum(map(mul, row, v)) % p for row in A] for v in basis]
+            # A b_m = sum_l R[l][m] b_l, coordinates read at pivot rows.  The
+            # eigenvalues of R mod p are the roots mod p of mu = minpoly(R)
+            # over Q, R's residues read as ints: mu(R) = 0 holds mod p, so
+            # R v = lam v mod p with v != 0 gives mu(lam) = 0 mod p; and mu,
+            # monic, divides charpoly(R) in Z[X] (Gauss's lemma), so a root
+            # of mu mod p is a root of charpoly(R) mod p, an eigenvalue
             R = [[images[m][piv[l]] for m in range(d)] for l in range(d)]
-            mp = _modp_minpoly(R, p)
+            mp = minimal_polynomial(R)
             roots = [lam for lam in range(p) if _polyeval(mp, lam, p) == 0]
             covered = 0
             for lam in roots:
@@ -486,27 +444,8 @@ def _sort_rows(rows: list[tuple[Cyc, ...]], e: int) -> list[tuple[Cyc, ...]]:
     return rows
 
 
-def _unit(r: int, i: int) -> list[int]:
-    v = [0] * r
-    v[i] = 1
-    return v
-
-
 def _pivot_row(v: list[int]) -> int:
     return next(i for i, x in enumerate(v) if x)
-
-
-def _apply_modp(A: list[list[int]], v: list[int], p: int) -> list[int]:
-    # (A v)[j] = sum_k A[j][k] v[k]
-    r = len(v)
-    out = [0] * r
-    for j in range(r):
-        acc = 0
-        for k in range(r):
-            if v[k]:
-                acc += A[j][k] * v[k]
-        out[j] = acc % p
-    return out
 
 
 def _sqrt_modp(a: int, p: int) -> Optional[int]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Optional
 
-from .chartab import InclusionMatrix
+from .chartab import InclusionMatrix, permutation_character
 from .exactalg import (factor_rational_roots, is_indecomposable, minimal_polynomial,
                        pattern_stabilization_index, poly_to_string)
 from .permgroup import GroupHandle, SubgroupHandle, depth_one_adjoint_test
@@ -39,7 +39,6 @@ class McKayQuiver:
     labels: list[str]
     edges: list[tuple[int, int, int]]    # (i, j, weight)
     indecomposable: bool
-    pf_root: Optional[int]
 
     def dot(self) -> str:
         lines = ["digraph mckay {"]
@@ -160,21 +159,12 @@ def _bipartite_diameters(M: InclusionMatrix) -> tuple[Optional[int], Optional[in
     return white + 1, black + 1
 
 
-def mckay_quiver(C: list[list[int]], roots: dict[int, int],
-                 pf_candidate: Optional[int] = None) -> McKayQuiver:
-    """Weighted digraph on the group irreducibles U0, U1, ... with adjacency C.
-
-    ``roots`` are the integer roots of the minimal polynomial of C.
-    """
+def mckay_quiver(C: list[list[int]]) -> McKayQuiver:
+    """Weighted digraph on the group irreducibles U0, U1, ... with adjacency C."""
     q = len(C)
     labels = [f"U{j}" for j in range(q)]
     edges = [(i, j, C[i][j]) for i in range(q) for j in range(q) if C[i][j] > 0]
-    indec = is_indecomposable(C)
-    pf_root = max(roots) if roots else None
-    if pf_candidate is not None and pf_root is not None and pf_root != pf_candidate:
-        raise AssertionError(
-            f"Perron-Frobenius root {pf_root} does not match dim H / dim R = {pf_candidate}")
-    return McKayQuiver(labels, edges, indec, pf_root)
+    return McKayQuiver(labels, edges, is_indecomposable(C))
 
 
 def depth_report(M: InclusionMatrix,
@@ -242,16 +232,19 @@ def depth_report(M: InclusionMatrix,
         roots_c = {0: zeros} if zeros else {}
         roots_c.update((r, k) for r, k in roots_b.items() if r != 0)
     pf_value = max(roots_c) if roots_c else None
-    pf_check = index = None
+    pf_check = None
     if group_data is not None:
         G, H = group_data
         index = G.order // H.order
+        if pf_value is not None and pf_value != index:
+            raise AssertionError(f"Perron-Frobenius root {pf_value} does not match "
+                                 f"dim H / dim R = {index}")
         pf_check = (resid_c == (1,)
                     and sum(c * index ** i for i, c in enumerate(mp_c)) == 0
                     and pf_value == index)
         tags["pf_check"] = "minpoly_C vanishes at |G:H|"
 
-    quiver = mckay_quiver(C, roots_c, pf_candidate=index)
+    quiver = mckay_quiver(C)
     white_d, black_d = _bipartite_diameters(M)
 
     return DepthReport(M=M, B=B, C=C, d_odd=d_odd, d_ev=d_ev, d_0=d_0, d_h=d_h,
@@ -264,27 +257,20 @@ def depth_report(M: InclusionMatrix,
 
 def eigenvalues_via_class_formula(G: GroupHandle, H: SubgroupHandle) -> EigenvalueSet:
     """The set {|G:H| |C cap H| / |C| : C a class of G meeting H}, the
-    positive values of the permutation character on G/H, which are integers,
-    with |E| = t and the bound d_0 <= 2t+1 (2t-1 when every class of G meets
-    H in a single H-class)."""
-    hset = set(H.elements)
-    Hgrp = H.as_group()
-    values: set[int] = set()
-    one_class = True
-    meets_all = True
-    for cls in G.conjugacy_classes():
-        inter = [x for x in cls.elements if x in hset]
-        if not inter:
-            meets_all = False
-            continue
-        values.add(G.order * len(inter) // (H.order * cls.size))
-        h_classes = {Hgrp.class_index(x) for x in inter}
-        if len(h_classes) > 1:
-            one_class = False
-    restrict_one = one_class and meets_all
+    positive values of the permutation character pi on G/H, which are
+    integers, with |E| = t and the bound d_0 <= 2t+1 (2t-1 when every class
+    of G meets H in a single H-class).
+
+    pi has no zero (every class of G meets H) only when H = G, since the
+    conjugates of a proper H cover at most |G:H| (|H| - 1) + 1 < |G|
+    elements; each class of G is then a single H-class.  So the 2t-1 bound
+    holds exactly when pi has no zero."""
+    pi = permutation_character(G, H)
+    values = sorted({v for v in pi if v})
+    restrict_one = all(pi)
     t = len(values)
     bound = 2 * t - 1 if restrict_one else 2 * t + 1
-    return EigenvalueSet(values={v: 1 for v in sorted(values)},
+    return EigenvalueSet(values=dict.fromkeys(values, 1),
                          residual=(1,),
                          source="class-formula", t=t, depth_bound=bound,
                          all_classes_restrict_to_one=restrict_one)

@@ -16,8 +16,13 @@ decided by exact linear algebra over Q(zeta_n), through four shared pieces:
   slots" step, with `SubalgebraEmbedding.coords` and `_tensor_coords`
   reading sparse coordinates in a subalgebra at its pivot columns;
 - one sparse linear map, `_apply_map`, with which `verify` contracts the
-  structure constants to check associativity by == on sparse dicts, exact
-  as every builder and `from_json` keep the constants free of zero entries.
+  structure constants to check associativity.
+
+Every sparse vector here is zero-free: the builders and `from_json` drop
+zero structure constants, sums go through `_vadd`, products of nonzero
+scalars are nonzero, and `RowSpace` reductions and kernels drop the entries
+they cancel.  So two vectors are
+equal exactly when their dicts are, and every check compares them by ==.
 
 Neither chain of the `hopf` report builds a tensor power.  Ann(Q^x(n+1))
 is the kernel of h -> (pi_n x pi_1) Delta(h) for the quotient maps
@@ -89,15 +94,6 @@ def _vscale(v: dict, c: Cyc) -> dict:
 
 def _nonzero(v: dict) -> dict:
     return {k: x for k, x in v.items() if not x.is_zero()}
-
-
-def _veq(a: dict, b: dict) -> bool:
-    for k in set(a) | set(b):
-        x = a.get(k, Cyc.zero())
-        y = b.get(k, Cyc.zero())
-        if not (x - y).is_zero():
-            return False
-    return True
 
 
 def _mult_vec(mult: list[list[Vec]], a: Vec, b: Vec) -> Vec:
@@ -292,9 +288,9 @@ class HopfAlgebraData:
         one = Cyc.one()
         for i in range(d):
             ei = self.basis_vec(i)
-            if not _veq(self.mult_vec(self.unit, ei), ei):
+            if self.mult_vec(self.unit, ei) != ei:
                 raise AssertionError(f"unit law fails on the left at {i}")
-            if not _veq(self.mult_vec(ei, self.unit), ei):
+            if self.mult_vec(ei, self.unit) != ei:
                 raise AssertionError(f"unit law fails on the right at {i}")
         # the algebra generators every generator-closure check runs at
         gens = self.generators = self._generators()
@@ -309,7 +305,7 @@ class HopfAlgebraData:
             raise AssertionError("counit of the unit is not 1")
         unit2 = {(a, b): ca * cb for a, ca in self.unit.items()
                  for b, cb in self.unit.items()}
-        if not _veq(self.comult_vec(self.unit), unit2):
+        if self.comult_vec(self.unit) != unit2:
             raise AssertionError("coproduct of the unit is not unit x unit")
         for i in range(d):
             # counit laws
@@ -318,7 +314,7 @@ class HopfAlgebraData:
             for (a, b), c in self.comult[i].items():
                 _vadd(left, b, c * self.counit[a])
                 _vadd(right, a, c * self.counit[b])
-            if not _veq(left, self.basis_vec(i)) or not _veq(right, self.basis_vec(i)):
+            if left != self.basis_vec(i) or right != self.basis_vec(i):
                 raise AssertionError(f"counit law fails at {i}")
             # coassociativity
             lhs: dict[tuple, Cyc] = {}
@@ -328,7 +324,7 @@ class HopfAlgebraData:
                     _vadd(lhs, (x, y, b), c * m)
                 for (x, y), m in self.comult[b].items():
                     _vadd(rhs, (a, x, y), c * m)
-            if not _veq(lhs, rhs):
+            if lhs != rhs:
                 raise AssertionError(f"coassociativity fails at {i}")
         for i in range(d):
             for s in gens:
@@ -336,7 +332,7 @@ class HopfAlgebraData:
                 prod = self.mult[i][s]
                 dprod = self.comult_vec(prod)
                 dd = self.tensor_mult(self.comult[i], self.comult[s])
-                if not _veq(dprod, dd):
+                if dprod != dd:
                     raise AssertionError(f"coproduct multiplicativity fails at ({i},{s})")
                 eps_prod = self.counit_vec(prod)
                 if not (eps_prod - self.counit[i] * self.counit[s]).is_zero():
@@ -352,7 +348,7 @@ class HopfAlgebraData:
                 for k, v in self.mult_vec(self.basis_vec(a), sb).items():
                     _vadd(rhs, k, v)
             want = _vscale(self.unit, self.counit[i])
-            if not _veq(lhs, want) or not _veq(rhs, want):
+            if lhs != want or rhs != want:
                 raise AssertionError(f"antipode axiom fails at {i}")
 
     # -- serialization ---------------------------------------------------------
@@ -639,7 +635,7 @@ class SubalgebraEmbedding:
         for a in self.basis:
             dv = H.comult_vec(a)
             rec = _tensor_image(self._tensor_coords(dv), basis_at, basis_at)
-            if not _veq(rec, dv):
+            if rec != dv:
                 raise AssertionError("subalgebra not closed under the coproduct")
 
     def as_hopf(self) -> HopfAlgebraData:
@@ -762,7 +758,7 @@ class QuotientModule:
             for h in gens:
                 lhs = self.project(H.mult_vec(H.basis_vec(i), H.basis_vec(h)))
                 rhs = self.act(pi, H.basis_vec(h))
-                if not _veq(lhs, rhs):
+                if lhs != rhs:
                     raise AssertionError("projection does not intertwine the action")
         for b in range(self.dim_q):
             for h in gens:
@@ -776,7 +772,7 @@ class QuotientModule:
                          for (h1, h2), hc in H.comult[h].items()
                          for (q1, q2), qc in self.coproduct_q[b].items()}
                 rhs = _tensor_image(pairs, act_at, act_at)
-                if not _veq(lhs, rhs):
+                if lhs != rhs:
                     raise AssertionError("coproduct of Q is not a module coalgebra map")
 
     def __repr__(self):
@@ -1056,7 +1052,7 @@ def _modular_function(H: HopfAlgebraData, t: Vec) -> list[Cyc]:
     for h in range(H.dim):
         prod = H.mult_vec(H.basis_vec(h), t)
         m = prod.get(ref, Cyc.zero()) / ref_c
-        if not _veq(prod, _vscale(t, m)):
+        if prod != _vscale(t, m):
             raise AssertionError("left multiple of the integral is not proportional to it")
         out.append(m)
     return out
@@ -1115,7 +1111,7 @@ def _frobenius_terms(H: HopfAlgebraData, lam: Vec) -> TVec:
     for g in H.generators:
         left = H.tensor_mult({(g, k): c for k, c in H.unit.items()}, terms)
         right = H.tensor_mult(terms, {(k, g): c for k, c in H.unit.items()})
-        if not _veq(left, right):
+        if left != right:
             raise AssertionError(f"Frobenius identity fails at generator {g}")
     return terms
 

@@ -351,9 +351,7 @@ def _generators_inside(elems: Sequence[Permutation], eset: set[Permutation],
 
 def _closure(gens: Sequence[Permutation], degree: int, cap: int) -> set[Permutation]:
     elems = {Permutation.identity(degree)}
-    frontier = [g for g in gens]
-    for g in frontier:
-        elems.add(g)
+    frontier = list(elems)
     while frontier:
         nxt = []
         for a in frontier:

@@ -11,8 +11,8 @@ from typing import Optional, Sequence
 
 from subdepth.corpus import (analyze_pair, cached_table, corpus_groups,
                              subgroups_up_to_conjugacy)
-from subdepth.chartab import (_apply_modp, _int_inner, _int_rows, _modp_rref,
-                              _unit, _weighted_conjugates)
+from subdepth.chartab import _int_inner, _int_rows, _weighted_conjugates
+from subdepth.depthmat import EigenvalueSet
 from subdepth.exactalg import (_CYC_ONE, _CYC_ZERO, Cyc, ExactMatrix,
                                MalformedSequenceError, RowSpace,
                                cyclotomic_polynomial, euler_phi,
@@ -20,7 +20,7 @@ from subdepth.exactalg import (_CYC_ONE, _CYC_ZERO, Cyc, ExactMatrix,
 from subdepth.hopfcore import (HopfAlgebraData, QuotientModule,
                                SubalgebraEmbedding, TensorPowerModule, TVec, Vec,
                                _annihilator, _is_hopf_ideal, _project, _projector,
-                               _tensor_image, _vadd, _veq, _vscale,
+                               _tensor_image, _vadd, _vscale,
                                build_group_algebra, tensor_power_action)
 from subdepth.permgroup import (GroupHandle, Permutation, SubgroupHandle, _closure,
                                 double_cosets, enumerate_group)
@@ -127,6 +127,31 @@ def reference_permutation_character(G: GroupHandle, H: SubgroupHandle) -> tuple[
                  for cls in G.conjugacy_classes())
 
 
+def reference_class_formula(G: GroupHandle, H: SubgroupHandle) -> EigenvalueSet:
+    """`depthmat.eigenvalues_via_class_formula` by a scan of every class
+    element against the elements of H: |G:H| |C cap H| / |C| for each class C
+    meeting H, and the single-H-class test on each intersection C cap H."""
+    hset = set(H.elements)
+    Hgrp = H.as_group()
+    values: set[int] = set()
+    one_class = True
+    meets_all = True
+    for cls in G.conjugacy_classes():
+        inter = [x for x in cls.elements if x in hset]
+        if not inter:
+            meets_all = False
+            continue
+        values.add(G.order * len(inter) // (H.order * cls.size))
+        if len({Hgrp.class_index(x) for x in inter}) > 1:
+            one_class = False
+    restrict_one = one_class and meets_all
+    t = len(values)
+    return EigenvalueSet(values={v: 1 for v in sorted(values)}, residual=(1,),
+                         source="class-formula", t=t,
+                         depth_bound=2 * t - 1 if restrict_one else 2 * t + 1,
+                         all_classes_restrict_to_one=restrict_one)
+
+
 def pair_report(G, H, tabG=None):
     """(M, depth report) of a pair, from the package's group-pair pipeline."""
     a = analyze_pair(G, H, tabG)
@@ -197,6 +222,12 @@ def full_axioms_hold(H) -> bool:
     except AssertionError:
         return False
     return True
+
+
+def _veq(a: dict, b: dict) -> bool:
+    # sparse vectors compared with zero entries allowed on either side
+    return all((a.get(k, _CYC_ZERO) - b.get(k, _CYC_ZERO)).is_zero()
+               for k in set(a) | set(b))
 
 
 def _full_axiom_check(self) -> None:
@@ -870,73 +901,6 @@ def reference_factor_rational_roots(p: tuple):
                     break
             roots[r] = mult
     return roots, poly_monic(work)
-
-
-def reference_modp_minpoly(mat: list[list[int]], p: int) -> list[int]:
-    """The GF(p) minimal polynomial as the lcm of Krylov relation
-    polynomials by Euclid's algorithm mod p: the reference for
-    `chartab._modp_minpoly`."""
-    # lcm of Krylov relation polynomials, coefficients lowest first, monic
-    n = len(mat)
-
-    def polymul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-        return out
-
-    def polymod(a, b):
-        a = a[:]
-        while len(a) >= len(b) and any(a):
-            while a and a[-1] % p == 0:
-                a.pop()
-            if len(a) < len(b):
-                break
-            f = a[-1] * pow(b[-1], -1, p) % p
-            off = len(a) - len(b)
-            for j in range(len(b)):
-                a[off + j] = (a[off + j] - f * b[j]) % p
-            while a and a[-1] % p == 0:
-                a.pop()
-        return a or [0]
-
-    def polylcm(a, b):
-        g = a
-        h = b
-        while any(c % p for c in h):
-            g, h = h, polymod(g, h)
-        quo_len = len(a) + len(b) - len(g)
-        # lcm = a*b/gcd computed by dividing a*b by g
-        prod = polymul(a, b)
-        out = [0] * quo_len
-        rem = prod[:]
-        for i in range(len(rem) - 1, len(g) - 2, -1):
-            f = rem[i] * pow(g[-1], -1, p) % p
-            out[i - len(g) + 1] = f
-            for j in range(len(g)):
-                rem[i - len(g) + 1 + j] = (rem[i - len(g) + 1 + j] - f * g[j]) % p
-        return out
-
-    m = [1]
-    span: list[list[int]] = []      # reduced basis of the Krylov vectors so far
-    for start in range(n):
-        e = _unit(n, start)
-        if len(_modp_rref(span + [e], p)[0]) == len(span):
-            continue
-        krylov = [e]
-        for _ in range(n):
-            krylov.append(_apply_modp(mat, krylov[-1], p))
-        # rows [A^t e | tags for degrees n..0]: the relations fill the last
-        # rows, and the last one has its pivot at the least degree d, so it
-        # holds the monic relation of degree d
-        tagged = [v + _unit(n + 1, n - t) for t, v in enumerate(krylov)]
-        red, pivots = _modp_rref(tagged, p)
-        d = 2 * n - pivots[-1]
-        m = polylcm(m, red[-1][2 * n - d:][::-1])
-        span = _modp_rref(span + krylov[:d], p)[0]
-    lead_inv = pow(m[-1], -1, p)
-    return [c * lead_inv % p for c in m]
 
 
 def _exact_pattern(A: ExactMatrix):

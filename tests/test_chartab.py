@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 
 from helpers import (conjugate, corpus_pairs_full, cyc_inner_product, group_table,
                      induce_class_function, inner_product, make_a5, make_s4, make_s5,
-                     perm, reference_inclusion_matrix, reference_modp_minpoly,
-                     reference_permutation_character)
+                     perm, reference_inclusion_matrix, reference_permutation_character)
 from subdepth.chartab import (CharacterTable, ClassFusion, _dixon_primes,
-                              _dixon_schneider, _modp_kernel, _modp_minpoly,
-                              _modp_rref, class_fusion, compute_character_table,
-                              inclusion_matrix,
+                              _dixon_schneider, _modp_kernel, _modp_rref,
+                              class_fusion, compute_character_table, inclusion_matrix,
                               permutation_character, table_from_json,
                               tables_agree_up_to_row_permutation)
 from subdepth.corpus import catalog, corpus_groups, direct_product
-from subdepth.exactalg import Cyc
+from subdepth.exactalg import Cyc, minimal_polynomial
 from subdepth.permgroup import GroupHandle, enumerate_group
 
 
@@ -373,28 +371,6 @@ def modp_matrices(draw):
     return p, n, A
 
 
-def _matmul_modp(A, B, p):
-    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)] for row in A]
-
-
-@given(modp_matrices())
-@settings(max_examples=80, deadline=None)
-def test_modp_minpoly_is_the_least_annihilator(pnA):
-    p, n, A = pnA
-    m = _modp_minpoly(A, p)
-    assert m[-1] == 1 and all(0 <= c < p for c in m)
-    # the powers I, A, ..., A^n flattened to rows; their rank is deg m
-    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
-    for _ in range(n):
-        powers.append(_matmul_modp(powers[-1], A, p))
-    _, pivots = _modp_rref([[x for row in P for x in row] for P in powers], p)
-    assert len(m) - 1 == len(pivots)
-    value = [[0] * n for _ in range(n)]
-    for c, P in zip(m, powers):
-        value = [[(v + c * x) % p for v, x in zip(vr, xr)] for vr, xr in zip(value, P)]
-    assert value == [[0] * n for _ in range(n)]
-
-
 @given(modp_matrices())
 @example((7, 1, [[0]]))
 @example((31, 4, [[0] * 4 for _ in range(4)]))
@@ -404,9 +380,16 @@ def test_modp_minpoly_is_the_least_annihilator(pnA):
                   [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]]))
 @example((7, 4, [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]]))
 @settings(max_examples=80, deadline=None)
-def test_modp_minpoly_agrees_with_the_lcm_reference(pnA):
-    p, _, A = pnA
-    assert _modp_minpoly(A, p) == reference_modp_minpoly(A, p)
+def test_minimal_polynomial_roots_mod_p_are_the_eigenvalues_mod_p(pnA):
+    # Dixon-Schneider splits by the roots mod p of the minimal polynomial
+    # over Q of a matrix of residues
+    p, n, A = pnA
+    m = minimal_polynomial(A)
+    roots = {lam for lam in range(p) if sum(c * lam ** i for i, c in enumerate(m)) % p == 0}
+    singular = {lam for lam in range(p)
+                if len(_modp_rref([[x - lam * (i == j) for j, x in enumerate(row)]
+                                   for i, row in enumerate(A)], p)[1]) < n}
+    assert roots == singular
 
 
 @given(modp_matrices())

@@ -311,6 +311,17 @@ def test_caps_only_on_the_subcommands_that_read_them():
         assert "Traceback" not in proc.stderr
 
 
+def test_cap_order_counts_the_generators(tmp_path, capsys):
+    # C2 has order 2: a cap of 1 refuses it although the closure loop never
+    # meets a product that is not a generator
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps({"degree": 2, "generators": [[2, 1]],
+                                "subgroups": {"H": [[1, 2]]}}))
+    assert main(["hecke", str(path), "--cap-order", "1"]) == 1
+    assert capsys.readouterr().err == "error: group enumeration exceeded the cap of 1\n"
+    assert main(["hecke", str(path), "--cap-order", "2"]) == 0
+
+
 def test_sweep_mode_deterministic(tmp_path, capsys):
     out1 = tmp_path / "s1.json"
     out2 = tmp_path / "s2.json"

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from helpers import (corpus_pairs_reps, evaluate_matrix, from_roots, group_table,
-                     pair_report, perm, reference_minimal_polynomial)
+                     pair_report, perm, reference_class_formula,
+                     reference_minimal_polynomial)
 from subdepth import chartab, corpus, depthmat
 from subdepth.chartab import InclusionMatrix, class_fusion, compute_character_table, inclusion_matrix
 from subdepth.corpus import analyze_pair, corpus_groups
@@ -145,7 +146,7 @@ def test_depth_report_factors_only_minpoly_b(rows, monkeypatch):
     rep = depth_report(InclusionMatrix(len(rows), len(rows[0]), rows))
     assert calls == [rep.minpoly_B]
     roots_c, _ = factor_rational_roots(rep.minpoly_C)
-    assert rep.pf_value == rep.mckay.pf_root == (max(roots_c) if roots_c else None)
+    assert rep.pf_value == (max(roots_c) if roots_c else None)
 
 
 def _assert_int_depth_values(rep):
@@ -187,6 +188,19 @@ def test_class_formula_examples(s3, a5):
     assert es2.value_set() == {Fraction(5), Fraction(2), Fraction(1)}
 
 
+def test_class_formula_equals_the_element_scan_reference_on_the_sweep():
+    # the 365 pairs of the sweep to order 24
+    pairs = [(G, H) for _, G in corpus_groups(24) for H in G.subgroups()]
+    assert len(pairs) == 365
+    seen = set()
+    for G, H in pairs:
+        got, want = eigenvalues_via_class_formula(G, H), reference_class_formula(G, H)
+        assert vars(got) == vars(want)
+        assert list(got.values.items()) == list(want.values.items())
+        seen.add(want.all_classes_restrict_to_one)
+    assert seen == {True, False}
+
+
 def test_class_formula_pf_is_index(s4):
     for H in s4.subgroups()[::4]:
         es = eigenvalues_via_class_formula(s4, H)
@@ -199,23 +213,25 @@ def test_mckay_quiver_s2_s3(s3):
     q = rep.mckay
     loops = {i: w for i, j, w in q.edges if i == j}
     assert loops == {0: 1, 1: 2, 2: 1}
-    assert q.pf_root == 3
+    assert rep.pf_value == 3
     assert q.indecomposable
     dot = q.dot()
     assert dot.startswith("digraph") and "v0 -> v1" in dot
 
 
 def test_mckay_identity_matrix():
-    q = mckay_quiver([[int(i == j) for j in range(4)] for i in range(4)], {Fraction(1): 1})
+    q = mckay_quiver([[int(i == j) for j in range(4)] for i in range(4)])
     assert len(q.edges) == 4
     assert all(i == j for i, j, _ in q.edges)
 
 
-def test_mckay_pf_mismatch_raises():
-    C = [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
-    with pytest.raises(AssertionError):
-        mckay_quiver(C, {Fraction(0): 1, Fraction(1): 1, Fraction(3): 1},
-                     pf_candidate=Fraction(7))
+def test_mckay_pf_mismatch_raises(s3):
+    # the S2 < S3 matrix, whose C has Perron-Frobenius root 3, given the
+    # group data of 1 < S3, of index 6
+    M = InclusionMatrix(2, 3, ((1, 1, 0), (0, 1, 1)))
+    with pytest.raises(AssertionError, match="Perron-Frobenius root 3 does not "
+                                             "match dim H / dim R = 6"):
+        depth_report(M, (s3, s3.trivial_subgroup()))
 
 
 def test_ell_from_trivial_row(s3, s4):

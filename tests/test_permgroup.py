@@ -98,6 +98,17 @@ def test_enumeration_cap():
         enumerate_group([perm(5, (1, 2)), perm(5, (1, 2, 3, 4, 5))], cap=100)
 
 
+def test_enumeration_cap_counts_the_generators():
+    # V4 from its three non-identity elements has 4 elements, one above the
+    # cap, with every element a generator
+    with pytest.raises(GroupTooLargeError, match="exceeded the cap of 3"):
+        enumerate_group([perm(4, (1, 2), (3, 4)), perm(4, (1, 3), (2, 4)),
+                         perm(4, (1, 4), (2, 3))], cap=3)
+    with pytest.raises(GroupTooLargeError, match="exceeded the cap of 1"):
+        enumerate_group([perm(2, (1, 2))], cap=1)
+    assert enumerate_group([perm(2, (1, 2))], cap=2).order == 2
+
+
 def test_degree_mismatch():
     with pytest.raises(ValueError):
         enumerate_group([perm(3, (1, 2)), perm(4, (1, 2, 3, 4))])
