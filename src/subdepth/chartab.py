@@ -14,7 +14,7 @@ powers of g against a fixed primitive root.  The same multiplicities value
 every power class g^l (the eigenvalues of g^l are those of g raised to l), so
 the transform runs once per class not reached as a power of an earlier one.
 Everything is verified against the orthogonality relations before a table is
-returned, so a bad prime or a bug can never produce a silently wrong table.
+returned, so a bug can never produce a silently wrong table.
 
 In an inclusion matrix, the column of a linear character is read off by
 matching its restriction against the subgroup's table; the other columns are
@@ -38,21 +38,27 @@ from .permgroup import (ConjClass, GroupHandle, SubgroupHandle,
 CLASS_CAP = 60
 
 
-class DixonInternalError(RuntimeError):
-    """One prime attempt failed; the driver retries with the next prime."""
-
-
 # ---------------------------------------------------------------------------
 # GF(p) helpers
 # ---------------------------------------------------------------------------
 
-def _dixon_primes(exponent: int, order: int):
+def _dixon_prime(exponent: int, order: int) -> int:
+    """The least prime p = 1 (mod e) with p > 2 sqrt(|G|), e the exponent of
+    G, at which Dixon-Schneider always succeeds (J. D. Dixon, Numer. Math.
+    10, 1967).  A prime divisor of |G| is an element order (Cauchy), so it
+    divides e < p: p does not divide |G|, and the class algebra over GF(p) is
+    semisimple.  It is split, as the central characters |C| chi(g) / chi(1)
+    lie in Z[zeta_e] and GF(p) holds the e'th roots of unity.  So the common
+    eigenspaces of the class matrices are the r lines of these characters,
+    which are 1 at the identity class; the degree equation reads
+    |G| / chi(1)^2, a unit mod p; and chi(1) <= sqrt(|G|) < p / 2 and the
+    eigenvalue multiplicities, at most chi(1), are read off their residues
+    exactly.  Every check of `_dixon_schneider` passes on correct code."""
     p = exponent + 1
-    while True:
-        # p > 2 sqrt(|G|), tested exactly
-        if p * p > 4 * order and _is_prime(p):
-            yield p
+    # p > 2 sqrt(|G|), tested exactly
+    while not (p * p > 4 * order and _is_prime(p)):
         p += exponent
+    return p
 
 
 def _primitive_root(p: int) -> int:
@@ -60,7 +66,7 @@ def _primitive_root(p: int) -> int:
     for w in range(2, p):
         if all(pow(w, (p - 1) // q, p) != 1 for q in qs):
             return w
-    raise DixonInternalError(f"no primitive root mod {p}")
+    raise AssertionError(f"no primitive root mod {p}")
 
 
 def _modp_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -233,23 +239,12 @@ def compute_character_table(G: GroupHandle) -> CharacterTable:
         raise ValueError(f"group has {r} classes, above the cap of {CLASS_CAP}")
     e = G.exponent()
     if r == G.order:
-        table = CharacterTable(G, e, classes, _linear_characters(G, classes, e))
-        table.verify()
-        return table
-    failures = []
-    for attempt, p in enumerate(_dixon_primes(e, G.order)):
-        if attempt >= 8:
-            raise AssertionError(
-                "character table failed for 8 primes: " + "; ".join(failures))
-        try:
-            irred = _dixon_schneider(G, classes, e, p)
-            table = CharacterTable(G, e, classes, irred)
-            table.verify()
-            return table
-        except DixonInternalError as exc:
-            failures.append(f"p={p}: {exc}")
-            continue
-    raise AssertionError("unreachable")
+        irred = _linear_characters(G, classes, e)
+    else:
+        irred = _dixon_schneider(G, classes, e, _dixon_prime(e, G.order))
+    table = CharacterTable(G, e, classes, irred)
+    table.verify()
+    return table
 
 
 def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
@@ -298,8 +293,6 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
                 shifted = [[(R[x][y] - (lam if x == y else 0)) % p
                             for y in range(d)] for x in range(d)]
                 kern = _modp_kernel(shifted, d, p)
-                if not kern:
-                    continue
                 ambient = []
                 for coords in kern:
                     vec = [0] * r
@@ -312,10 +305,10 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
                 covered += len(reduced)
                 new_spaces.append(reduced)
             if covered != d:
-                raise DixonInternalError("eigenspace splitting lost dimensions")
+                raise AssertionError("eigenspace splitting lost dimensions")
         spaces = new_spaces
     if not all(len(b) == 1 for b in spaces):
-        raise DixonInternalError("class matrices did not split the space")
+        raise AssertionError("class matrices did not split the space")
 
     # normalize so u[identity class] = 1; the vector then holds the class
     # algebra character u_j = |C_j| chi(g_j) / chi(1) mod p
@@ -323,7 +316,7 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
     us = []
     for (v,) in spaces:
         if v[id_class] % p == 0:
-            raise DixonInternalError("eigenvector vanishes at the identity class")
+            raise AssertionError("eigenvector vanishes at the identity class")
         inv = pow(v[id_class], -1, p)
         us.append([x * inv % p for x in v])
 
@@ -365,11 +358,11 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
         for j in range(r):
             s = (s + u[j] * u[inv_class[j]] * inv_sizes[j]) % p
         if s == 0:
-            raise DixonInternalError("degree denominator vanished")
+            raise AssertionError("degree denominator vanished")
         deg_sq = order * pow(s, -1, p) % p
         deg = _sqrt_modp(deg_sq, p)
         if deg is None:
-            raise DixonInternalError("degree square root does not exist")
+            raise AssertionError("degree square root does not exist")
         deg = min(deg, p - deg)
         chi_bar = [u[j] * deg % p * inv_sizes[j] % p for j in range(r)]
         values: list[Optional[Cyc]] = [None] * r
@@ -380,7 +373,7 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
                 mk = sum(x * zpow[k * l % o] for l, x in enumerate(chi_powers)) * o_inv % p
                 if mk:
                     if mk > deg:
-                        raise DixonInternalError("multiplicity exceeds the degree")
+                        raise AssertionError("multiplicity exceeds the degree")
                     mults.append((k, mk))
             for c, l in targets:
                 powers: dict[int, int] = {}
@@ -389,7 +382,7 @@ def _dixon_schneider(G: GroupHandle, classes: list[ConjClass], e: int,
                     powers[key] = powers.get(key, 0) + mk
                 values[c] = Cyc.from_power_sum(e, powers)
         if values[id_class] != deg:
-            raise DixonInternalError("lifted degree mismatch")
+            raise AssertionError("lifted degree mismatch")
         rows.append(tuple(values))
 
     return _sort_rows(rows, e)

@@ -144,7 +144,7 @@ def _run_group_pair(req: AnalysisRequest) -> int:
         "depth": rep.to_json(),
         "class_formula": {"values": [str(v) for v in sorted(es.value_set())],
                           "t": es.t, "bound": es.depth_bound,
-                          "all_classes_restrict_to_one": es.all_classes_restrict_to_one},
+                          "all_classes_restrict_to_one": H.order == G.order},
         "core": {"r": cb.r, "bound_dQ": cb.bound_dQ, "bound_dh": cb.bound_dh},
         "combinatorial": {"d_c_ev": comb.d_c_ev, "bracket": list(comb.d_c_bracket),
                           "d_c_is_one": comb.d_c_is_one},

@@ -2,7 +2,7 @@
 
 Zero-pattern stabilization of powers of B = M M^t and C = M^t M is the
 operational form of the similarity conditions for semisimple pairs; the
-bipartite-graph diameters are reported alongside.  Depth 1 and h-depth 1
+bipartite-graph diameters are read off the same scans.  Depth 1 and h-depth 1
 are not visible from M alone, so those cases are gated by group data
 (adjoint test, permutation matrix test).
 """
@@ -28,7 +28,6 @@ class EigenvalueSet:
     source: str                          # "class-formula" | "minpoly"
     t: Optional[int] = None              # |E| when source is class-formula
     depth_bound: Optional[int] = None
-    all_classes_restrict_to_one: Optional[bool] = None
 
     def value_set(self) -> set[int]:
         return set(self.values)
@@ -123,42 +122,6 @@ def _is_permutation_matrix(grid: list[list[int]]) -> bool:
             and all(sum(1 for x in col if x) == 1 for col in zip(*grid)))
 
 
-def _bipartite_diameters(M: InclusionMatrix) -> tuple[Optional[int], Optional[int]]:
-    """Max finite white-white and black-black distances in the bipartite
-    inclusion graph, each plus one (the graphical depth readings)."""
-    p, q = M.rows, M.cols
-    n = p + q
-    adj = [set() for _ in range(n)]
-    for i in range(p):
-        for j in range(q):
-            if M.entries[i][j]:
-                adj[i].add(p + j)
-                adj[p + j].add(i)
-
-    def bfs(start: int) -> dict[int, int]:
-        dist = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return dist
-
-    white = 0
-    for i in range(p):
-        d = bfs(i)
-        white = max(white, max((v for k, v in d.items() if k < p), default=0))
-    black = 0
-    for j in range(q):
-        d = bfs(p + j)
-        black = max(black, max((v for k, v in d.items() if k >= p), default=0))
-    return white + 1, black + 1
-
-
 def mckay_quiver(C: list[list[int]]) -> McKayQuiver:
     """Weighted digraph on the group irreducibles U0, U1, ... with adjacency C."""
     q = len(C)
@@ -244,8 +207,17 @@ def depth_report(M: InclusionMatrix,
                     and pf_value == index)
         tags["pf_check"] = "minpoly_C vanishes at |G:H|"
 
+    # The bipartite diameters from the raw scan indices.  White-white
+    # distances are even and B has a positive diagonal at each white with an
+    # edge, so (B^n)_ik > 0 exactly when dist(i, k) <= 2n.  A shortest path of
+    # length D passes whites at every even distance below D, so pattern(B^n)
+    # grows until 2n >= D: n_odd = max(1, D / 2) for D the largest finite
+    # white-white distance, and D = 0 exactly when no column of M has two
+    # nonzero entries; D <= 2(p - 1) keeps n_odd within the budget.  Likewise
+    # C, the black vertices and the rows of M give n_h.
+    white_d = 2 * n_odd + 1 if any(sum(map(bool, col)) > 1 for col in grid_t) else 1
+    black_d = 2 * n_h + 1 if any(sum(map(bool, row)) > 1 for row in grid) else 1
     quiver = mckay_quiver(C)
-    white_d, black_d = _bipartite_diameters(M)
 
     return DepthReport(M=M, B=B, C=C, d_odd=d_odd, d_ev=d_ev, d_0=d_0, d_h=d_h,
                        minpoly_B=mp_b, minpoly_C=mp_c, eigen_B=eigen_b,
@@ -267,13 +239,11 @@ def eigenvalues_via_class_formula(G: GroupHandle, H: SubgroupHandle) -> Eigenval
     holds exactly when pi has no zero."""
     pi = permutation_character(G, H)
     values = sorted({v for v in pi if v})
-    restrict_one = all(pi)
     t = len(values)
-    bound = 2 * t - 1 if restrict_one else 2 * t + 1
+    bound = 2 * t - 1 if all(pi) else 2 * t + 1
     return EigenvalueSet(values=dict.fromkeys(values, 1),
                          residual=(1,),
-                         source="class-formula", t=t, depth_bound=bound,
-                         all_classes_restrict_to_one=restrict_one)
+                         source="class-formula", t=t, depth_bound=bound)
 
 
 def ell_from_trivial_row(C: list[list[int]], trivial_index: int) -> Optional[int]:

@@ -13,10 +13,13 @@ decided by exact linear algebra over Q(zeta_n), through four shared pieces:
   generators, which gives the right integrals of H and of R and the
   integrals of Q;
 - one two-slot tensor map, `_tensor_image`, for every "map both tensor
-  slots" step, with `SubalgebraEmbedding.coords` and `_tensor_coords`
-  reading sparse coordinates in a subalgebra at its pivot columns;
-- one sparse linear map, `_apply_map`, with which `verify` contracts the
-  structure constants to check associativity.
+  slots" step and for the product in H x H (over the slot pairs
+  ((i1, j1), (i2, j2))), with `SubalgebraEmbedding.coords` and
+  `_tensor_coords` reading sparse coordinates in a subalgebra at its pivot
+  columns;
+- one sparse linear map, `_apply_map`, for the product in H (over the rows
+  mult[i] of the structure constants), with which `verify` also contracts
+  the structure constants to check associativity.
 
 Every sparse vector here is zero-free: the builders and `from_json` drop
 zero structure constants, sums go through `_vadd`, products of nonzero
@@ -97,34 +100,19 @@ def _nonzero(v: dict) -> dict:
 
 
 def _mult_vec(mult: list[list[Vec]], a: Vec, b: Vec) -> Vec:
-    # the product a b from the structure constants mult[i][j] = e_i e_j
-    out: Vec = {}
-    for i, ca in a.items():
-        if ca.is_zero():
-            continue
-        row = mult[i]
-        for j, cb in b.items():
-            if cb.is_zero():
-                continue
-            c = ca * cb
-            for k, m in row[j].items():
-                _vadd(out, k, c * m)
-    return out
+    # a b = sum a_i (e_i b), e_i b the image of b under the rows mult[i]
+    return _apply_map({i: _apply_map(mult[i], b) for i in a}, a)
 
 
 def _tensor_mult(mult: list[list[Vec]], a: TVec, b: TVec) -> TVec:
-    # the product in H x H, slot by slot
-    out: TVec = {}
-    for (i1, i2), ca in a.items():
-        for (j1, j2), cb in b.items():
-            c = ca * cb
-            if c.is_zero():
-                continue
-            for k1, m1 in mult[i1][j1].items():
-                cm = c * m1
-                for k2, m2 in mult[i2][j2].items():
-                    _vadd(out, (k1, k2), cm * m2)
-    return out
+    # the product in H x H, slot by slot: each pair of terms is the tensor
+    # (e_i1 e_j1) x (e_i2 e_j2), both slots mapped from the pairs (i, j)
+    pairs = {((i1, j1), (i2, j2)): ca * cb
+             for (i1, i2), ca in a.items() for (j1, j2), cb in b.items()}
+
+    def at(ij):
+        return mult[ij[0]][ij[1]]
+    return _tensor_image(pairs, at, at)
 
 
 def _tensor_image(tv: TVec, left, right) -> TVec:
@@ -155,7 +143,16 @@ def _check_indices(field: str, d: int, *indices) -> None:
 
 _json_kind = partial(json_kind, "Hopf JSON")
 _json_int = partial(json_int, "Hopf JSON")
-_json_scalar = partial(json_scalar, "Hopf JSON")
+
+
+def _json_scalar(field: str, value, n: int) -> Cyc:
+    # input check for Hopf JSON: a scalar must lie in Q(zeta_n) for the
+    # declared field_order n, that is, its canonical order must divide n
+    c = json_scalar("Hopf JSON", field, value)
+    if n % c.order and n % c.canonical().order:
+        raise ValueError(f"Hopf JSON field '{field}': {value!r} does not lie in "
+                         f"Q(zeta_{n}) for field_order {n}")
+    return c
 
 
 def _json_entries(field: str, value) -> list:
@@ -232,30 +229,17 @@ class HopfAlgebraData:
     # -- verification ---------------------------------------------------------
 
     def _generators(self) -> list[int]:
-        """Basis indices that generate H as an algebra, in basis order.
-
-        e_i joins the list when it is not yet in V, the span of the
-        left-normed products (...((1 s_1) s_2)...) s_k of generators found
-        so far.  V is closed under right multiplication by every generator
-        before the walk moves on, and the walk stops only once V = H.
-        """
-        span = RowSpace(self.dim)
-        span.add(self.unit)
-        members = [self.unit]
-        gens: list[int] = []
+        """Basis indices that generate H as an algebra, in basis order: e_i
+        joins the list when it is not yet in V, the span of the left-normed
+        products (...((1 s_1) s_2)...) s_k of the generators found so far,
+        which `_ideal` builds as {1} closed on the right under
+        `self.generators`, with no use of associativity."""
+        self.generators = gens = []
+        span = _ideal(self, [self.unit], left=False, right=True)
         for i in range(self.dim):
-            if span.rank == self.dim:
-                break
-            if span.contains(self.basis_vec(i)):
-                continue
-            gens.append(i)
-            work = [(m, i) for m in members]
-            while work:
-                m, s = work.pop()
-                p = self.mult_vec(m, self.basis_vec(s))
-                if span.add(p):
-                    members.append(p)
-                    work.extend((p, g) for g in gens)
+            if span.rank < self.dim and not span.contains(self.basis_vec(i)):
+                gens.append(i)
+                span = _ideal(self, [self.unit], left=False, right=True)
         return gens
 
     def verify(self) -> None:
@@ -397,22 +381,22 @@ class HopfAlgebraData:
         mult: list[list[Vec]] = [[{} for _ in range(d)] for _ in range(d)]
         for i, j, k, s in _json_entries("mult", data.get("mult", [])):
             _check_indices("mult", d, i, j, k)
-            mult[i][j][k] = _json_scalar("mult", s)
+            mult[i][j][k] = _json_scalar("mult", s, n)
         comult: list[TVec] = [{} for _ in range(d)]
         for i, j, k, s in _json_entries("comult", data.get("comult", [])):
             _check_indices("comult", d, i, j, k)
-            comult[i][(j, k)] = _json_scalar("comult", s)
+            comult[i][(j, k)] = _json_scalar("comult", s, n)
         counit_data = _json_kind("counit", data["counit"], list)
         _check_length("counit", d, counit_data)
-        counit = [_json_scalar("counit", s) for s in counit_data]
+        counit = [_json_scalar("counit", s, n) for s in counit_data]
         antipode_data = _json_kind("antipode", data["antipode"], list)
         _check_length("antipode", d, antipode_data,
                       *(_json_kind("antipode", row, list) for row in antipode_data))
-        antipode = [_nonzero({j: _json_scalar("antipode", s) for j, s in enumerate(row)})
+        antipode = [_nonzero({j: _json_scalar("antipode", s, n) for j, s in enumerate(row)})
                     for row in antipode_data]
         # JSON object keys are strings: the unit's keys are decimal indices
         unit = {_json_int("unit", int(k) if k.isdecimal() else k):
-                _json_scalar("unit", v)
+                _json_scalar("unit", v, n)
                 for k, v in _json_kind("unit", data["unit"], dict).items()}
         _check_indices("unit", d, *unit)
         H = HopfAlgebraData(d, n, labels, [list(map(_nonzero, row)) for row in mult],
@@ -422,7 +406,7 @@ class HopfAlgebraData:
         for name, rows in sorted(subalgebras.items()):
             _check_length("subalgebras", d, *(_json_kind("subalgebras", row, list)
                                               for row in _json_kind("subalgebras", rows, list)))
-            basis = [_nonzero({j: _json_scalar("subalgebras", s) for j, s in enumerate(row)})
+            basis = [_nonzero({j: _json_scalar("subalgebras", s, n) for j, s in enumerate(row)})
                      for row in rows]
             subs[name] = SubalgebraEmbedding(H, basis)
         return H, subs

@@ -127,10 +127,13 @@ def reference_permutation_character(G: GroupHandle, H: SubgroupHandle) -> tuple[
                  for cls in G.conjugacy_classes())
 
 
-def reference_class_formula(G: GroupHandle, H: SubgroupHandle) -> EigenvalueSet:
+def reference_class_formula(G: GroupHandle,
+                            H: SubgroupHandle) -> tuple[EigenvalueSet, bool]:
     """`depthmat.eigenvalues_via_class_formula` by a scan of every class
     element against the elements of H: |G:H| |C cap H| / |C| for each class C
-    meeting H, and the single-H-class test on each intersection C cap H."""
+    meeting H, and the single-H-class test on each intersection C cap H,
+    returned as a flag next to the eigenvalue set: whether every class of G
+    meets H in a single H-class."""
     hset = set(H.elements)
     Hgrp = H.as_group()
     values: set[int] = set()
@@ -148,8 +151,37 @@ def reference_class_formula(G: GroupHandle, H: SubgroupHandle) -> EigenvalueSet:
     t = len(values)
     return EigenvalueSet(values={v: 1 for v in sorted(values)}, residual=(1,),
                          source="class-formula", t=t,
-                         depth_bound=2 * t - 1 if restrict_one else 2 * t + 1,
-                         all_classes_restrict_to_one=restrict_one)
+                         depth_bound=2 * t - 1 if restrict_one else 2 * t + 1), restrict_one
+
+
+def reference_bipartite_diameters(M) -> tuple[int, int]:
+    """The largest finite white-white and black-black distances in the
+    bipartite inclusion graph of M, each plus one, by a breadth-first search
+    from every vertex; the rows of M are the white vertices."""
+    p, q = M.rows, M.cols
+    adj = [set() for _ in range(p + q)]
+    for i in range(p):
+        for j in range(q):
+            if M.entries[i][j]:
+                adj[i].add(p + j)
+                adj[p + j].add(i)
+
+    def bfs(start: int) -> dict[int, int]:
+        dist = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        return dist
+
+    white = max(max(d for k, d in bfs(i).items() if k < p) for i in range(p))
+    black = max(max(d for k, d in bfs(p + j).items() if k >= p) for j in range(q))
+    return white + 1, black + 1
 
 
 def pair_report(G, H, tabG=None):
@@ -302,6 +334,31 @@ def _full_axiom_check(self) -> None:
 #
 # Each check here runs over every basis element h of H, where hopfcore runs
 # over the algebra generators only; the tests require the two to agree.
+
+def reference_generators(H: HopfAlgebraData) -> list[int]:
+    """`HopfAlgebraData._generators` by its own walk: e_i joins the list when
+    it is not yet in V, the span of the left-normed products
+    (...((1 s_1) s_2)...) s_k of generators found so far, and V is closed
+    under right multiplication by every generator before the walk moves on."""
+    span = RowSpace(H.dim)
+    span.add(H.unit)
+    members = [H.unit]
+    gens: list[int] = []
+    for i in range(H.dim):
+        if span.rank == H.dim:
+            break
+        if span.contains(H.basis_vec(i)):
+            continue
+        gens.append(i)
+        work = [(m, i) for m in members]
+        while work:
+            m, s = work.pop()
+            p = H.mult_vec(m, H.basis_vec(s))
+            if span.add(p):
+                members.append(p)
+                work.extend((p, g) for g in gens)
+    return gens
+
 
 def reference_ideal(H, rows, left: bool, right: bool) -> RowSpace:
     """The span of h v k over every row v and all basis elements h and k,

@@ -1,0 +1,38 @@
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _line(wall, failed=0):
+    return {"attempted": 100, "failed": failed,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+
+
+def test_summary_of_fixed_pairs():
+    runs = {"parent": [_line(w) for w in (1.0, 2.0, 3.0, 4.0, 5.0)],
+            "change": [_line(w, failed=int(w == 1.5)) for w in (1.5, 1.0, 2.0, 4.0, 4.5)]}
+    got = _bench_pairs().summarize(runs, ["wall_s"])
+    assert got == {
+        "wall_s": {
+            # inclusive quartiles of 1..5 sit at 2 and 4; of 1, 1.5, 2, 4,
+            # 4.5 at 1.5 and 4
+            "parent": {"median": 3.0, "q1": 2.0, "q3": 4.0},
+            "change": {"median": 2.0, "q1": 1.5, "q3": 4.0},
+            "median_change_frac": -0.3333,
+            # pair by pair: 1.5 > 1, 1 < 2, 2 < 3, 4 = 4, 4.5 < 5
+            "pairs_change_lower": 3,
+            "pairs_change_higher": 1,
+            "pairs": 5,
+        },
+        "failed_operations": 1,
+        "attempted_operations": 1000,
+    }

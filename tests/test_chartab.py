@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import (conjugate, corpus_pairs_full, cyc_inner_product, group_table,
                      induce_class_function, inner_product, make_a5, make_s4, make_s5,
                      perm, reference_inclusion_matrix, reference_permutation_character)
-from subdepth.chartab import (CharacterTable, ClassFusion, _dixon_primes,
+from subdepth.chartab import (CharacterTable, ClassFusion, _dixon_prime,
                               _dixon_schneider, _modp_kernel, _modp_rref,
                               class_fusion, compute_character_table, inclusion_matrix,
                               permutation_character, table_from_json,
@@ -76,13 +76,18 @@ def test_catalog_tables_to_order_16_are_frozen():
 LARGE_TABLES_SHA256 = "1b767b0e66097bf0748ba1f60e5a4fda323cc08ebcdad6665a01d2fb52ef5cdc"
 
 
-def test_larger_tables_are_frozen():
+def _large_groups() -> list[GroupHandle]:
+    # A5, S5, PSL(2,7), S4xS4 and Q8xD8xC2
     gens = {name: list(G.generators) for name, G in catalog()}
     q8_d8 = direct_product(gens["Q8"], 8, gens["D8"], 4)
-    groups = [make_a5(), make_s5(),
-              enumerate_group([perm(7, (1, 2, 3, 4, 5, 6, 7)), perm(7, (1, 2), (3, 6))]),
-              enumerate_group(direct_product(gens["S4"], 4, gens["S4"], 4)),
-              enumerate_group(direct_product(q8_d8, 12, gens["C2"], 2))]
+    return [make_a5(), make_s5(),
+            enumerate_group([perm(7, (1, 2, 3, 4, 5, 6, 7)), perm(7, (1, 2), (3, 6))]),
+            enumerate_group(direct_product(gens["S4"], 4, gens["S4"], 4)),
+            enumerate_group(direct_product(q8_d8, 12, gens["C2"], 2))]
+
+
+def test_larger_tables_are_frozen():
+    groups = _large_groups()
     assert [(G.order, len(G.conjugacy_classes())) for G in groups] == [
         (60, 5), (120, 7), (168, 6), (576, 25), (128, 50)]
     digest = hashlib.sha256()
@@ -90,6 +95,18 @@ def test_larger_tables_are_frozen():
         digest.update(json.dumps(compute_character_table(G).to_json(),
                                  sort_keys=True).encode())
     assert digest.hexdigest() == LARGE_TABLES_SHA256
+
+
+def test_dixon_prime_is_one_mod_e_above_the_bound_and_prime_to_the_order():
+    groups = [G for _, G in corpus_groups(24)] + _large_groups()
+    for G in groups:
+        e = G.exponent()
+        p = _dixon_prime(e, G.order)
+        assert (p - 1) % e == 0 and p * p > 4 * G.order and G.order % p != 0
+        assert all(p % d for d in range(2, p))
+        # the least such prime
+        assert not any(q * q > 4 * G.order and all(q % d for d in range(2, q))
+                       for q in range(e + 1, p, e))
 
 
 def _abelian_handles():
@@ -123,7 +140,7 @@ def test_abelian_tables_equal_dixon_schneider():
     for label, G in handles:
         classes = G.conjugacy_classes()
         e = G.exponent()
-        want = _dixon_schneider(G, classes, e, next(_dixon_primes(e, G.order)))
+        want = _dixon_schneider(G, classes, e, _dixon_prime(e, G.order))
         assert compute_character_table(G).irreducibles == want, label
 
 

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from subdepth import chartab, cli
-from subdepth.chartab import DixonInternalError
 from subdepth.cli import AnalysisRequest, main, run
 from subdepth.mackey import BudgetExceededError
 
@@ -210,6 +209,22 @@ def _bad_length(data, field):
         data[field] = data[field][:-1]
 
 
+def _zeta3_at(field):
+    # a scalar of Q(zeta_3) in the first scalar slot of the field
+    def corrupt(data):
+        if field in ("mult", "comult"):
+            data[field][0][3] = "3:[0,1]"
+        elif field == "counit":
+            data[field][0] = "3:[0,1]"
+        elif field == "antipode":
+            data[field][0][0] = "3:[0,1]"
+        elif field == "unit":
+            data[field] = {"0": "3:[0,1]"}
+        else:
+            data[field]["R"][0][0] = "3:[0,1]"
+    return corrupt
+
+
 @pytest.mark.parametrize("field, corrupt", [
     ("mult", lambda data: _bad_index(data, "mult", 8)),
     ("mult", lambda data: _bad_index(data, "mult", -1)),
@@ -220,8 +235,12 @@ def _bad_length(data, field):
     ("counit", lambda data: _bad_length(data, "counit")),
     ("subalgebras", lambda data: _bad_length(data, "subalgebras")),
     ("field_order", _set("field_order", 0)),
+    *((field, _zeta3_at(field))
+      for field in ("mult", "comult", "counit", "antipode", "unit", "subalgebras")),
 ], ids=["mult-8", "mult-neg", "comult-9", "comult-neg", "unit-8",
-        "antipode-row", "counit-length", "subalgebras-row", "field-order-zero"])
+        "antipode-row", "counit-length", "subalgebras-row", "field-order-zero",
+        "mult-zeta3", "comult-zeta3", "counit-zeta3", "antipode-zeta3", "unit-zeta3",
+        "subalgebras-zeta3"])
 def test_hopf_mode_rejects_out_of_range_data(field, corrupt, tmp_path, capsys, uq2):
     H8, subs8 = uq2
     data = H8.to_json(subalgebras={"R": subs8["R2"]})
@@ -263,16 +282,26 @@ def test_hopf_mode_rejects_wrong_json_types(field, corrupt, tmp_path, capsys, uq
     assert "Traceback" not in err
 
 
+def test_hopf_mode_rejects_uq3_declared_over_q(tmp_path, capsys):
+    # the constants of uq3 lie in Q(zeta_3), not in Q
+    data = json.loads((ROOT / "tests" / "golden" / "uq3.json").read_text())
+    data["field_order"] = 1
+    path = tmp_path / "uq3.json"
+    path.write_text(json.dumps(data))
+    assert main(["hopf", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Hopf JSON field 'mult': ")
+    assert err.endswith(" does not lie in Q(zeta_1) for field_order 1\n")
+    assert "Traceback" not in err
+
+
 def test_character_table_failure_is_an_error(s2s3_file, monkeypatch, capsys):
-    # S3 is nonabelian, so its table goes through Dixon-Schneider and the
-    # loop over primes
-    def always_fails(G, classes, e, p):
-        raise DixonInternalError("eigenvector vanishes at the identity class")
-    monkeypatch.setattr(chartab, "_dixon_schneider", always_fails)
+    # S3 is nonabelian, so its table goes through Dixon-Schneider at one
+    # prime; a square root mod p that is never found fails the degree check
+    monkeypatch.setattr(chartab, "_sqrt_modp", lambda a, p: None)
     assert main(["chartab", s2s3_file]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: character table failed for 8 primes: p=")
-    assert "Traceback" not in err
+    assert err == "error: degree square root does not exist\n"
 
 
 def test_mackey_budget_is_an_error(s2s3_file, monkeypatch, capsys):

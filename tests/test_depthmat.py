@@ -3,10 +3,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (corpus_pairs_reps, evaluate_matrix, from_roots, group_table,
-                     pair_report, perm, reference_class_formula,
-                     reference_minimal_polynomial)
+                     pair_report, perm, reference_bipartite_diameters,
+                     reference_class_formula, reference_minimal_polynomial)
 from subdepth import chartab, corpus, depthmat
 from subdepth.chartab import InclusionMatrix, class_fusion, compute_character_table, inclusion_matrix
 from subdepth.corpus import analyze_pair, corpus_groups
@@ -95,6 +97,42 @@ def test_sweep_computes_one_table_per_group_and_proper_subgroup(monkeypatch):
     assert len(dixon_calls) == 17
 
 
+@st.composite
+def inclusion_matrices(draw):
+    """Nonnegative integer matrices up to 7 x 7 with no zero row or column:
+    a zero row i gets a 1 at column i mod q, then a zero column j one at row
+    j mod p."""
+    p, q = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    grid = [draw(st.lists(st.integers(0, 3), min_size=q, max_size=q)) for _ in range(p)]
+    for i, row in enumerate(grid):
+        if not any(row):
+            row[i % q] = 1
+    for j in range(q):
+        if not any(row[j] for row in grid):
+            grid[j % p][j] = 1
+    return InclusionMatrix(p, q, tuple(map(tuple, grid)))
+
+
+@given(inclusion_matrices())
+@example(InclusionMatrix(4, 4, ((0, 1, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 1, 0))))
+@example(InclusionMatrix(5, 4, ((1, 1, 0, 0), (0, 1, 0, 0), (0, 2, 0, 0),
+                                (0, 0, 1, 0), (0, 0, 1, 1))))
+@settings(max_examples=150, deadline=None)
+def test_diameters_from_the_scans_equal_the_bfs_reference(M):
+    rep = depth_report(M)
+    assert ((rep.white_diameter_plus_one, rep.black_diameter_plus_one)
+            == reference_bipartite_diameters(M))
+
+
+def test_diameters_from_the_scans_equal_the_bfs_reference_on_the_sweep():
+    pairs = [(name, G, H) for name, G in corpus_groups(24) for H in G.subgroups()]
+    assert len(pairs) == 365
+    for name, G, H in pairs:
+        rep = analyze_pair(G, H, corpus.cached_table(name, G)).depth
+        assert ((rep.white_diameter_plus_one, rep.black_diameter_plus_one)
+                == reference_bipartite_diameters(rep.M))
+
+
 def test_depth_one_gating():
     # <(12)> inside <(12)> x <(34)>: adjoint action trivial, d_0 = 1
     from subdepth.permgroup import enumerate_group
@@ -178,10 +216,8 @@ def test_class_formula_examples(s3, a5):
     es = eigenvalues_via_class_formula(s3, H)
     assert es.value_set() == {Fraction(1), Fraction(3)}
     assert es.t == 2 and es.depth_bound == 5
-    assert not es.all_classes_restrict_to_one
     whole = eigenvalues_via_class_formula(s3, s3.subgroup(s3.elements))
     assert whole.value_set() == {Fraction(1)}
-    assert whole.all_classes_restrict_to_one
     assert whole.depth_bound == 1
     A4 = a5.subgroup_generated([perm(5, (1, 2, 3)), perm(5, (1, 2), (3, 4))])
     es2 = eigenvalues_via_class_formula(a5, A4)
@@ -194,10 +230,13 @@ def test_class_formula_equals_the_element_scan_reference_on_the_sweep():
     assert len(pairs) == 365
     seen = set()
     for G, H in pairs:
-        got, want = eigenvalues_via_class_formula(G, H), reference_class_formula(G, H)
+        got = eigenvalues_via_class_formula(G, H)
+        want, restrict_one = reference_class_formula(G, H)
         assert vars(got) == vars(want)
         assert list(got.values.items()) == list(want.values.items())
-        seen.add(want.all_classes_restrict_to_one)
+        # every class of G meets H in a single H-class exactly when H = G
+        assert restrict_one == (H.order == G.order)
+        seen.add(restrict_one)
     assert seen == {True, False}
 
 

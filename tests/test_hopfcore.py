@@ -8,14 +8,15 @@ from helpers import (augmentation_core_ideal, cached_group_algebra,
                      ideal_from_span, linear_disjoint_check, perm,
                      quotient_lift, reference_idealizer, reference_ideal_flags,
                      reference_module_hom_basis, reference_q_integrals,
-                     reference_annihilator, reference_ideal,
+                     reference_annihilator, reference_generators, reference_ideal,
                      reference_quotient_verify,
                      reference_right_integrals, reference_small_quantum_group_mult,
                      reference_tensor_power_action, regular_r_module,
                      tensor_power_character, trivial_r_module, ulbrich_verify,
                      unverified_copy)
 from subdepth import hopfcore
-from subdepth.exactalg import Cyc, RowSpace
+from subdepth.corpus import catalog
+from subdepth.exactalg import Cyc, RowSpace, scalar_from_string
 from subdepth.hopfcore import (HopfAlgebraData, SubalgebraEmbedding,
                                TensorPowerModule, _apply_map, _frobenius_terms, _ideal,
                                _is_hopf_ideal, _is_two_sided, _projector,
@@ -271,6 +272,29 @@ def test_generators_span_the_algebra(name, want, request):
         words = [H.mult_vec(w, H.basis_vec(g)) for w in frontier for g in gens]
         frontier = [w for w in words if span.add(w)]
     assert span.rank == H.dim
+
+
+def test_generators_equal_the_walk_reference(uq2, uq3):
+    # kG for the catalog groups; uq2, uq3 and their R1, R2 and B
+    algebras = [cached_group_algebra(G) for _, G in catalog()]
+    for H, subs in (uq2, uq3):
+        algebras += [H] + [subs[name].as_hopf() for name in ("R1", "R2", "B")]
+    assert len(algebras) == len(catalog()) + 8
+    for H in algebras:
+        assert H.generators == reference_generators(H)
+
+
+def test_from_json_reads_a_scalar_at_its_canonical_order(uq3):
+    # a value of Q(zeta_3) written over Q(zeta_6) has canonical order 3,
+    # which divides field_order 3
+    H27, _ = uq3
+    data = H27.to_json()
+    k = next(k for k, entry in enumerate(data["mult"]) if entry[3].startswith("3:"))
+    z = scalar_from_string(data["mult"][k][3]).lift(6)
+    data["mult"][k][3] = "6:[" + ",".join(map(str, z.coeffs)) + "]"
+    assert scalar_from_string(data["mult"][k][3]).order == 6
+    H, _ = HopfAlgebraData.from_json(data)
+    assert H.mult == H27.mult
 
 
 def test_verify_group_algebra_of_s5(s5):

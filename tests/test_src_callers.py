@@ -28,7 +28,7 @@ SRC = ROOT / "src" / "subdepth"
 # ExactMatrix (a class here covers its methods), solve_kernel and rref, while
 # the benchmark's tracing names solve_kernel and rref as targets; and
 # subgroups_up_to_conjugacy, which the sweep over subgroup classes (ROADMAP
-# item 4) is to call
+# item 2) is to call
 ALLOWED = {"ExactMatrix", "solve_kernel", "rref", "subgroups_up_to_conjugacy"}
 
 
