@@ -330,11 +330,6 @@ def _full_axiom_check(self) -> None:
             raise AssertionError(f"antipode axiom fails at {i}")
 
 
-# -- all-basis references for the generator-closure checks in hopfcore --------
-#
-# Each check here runs over every basis element h of H, where hopfcore runs
-# over the algebra generators only; the tests require the two to agree.
-
 def reference_generators(H: HopfAlgebraData) -> list[int]:
     """`HopfAlgebraData._generators` by its own walk: e_i joins the list when
     it is not yet in V, the span of the left-normed products
@@ -359,6 +354,11 @@ def reference_generators(H: HopfAlgebraData) -> list[int]:
                 work.extend((p, g) for g in gens)
     return gens
 
+
+# -- all-basis references for the generator-closure checks in hopfcore --------
+#
+# Each check here runs over every basis element h of H, where hopfcore runs
+# over the algebra generators only; the tests require the two to agree.
 
 def reference_ideal(H, rows, left: bool, right: bool) -> RowSpace:
     """The span of h v k over every row v and all basis elements h and k,
