@@ -158,6 +158,30 @@ def test_cmc_relation_and_minpoly_shape(s4):
         assert rep.minpoly_C in (rep.minpoly_B, x_m)
 
 
+def _divide_by_linear(m: tuple, r: int) -> tuple:
+    """m / (X - r) by synthetic division; m(r) must be 0."""
+    acc, quotient = 0, []
+    for c in reversed(m[1:]):
+        acc = acc * r + c
+        quotient.append(acc)
+    assert acc * r + m[0] == 0
+    return tuple(reversed(quotient))
+
+
+def test_cmc_check_fails_on_a_minpoly_missing_a_linear_factor(monkeypatch, s4, a5):
+    # the index r = |G:H| is a root of minpoly(B) with an eigenvector v, and
+    # C m'(C) M^t v = r m'(r) M^t v != 0 for m' = minpoly(B) / (X - r), so
+    # the check must fire on every pair
+    A4 = a5.subgroup_generated([perm(5, (1, 2, 3)), perm(5, (1, 2), (3, 4))])
+    pairs = [(s4, H) for H in s4.subgroups()] + [(a5, A4)]
+    for G, H in pairs:
+        index = G.order // H.order
+        monkeypatch.setattr(depthmat, "minimal_polynomial",
+                            lambda A: _divide_by_linear(minimal_polynomial(A), index))
+        with pytest.raises(AssertionError, match=r"^C m\(C\) != 0 for m = minpoly\(B\)$"):
+            pair_report(G, H)
+
+
 def test_minpolys_of_b_and_c_agree_with_the_reference_on_the_catalog():
     for name, G, H in corpus_pairs_reps(12):
         M, rep = pair_report(G, H, tabG=group_table(name, G))
