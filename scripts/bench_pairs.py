@@ -14,8 +14,16 @@ in both checkouts with PYTHONDONTWRITEBYTECODE=1, for every workload W of
 BENCHMARK.json at its `run_seconds` S: PAIRS pairs per workload, the parent
 first in even pairs and the change first in odd ones.  The output holds, per
 workload and end-to-end metric, the median and inclusive quartiles of each
-side and in how many pairs the change read lower and higher.  Standard
-library only.
+side and in how many pairs the change read lower and higher.
+
+    --seed-set W@N    PAIRS more pairs of workload W with --seed N (repeatable)
+    --trace           one `--trace 1` run per side and workload, whose
+                      per-layer metrics are stored beside the pairs
+    --claim W:METRIC  the claimed gain, checked on every set of W: the change
+                      lower in at least 9 of 10 pairs, and the parent median
+                      minus the change median above the parent's quartile gap
+
+Standard library only.
 """
 
 from __future__ import annotations
@@ -49,12 +57,14 @@ def checkout(rev: str, dest: str) -> None:
         archive.extractall(dest)
 
 
-def run_once(checkout_dir: str, workload: str, seconds: int) -> dict:
+def run_once(checkout_dir: str, workload: str, seconds: int, seed: int = 1,
+             trace: int = 0) -> dict:
     """The JSON result line of one bench/run.py run; exit status 1 (failed
     operations) still has one, anything else is an error."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)],
                           cwd=checkout_dir, env=env, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"{checkout_dir}: bench/run.py --workload {workload} exited "
@@ -87,11 +97,25 @@ def summarize(runs: dict[str, list[dict]], metrics: list[str]) -> dict:
     return out
 
 
+def claim_holds(entry: dict) -> bool:
+    """Whether a summarized metric shows a gain (lower is better): the
+    change lower in at least nine tenths of the pairs, and the medians
+    further apart than the parent's quartiles."""
+    parent, change = entry["parent"], entry["change"]
+    return (10 * entry["pairs_change_lower"] >= 9 * entry["pairs"]
+            and parent["median"] - change["median"] > parent["q3"] - parent["q1"])
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
+    ap.add_argument("--seed-set", action="append", default=[], metavar="W@N",
+                    help="PAIRS more pairs of workload W at seed N")
+    ap.add_argument("--trace", action="store_true",
+                    help="one traced run per side and workload")
+    ap.add_argument("--claim", metavar="W:METRIC", help="the claimed gain")
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -112,7 +136,7 @@ def main() -> int:
             "change_src_tree": git("rev-parse", f"{revs['change']}:src"),
         },
         "method": f"python3 bench/run.py --workload W --seconds {seconds} --trace 0 "
-                  "(seed 1) with PYTHONDONTWRITEBYTECODE=1, parent and change each from "
+                  "(seed 1, or N in a set named W@seedN) with PYTHONDONTWRITEBYTECODE=1, parent and change each from "
                   "git archive into sibling directories of equal name length; "
                   f"{PAIRS} pairs per workload, pair i runs the parent first when i is "
                   "even and the change first when i is odd; median and quartiles "
@@ -120,17 +144,39 @@ def main() -> int:
         "claim": None,
         "workloads": {},
     }
+    workloads = [w["name"] for w in bench["workloads"]]
+    sets = [(w, 1) for w in workloads]
+    for spec in args.seed_set:
+        workload, _, seed = spec.partition("@")
+        sets.append((workload, int(seed)))
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {side: os.path.join(tmp, side) for side in SIDES}
         for side in SIDES:
             checkout(revs[side], dirs[side])
-        for workload in (w["name"] for w in bench["workloads"]):
+        for workload, seed in sets:
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
             for i in range(PAIRS):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    runs[side].append(run_once(dirs[side], workload, seconds))
-                print(f"{workload}: pair {i + 1} of {PAIRS}", file=sys.stderr)
-            result["workloads"][f"{workload}@seed1"] = summarize(runs, metrics)
+                    runs[side].append(run_once(dirs[side], workload, seconds, seed))
+                print(f"{workload}@seed{seed}: pair {i + 1} of {PAIRS}", file=sys.stderr)
+            result["workloads"][f"{workload}@seed{seed}"] = summarize(runs, metrics)
+        if args.trace:
+            result["method"] += (f"; one run per side and workload with --trace 1, whose "
+                                 "per-layer metrics are under 'trace'")
+            result["trace"] = {
+                f"{workload}@seed1": {
+                    side: {name: round(m["value"], 6) for name, m in
+                           run_once(dirs[side], workload, seconds, trace=1)["metrics"].items()}
+                    for side in SIDES}
+                for workload in workloads}
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        result["claim"] = {
+            "workload": workload, "metric": metric,
+            "holds": {key: claim_holds(entry[metric])
+                      for key, entry in result["workloads"].items()
+                      if key.startswith(workload + "@")},
+        }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

@@ -89,35 +89,51 @@ def direct_product(gens_a: list[Permutation], deg_a: int,
 
 
 @lru_cache(maxsize=1)
-def catalog() -> tuple[tuple[str, GroupHandle], ...]:
-    """(name, group) for every catalog group, each enumerated once."""
-    def group(name: str, degree: int, gens: list[Permutation]):
-        return name, enumerate_group(gens, degree=degree)
-
-    entries = []
-    for n in range(1, 25):
-        entries.append(group(f"C{n}", n, cyclic(n)))
-    for n in range(3, 13):
-        entries.append(group(f"D{2 * n}", n, dihedral(n)))
-    entries.append(group("S4", 4, symmetric(4)))
-    entries.append(group("A4", 4, alternating(4)))
-    entries.append(group("Q8", 8, quaternion()))
-    entries.append(group("C2xC2", 4, direct_product(cyclic(2), 2, cyclic(2), 2)))
-    entries.append(group("C2xC4", 6, direct_product(cyclic(2), 2, cyclic(4), 4)))
-    entries.append(group("C2xC2xC2", 6,
-                         direct_product(direct_product(cyclic(2), 2, cyclic(2), 2), 4,
-                                        cyclic(2), 2)))
-    entries.append(group("C2xC6", 8, direct_product(cyclic(2), 2, cyclic(6), 6)))
-    entries.append(group("C3xC3", 6, direct_product(cyclic(3), 3, cyclic(3), 3)))
-    entries.append(group("C2xD8", 6, direct_product(cyclic(2), 2, dihedral(4), 4)))
+def _entries() -> tuple[tuple[str, int, int, list[Permutation]], ...]:
+    """(name, order, degree, generators) for every catalog group."""
+    entries = [(f"C{n}", n, n, cyclic(n)) for n in range(1, 25)]
+    entries += [(f"D{2 * n}", 2 * n, n, dihedral(n)) for n in range(3, 13)]
+    entries += [
+        ("S4", 24, 4, symmetric(4)),
+        ("A4", 12, 4, alternating(4)),
+        ("Q8", 8, 8, quaternion()),
+        ("C2xC2", 4, 4, direct_product(cyclic(2), 2, cyclic(2), 2)),
+        ("C2xC4", 8, 6, direct_product(cyclic(2), 2, cyclic(4), 4)),
+        ("C2xC2xC2", 8, 6, direct_product(direct_product(cyclic(2), 2, cyclic(2), 2), 4,
+                                          cyclic(2), 2)),
+        ("C2xC6", 12, 8, direct_product(cyclic(2), 2, cyclic(6), 6)),
+        ("C3xC3", 9, 6, direct_product(cyclic(3), 3, cyclic(3), 3)),
+        ("C2xD8", 16, 6, direct_product(cyclic(2), 2, dihedral(4), 4)),
+    ]
     return tuple(entries)
+
+
+_GROUPS: dict[str, GroupHandle] = {}
+
+
+def catalog(max_order: Optional[int] = None) -> tuple[tuple[str, GroupHandle], ...]:
+    """(name, group) for every catalog group, or every one of order at most
+    max_order, in catalog order.  Each group is enumerated once, on first
+    use, and its order is checked against the stored one."""
+    out = []
+    for name, order, degree, gens in _entries():
+        if max_order is not None and order > max_order:
+            continue
+        if name not in _GROUPS:
+            G = enumerate_group(gens, degree=degree)
+            if G.order != order:
+                raise AssertionError(f"catalog group {name} has order {G.order}, "
+                                     f"not the stored {order}")
+            _GROUPS[name] = G
+        out.append((name, _GROUPS[name]))
+    return tuple(out)
 
 
 _TABLES: dict[str, CharacterTable] = {}
 
 
 def corpus_groups(max_order: int) -> list[tuple[str, GroupHandle]]:
-    return [(name, G) for name, G in catalog() if G.order <= max_order]
+    return list(catalog(max_order))
 
 
 def cached_table(name: str, G: GroupHandle) -> CharacterTable:
@@ -126,16 +142,32 @@ def cached_table(name: str, G: GroupHandle) -> CharacterTable:
     return _TABLES[name]
 
 
-def subgroups_up_to_conjugacy(G: GroupHandle) -> list[SubgroupHandle]:
-    """One representative per conjugacy class of subgroups, smallest key."""
-    seen: set[tuple] = set()
-    reps = []
-    for H in G.subgroups():
-        if H.key() in seen:
+def subgroups_up_to_conjugacy(G: GroupHandle) -> list[tuple[SubgroupHandle, list[int]]]:
+    """(representative, positions in ``G.subgroups()`` of its members) for
+    each conjugacy class of subgroups, in order of the representative, which
+    is the member of least position and so of smallest key.
+
+    A class is the orbit of a bitset under conjugation by the generators of
+    G, which reach every conjugate (see ``GroupHandle.conjugates``)."""
+    subs = G.subgroups()
+    position = {H.bits: i for i, H in enumerate(subs)}
+    actions = G.conjugation_action()
+    classes = []
+    seen: set[int] = set()
+    for i, H in enumerate(subs):
+        if i in seen:
             continue
-        seen |= G.conjugates(H).keys()
-        reps.append(H)
-    return reps
+        members = [i]
+        seen.add(i)
+        for j in members:
+            elems = [x for x in range(G.order) if subs[j].bits >> x & 1]
+            for act in actions:
+                k = position[sum(1 << act[x] for x in elems)]
+                if k not in seen:
+                    seen.add(k)
+                    members.append(k)
+        classes.append((H, sorted(members)))
+    return classes
 
 
 @dataclass
@@ -212,18 +244,29 @@ def analyze_pair(G: GroupHandle, H: SubgroupHandle,
 def run_sweep(max_order: int) -> SweepReport:
     """Depth reports for every subgroup pair of every catalog group up to the
     given order, with the class-formula eigenvalue oracle and the d_0 <= d_h
-    conjecture checked on each pair."""
+    conjecture checked on each pair.
+
+    ``analyze_pair`` runs once per conjugacy class of subgroups, with every
+    check, and each member of the class copies its representative's row.
+    The copy is exact: conjugation by g is an automorphism of G carrying H
+    to H^g.  It fixes every class and irreducible character of G and maps
+    those of H onto those of H^g, so the inclusion matrix of H^g is that of
+    H with its rows permuted, and |C cap H^g| = |C cap H| for every class C
+    of G.  Every field of a row is read from the orders, the zero patterns
+    and eigenvalues of that matrix up to the permutation, the adjoint test
+    and those class counts, so none changes."""
     rows: list[SweepRow] = []
-    violations: list[SweepRow] = []
     for name, G in corpus_groups(max_order):
-        for si, H in enumerate(G.subgroups()):
-            a = analyze_pair(G, H, cached_table(name, G))
+        tabG = cached_table(name, G)
+        group_rows: list = [None] * len(G.subgroups())
+        for H, members in subgroups_up_to_conjugacy(G):
+            a = analyze_pair(G, H, tabG)
             rep = a.depth
             conj_ok = rep.d_0 is None or rep.d_h is None or rep.d_0 <= rep.d_h
-            row = SweepRow(name, si, H.order, G.order // H.order,
-                           rep.d_0, rep.d_ev, rep.d_odd, rep.d_h,
-                           a.eigen_ok, rep.pf_check, conj_ok)
-            rows.append(row)
-            if not (a.eigen_ok and rep.pf_check and conj_ok):
-                violations.append(row)
+            for si in members:
+                group_rows[si] = SweepRow(name, si, H.order, G.order // H.order,
+                                          rep.d_0, rep.d_ev, rep.d_odd, rep.d_h,
+                                          a.eigen_ok, rep.pf_check, conj_ok)
+        rows += group_rows
+    violations = [r for r in rows if not (r.eigen_ok and r.pf_ok and r.conjecture_ok)]
     return SweepReport(max_order, rows, violations)

@@ -103,16 +103,16 @@ def _int_matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
-def _vanishes_at(poly: tuple[int, ...], A: list[list[int]]) -> bool:
-    """poly(A) = 0 for an integer polynomial and a square integer matrix A,
-    by Horner's rule."""
+def _poly_at(poly: tuple[int, ...], A: list[list[int]]) -> list[list[int]]:
+    """poly(A) for an integer polynomial and a square integer matrix A, by
+    Horner's rule."""
     n = len(A)
     acc = [[poly[-1] if i == j else 0 for j in range(n)] for i in range(n)]
     for c in reversed(poly[:-1]):
         acc = _int_matmul(acc, A)
         for i in range(n):
             acc[i][i] += c
-    return not any(map(any, acc))
+    return acc
 
 
 def _is_permutation_matrix(grid: list[list[int]]) -> bool:
@@ -140,6 +140,10 @@ def depth_report(M: InclusionMatrix,
     d_h = 2n+1 for the least n >= 1 with pattern(C^n) = pattern(C^(n+1)),
     d_0 = min(d_ev, d_odd).  Each index is searched up to
     max(rows, cols, 2) of M.
+
+    C m(C) = 0 is checked for m = minpoly(B) as M^t m(B) M, with m(B) the
+    size of B: C^(k+1) = (M^t M)^(k+1) = M^t (M M^t)^k M = M^t B^k M for
+    k >= 0, so C m(C) = sum_k m_k C^(k+1) = M^t m(B) M is the same matrix.
     """
     tags: dict[str, str] = {}
     grid = M.to_lists()
@@ -172,10 +176,11 @@ def depth_report(M: InclusionMatrix,
 
     mp_b = minimal_polynomial(B)
     mp_c = minimal_polynomial(C)
-    # C m(C) = 0 for m the minimal polynomial of B
-    x_mp_b = (0,) + mp_b
-    if not _vanishes_at(x_mp_b, C):
+    # C m(C) = 0 for m the minimal polynomial of B, evaluated as M^t m(B) M
+    # (see the docstring)
+    if any(map(any, _int_matmul(_int_matmul(grid_t, _poly_at(mp_b, B)), grid))):
         raise AssertionError("C m(C) != 0 for m = minpoly(B)")
+    x_mp_b = (0,) + mp_b
     # B and C share their nonzero eigenvalues and are diagonalizable, so
     # minpoly(C) is m, X m or, when B is singular and C is not, m / X
     mp_b_over_x = mp_b[1:] if mp_b[0] == 0 else None

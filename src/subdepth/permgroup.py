@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import mul
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .exactalg import json_int, json_kind, load_json_file
 
@@ -147,6 +148,7 @@ class GroupHandle:
         self._class_of: Optional[dict[Permutation, int]] = None
         self._subgroups: Optional[list["SubgroupHandle"]] = None
         self._double_cosets: dict = {}
+        self._columns: Optional[list[list[int]]] = None
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self._index
@@ -202,35 +204,77 @@ class GroupHandle:
     def trivial_subgroup(self) -> "SubgroupHandle":
         return SubgroupHandle(self, [self.identity])
 
+    def _cayley_columns(self) -> list[list[int]]:
+        """The Cayley table on element indices, by columns: entry [j][i] is
+        the index of elements[i] * elements[j].  Built on the first call,
+        from the right action of each generator s on the indices: column
+        j s is column j followed by that action, and every column is reached
+        from the identity (index 0, the least image array) this way."""
+        if self._columns is None:
+            actions = [[self._index[g * s] for g in self.elements]
+                       for s in self.generators]
+            cols: list = [None] * self.order
+            cols[0] = list(range(self.order))
+            frontier = [0]
+            while frontier:
+                nxt = []
+                for j in frontier:
+                    for act in actions:
+                        k = act[j]
+                        if cols[k] is None:
+                            cols[k] = [act[x] for x in cols[j]]
+                            nxt.append(k)
+                frontier = nxt
+            self._columns = cols
+        return self._columns
+
+    def conjugation_action(self) -> list[list[int]]:
+        """For each generator s, the map sending the index of x to the index
+        of s^-1 x s, read off the Cayley table."""
+        cols = self._cayley_columns()
+        out = []
+        for s in self.generators:
+            col = cols[self._index[s]]
+            inv = col.index(0)
+            out.append([col[x_col[inv]] for x_col in cols])
+        return out
+
     def subgroups(self) -> list["SubgroupHandle"]:
         """All subgroups, found by closing known subgroups S under one extra
         generator g; deterministic order (by order, then element tuple).
 
         One g per right coset S g is closed: <S, s g> = <S, g> for s in S,
-        as each contains s and hence both s g and g."""
+        as each contains s and hence both s g and g.  The search runs on the
+        Cayley table, with each subgroup held as the int bitset of its
+        element indices, and closes <S, g> one right coset of S at a time
+        (Dimino's algorithm: Butler, Fundamental Algorithms for Permutation
+        Groups, LNCS 559, 1991).  Each handle proves its closure again on
+        the table when it computes its greedy generating set."""
         if self._subgroups is None:
-            found: dict[tuple, SubgroupHandle] = {}
+            cols = self._cayley_columns()
             triv = self.trivial_subgroup()
-            found[triv.key()] = triv
+            found = {triv.bits: triv}
             frontier = [triv]
             while frontier:
                 nxt = []
                 for sub in frontier:
-                    tried = set(sub.elements)
-                    for g in self.elements:
-                        if g in tried:
+                    members = _bit_indices(sub.bits)
+                    gens = [self._index[g] for g in sub.generating_set()]
+                    tried = sub.bits
+                    for g in range(self.order):
+                        if tried >> g & 1:
                             continue
-                        tried.update(s * g for s in sub.elements)
-                        new_elems = sorted(_closure(list(sub.generating_set()) + [g],
-                                                    self.degree, cap=self.order))
-                        key = tuple(p.images for p in new_elems)
-                        if key not in found:
-                            found[key] = cand = SubgroupHandle(self, new_elems)
+                        col = cols[g]
+                        for s in members:
+                            tried |= 1 << col[s]
+                        bits = _dimino(cols, members, sub.bits, gens + [g])
+                        if bits not in found:
+                            found[bits] = cand = SubgroupHandle._on_table(
+                                self, _bit_indices(bits), bits)
                             nxt.append(cand)
                 frontier = nxt
-            self._subgroups = sorted(
-                found.values(),
-                key=lambda s: (s.order, tuple(p.images for p in s.elements)))
+            self._subgroups = sorted(found.values(),
+                                     key=lambda s: (s.order, _bit_indices(s.bits)))
         return self._subgroups
 
     def conjugates(self, sub: "SubgroupHandle") -> dict[tuple, tuple["SubgroupHandle", Permutation]]:
@@ -264,12 +308,14 @@ class GroupHandle:
 
 
 class SubgroupHandle:
-    """A verified subgroup of a parent GroupHandle."""
+    """A verified subgroup of a parent GroupHandle; ``bits`` is the int
+    bitset of its element indices in the parent."""
 
     def __init__(self, parent: GroupHandle, elements: Iterable[Permutation]):
         self.parent = parent
         elems = tuple(sorted(set(elements)))
-        if not elems or not all(e in parent for e in elems):
+        index = parent._index
+        if not elems or not all(e in index for e in elems):
             raise ValueError("subgroup elements must lie in the parent group")
         eset = set(elems)
         if parent.identity not in eset:
@@ -277,12 +323,29 @@ class SubgroupHandle:
         for a in elems:
             if a.inverse() not in eset:
                 raise ValueError("subgroup not closed under inverse")
-        self._gens = _generators_inside(elems, eset, parent.identity)
+        self._gens = _greedy_generators(elems, eset.__contains__, parent.identity, mul)
         if parent.order % len(elems) != 0:
             raise ValueError("subgroup order must divide the group order")
         self.elements = elems
         self.order = len(elems)
+        self.bits = sum(1 << index[e] for e in elems)
         self._as_group: Optional[GroupHandle] = None
+
+    @classmethod
+    def _on_table(cls, parent: GroupHandle, members: list[int], bits: int) -> "SubgroupHandle":
+        """The subgroup with the ascending element indices members and the
+        bitset bits, its closure proved on the parent's Cayley table."""
+        cols = parent._cayley_columns()
+        gens = _greedy_generators(members, lambda c: bits >> c & 1, 0,
+                                  lambda a, g: cols[g][a])
+        self = object.__new__(cls)
+        self.parent = parent
+        self.elements = tuple(parent.elements[i] for i in members)
+        self.order = len(members)
+        self.bits = bits
+        self._gens = tuple(parent.elements[i] for i in gens)
+        self._as_group = None
+        return self
 
     def key(self) -> tuple:
         return tuple(p.images for p in self.elements)
@@ -320,14 +383,15 @@ class SubgroupHandle:
         return f"SubgroupHandle(order={self.order} in {self.parent!r})"
 
 
-def _generators_inside(elems: Sequence[Permutation], eset: set[Permutation],
-                       identity: Permutation) -> tuple[Permutation, ...]:
-    """The greedy generating set of the sorted elements elems of a set S,
+def _greedy_generators(elems: Sequence, inside: Callable, one, product: Callable) -> tuple:
+    """The greedy generating set of the ascending elements elems of a set S,
     which proves S a group: each product a * g of a generated element a and
-    a generator g is formed once and must lie in S, so the generated
-    subgroup lies in S, and every element of S is generated."""
-    gens: list[Permutation] = []
-    have = {identity}
+    a generator g is formed once and must lie in S (``inside``), so the
+    generated subgroup lies in S, and every element of S is generated.  The
+    elements are permutations or indices on a Cayley table, with identity
+    one and multiplication product."""
+    gens: list = []
+    have = {one}
     for x in elems:
         if x in have:
             continue
@@ -338,15 +402,41 @@ def _generators_inside(elems: Sequence[Permutation], eset: set[Permutation],
         while pending:
             a, by = pending.pop()
             for g in by:
-                c = a * g
+                c = product(a, g)
                 if c not in have:
-                    if c not in eset:
+                    if not inside(c):
                         raise ValueError("subgroup not closed under composition")
                     have.add(c)
                     pending.append((c, gens))
-        if len(have) == len(eset):
+        if len(have) == len(elems):
             break
-    return tuple(gens) if gens else (identity,)
+    return tuple(gens) if gens else (one,)
+
+
+def _bit_indices(bits: int) -> list[int]:
+    """The positions of the set bits of bits, ascending."""
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def _dimino(cols: list[list[int]], members: list[int], bits: int, gens: list[int]) -> int:
+    """The bitset of the group generated by gens, which include generators
+    of the subgroup S with element indices members and bitset bits.
+
+    The union U of right cosets S x, starting from S, takes in the coset
+    S x t of each product x t of a coset representative x and a generator t
+    that lies outside U.  Then u t lies in U for every u = s x in U, since
+    S x t is a coset in U; so U is closed under the generators, hence the
+    generated group."""
+    reps = [0]
+    for x in reps:
+        for t in gens:
+            y = cols[t][x]
+            if not bits >> y & 1:
+                reps.append(y)
+                col = cols[y]
+                for s in members:
+                    bits |= 1 << col[s]
+    return bits
 
 
 def _closure(gens: Sequence[Permutation], degree: int, cap: int) -> set[Permutation]:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from subdepth.corpus import (analyze_pair, cached_table, corpus_groups,
+from subdepth.corpus import (SweepRow, analyze_pair, cached_table, corpus_groups,
                              subgroups_up_to_conjugacy)
 from subdepth.chartab import _int_inner, _int_rows, _weighted_conjugates
 from subdepth.depthmat import EigenvalueSet
@@ -216,9 +216,24 @@ def corpus_pairs_reps(max_order=24):
     """(name, G, H) with one subgroup per conjugacy class."""
     out = []
     for name, G in corpus_groups(max_order):
-        for H in subgroups_up_to_conjugacy(G):
+        for H, _ in subgroups_up_to_conjugacy(G):
             out.append((name, G, H))
     return out
+
+
+def reference_sweep_rows(max_order: int) -> list[SweepRow]:
+    """The rows of `run_sweep` with `analyze_pair` run on every subgroup,
+    where the sweep runs it once per conjugacy class of subgroups."""
+    rows = []
+    for name, G in corpus_groups(max_order):
+        for si, H in enumerate(G.subgroups()):
+            a = analyze_pair(G, H, cached_table(name, G))
+            rep = a.depth
+            conj_ok = rep.d_0 is None or rep.d_h is None or rep.d_0 <= rep.d_h
+            rows.append(SweepRow(name, si, H.order, G.order // H.order,
+                                 rep.d_0, rep.d_ev, rep.d_odd, rep.d_h,
+                                 a.eigen_ok, rep.pf_check, conj_ok))
+    return rows
 
 
 _GROUP_ALGEBRAS: dict[int, object] = {}

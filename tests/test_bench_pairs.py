@@ -36,3 +36,18 @@ def test_summary_of_fixed_pairs():
         "failed_operations": 1,
         "attempted_operations": 1000,
     }
+
+
+def _entry(lower, parent, change):
+    return {"parent": dict(zip(("q1", "median", "q3"), parent)),
+            "change": dict(zip(("q1", "median", "q3"), change)),
+            "pairs_change_lower": lower, "pairs": 10}
+
+
+def test_claim_needs_nine_of_ten_pairs_and_a_gap_above_the_parent_spread():
+    claim_holds = _bench_pairs().claim_holds
+    assert claim_holds(_entry(9, (1.0, 1.1, 1.2), (0.7, 0.8, 0.9)))
+    # 8 of 10 pairs lower
+    assert not claim_holds(_entry(8, (1.0, 1.1, 1.2), (0.7, 0.8, 0.9)))
+    # the medians differ by 0.1, less than the parent's quartile gap 0.2
+    assert not claim_holds(_entry(10, (1.0, 1.1, 1.2), (0.9, 1.0, 1.1)))

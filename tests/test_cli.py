@@ -9,6 +9,7 @@ import pytest
 from subdepth import chartab, cli
 from subdepth.cli import AnalysisRequest, main, run
 from subdepth.mackey import BudgetExceededError
+from subdepth.permgroup import GroupHandle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -107,6 +108,19 @@ def test_mackey_mode(s2s3_file, tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["character"] == [27, 1, 0]
     assert sum(d["multiplicity"] for d in data["summands"]) == 5
+
+
+def test_group_pair_mackey_and_hecke_build_no_cayley_table(monkeypatch, capsys):
+    # the table serves the subgroup lattice of the sweep; the pair modes
+    # never build it
+    def refuse(self):
+        raise AssertionError("Cayley table built")
+
+    monkeypatch.setattr(GroupHandle, "_cayley_columns", refuse)
+    a4_a5 = str(ROOT / "tests" / "golden" / "a4_a5.json")
+    assert main(["depth", "group", a4_a5]) == 0
+    assert main(["mackey", a4_a5, "--power", "4"]) == 0
+    assert main(["hecke", a4_a5]) == 0
 
 
 def test_hecke_mode(s2s3_file, tmp_path):

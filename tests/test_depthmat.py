@@ -90,10 +90,11 @@ def test_sweep_computes_one_table_per_group_and_proper_subgroup(monkeypatch):
     monkeypatch.setattr(corpus, "compute_character_table", counted)
     monkeypatch.setattr(chartab, "_dixon_schneider", counted_dixon)
     report = corpus.run_sweep(16)
-    # 30 group tables, and one per pair except the 30 pairs H = G
+    # 30 group tables, and one per class of subgroups except the 30 classes
+    # {G}
     assert len(report.rows) == 215
-    assert len(calls) == 215
-    # the 198 abelian tables are written down in closed form
+    assert len(calls) == 174
+    # the 157 abelian tables are written down in closed form
     assert len(dixon_calls) == 17
 
 

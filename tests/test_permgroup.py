@@ -142,11 +142,40 @@ def test_subgroup_lattice_counts(s4, a5):
     assert len(a5.subgroups()) == 59
 
 
-@pytest.mark.parametrize("name", ["S4", "A4", "D16", "Q8", "C2xD8"])
+@pytest.mark.parametrize("name", ["S4", "A4", "D16", "Q8", "C2xD8", "A5"])
 def test_subgroups_match_the_all_g_reference(name):
     # one closure per right coset finds the same subgroups in the same order
-    G = dict(corpus_groups(24))[name]
+    G = make_a5() if name == "A5" else dict(corpus_groups(24))[name]
     assert [H.key() for H in G.subgroups()] == [H.key() for H in reference_subgroups(G)]
+
+
+def test_lattice_sizes_past_the_catalog(s5):
+    psl27 = enumerate_group([perm(7, (1, 2, 3, 4, 5, 6, 7)), perm(7, (1, 2), (3, 6))])
+    assert psl27.order == 168
+    assert len(s5.subgroups()) == 156
+    assert len(psl27.subgroups()) == 179
+
+
+def test_lattice_generating_sets_match_the_permutation_route():
+    # the handles of the lattice prove closure on the Cayley table; the
+    # greedy generating set and the bitset are those of a handle built from
+    # the elements
+    for _, G in corpus_groups(24):
+        for H in G.subgroups():
+            ref = G.subgroup(H.elements)
+            assert H.generating_set() == ref.generating_set()
+            assert H.bits == ref.bits
+            assert H.bits == sum(1 << i for i, g in enumerate(G.elements) if g in ref.elements)
+
+
+@pytest.mark.parametrize("name", ["S4", "Q8", "C2xD8", "A5"])
+def test_cayley_table_and_conjugation_action_are_the_products(name):
+    G = make_a5() if name == "A5" else dict(corpus_groups(24))[name]
+    cols = G._cayley_columns()
+    for j, b in enumerate(G.elements):
+        assert [G.elements[k] for k in cols[j]] == [a * b for a in G.elements]
+    for s, act in zip(G.generators, G.conjugation_action()):
+        assert [G.elements[k] for k in act] == [a.conjugate_by(s) for a in G.elements]
 
 
 @pytest.mark.parametrize("cycles", [

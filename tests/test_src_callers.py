@@ -26,10 +26,8 @@ SRC = ROOT / "src" / "subdepth"
 
 # kept without a caller in src/, besides dunders, which Python calls:
 # ExactMatrix (a class here covers its methods), solve_kernel and rref, while
-# the benchmark's tracing names solve_kernel and rref as targets; and
-# subgroups_up_to_conjugacy, which the sweep over subgroup classes (ROADMAP
-# item 2) is to call
-ALLOWED = {"ExactMatrix", "solve_kernel", "rref", "subgroups_up_to_conjugacy"}
+# the benchmark's tracing names solve_kernel and rref as targets
+ALLOWED = {"ExactMatrix", "solve_kernel", "rref"}
 
 
 def _trees() -> dict[str, ast.Module]:
