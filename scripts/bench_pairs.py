@@ -17,8 +17,11 @@ workload and end-to-end metric, the median and inclusive quartiles of each
 side and in how many pairs the change read lower and higher.
 
     --seed-set W@N    PAIRS more pairs of workload W with --seed N (repeatable)
-    --trace           one `--trace 1` run per side and workload, whose
-                      per-layer metrics are stored beside the pairs
+    --trace [N]       N `--trace 1` runs per side and workload (3 when N is
+                      left out), alternating sides as the pairs do; the median
+                      of each per-layer metric is stored beside the pairs, and
+                      a `.calls` count that differs between the runs of one
+                      side is an error
     --claim W:METRIC  the claimed gain, checked on every set of W: the change
                       lower in at least 9 of 10 pairs, and the parent median
                       minus the change median above the parent's quartile gap
@@ -97,6 +100,19 @@ def summarize(runs: dict[str, list[dict]], metrics: list[str]) -> dict:
     return out
 
 
+def trace_medians(runs: list[dict]) -> dict:
+    """The median of each metric over the traced runs of one side, given
+    as their "metrics" objects.  Call counts do not depend on timing, so a
+    `.calls` metric that differs between the runs raises RuntimeError."""
+    out = {}
+    for name in runs[0]:
+        values = [r[name]["value"] for r in runs]
+        if name.endswith(".calls") and len(set(values)) > 1:
+            raise RuntimeError(f"{name} differs between traced runs: {values}")
+        out[name] = round(statistics.median(values), 6)
+    return out
+
+
 def claim_holds(entry: dict) -> bool:
     """Whether a summarized metric shows a gain (lower is better): the
     change lower in at least nine tenths of the pairs, and the medians
@@ -113,8 +129,8 @@ def main() -> int:
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     ap.add_argument("--seed-set", action="append", default=[], metavar="W@N",
                     help="PAIRS more pairs of workload W at seed N")
-    ap.add_argument("--trace", action="store_true",
-                    help="one traced run per side and workload")
+    ap.add_argument("--trace", type=int, nargs="?", const=3, default=0, metavar="N",
+                    help="N traced runs per side and workload (3 when N is left out)")
     ap.add_argument("--claim", metavar="W:METRIC", help="the claimed gain")
     args = ap.parse_args()
 
@@ -161,14 +177,18 @@ def main() -> int:
                 print(f"{workload}@seed{seed}: pair {i + 1} of {PAIRS}", file=sys.stderr)
             result["workloads"][f"{workload}@seed{seed}"] = summarize(runs, metrics)
         if args.trace:
-            result["method"] += (f"; one run per side and workload with --trace 1, whose "
-                                 "per-layer metrics are under 'trace'")
-            result["trace"] = {
-                f"{workload}@seed1": {
-                    side: {name: round(m["value"], 6) for name, m in
-                           run_once(dirs[side], workload, seconds, trace=1)["metrics"].items()}
-                    for side in SIDES}
-                for workload in workloads}
+            result["method"] += (f"; {args.trace} runs per side and workload with --trace 1, "
+                                 "alternating sides, whose per-layer medians are under "
+                                 "'trace'")
+            result["trace"] = {}
+            for workload in workloads:
+                traced: dict[str, list[dict]] = {side: [] for side in SIDES}
+                for i in range(args.trace):
+                    for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                        traced[side].append(
+                            run_once(dirs[side], workload, seconds, trace=1)["metrics"])
+                result["trace"][f"{workload}@seed1"] = {
+                    side: trace_medians(traced[side]) for side in SIDES}
     if args.claim:
         workload, _, metric = args.claim.partition(":")
         result["claim"] = {

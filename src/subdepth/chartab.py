@@ -119,15 +119,14 @@ def _int_rows(rows: Sequence[Sequence[Cyc]], n: int) -> tuple[list[list[tuple]],
     coordinate times one common denominator den, which is 1 when every
     value lies in Z[zeta_n]."""
     # an order-1 value r needs no lift: its sparse row is ((0, r den),)
-    coords = [[v.coeffs if v.order == 1 else v.lift(n).coeffs for v in row]
-              for row in rows]
-    den = lcm(*(c.denominator for row in coords for v in row for c in v
-                if type(c) is not int))
-    return [[_sparse(c * den for c in v) for v in row] for row in coords], den
+    vals = [[v if v.order == 1 else v.lift(n) for v in row] for row in rows]
+    den = lcm(*(v.den for row in vals for v in row))
+    return [[_sparse(x * (den // v.den) for x in v.nums) for v in row]
+            for row in vals], den
 
 
 def _sparse(coords) -> tuple:
-    return tuple((i, int(c)) for i, c in enumerate(coords) if c)
+    return tuple((i, c) for i, c in enumerate(coords) if c)
 
 
 def _reduce_powers(n: int, terms) -> list[int]:
@@ -431,8 +430,8 @@ def _linear_characters(G: GroupHandle, classes: list[ConjClass],
 def _sort_rows(rows: list[tuple[Cyc, ...]], e: int) -> list[tuple[Cyc, ...]]:
     # ordering convention: value tuples descending lexicographically with the
     # identity class compared last; reproduces the classical table layouts
-    # (trivial character first) bit-for-bit
-    rows.sort(key=lambda row: [v.lift(e).coeffs for v in row[1:] + row[:1]],
+    # (trivial character first) bit-for-bit; every value lies in Z[zeta_e]
+    rows.sort(key=lambda row: [v.lift(e).nums for v in row[1:] + row[:1]],
               reverse=True)
     return rows
 

@@ -1,11 +1,12 @@
 """Exact scalar and matrix arithmetic over Q and cyclotomic fields Q(zeta_n).
 
-Scalars are elements of Q(zeta_n) stored as rational coordinate vectors in the
-power basis of Q[x]/Phi_n(x).  Matrices and kernels are built on top, so no
-floating point ever enters.  The minimal polynomial of an integer matrix and
-its rational roots, which are integers, are computed on int lists; such a
-polynomial is a monic tuple of ints, lowest degree first.  The zero-pattern
-scans work on nonnegative integer matrices as row bitsets.
+Scalars are elements of Q(zeta_n) stored as integer coordinate vectors in the
+power basis of Q[x]/Phi_n(x) over one common denominator.  Matrices and
+kernels are built on top, so no floating point ever enters.  The minimal
+polynomial of an integer matrix and its rational roots, which are integers,
+are computed on int lists; such a polynomial is a monic tuple of ints, lowest
+degree first.  The zero-pattern scans work on nonnegative integer matrices as
+row bitsets.
 Everything here is immutable after construction and all operations are pure.
 """
 
@@ -13,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -117,31 +119,22 @@ def _xpow_table(n: int) -> tuple[tuple[int, ...], ...]:
 # CyclotomicScalar
 # ---------------------------------------------------------------------------
 
-_ONE = Fraction(1)
-
-
-def _rat(c) -> Rat:
-    """An exact rational coordinate as an int when integral, else a Fraction."""
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class Cyc:
     """An exact element of Q(zeta_n), the single scalar type for all linear
     algebra in this package.
 
-    ``order`` is n and ``coeffs`` the phi(n) rational coordinates in the
-    power basis of Q[x]/Phi_n(x), each an ``int`` when integral and a
-    ``Fraction`` otherwise.  Order-1 scalars are plain rationals.
-    Mixed-order arithmetic lifts both operands to Q(zeta_lcm) first.
-    A rational value has order 1, except as a result of ``lift``, which
-    keeps raw order-n coordinates for mixed-order arithmetic.
+    ``order`` is n, and the value is sum_i nums[i] zeta_n^i / den in the
+    power basis of Q[x]/Phi_n(x).  ``nums`` holds phi(n) ints and ``den``
+    one int >= 1 with gcd(den, *nums) = 1, so the form is unique at a given
+    order, and den = 1 exactly on Z[zeta_n] (every character value).  A
+    rational value has order 1, except as a result of ``lift``, which keeps
+    raw order-n coordinates for mixed-order arithmetic.  Mixed-order
+    arithmetic lifts both operands to Q(zeta_lcm) first.  Arithmetic runs on
+    ints only; ``coeffs`` reads the coordinates nums[i] / den, each an
+    ``int`` when integral and a ``Fraction`` otherwise.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs: Sequence[Rat]):
         if order < 1:
@@ -149,11 +142,16 @@ class Cyc:
         phi = euler_phi(order)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(coeffs)}")
-        coeffs = tuple(map(_rat, coeffs))
-        if not any(coeffs[1:]):
-            order, coeffs = 1, coeffs[:1]
+        coeffs = [c if type(c) is int or type(c) is Fraction else Fraction(c)
+                  for c in coeffs]
+        # over the lcm of the reduced denominators no prime divides them all
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        if not any(nums[1:]):
+            order, nums = 1, nums[:1]
         _set_order(self, order)
-        _set_coeffs(self, coeffs)
+        _set_nums(self, nums)
+        _set_den(self, den)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Cyc is immutable")
@@ -161,11 +159,22 @@ class Cyc:
     def __delattr__(self, *a):
         raise AttributeError("Cyc is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        """The coordinates nums[i] / den, each an int when integral and a
+        Fraction otherwise."""
+        d = self.den
+        if d == 1:
+            return self.nums
+        return tuple(x // d if x % d == 0 else Fraction(x, d) for x in self.nums)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rational(r: Rat) -> "Cyc":
-        return _cyc(1, (_rat(r),))
+        if type(r) is not int and type(r) is not Fraction:
+            r = Fraction(r)
+        return _cyc(1, (r.numerator,), r.denominator)
 
     @staticmethod
     def zero() -> "Cyc":
@@ -183,21 +192,28 @@ class Cyc:
     @staticmethod
     def from_power_sum(n: int, powers: dict[int, Rat]) -> "Cyc":
         """Sum of c * zeta_n^e over the given exponent -> coefficient map."""
-        return _cyc_q(n, _power_sum_coords(n, powers))
+        den = lcm(*(c.denominator for c in powers.values()))
+        return _cyc_q(n, _power_sum_coords(
+            n, {e: c.numerator * (den // c.denominator) for e, c in powers.items()}), den)
 
     # -- coercion ----------------------------------------------------------
 
     def lift(self, n: int) -> "Cyc":
-        """Embed into Q(zeta_n); requires order | n."""
+        """Embed into Q(zeta_n); requires order | n.
+
+        den stays: for m the order, the power basis of Z[zeta_m] is a
+        Z-basis of the ring of integers Z[zeta_n] cap Q(zeta_m), so a prime
+        dividing den and every lifted numerator would divide every numerator
+        before the lift."""
         if n == self.order:
             return self
         if n % self.order != 0:
             raise ValueError("can only lift to a multiple of the order")
         if self.order == 1:
-            return _cyc(n, self.coeffs + (0,) * (euler_phi(n) - 1))
+            return _cyc(n, self.nums + (0,) * (euler_phi(n) - 1), self.den)
         step = n // self.order
         return _cyc(n, _power_sum_coords(
-            n, {i * step: c for i, c in enumerate(self.coeffs) if c}))
+            n, {i * step: c for i, c in enumerate(self.nums) if c}), self.den)
 
     @staticmethod
     def _pair(a: "Cyc", b: "Cyc") -> tuple["Cyc", "Cyc"]:
@@ -210,77 +226,71 @@ class Cyc:
 
     def is_zero(self) -> bool:
         if self.order == 1:
-            return not self.coeffs[0]
-        return not any(self.coeffs)
+            return not self.nums[0]
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return Fraction(self.coeffs[0])
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "Cyc":
-        if type(other) is Cyc and self.order == 1 == other.order:
-            x = self.coeffs[0] + other.coeffs[0]
-            return _cyc(1, (x if type(x) is int else _rat(x),))
-        a, b = Cyc._pair(self, as_cyc(other))
-        return _cyc_q(a.order, tuple(_rat(x + y) for x, y in zip(a.coeffs, b.coeffs)))
+        if type(other) is not Cyc:
+            other = as_cyc(other)
+        if self.order == 1 == other.order and self.den == 1 == other.den:
+            return _int_cyc(self.nums[0] + other.nums[0])
+        return _linear(self, other, add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyc":
-        return _cyc(self.order, tuple(-c for c in self.coeffs))
+        return _cyc(self.order, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other) -> "Cyc":
-        if type(other) is Cyc and self.order == 1 == other.order:
-            x = self.coeffs[0] - other.coeffs[0]
-            return _cyc(1, (x if type(x) is int else _rat(x),))
-        a, b = Cyc._pair(self, as_cyc(other))
-        return _cyc_q(a.order, tuple(_rat(x - y) for x, y in zip(a.coeffs, b.coeffs)))
+        if type(other) is not Cyc:
+            other = as_cyc(other)
+        if self.order == 1 == other.order and self.den == 1 == other.den:
+            return _int_cyc(self.nums[0] - other.nums[0])
+        return _linear(self, other, sub)
 
     def __rsub__(self, other) -> "Cyc":
         return as_cyc(other) - self
 
     def __mul__(self, other) -> "Cyc":
-        if type(other) is Cyc and self.order == 1 == other.order:
-            x = self.coeffs[0] * other.coeffs[0]
-            return _cyc(1, (x if type(x) is int else _rat(x),))
-        other = as_cyc(other)
+        if type(other) is not Cyc:
+            other = as_cyc(other)
         if self.order == 1 or other.order == 1:
-            # a rational factor scales the other operand's coordinates
-            r, z = (self.coeffs[0], other) if self.order == 1 else (other.coeffs[0], self)
-            if r == 1:
+            if self.order == other.order:
+                if self.den == 1 == other.den:
+                    return _int_cyc(self.nums[0] * other.nums[0])
+                return _ratio(self.nums[0] * other.nums[0], self.den * other.den)
+            # a rational factor scales the other operand's numerators
+            r, z = (self, other) if self.order == 1 else (other, self)
+            p, q = r.nums[0], r.den
+            if p == 1 == q:
                 return z
-            return _cyc_q(z.order, tuple(_rat(r * c) for c in z.coeffs))
+            return _cyc_q(z.order, tuple(p * x for x in z.nums), q * z.den)
         a, b = Cyc._pair(self, other)
-        # multiply integer numerators over one common denominator per operand
-        xs, da = _common_denominator(a.coeffs)
-        ys, db = _common_denominator(b.coeffs)
-        phi = euler_phi(a.order)
+        # one integer convolution, then x^m -> x^m mod Phi_n for m >= phi
+        phi = len(a.nums)
         conv = [0] * (2 * phi - 1)
-        for i, x in enumerate(xs):
-            if not x:
-                continue
-            for j, y in enumerate(ys):
-                if y:
-                    conv[i + j] += x * y
+        for i, x in enumerate(a.nums):
+            if x:
+                for j, y in enumerate(b.nums, i):
+                    conv[j] += x * y
         table = _xpow_table(a.order)
-        acc = conv[:phi]
         for m in range(phi, 2 * phi - 1):
             c = conv[m]
             if c:
-                row = table[m]
-                for j in range(phi):
-                    if row[j]:
-                        acc[j] += c * row[j]
-        den = da * db
-        if den == 1:
-            return _cyc_q(a.order, tuple(acc))
-        return _cyc_q(a.order, tuple(_rat(Fraction(x, den)) for x in acc))
+                for j, t in enumerate(table[m]):
+                    if t:
+                        conv[j] += c * t
+        return _cyc_q(a.order, tuple(conv[:phi]), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -289,16 +299,18 @@ class Cyc:
             raise ZeroDivisionError("inverse of zero scalar")
         n = self.order
         if n == 1:
-            return _cyc(1, (_rat(_ONE / self.coeffs[0]),))
-        # z^-1 = r / N(z) for r the product of the Galois conjugates
-        # sigma_k(z), zeta -> zeta^k, over k in (Z/n)* other than 1; the norm
-        # N(z) = z r is rational, and nonzero as Phi_n is irreducible over Q
+            return _ratio(self.den, self.nums[0])
+        # z = w / den for w in Z[zeta_n] with coordinates nums, and
+        # z^-1 = den r / N(w) for r the product of the Galois conjugates
+        # sigma_k(w), zeta -> zeta^k, over k in (Z/n)* other than 1; the norm
+        # N(w) = w r is an integer, nonzero as Phi_n is irreducible over Q
         r = _CYC_ONE
         for k in range(2, n):
             if gcd(k, n) == 1:
                 r = r * Cyc.from_power_sum(
-                    n, {i * k % n: c for i, c in enumerate(self.coeffs) if c})
-        return r * (_ONE / (self * r).as_fraction())
+                    n, {i * k % n: c for i, c in enumerate(self.nums) if c})
+        norm = r * _cyc(n, self.nums, 1)
+        return r * _ratio(self.den, norm.nums[0])
 
     def __truediv__(self, other) -> "Cyc":
         return self * as_cyc(other).inverse()
@@ -329,81 +341,114 @@ class Cyc:
                 return self
             coords = _coords_in_subfield(self, d)
             if coords is not None:
-                return Cyc(d, coords)
+                den = lcm(*(c.den for c in coords))
+                return _cyc_q(d, tuple(c.nums[0] * (den // c.den) for c in coords),
+                              den * self.den)
         return self
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Cyc:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if self.order == 1:
+                return self.nums[0] == other.numerator and self.den == other.denominator
             other = Cyc.rational(other)
-        if not isinstance(other, Cyc):
-            return NotImplemented
         if self.order == other.order:
-            # the power-basis coordinates of a fixed order are unique
-            return self.coeffs == other.coeffs
+            # the normal form at a fixed order is unique
+            return self.nums == other.nums and self.den == other.den
         return (self - other).is_zero()
 
     def __hash__(self):
         c = self.canonical()
-        if c.order == 1:
-            return hash(c.coeffs[0])
-        return hash((c.order, c.coeffs))
+        if c.order > 1:
+            return hash((c.order, c.nums, c.den))
+        # hash(Fraction(p, q)) is hash(p * q^-1 mod P) for the prime hash
+        # modulus P (Python's rule for numeric types), unless P divides q
+        inv = pow(c.den, _HASH_MODULUS - 2, _HASH_MODULUS)
+        return hash(c.nums[0] * inv) if inv else hash(c.as_fraction())
 
     def __repr__(self):
         return f"Cyc({scalar_to_string(self)!r})"
 
 
-def _common_denominator(coeffs: tuple) -> tuple[Sequence[int], int]:
-    """(nums, den) with integers nums and coeffs[i] == nums[i] / den."""
-    den = 1
-    for c in coeffs:
-        if type(c) is not int:
-            den = lcm(den, c.denominator)
-    if den == 1:
-        return coeffs, 1
-    return [c * den if type(c) is int else c.numerator * (den // c.denominator)
-            for c in coeffs], den
-
-
 _new_cyc = object.__new__
 _set_order = Cyc.order.__set__
-_set_coeffs = Cyc.coeffs.__set__
+_set_nums = Cyc.nums.__set__
+_set_den = Cyc.den.__set__
 
 
-def _cyc(order: int, coeffs: tuple) -> Cyc:
-    # trusted constructor for arithmetic results: coeffs is already a tuple of
-    # phi(order) normalized coordinates (see _rat)
+def _cyc(order: int, nums: tuple, den: int) -> Cyc:
+    # trusted constructor for arithmetic results: nums is a tuple of phi(order)
+    # ints and den >= 1 is coprime to them
     z = _new_cyc(Cyc)
     _set_order(z, order)
-    _set_coeffs(z, coeffs)
+    _set_nums(z, nums)
+    _set_den(z, den)
     return z
 
 
-def _cyc_q(order: int, coeffs: tuple) -> Cyc:
-    # _cyc for a result that may be rational: then it drops to order 1
-    if any(coeffs[1:]):
-        return _cyc(order, coeffs)
-    return _cyc(1, coeffs[:1])
+def _int_cyc(x: int) -> Cyc:
+    # the integer x at order 1; Cyc is immutable, so the values -2 .. 2,
+    # nearly every result of elimination over Q, share one instance each
+    if -2 <= x <= 2:
+        return _SMALL_INTS[x]
+    return _cyc(1, (x,), 1)
 
 
-def _power_sum_coords(n: int, powers: dict[int, Rat]) -> tuple:
-    # the phi(n) coordinates of sum c * zeta_n^e, never dropped to order 1
+def _cyc_q(order: int, nums: tuple, den: int) -> Cyc:
+    # _cyc for nums / den in any form: divide out gcd(den, *nums), and a
+    # rational result drops to order 1
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple(x // g for x in nums)
+    if order != 1 and any(nums[1:]):
+        return _cyc(order, nums, den)
+    return _int_cyc(nums[0]) if den == 1 else _cyc(1, nums[:1], den)
+
+
+def _ratio(p: int, q: int) -> Cyc:
+    # p / q at order 1 for an int q != 0
+    if q < 0:
+        p, q = -p, -q
+    g = gcd(p, q)
+    return _cyc(1, (p // g,), q // g)
+
+
+def _linear(a: Cyc, b: Cyc, op) -> Cyc:
+    # a + b or a - b for op add or sub: numerators over a shared denominator
+    # combine directly, others cross-multiply
+    if a.order != b.order:
+        a, b = Cyc._pair(a, b)
+    da, db = a.den, b.den
+    if da == db:
+        return _cyc_q(a.order, tuple(map(op, a.nums, b.nums)), da)
+    return _cyc_q(a.order, tuple(op(x * db, y * da) for x, y in zip(a.nums, b.nums)),
+                  da * db)
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _power_sum_coords(n: int, powers: dict[int, int]) -> tuple[int, ...]:
+    # the phi(n) integer coordinates of sum c * zeta_n^e for int c, never
+    # dropped to order 1
     phi = euler_phi(n)
     table = _xpow_table(n)
     acc = [0] * phi
     for e, c in powers.items():
-        c = _rat(c)
-        if not c:
-            continue
-        row = table[e % n]
-        for j in range(phi):
-            if row[j]:
-                acc[j] += c * row[j]
-    return tuple(map(_rat, acc))
+        if c:
+            for j, t in enumerate(table[e % n]):
+                if t:
+                    acc[j] += c * t
+    return tuple(acc)
 
 
 # Cyc is immutable, so every zero() and one() can share one instance
-_CYC_ZERO = _cyc(1, (0,))
-_CYC_ONE = _cyc(1, (1,))
+_CYC_ZERO = _cyc(1, (0,), 1)
+_CYC_ONE = _cyc(1, (1,), 1)
+_SMALL_INTS = (_CYC_ZERO, _CYC_ONE) + tuple(_cyc(1, (x,), 1) for x in (2, -2, -1))
 
 
 def as_cyc(x) -> Cyc:
@@ -414,19 +459,20 @@ def as_cyc(x) -> Cyc:
     raise TypeError(f"cannot coerce {type(x).__name__} to Cyc")
 
 
-def _coords_in_subfield(z: Cyc, d: int) -> Optional[tuple[Rat, ...]]:
-    # z = sum c_i * lift(zeta_d^i): the reduced echelon form of the matrix with
-    # columns lift(zeta_d^i) and z holds the c_i in its last column; the lifted
-    # powers are independent, so z lies in Q(zeta_d) iff that column is free
+def _coords_in_subfield(z: Cyc, d: int) -> Optional[list[Cyc]]:
+    # the numerators of z are sum c_i * lift(zeta_d^i): the reduced echelon
+    # form of the matrix with columns lift(zeta_d^i) and z.nums holds the
+    # rational c_i in its last column; the lifted powers are independent, so
+    # z lies in Q(zeta_d) iff that column is free
     phi_d = euler_phi(d)
-    cols = [Cyc.root_of_unity(d, i).lift(z.order).coeffs for i in range(phi_d)]
-    cols.append(z.coeffs)
+    cols = [Cyc.root_of_unity(d, i).lift(z.order).nums for i in range(phi_d)]
+    cols.append(z.nums)
     space = RowSpace(phi_d + 1)
     for i in range(euler_phi(z.order)):
-        space.add({j: _cyc(1, (col[i],)) for j, col in enumerate(cols) if col[i]})
+        space.add({j: _cyc(1, (col[i],), 1) for j, col in enumerate(cols) if col[i]})
     if phi_d in space.pivots:
         return None
-    return tuple(space.pivots[j].get(phi_d, _CYC_ZERO).coeffs[0] for j in range(phi_d))
+    return [space.pivots[j].get(phi_d, _CYC_ZERO) for j in range(phi_d)]
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +619,7 @@ class ExactMatrix:
         return all((a - b).is_zero() for a, b in zip(self.entries, other.entries))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(e.canonical().coeffs for e in self.entries)))
+        return hash((self.rows, self.cols, self.entries))
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
@@ -706,6 +752,37 @@ def kernel_of_sparse_columns(columns: list[dict[int, Cyc]]) -> list[dict[int, Cy
         if space.rank == len(columns):
             break  # full column rank: the kernel is already zero
     return space.kernel()
+
+
+def algebra_generators(cols: Sequence[Sequence[dict]], one: dict[int, Cyc]) -> list[int]:
+    """Basis indices that generate an algebra with unit ``one``, in basis
+    order, for ``cols[g][l]`` the sparse product e_l e_g (int or Cyc
+    entries).  e_i joins the list when it is not in V, the span of the
+    left-normed products (...((1 g_1) g_2)...) g_k of the generators found
+    so far, which is ``one`` closed on the right under them; this uses the
+    products e_l e_g only, with no use of associativity."""
+    dim = len(cols)
+    span = RowSpace(dim)
+    span.add(one)
+    found = [one]                       # the vectors that enlarged V
+    gens: list[int] = []
+    for i in range(dim):
+        if span.rank == dim:
+            break
+        if span.contains({i: _CYC_ONE}):
+            continue
+        gens.append(i)
+        work = [(v, i) for v in found]
+        while work:
+            v, g = work.pop()
+            w: dict[int, Cyc] = {}      # v e_g = sum_l v_l e_l e_g
+            for l, c in v.items():
+                for k, m in cols[g][l].items():
+                    w[k] = w.get(k, _CYC_ZERO) + c * m
+            if span.add(w):
+                found.append(w)
+                work.extend((w, h) for h in gens)
+    return gens
 
 
 # ---------------------------------------------------------------------------

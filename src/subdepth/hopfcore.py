@@ -24,8 +24,10 @@ decided by exact linear algebra over Q(zeta_n), through four shared pieces:
 Every sparse vector here is zero-free: the builders and `from_json` drop
 zero structure constants, sums go through `_vadd`, products of nonzero
 scalars are nonzero, and `RowSpace` reductions and kernels drop the entries
-they cancel.  So two vectors are
-equal exactly when their dicts are, and every check compares them by ==.
+they cancel.  So two vectors are equal exactly when their dicts are, and
+every check compares them by ==.  Each scalar is a `Cyc` in normal form,
+integer numerators over one coprime denominator with rational values at
+order 1, so == on two scalars of one order compares those ints directly.
 
 Neither chain of the `hopf` report builds a tensor power.  Ann(Q^x(n+1))
 is the kernel of h -> (pi_n x pi_1) Delta(h) for the quotient maps
@@ -53,8 +55,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
-from .exactalg import (Cyc, RowSpace, json_int, json_kind, json_scalar,
-                       kernel_of_sparse_columns, scalar_to_string)
+from .exactalg import (Cyc, RowSpace, algebra_generators, json_int, json_kind,
+                       json_scalar, kernel_of_sparse_columns, scalar_to_string)
 from .permgroup import GroupHandle, SubgroupHandle
 
 Vec = dict[int, Cyc]           # sparse element of H
@@ -75,7 +77,7 @@ def _apply_map(images: Sequence[dict], v: Vec) -> dict:
     of the i-th basis element; into an empty sum a rational 1 copies images[i]."""
     out: dict = {}
     for i, c in v.items():
-        if not out and c.order == 1 and c.coeffs[0] == 1:
+        if not out and c.order == 1 and c.nums[0] == 1 == c.den:
             out = dict(images[i])
             continue
         for k, m in images[i].items():
@@ -229,18 +231,9 @@ class HopfAlgebraData:
     # -- verification ---------------------------------------------------------
 
     def _generators(self) -> list[int]:
-        """Basis indices that generate H as an algebra, in basis order: e_i
-        joins the list when it is not yet in V, the span of the left-normed
-        products (...((1 s_1) s_2)...) s_k of the generators found so far,
-        which `_ideal` builds as {1} closed on the right under
-        `self.generators`, with no use of associativity."""
-        self.generators = gens = []
-        span = _ideal(self, [self.unit], left=False, right=True)
-        for i in range(self.dim):
-            if span.rank < self.dim and not span.contains(self.basis_vec(i)):
-                gens.append(i)
-                span = _ideal(self, [self.unit], left=False, right=True)
-        return gens
+        """Basis indices that generate H as an algebra, in basis order, by
+        `exactalg.algebra_generators`, with no use of associativity."""
+        return algebra_generators(list(zip(*self.mult)), self.unit)
 
     def verify(self) -> None:
         """Prove every Hopf axiom exactly; raise AssertionError naming the

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -51,3 +53,20 @@ def test_claim_needs_nine_of_ten_pairs_and_a_gap_above_the_parent_spread():
     assert not claim_holds(_entry(8, (1.0, 1.1, 1.2), (0.7, 0.8, 0.9)))
     # the medians differ by 0.1, less than the parent's quartile gap 0.2
     assert not claim_holds(_entry(10, (1.0, 1.1, 1.2), (0.9, 1.0, 1.1)))
+
+
+def _traced(seconds, calls):
+    return {"hopfcore.verify.s": {"value": seconds, "unit": "s"},
+            "hopfcore.verify.calls": {"value": calls, "unit": "count"}}
+
+
+def test_trace_medians_take_each_metric_over_the_runs():
+    runs = [_traced(0.062, 8), _traced(0.041, 8), _traced(0.05, 8)]
+    assert _bench_pairs().trace_medians(runs) == {"hopfcore.verify.s": 0.05,
+                                                  "hopfcore.verify.calls": 8}
+
+
+def test_trace_medians_refuse_call_counts_that_differ():
+    runs = [_traced(0.04, 8), _traced(0.04, 9), _traced(0.04, 8)]
+    with pytest.raises(RuntimeError, match=r"hopfcore.verify.calls differs"):
+        _bench_pairs().trace_medians(runs)

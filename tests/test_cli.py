@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from subdepth import chartab, cli
+from subdepth import chartab, cli, mackey
 from subdepth.cli import AnalysisRequest, main, run
 from subdepth.mackey import BudgetExceededError
 from subdepth.permgroup import GroupHandle
@@ -321,7 +321,7 @@ def test_character_table_failure_is_an_error(s2s3_file, monkeypatch, capsys):
 def test_mackey_budget_is_an_error(s2s3_file, monkeypatch, capsys):
     def over_budget(G, H, n):
         raise BudgetExceededError("|H\\G/H|^(n-1) = 10 exceeds the budget 1")
-    monkeypatch.setattr(cli, "q_tensor_decomposition", over_budget)
+    monkeypatch.setattr(mackey, "q_tensor_decomposition", over_budget)
     assert main(["mackey", s2s3_file, "--power", "3"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: |H\\G/H|^(n-1) = 10 exceeds the budget")
@@ -352,6 +352,23 @@ def test_caps_only_on_the_subcommands_that_read_them():
         assert proc.returncode == 2, args
         assert "usage:" in proc.stderr and "--cap-tensor-dim" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_sweep_loads_neither_hopfcore_nor_mackey(tmp_path):
+    # the CLI imports hopfcore and mackey inside the subcommands that use them
+    code = ("import contextlib, io, sys\n"
+            "from subdepth import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = cli.main(['sweep', '--max-order', '8', '--json', {str(tmp_path / 's.json')!r}])\n"
+            "print(rc, sorted(m for m in sys.modules if m.startswith('subdepth')))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, _, loaded = proc.stdout.strip().partition(" ")
+    assert rc == "0" and "'subdepth.corpus'" in loaded
+    assert "subdepth.hopfcore" not in loaded and "subdepth.mackey" not in loaded
+    assert json.loads((tmp_path / "s.json").read_text())["rows"]
 
 
 def test_cap_order_counts_the_generators(tmp_path, capsys):

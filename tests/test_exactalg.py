@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -298,6 +299,93 @@ def test_integral_coordinates_are_ints():
     assert type((half + half).coeffs[0]) is int
     assert type((Cyc.rational(2) / 2).coeffs[0]) is int
     assert type(Cyc.rational(7).inverse().coeffs[0]) is Fraction
+
+
+# -- integer numerators over one denominator ----------------------------------
+
+def assert_normal_form(z):
+    """den >= 1 and coprime to the numerators, and order 1 exactly when z
+    is rational; a rational z compares and hashes like its Fraction."""
+    assert all(type(x) is int for x in z.nums) and type(z.den) is int
+    assert len(z.nums) == euler_phi(z.order)
+    assert z.den >= 1 and gcd(z.den, *z.nums) == 1, (z.nums, z.den)
+    assert (z.order == 1) == z.is_rational(), (z.order, z.nums)
+    if z.order == 1:
+        f = Fraction(z.nums[0], z.den)
+        assert z == f and hash(z) == hash(f) and z.as_fraction() == f
+
+
+def reference_power_sum(n, powers):
+    # sum c x^e reduced mod Phi_n by long division, over Fraction
+    phi = euler_phi(n)
+    poly = [Fraction(0)] * max(phi, max(powers, default=0) + 1)
+    for e, c in powers.items():
+        poly[e] += c
+    mod = cyclotomic_polynomial(n)
+    for m in range(len(poly) - 1, phi - 1, -1):
+        c, poly[m] = poly[m], Fraction(0)
+        for j, p in enumerate(mod[:-1]):
+            poly[m - phi + j] -= c * p
+    return poly[:phi]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_results_are_in_normal_form_and_match_the_fraction_reference(data):
+    n = data.draw(st.sampled_from(ORDERS))
+    a = data.draw(cyc_elements(orders=[n]))
+    b = data.draw(st.one_of(cyc_elements(orders=[n]), small_rationals, st.integers(-6, 6)))
+    ra, rb = a.lift(n), as_cyc(b).lift(n)
+
+    def coords(z):
+        return list(z.lift(n).coeffs)
+
+    checks = [(a * b, reference_product(ra, rb)), (b * a, reference_product(ra, rb)),
+              (a + b, [Fraction(x) + y for x, y in zip(ra.coeffs, rb.coeffs)]),
+              (a - b, [Fraction(x) - y for x, y in zip(ra.coeffs, rb.coeffs)]),
+              (b - a, [Fraction(y) - x for x, y in zip(ra.coeffs, rb.coeffs)])]
+    for z, want in checks:
+        assert_normal_form(z)
+        assert coords(z) == want
+    if not a.is_zero():
+        inv = a.inverse()
+        assert_normal_form(inv)
+        assert reference_product(inv.lift(n), ra) == [1] + [0] * (euler_phi(n) - 1)
+        q = b / a
+        assert_normal_form(q)
+        assert reference_product(q.lift(n), ra) == list(rb.coeffs)
+    powers = data.draw(st.dictionaries(st.integers(0, 2 * n), small_rationals, max_size=4))
+    z = Cyc.from_power_sum(n, powers)
+    assert_normal_form(z)
+    assert coords(z) == reference_power_sum(n, powers)
+    # lift keeps den and the coprimality, and only it may leave a rational
+    # value above order 1
+    lifted = a.lift(2 * n)
+    assert lifted.den == a.den and gcd(lifted.den, *lifted.nums) == 1
+
+
+def test_arithmetic_on_denominators_builds_no_fraction(monkeypatch):
+    za = Cyc(3, (Fraction(2, 3), Fraction(-1, 5)))
+    zb = Cyc(3, (Fraction(1, 2), Fraction(3, 4)))
+    zi = Cyc(3, (2, -1))
+    r = Cyc.rational(Fraction(-5, 6))
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    results = [za * zb, za * zi, zi * za, za * r, r * za, za * 3,
+               za + zb, za + zi, za + r, za - zb, zb - zi, za - za, za * zb - zb * za]
+    monkeypatch.undo()
+    assert built == []
+    # (10 - 3 x)/15 times (2 + 3 x)/4 is (29 + 33 x)/60 mod x^2 + x + 1
+    assert results[0].nums == (29, 33) and results[0].den == 60
+    assert [z.den for z in results[1:6]] == [15, 15, 18, 18, 5]
+    assert results[-2] == 0 and results[-1] == 0
+    assert za.coeffs == (Fraction(2, 3), Fraction(-1, 5))   # the accessor builds them
 
 
 # -- kernels ------------------------------------------------------------------

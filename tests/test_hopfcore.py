@@ -205,8 +205,8 @@ def test_apply_map_copies_a_row_at_a_unit_coefficient():
     row = {3: Cyc.root_of_unity(3), 5: Cyc.rational(Fraction(-2, 7))}
     out = _apply_map([row], {0: Cyc.one()})
     assert out == row and out is not row
-    assert [(x.order, x.coeffs) for x in out.values()] == \
-        [(x.order, x.coeffs) for x in row.values()]
+    assert [(x.order, x.nums, x.den) for x in out.values()] == \
+        [(x.order, x.nums, x.den) for x in row.values()]
     # a unit coefficient after the first term is added like any other
     two = Cyc.rational(2)
     assert _apply_map([row, {3: Cyc.one()}], {1: two, 0: Cyc.one()}) == \
