@@ -145,28 +145,18 @@ def cached_table(name: str, G: GroupHandle) -> CharacterTable:
 def subgroups_up_to_conjugacy(G: GroupHandle) -> list[tuple[SubgroupHandle, list[int]]]:
     """(representative, positions in ``G.subgroups()`` of its members) for
     each conjugacy class of subgroups, in order of the representative, which
-    is the member of least position and so of smallest key.
+    is the member of least position and so of smallest element tuple.
 
-    A class is the orbit of a bitset under conjugation by the generators of
-    G, which reach every conjugate (see ``GroupHandle.conjugates``)."""
+    A class is the orbit of bitsets that ``GroupHandle.conjugates`` walks."""
     subs = G.subgroups()
     position = {H.bits: i for i, H in enumerate(subs)}
-    actions = G.conjugation_action()
     classes = []
     seen: set[int] = set()
-    for i, H in enumerate(subs):
-        if i in seen:
-            continue
-        members = [i]
-        seen.add(i)
-        for j in members:
-            elems = [x for x in range(G.order) if subs[j].bits >> x & 1]
-            for act in actions:
-                k = position[sum(1 << act[x] for x in elems)]
-                if k not in seen:
-                    seen.add(k)
-                    members.append(k)
-        classes.append((H, sorted(members)))
+    for H in subs:
+        if H.bits not in seen:
+            orbit = G.conjugates(H)
+            seen.update(orbit)
+            classes.append((H, sorted(map(position.__getitem__, orbit))))
     return classes
 
 
@@ -218,10 +208,11 @@ def analyze_pair(G: GroupHandle, H: SubgroupHandle,
                  tabG: Optional[CharacterTable] = None) -> PairAnalysis:
     """The group-pair pipeline shared by the CLI and the sweep.
 
-    ``depth_report`` checks C m(C) = 0 and the Perron-Frobenius root; the
-    trivial-row stabilization index is checked against d_h here.  Whether the
-    class formula gives the nonzero roots of minpoly(B), with residual 1, is
-    returned as ``eigen_ok`` for the caller to act on, like ``depth.pf_check``.
+    ``depth_report`` checks m(B) = 0, hence C m(C) = 0, and the
+    Perron-Frobenius root; the trivial-row stabilization index is checked
+    against d_h here.  Whether the class formula gives the nonzero roots of
+    minpoly(B), with residual 1, is returned as ``eigen_ok`` for the caller
+    to act on, like ``depth.pf_check``.
 
     For H = G the subgroup table is ``tabG`` itself: a computed table
     depends only on the sorted element set, which H and G share.

@@ -44,13 +44,14 @@ class QSummandMultiset:
     def merged(self) -> list[tuple[SubgroupHandle, int]]:
         """Group conjugate summands; returns (representative, multiplicity)
         pairs, each representative the first summand of its class, in order
-        of first appearance."""
-        rep_of: dict[tuple, SubgroupHandle] = {}   # conjugate key -> representative
+        of first appearance.  A class is the orbit of bitsets that
+        ``GroupHandle.conjugates`` walks."""
+        rep_of: dict[int, SubgroupHandle] = {}   # conjugate bits -> representative
         mult: dict[SubgroupHandle, int] = {}
         for s, m in self.counts.items():
-            if s.key() not in rep_of:
+            if s.bits not in rep_of:
                 rep_of.update(dict.fromkeys(self.ambient.conjugates(s), s))
-            rep = rep_of[s.key()]
+            rep = rep_of[s.bits]
             mult[rep] = mult.get(rep, 0) + m
         return list(mult.items())
 
@@ -187,10 +188,9 @@ def hecke_algebra(G: GroupHandle, K: SubgroupHandle) -> HeckeAlgebra:
     """Structure constants mu_ijk = |K|^-1 |K g_i K  cap  g_k K g_j^-1 K| on
     the double-coset basis; associativity and the unit are verified on
     construction.  Both sets are unions of left K-cosets, so mu_ijk is an
-    integer."""
+    integer.  Each intersection is counted on bitsets of element indices."""
     dc = double_cosets(G, K, K)
     t = len(dc.reps)
-    coset_sets = [set(c) for c in dc.cosets]
     indices = tuple(s // K.order for s in dc.sizes)
     # right-hand sets g_k K g_j^-1 K
     kelem = list(K.elements)
@@ -199,13 +199,10 @@ def hecke_algebra(G: GroupHandle, K: SubgroupHandle) -> HeckeAlgebra:
         gk = dc.reps[k]
         for j in range(t):
             gj_inv = dc.reps[j].inverse()
-            rhs = set()
-            for k1 in kelem:
-                a = gk * k1 * gj_inv
-                for k2 in kelem:
-                    rhs.add(a * k2)
-            for i in range(t):
-                cnt, rem = divmod(len(coset_sets[i] & rhs), K.order)
+            left = [gk * k1 * gj_inv for k1 in kelem]
+            rhs = G.bitset(a * k2 for a in left for k2 in kelem)
+            for i, coset in enumerate(dc.cosets):
+                cnt, rem = divmod((coset & rhs).bit_count(), K.order)
                 if rem:
                     raise AssertionError(f"Hecke count at ({i},{j},{k}) is not a "
                                          f"multiple of |K| = {K.order}")

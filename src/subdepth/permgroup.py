@@ -9,8 +9,10 @@ tuples are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 from math import lcm
-from operator import mul
+from operator import and_, mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .exactalg import json_int, json_kind, load_json_file
@@ -149,6 +151,7 @@ class GroupHandle:
         self._subgroups: Optional[list["SubgroupHandle"]] = None
         self._double_cosets: dict = {}
         self._columns: Optional[list[list[int]]] = None
+        self._action: Optional[list[list[int]]] = None
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self._index
@@ -194,8 +197,9 @@ class GroupHandle:
         self.conjugacy_classes()
         return self._class_of[p]
 
-    def subgroup(self, elements: Iterable[Permutation]) -> "SubgroupHandle":
-        return SubgroupHandle(self, elements)
+    def bitset(self, elements: Iterable[Permutation]) -> int:
+        """The int bitset of the element indices of the distinct elements."""
+        return sum(1 << self._index[g] for g in set(elements))
 
     def subgroup_generated(self, gens: Sequence[Permutation]) -> "SubgroupHandle":
         elems = _closure(gens, self.degree, cap=self.order)
@@ -230,14 +234,12 @@ class GroupHandle:
 
     def conjugation_action(self) -> list[list[int]]:
         """For each generator s, the map sending the index of x to the index
-        of s^-1 x s, read off the Cayley table."""
-        cols = self._cayley_columns()
-        out = []
-        for s in self.generators:
-            col = cols[self._index[s]]
-            inv = col.index(0)
-            out.append([col[x_col[inv]] for x_col in cols])
-        return out
+        of s^-1 x s: n ints per generator, computed once per group without
+        the Cayley table, for the orbit walk of ``conjugates``."""
+        if self._action is None:
+            self._action = [[self._index[x.conjugate_by(s)] for x in self.elements]
+                            for s in self.generators]
+        return self._action
 
     def subgroups(self) -> list["SubgroupHandle"]:
         """All subgroups, found by closing known subgroups S under one extra
@@ -277,39 +279,40 @@ class GroupHandle:
                                      key=lambda s: (s.order, _bit_indices(s.bits)))
         return self._subgroups
 
-    def conjugates(self, sub: "SubgroupHandle") -> dict[tuple, tuple["SubgroupHandle", Permutation]]:
-        """key -> (sub^g, g) for every conjugate of sub, found breadth first
-        from (sub, 1) by conjugating with the generators of G.
+    def conjugates(self, sub: "SubgroupHandle") -> dict[int, Permutation]:
+        """bits -> g for every conjugate sub^g, as its bitset with a witness
+        g, found breadth first from (sub, 1) by conjugating with the
+        generators of G.  This is the one conjugate orbit: the classes of
+        subgroups, the core witness, the intersection chain and the Mackey
+        merge all read it.
 
         The orbit is closed at the generators only: (sub^g)^s = sub^(g s),
         and every element of the finite group G is a product of generators
         (an inverse is a positive power), so each sub^g is reached by
-        conjugating with one generator at a time."""
-        orbit = {sub.key(): (sub, self.identity)}
-        frontier = [(sub, self.identity)]
+        conjugating with one generator at a time.  A conjugate of a subgroup
+        is a subgroup, so no handle is built for it."""
+        actions = self.conjugation_action()
+        orbit = {sub.bits: self.identity}
+        frontier = [sub.bits]
         while frontier:
             nxt = []
-            for c, g in frontier:
-                for s in self.generators:
-                    cs = c.conjugate(s)
-                    if cs.key() not in orbit:
-                        orbit[cs.key()] = (cs, g * s)
-                        nxt.append((cs, g * s))
+            for bits in frontier:
+                members = _bit_indices(bits)
+                for s, act in zip(self.generators, actions):
+                    cs = sum(1 << act[x] for x in members)
+                    if cs not in orbit:
+                        orbit[cs] = orbit[bits] * s
+                        nxt.append(cs)
             frontier = nxt
         return orbit
-
-    def centralizer(self, sub: "SubgroupHandle") -> "SubgroupHandle":
-        gens = sub.generating_set()
-        elems = [g for g in self.elements if all(g * h == h * g for h in gens)]
-        return SubgroupHandle(self, elems)
 
     def __repr__(self):
         return f"GroupHandle(order={self.order}, degree={self.degree})"
 
 
 class SubgroupHandle:
-    """A verified subgroup of a parent GroupHandle; ``bits`` is the int
-    bitset of its element indices in the parent."""
+    """A verified subgroup of a parent GroupHandle; ``bits``, the int bitset
+    of its element indices in the parent, is its identity."""
 
     def __init__(self, parent: GroupHandle, elements: Iterable[Permutation]):
         self.parent = parent
@@ -328,7 +331,7 @@ class SubgroupHandle:
             raise ValueError("subgroup order must divide the group order")
         self.elements = elems
         self.order = len(elems)
-        self.bits = sum(1 << index[e] for e in elems)
+        self.bits = parent.bitset(elems)
         self._as_group: Optional[GroupHandle] = None
 
     @classmethod
@@ -346,9 +349,6 @@ class SubgroupHandle:
         self._gens = tuple(parent.elements[i] for i in gens)
         self._as_group = None
         return self
-
-    def key(self) -> tuple:
-        return tuple(p.images for p in self.elements)
 
     def __contains__(self, p: Permutation) -> bool:
         return p in set(self.elements)
@@ -374,10 +374,10 @@ class SubgroupHandle:
 
     def __eq__(self, other):
         return (isinstance(other, SubgroupHandle) and self.parent is other.parent
-                and self.elements == other.elements)
+                and self.bits == other.bits)
 
     def __hash__(self):
-        return hash((id(self.parent), self.key()))
+        return hash(self.bits)
 
     def __repr__(self):
         return f"SubgroupHandle(order={self.order} in {self.parent!r})"
@@ -415,7 +415,7 @@ def _greedy_generators(elems: Sequence, inside: Callable, one, product: Callable
 
 def _bit_indices(bits: int) -> list[int]:
     """The positions of the set bits of bits, ascending."""
-    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+    return [i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
 
 
 def _dimino(cols: list[list[int]], members: list[int], bits: int, gens: list[int]) -> int:
@@ -494,58 +494,46 @@ def core_and_witness(G: GroupHandle, H: SubgroupHandle) -> CoreWitness:
     that H^{g_1} cap ... cap H^{g_r} cap H equals the core.
 
     Search is breadth-first over r through combinations of the distinct
-    nontrivial conjugates of H, so the returned r is minimal.
+    nontrivial conjugates of H, as bitsets in the order of their element
+    tuples, so the returned r is minimal.
     """
     conjugates = G.conjugates(H)
-    del conjugates[H.key()]
-    core_elems = set(H.elements)
-    for c, _ in conjugates.values():
-        core_elems &= set(c.elements)
-    core = SubgroupHandle(G, core_elems)
-    if core.order == H.order:
-        return CoreWitness(core, ())
-    conj_list = sorted(conjugates.values(), key=lambda cg: cg[0].key())
-    from itertools import combinations
-    r = 1
+    del conjugates[H.bits]
+    core = reduce(and_, conjugates, H.bits)
+    core_sub = SubgroupHandle(G, [G.elements[i] for i in _bit_indices(core)])
+    conj_list = sorted(conjugates.items(), key=lambda cg: _bit_indices(cg[0]))
+    r = 0
     while True:
         for combo in combinations(conj_list, r):
-            cur = set(H.elements)
-            for c, _ in combo:
-                cur &= set(c.elements)
-                if len(cur) == core.order:
-                    break
-            if len(cur) == core.order:
-                return CoreWitness(core, tuple(g for _, g in combo))
+            if reduce(and_, (c for c, _ in combo), H.bits) == core:
+                return CoreWitness(core_sub, tuple(g for _, g in combo))
         r += 1
 
 
 class DoubleCosets(NamedTuple):
     reps: tuple[Permutation, ...]
-    cosets: tuple[tuple[Permutation, ...], ...]
+    cosets: tuple[int, ...]               # bitsets of element indices
     sizes: tuple[int, ...]
 
 
 def double_cosets(G: GroupHandle, K: SubgroupHandle, H: SubgroupHandle) -> DoubleCosets:
-    """The partition of G into K\\G/H double cosets, canonical-minimal reps."""
-    cache_key = ("dc", K.key(), H.key())
+    """The partition of G into K\\G/H double cosets, canonical-minimal reps,
+    each coset kept as the bitset of its element indices."""
+    cache_key = (K.bits, H.bits)
     hit = G._double_cosets.get(cache_key)
     if hit is not None:
         return hit
-    seen: set[Permutation] = set()
+    seen = 0
     reps, cosets, sizes = [], [], []
-    for g in G.elements:
-        if g in seen:
+    for i, g in enumerate(G.elements):
+        if seen >> i & 1:
             continue
-        coset = set()
-        for k in K.elements:
-            kg = k * g
-            for h in H.elements:
-                coset.add(kg * h)
-        coset_t = tuple(sorted(coset))
+        kg = [k * g for k in K.elements]
+        coset = G.bitset(x * h for x in kg for h in H.elements)
         seen |= coset
         reps.append(g)
-        cosets.append(coset_t)
-        sizes.append(len(coset_t))
+        cosets.append(coset)
+        sizes.append(coset.bit_count())
     if sum(sizes) != G.order:
         raise AssertionError("double cosets do not partition the group")
     out = DoubleCosets(tuple(reps), tuple(cosets), tuple(sizes))
@@ -555,8 +543,9 @@ def double_cosets(G: GroupHandle, K: SubgroupHandle, H: SubgroupHandle) -> Doubl
 
 @dataclass(frozen=True)
 class IntersectionChain:
-    chain: tuple[frozenset, ...]          # F_0, F_1, ... as sets of subgroup keys
-    subgroups: dict                       # key -> SubgroupHandle
+    """The chain F_0, F_1, ... of ``intersection_chain``, each F_i a set of
+    subgroup bitsets."""
+    chain: tuple[frozenset[int], ...]
     d_c_ev: int
     d_c_bracket: tuple[int, int]
     d_c_is_one: bool
@@ -570,32 +559,26 @@ def intersection_chain(G: GroupHandle, H: SubgroupHandle) -> IntersectionChain:
     ascending since x = 1 repeats a subgroup.  d_c_ev = 2n for the least n
     with F_{n-1} = F_n; the true combinatorial depth lies in
     [d_c_ev - 1, d_c_ev], and equals 1 iff G = H C_G(H).
+
+    The conjugates H^x are the bitsets of ``G.conjugates(H)``, and each
+    F cap H^x is the and of two bitsets: an intersection of subgroups is a
+    subgroup, so no handle is built for it.  |H C_G(H)| is read off the
+    bitsets as |H| |C| / |H cap C| for the centralizer C.
     """
-    conjugates = [c for c, _ in G.conjugates(H).values()]
-    subgroups = {H.key(): H}
-    chain = [frozenset([H.key()])]
+    conjugates = G.conjugates(H)
+    chain = [frozenset([H.bits])]
     while True:
         prev = chain[-1]
-        cur = set(prev)
-        for key in prev:
-            F = subgroups[key]
-            for c in conjugates:
-                inter = F.intersect(c)
-                k = inter.key()
-                if k not in subgroups:
-                    subgroups[k] = inter
-                cur.add(k)
-        cur = frozenset(cur)
+        cur = prev | {F & c for F in prev for c in conjugates}
         chain.append(cur)
         if cur == prev:
             break
     n = len(chain) - 1  # chain = F_0..F_n with F_{n-1} = F_n
     d_c_ev = 2 * n
-    cz = G.centralizer(H)
-    prods = {h * z for h in H.elements for z in cz.elements}
-    is_one = len(prods) == G.order
-    return IntersectionChain(tuple(chain), subgroups, d_c_ev,
-                             (d_c_ev - 1, d_c_ev), is_one)
+    gens = H.generating_set()
+    cz = G.bitset(g for g in G.elements if all(g * h == h * g for h in gens))
+    is_one = H.order * cz.bit_count() == G.order * (H.bits & cz).bit_count()
+    return IntersectionChain(tuple(chain), d_c_ev, (d_c_ev - 1, d_c_ev), is_one)
 
 
 def depth_one_adjoint_test(G: GroupHandle, H: SubgroupHandle) -> bool:

@@ -54,9 +54,9 @@ def reference_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
     """All subgroups of G, found by closing each known subgroup S under every
     g outside S (`GroupHandle.subgroups` closes one g per right coset S g);
     sorted by order, then element tuple."""
-    found: dict[tuple, SubgroupHandle] = {}
+    found: dict[int, SubgroupHandle] = {}
     triv = G.trivial_subgroup()
-    found[triv.key()] = triv
+    found[triv.bits] = triv
     frontier = [triv]
     while frontier:
         nxt = []
@@ -65,23 +65,23 @@ def reference_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
             for g in G.elements:
                 if g in have:
                     continue
-                new_elems = sorted(_closure(list(sub.generating_set()) + [g],
-                                            G.degree, cap=G.order))
-                key = tuple(p.images for p in new_elems)
-                if key not in found:
-                    found[key] = cand = SubgroupHandle(G, new_elems)
+                new_elems = _closure(list(sub.generating_set()) + [g],
+                                     G.degree, cap=G.order)
+                bits = G.bitset(new_elems)
+                if bits not in found:
+                    found[bits] = cand = SubgroupHandle(G, new_elems)
                     nxt.append(cand)
         frontier = nxt
-    return sorted(found.values(), key=lambda s: (s.order, s.key()))
+    return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 
-def reference_conjugates(G: GroupHandle, H: SubgroupHandle) -> dict[tuple, SubgroupHandle]:
-    """key -> H^g for every conjugate of H, found by conjugating with every g
-    in G, the reference for `GroupHandle.conjugates`."""
-    out: dict[tuple, SubgroupHandle] = {}
+def reference_conjugates(G: GroupHandle, H: SubgroupHandle) -> dict[int, SubgroupHandle]:
+    """bits -> H^g for every conjugate of H, found by conjugating with every
+    g in G, the reference for the orbit walk of `GroupHandle.conjugates`."""
+    out: dict[int, SubgroupHandle] = {}
     for g in G.elements:
         c = H.conjugate(g)
-        out.setdefault(c.key(), c)
+        out.setdefault(c.bits, c)
     return out
 
 
@@ -92,7 +92,7 @@ def reference_tensor_entries(G: GroupHandle, H: SubgroupHandle,
     cosets met along the way, the reference for the counted multiset of
     `q_tensor_decomposition`."""
     label_of = {g: idx for idx, coset in enumerate(double_cosets(G, H, H).cosets)
-                for g in coset}
+                for i, g in enumerate(G.elements) if coset >> i & 1}
     entries = [((), H)]
     for _ in range(n - 1):
         entries = [(label + (label_of[x],), K.conjugate(x).intersect(H))
@@ -100,15 +100,16 @@ def reference_tensor_entries(G: GroupHandle, H: SubgroupHandle,
     return entries
 
 
-def reference_merged(G: GroupHandle, subs) -> list[tuple[tuple, int]]:
-    """(key of the first summand of each conjugacy class, multiplicity) over
-    the summand subgroups subs, in order of first appearance."""
-    rep_of: dict[tuple, tuple] = {}
-    mult: dict[tuple, int] = {}
+def reference_merged(G: GroupHandle, subs) -> list[tuple[int, int]]:
+    """(bits of the first summand of each conjugacy class, multiplicity) over
+    the summand subgroups subs, in order of first appearance; each class is
+    found by conjugating with every g in G."""
+    rep_of: dict[int, int] = {}
+    mult: dict[int, int] = {}
     for s in subs:
-        if s.key() not in rep_of:
-            rep_of.update(dict.fromkeys(G.conjugates(s), s.key()))
-        rep = rep_of[s.key()]
+        if s.bits not in rep_of:
+            rep_of.update(dict.fromkeys(reference_conjugates(G, s), s.bits))
+        rep = rep_of[s.bits]
         mult[rep] = mult.get(rep, 0) + 1
     return list(mult.items())
 

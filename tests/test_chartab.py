@@ -16,7 +16,7 @@ from subdepth.chartab import (CharacterTable, ClassFusion, _dixon_prime,
                               tables_agree_up_to_row_permutation)
 from subdepth.corpus import catalog, corpus_groups, direct_product
 from subdepth.exactalg import Cyc, minimal_polynomial
-from subdepth.permgroup import GroupHandle, enumerate_group
+from subdepth.permgroup import GroupHandle, SubgroupHandle, enumerate_group
 
 
 def test_s3_table(s3):
@@ -60,13 +60,13 @@ def test_catalog_tables_to_order_16_are_frozen():
     seen: dict[tuple, str] = {}
     for name, G in corpus_groups(16):
         for H in G.subgroups():
-            key = (G.degree, H.key())
+            key = (G.degree, H.elements)
             if key not in seen:
                 seen[key] = table_json(H.as_group())
             digest.update(seen[key].encode())
         # a table depends only on the sorted element set: G's own table is
         # that of G as its own subgroup
-        assert table_json(G) == seen[(G.degree, G.subgroups()[-1].key())], name
+        assert table_json(G) == seen[(G.degree, G.subgroups()[-1].elements)], name
     assert digest.hexdigest() == CATALOG16_TABLES_SHA256
 
 
@@ -161,7 +161,7 @@ def test_class_fusion_examples(s3):
     fus = class_fusion(s3, H)
     fused_sizes = [s3.conjugacy_classes()[i].size for i in fus.mapping]
     assert fused_sizes == [1, 3]
-    idf = class_fusion(s3, s3.subgroup(s3.elements))
+    idf = class_fusion(s3, SubgroupHandle(s3, s3.elements))
     assert list(idf.mapping) == list(range(3))
     A3 = s3.subgroup_generated([perm(3, (1, 2, 3))])
     fus3 = class_fusion(s3, A3)
@@ -216,7 +216,7 @@ def test_inclusion_matrix_rejects_a_wrong_fusion_of_a_linear_character():
 def test_permutation_character_examples(s3):
     H = s3.subgroup_generated([perm(3, (1, 2))])
     assert permutation_character(s3, H) == (3, 1, 0)
-    assert permutation_character(s3, s3.subgroup(s3.elements)) == (1, 1, 1)
+    assert permutation_character(s3, SubgroupHandle(s3, s3.elements)) == (1, 1, 1)
     assert permutation_character(s3, s3.trivial_subgroup()) == (6, 0, 0)
 
 

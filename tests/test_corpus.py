@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import reference_sweep_rows
+from helpers import reference_conjugates, reference_sweep_rows
 from subdepth import corpus
 from subdepth.corpus import analyze_pair, catalog, corpus_groups
 
@@ -50,7 +50,7 @@ def test_sweep_analyzes_one_pair_per_class_of_subgroups(monkeypatch, max_order, 
     analyzed = []
 
     def counted(G, H, tabG=None):
-        analyzed.append((G, H.key()))
+        analyzed.append((G, H.bits))
         return analyze_pair(G, H, tabG)
 
     monkeypatch.setattr(corpus, "analyze_pair", counted)
@@ -69,11 +69,12 @@ def test_sweep_rows_equal_the_per_subgroup_reference(sweep24):
 
 def test_classes_of_subgroups_are_the_conjugate_orbits():
     # every subgroup lies in exactly one class, whose members are the
-    # conjugates of its representative
+    # conjugates of its representative by every g, found without the orbit
+    # walk of G.conjugates
     for _, G in corpus_groups(24):
         subs = G.subgroups()
         classes = corpus.subgroups_up_to_conjugacy(G)
         assert sorted(i for _, members in classes for i in members) == list(range(len(subs)))
         for H, members in classes:
             assert subs[members[0]] is H
-            assert {subs[i].key() for i in members} == G.conjugates(H).keys()
+            assert {subs[i].bits for i in members} == reference_conjugates(G, H).keys()

@@ -16,6 +16,7 @@ from subdepth.depthmat import (bipartite_dot, depth_report,
                                eigenvalues_via_class_formula,
                                ell_from_trivial_row, mckay_quiver)
 from subdepth.exactalg import ExactMatrix, factor_rational_roots, minimal_polynomial
+from subdepth.permgroup import SubgroupHandle
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -54,8 +55,8 @@ def test_d8_s4_report(s4):
 
 def test_identity_inclusion(s3):
     tab = compute_character_table(s3)
-    M = inclusion_matrix(tab, tab, class_fusion(s3, s3.subgroup(s3.elements)))
-    rep = depth_report(M, group_data=(s3, s3.subgroup(s3.elements)))
+    M = inclusion_matrix(tab, tab, class_fusion(s3, SubgroupHandle(s3, s3.elements)))
+    rep = depth_report(M, group_data=(s3, SubgroupHandle(s3, s3.elements)))
     assert rep.d_h == 1 and rep.d_0 == 1 and rep.d_odd == 1 and rep.d_ev == 2
 
 
@@ -64,7 +65,7 @@ def test_full_subgroup_pair_reuses_the_group_table(name):
     # the pair H = G takes tabG as its subgroup table; the report is the one
     # a freshly computed table of H gives
     G = dict(corpus_groups(24))[name]
-    H = G.subgroup(G.elements)
+    H = SubgroupHandle(G, G.elements)
     tabG = compute_character_table(G)
     fresh = inclusion_matrix(tabG, compute_character_table(H.as_group()),
                              class_fusion(G, H))
@@ -171,15 +172,16 @@ def _divide_by_linear(m: tuple, r: int) -> tuple:
 
 def test_cmc_check_fails_on_a_minpoly_missing_a_linear_factor(monkeypatch, s4, a5):
     # the index r = |G:H| is a root of minpoly(B) with an eigenvector v, and
-    # C m'(C) M^t v = r m'(r) M^t v != 0 for m' = minpoly(B) / (X - r), so
-    # the check must fire on every pair
+    # m'(B) v = m'(r) v != 0 for m' = minpoly(B) / (X - r), as the roots of
+    # the minimal polynomial of the symmetric B are simple, so the check
+    # must fire on every pair
     A4 = a5.subgroup_generated([perm(5, (1, 2, 3)), perm(5, (1, 2), (3, 4))])
     pairs = [(s4, H) for H in s4.subgroups()] + [(a5, A4)]
     for G, H in pairs:
         index = G.order // H.order
         monkeypatch.setattr(depthmat, "minimal_polynomial",
                             lambda A: _divide_by_linear(minimal_polynomial(A), index))
-        with pytest.raises(AssertionError, match=r"^C m\(C\) != 0 for m = minpoly\(B\)$"):
+        with pytest.raises(AssertionError, match=r"^m\(B\) != 0 for m = minpoly\(B\)$"):
             pair_report(G, H)
 
 
@@ -241,7 +243,7 @@ def test_class_formula_examples(s3, a5):
     es = eigenvalues_via_class_formula(s3, H)
     assert es.value_set() == {Fraction(1), Fraction(3)}
     assert es.t == 2 and es.depth_bound == 5
-    whole = eigenvalues_via_class_formula(s3, s3.subgroup(s3.elements))
+    whole = eigenvalues_via_class_formula(s3, SubgroupHandle(s3, s3.elements))
     assert whole.value_set() == {Fraction(1)}
     assert whole.depth_bound == 1
     A4 = a5.subgroup_generated([perm(5, (1, 2, 3)), perm(5, (1, 2), (3, 4))])
@@ -333,7 +335,7 @@ def test_bipartite_dot_s2_s3(s3):
 
 def test_bipartite_dot_identity_is_matching(s3):
     tab = compute_character_table(s3)
-    M = inclusion_matrix(tab, tab, class_fusion(s3, s3.subgroup(s3.elements)))
+    M = inclusion_matrix(tab, tab, class_fusion(s3, SubgroupHandle(s3, s3.elements)))
     dot = bipartite_dot(M)
     assert dot.count(" -- ") == 3
 

@@ -14,7 +14,7 @@ from subdepth.exactalg import Cyc
 from subdepth.mackey import (BudgetExceededError, combinatorial_bound_check,
                              core_depth_bound, hecke_algebra, mackey_restrict,
                              q_tensor_decomposition, tensor_summand_count)
-from subdepth.permgroup import double_cosets
+from subdepth.permgroup import SubgroupHandle, double_cosets
 
 
 def summand_orders(ms):
@@ -120,7 +120,7 @@ def test_budget_judges_a_huge_power_at_a_small_one(monkeypatch):
     with pytest.raises(BudgetExceededError):
         q_tensor_decomposition(G, H, 10 ** 9)
     assert powers == [21]  # (10^6).bit_length() + 1
-    whole = G.subgroup(G.elements)
+    whole = SubgroupHandle(G, G.elements)
     assert q_tensor_decomposition(G, whole, 40).counts == {whole: 1}
 
 
@@ -135,22 +135,22 @@ def test_whole_group_power_stops_at_a_fixed_point(monkeypatch, a5):
         return double_cosets(G, K, H)
 
     monkeypatch.setattr(mackey, "double_cosets", counted)
-    whole = a5.subgroup(a5.elements)
+    whole = SubgroupHandle(a5, a5.elements)
     assert q_tensor_decomposition(a5, whole, 10 ** 6).counts == {whole: 1}
 
 
 def assert_matches_the_flat_expansion(G, H, n, pcs):
     """merged() and character() of the counted multiset against the labelled
-    one-entry-per-summand expansion; pcs caches reference characters by key.
+    one-entry-per-summand expansion; pcs caches reference characters by bits.
     Returns the number of summands."""
     ms = q_tensor_decomposition(G, H, n)
     subs = [S for _, S in reference_tensor_entries(G, H, n)]
-    assert [(rep.key(), m) for rep, m in ms.merged()] == reference_merged(G, subs)
+    assert [(rep.bits, m) for rep, m in ms.merged()] == reference_merged(G, subs)
     acc = [0] * len(G.conjugacy_classes())
     for S in subs:
-        if S.key() not in pcs:
-            pcs[S.key()] = reference_permutation_character(G, S)
-        acc = [a + v for a, v in zip(acc, pcs[S.key()])]
+        if S.bits not in pcs:
+            pcs[S.bits] = reference_permutation_character(G, S)
+        acc = [a + v for a, v in zip(acc, pcs[S.bits])]
     assert ms.character() == tuple(acc)
     return len(subs)
 
@@ -174,7 +174,7 @@ def test_counts_match_the_flat_expansion_on_group_pairs():
 
 def test_mackey_restrict_examples(s3):
     H = s3.subgroup_generated([perm(3, (1, 2))])
-    full = mackey_restrict(s3, s3.subgroup(s3.elements), H)
+    full = mackey_restrict(s3, SubgroupHandle(s3, s3.elements), H)
     assert full.counts == {H: 1}
     A3 = s3.subgroup_generated([perm(3, (1, 2, 3))])
     normal = mackey_restrict(s3, A3, A3)
@@ -204,7 +204,7 @@ def test_restriction_counts_match_the_flat_list(s4):
         for H in subs[::4]:
             flat = [K.conjugate(x).intersect(H) for x in double_cosets(s4, K, H).reps]
             ms = mackey_restrict(s4, K, H)
-            assert [(rep.key(), m) for rep, m in ms.merged()] == \
+            assert [(rep.bits, m) for rep, m in ms.merged()] == \
                 reference_merged(s4, flat)
 
 
@@ -213,7 +213,7 @@ def test_transitivity_of_induction(s4):
     R = s4.subgroup_generated([perm(4, (1, 2)), perm(4, (1, 2, 3))])
     K = R.parent.subgroup_generated([perm(4, (1, 2))])
     Rgrp = R.as_group()
-    Kin = Rgrp.subgroup(K.elements)
+    Kin = SubgroupHandle(Rgrp, K.elements)
     inner = permutation_character(Rgrp, Kin)
     lifted = induce_class_function(s4, R, [Cyc.rational(v) for v in inner])
     outer = permutation_character(s4, K)
@@ -244,7 +244,7 @@ def test_hecke_s2_s3(s3):
 
 
 def test_hecke_whole_group(s3):
-    hk = hecke_algebra(s3, s3.subgroup(s3.elements))
+    hk = hecke_algebra(s3, SubgroupHandle(s3, s3.elements))
     assert hk.dimension == 1
     assert hk.mu[0][0] == {0: Fraction(1)}
 

@@ -3,13 +3,17 @@
 Every function, class and method defined there has a caller in `src/` or is
 a target of the benchmark's per-layer tracing.  The scan is by name:
 
-- a module-level function counts as called when its name appears under
-  `src/` as a bare name or in an import, other than its own definition; an
-  attribute such as `G.conjugacy_classes()` may name a method of the same
-  name, so it does not count for the function;
-- a class or a method counts as called when its name appears as a name, an
-  attribute or an import, so two methods that share a name cannot be told
-  apart (a reference to one counts for both);
+- a module-level function, or a function nested in a function or method,
+  counts as called when its name appears under `src/` as a bare name or in
+  an import, other than its own definition; an attribute such as
+  `G.conjugacy_classes()` may name a method of the same name, so it does not
+  count for the function;
+- a method counts as called when its name appears as an attribute or an
+  import: a bare name, such as the field `subgroup` of a dataclass, does not
+  count for it.  Two methods that share a name cannot be told apart (a
+  reference to one counts for both);
+- a class counts as called when its name appears as a name, an attribute or
+  an import;
 - a tracing target exempts only the definition it names, a module-level
   function or a method of the named class;
 - a function that only calls itself counts as called.
@@ -47,47 +51,48 @@ def _tracing_targets() -> set[tuple]:
 
 
 def _definitions(tree: ast.Module):
-    """(name, enclosing class or None, node) for every def and class."""
-    def walk(node, owner):
+    """(name, enclosing class or None, node, whether a method) for every def
+    and class; a method is a def directly in a class body."""
+    def walk(node, owner, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield child.name, owner, child
-                yield from walk(child, child.name if isinstance(child, ast.ClassDef)
-                                else owner)
+                is_class = isinstance(child, ast.ClassDef)
+                yield child.name, owner, child, in_class and not is_class
+                yield from walk(child, child.name if is_class else owner, is_class)
             else:
-                yield from walk(child, owner)
-    yield from walk(tree, None)
+                yield from walk(child, owner, in_class)
+    yield from walk(tree, None, False)
 
 
-def _references(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """(bare names and imported names, attribute names)."""
-    names, attrs = set(), set()
+def _references(tree: ast.Module) -> tuple[set[str], set[str], set[str]]:
+    """(bare names, imported names, attribute names)."""
+    names, imports, attrs = set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             attrs.add(node.attr)
         elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
-    return names, attrs
+            imports.add(node.name.rpartition(".")[2])
+    return names, imports, attrs
 
 
 def test_every_src_definition_has_a_caller():
-    trees = _trees()
-    refs = [_references(t) for t in trees.values()]
-    names = set().union(*(n for n, _ in refs))
-    attrs = set().union(*(a for _, a in refs))
+    names, imports, attrs = (set().union(*refs) for refs in
+                             zip(*map(_references, _trees().values())))
     traced = _tracing_targets()
 
-    def called(name, owner, node):
-        if owner is None and not isinstance(node, ast.ClassDef):
-            return name in names
-        return name in names or name in attrs
+    def called(name, node, is_method):
+        if isinstance(node, ast.ClassDef):
+            return name in names or name in imports or name in attrs
+        if is_method:
+            return name in attrs or name in imports
+        return name in names or name in imports
 
     orphans = [f"{module}:{node.lineno} {name}"
-               for module, tree in trees.items()
-               for name, owner, node in _definitions(tree)
-               if not called(name, owner, node) and name not in ALLOWED
+               for module, tree in _trees().items()
+               for name, owner, node, is_method in _definitions(tree)
+               if not called(name, node, is_method) and name not in ALLOWED
                and (owner, name) not in traced and owner not in ALLOWED
                and not (name.startswith("__") and name.endswith("__"))]
     assert orphans == [], "defined in src/ but never called there: " + ", ".join(orphans)
