@@ -14,7 +14,8 @@ in both checkouts with PYTHONDONTWRITEBYTECODE=1, for every workload W of
 BENCHMARK.json at its `run_seconds` S: PAIRS pairs per workload, the parent
 first in even pairs and the change first in odd ones.  The output holds, per
 workload and end-to-end metric, the median and inclusive quartiles of each
-side and in how many pairs the change read lower and higher.
+side, in how many pairs the change read lower and higher, and the
+[parent, change] values of every pair.
 
     --seed-set W@N    PAIRS more pairs of workload W with --seed N (repeatable)
     --trace [N]       N `--trace 1` runs per side and workload (3 when N is
@@ -94,6 +95,7 @@ def summarize(runs: dict[str, list[dict]], metrics: list[str]) -> dict:
             "pairs_change_lower": sum(c < p for p, c in zip(before, after)),
             "pairs_change_higher": sum(c > p for p, c in zip(before, after)),
             "pairs": len(before),
+            "pair_values": [[p, c] for p, c in zip(before, after)],
         }
     out["failed_operations"] = sum(r["failed"] for side in SIDES for r in runs[side])
     out["attempted_operations"] = sum(r["attempted"] for side in SIDES for r in runs[side])

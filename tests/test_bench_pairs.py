@@ -34,6 +34,7 @@ def test_summary_of_fixed_pairs():
             "pairs_change_lower": 3,
             "pairs_change_higher": 1,
             "pairs": 5,
+            "pair_values": [[1.0, 1.5], [2.0, 1.0], [3.0, 2.0], [4.0, 4.0], [5.0, 4.5]],
         },
         "failed_operations": 1,
         "attempted_operations": 1000,
