@@ -29,7 +29,7 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .exactalg import (Cyc, _divisors, _is_prime, _polyeval, _xpow_table,
+from .exactalg import (Cyc, _divisors, _is_prime, _polyeval, _power_sum_coords,
                        euler_phi, json_int, json_kind, json_scalar, load_json_file,
                        minimal_polynomial, scalar_to_string)
 from .permgroup import (ConjClass, GroupHandle, SubgroupHandle,
@@ -129,34 +129,21 @@ def _sparse(coords) -> tuple:
     return tuple((i, c) for i, c in enumerate(coords) if c)
 
 
-def _reduce_powers(n: int, terms) -> list[int]:
-    """The coordinates of sum c * zeta_n^m over (m, c) terms, reduced
-    modulo Phi_n; each m must be below len(_xpow_table(n))."""
-    table = _xpow_table(n)
-    acc = [0] * euler_phi(n)
-    for m, c in terms:
-        if c:
-            for j, t in enumerate(table[m]):
-                if t:
-                    acc[j] += c * t
-    return acc
-
-
 def _lift_coords(row: list[tuple], m: int, n: int) -> list[tuple]:
     """A coordinate row over Z[zeta_m] rewritten over Z[zeta_n], m | n."""
     if m == n:
         return row
     step = n // m
-    return [_sparse(_reduce_powers(n, ((i * step, c) for i, c in v))) for v in row]
+    return [_sparse(_power_sum_coords(n, ((i * step, c) for i, c in v))) for v in row]
 
 
 def _weighted_conjugates(row: list[tuple], sizes: Sequence[int], n: int) -> list[tuple]:
     """|C| conj(x_C) for each class C, where conj is zeta_n -> zeta_n^-1."""
-    return [_sparse(_reduce_powers(n, (((n - i) % n, s * c) for i, c in v)))
+    return [_sparse(_power_sum_coords(n, ((-i, s * c) for i, c in v)))
             for v, s in zip(row, sizes)]
 
 
-def _int_inner(n: int, xs: list[tuple], ws: list[tuple]) -> list[int]:
+def _int_inner(n: int, xs: list[tuple], ws: list[tuple]) -> tuple[int, ...]:
     """Integer coordinates of sum_C x_C w_C in Z[zeta_n]: the product
     polynomials are added up unreduced, then reduced once modulo Phi_n."""
     acc = [0] * (2 * euler_phi(n) - 1)
@@ -164,7 +151,7 @@ def _int_inner(n: int, xs: list[tuple], ws: list[tuple]) -> list[int]:
         for i, a in x:
             for j, b in w:
                 acc[i + j] += a * b
-    return _reduce_powers(n, enumerate(acc))
+    return _power_sum_coords(n, enumerate(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +446,8 @@ class ClassFusion:
 
 
 def class_fusion(G: GroupHandle, H: SubgroupHandle) -> ClassFusion:
-    tab_h_classes = H.as_group().conjugacy_classes()
-    mapping = []
-    for cls in tab_h_classes:
-        mapping.append(G.class_index(cls.rep))
-    return ClassFusion(tuple(mapping))
+    return ClassFusion(tuple(G.class_index(cls.rep)
+                             for cls in H.as_group().conjugacy_classes()))
 
 
 @dataclass(frozen=True)
@@ -541,10 +525,10 @@ def inclusion_matrix(tabG: CharacterTable, tabH: CharacterTable,
 
 def permutation_character(G: GroupHandle, H: SubgroupHandle) -> tuple[int, ...]:
     """Character of the right coset module: its value at a class C is the
-    number of right cosets Hx fixed by C, which is |G:H| |C cap H| / |C|."""
-    hset = set(H.elements)
+    number of right cosets Hx fixed by C, which is |G:H| |C cap H| / |C|,
+    with |C cap H| read off the class and subgroup bitsets."""
     index = G.order // H.order
-    return tuple(index * sum(g in hset for g in cls.elements) // cls.size
+    return tuple(index * (cls.bits & H.bits).bit_count() // cls.size
                  for cls in G.conjugacy_classes())
 
 

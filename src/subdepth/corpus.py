@@ -209,10 +209,11 @@ def analyze_pair(G: GroupHandle, H: SubgroupHandle,
     """The group-pair pipeline shared by the CLI and the sweep.
 
     ``depth_report`` checks m(B) = 0, hence C m(C) = 0, and the
-    Perron-Frobenius root; the trivial-row stabilization index is checked
-    against d_h here.  Whether the class formula gives the nonzero roots of
-    minpoly(B), with residual 1, is returned as ``eigen_ok`` for the caller
-    to act on, like ``depth.pf_check``.
+    Perron-Frobenius root; d_h = 2 d(Q) + 1 (Kadison, JPAA 218, 2014) is
+    checked here, d(Q) the trivial-row stabilization index (0 for H = G).
+    Whether the class formula gives the nonzero roots of minpoly(B), with
+    residual 1, is returned as ``eigen_ok`` for the caller to act on, like
+    ``depth.pf_check``.
 
     For H = G the subgroup table is ``tabG`` itself: a computed table
     depends only on the sorted element set, which H and G share.
@@ -222,8 +223,9 @@ def analyze_pair(G: GroupHandle, H: SubgroupHandle,
     tabH = tabG if H.order == G.order else compute_character_table(H.as_group())
     M = inclusion_matrix(tabG, tabH, class_fusion(G, H))
     rep = depth_report(M, group_data=(G, H))
-    ell = ell_from_trivial_row(rep.C, tabG.trivial_index())
-    if not (rep.d_h == 1 or rep.d_h == 2 * ell + 1):
+    d_q = (0 if H.order == G.order
+           else ell_from_trivial_row(rep.C, tabG.trivial_index()))
+    if rep.d_h != 2 * d_q + 1:
         raise AssertionError("trivial-row stabilization disagrees with the pattern h-depth")
     es = eigenvalues_via_class_formula(G, H)
     nonzero_roots = {v for v in rep.eigen_B.values if v != 0}

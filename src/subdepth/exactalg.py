@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -194,7 +194,7 @@ class Cyc:
         """Sum of c * zeta_n^e over the given exponent -> coefficient map."""
         den = lcm(*(c.denominator for c in powers.values()))
         return _cyc_q(n, _power_sum_coords(
-            n, {e: c.numerator * (den // c.denominator) for e, c in powers.items()}), den)
+            n, ((e, c.numerator * (den // c.denominator)) for e, c in powers.items())), den)
 
     # -- coercion ----------------------------------------------------------
 
@@ -213,7 +213,7 @@ class Cyc:
             return _cyc(n, self.nums + (0,) * (euler_phi(n) - 1), self.den)
         step = n // self.order
         return _cyc(n, _power_sum_coords(
-            n, {i * step: c for i, c in enumerate(self.nums) if c}), self.den)
+            n, ((i * step, c) for i, c in enumerate(self.nums))), self.den)
 
     @staticmethod
     def _pair(a: "Cyc", b: "Cyc") -> tuple["Cyc", "Cyc"]:
@@ -431,13 +431,12 @@ def _linear(a: Cyc, b: Cyc, op) -> Cyc:
 _HASH_MODULUS = sys.hash_info.modulus
 
 
-def _power_sum_coords(n: int, powers: dict[int, int]) -> tuple[int, ...]:
-    # the phi(n) integer coordinates of sum c * zeta_n^e for int c, never
-    # dropped to order 1
-    phi = euler_phi(n)
+def _power_sum_coords(n: int, terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    # the phi(n) integer coordinates of sum c * zeta_n^e over the (e, c)
+    # terms, int c, reduced modulo Phi_n and never dropped to order 1
     table = _xpow_table(n)
-    acc = [0] * phi
-    for e, c in powers.items():
+    acc = [0] * euler_phi(n)
+    for e, c in terms:
         if c:
             for j, t in enumerate(table[e % n]):
                 if t:

@@ -57,7 +57,7 @@ from typing import Optional, Sequence
 
 from .exactalg import (Cyc, RowSpace, algebra_generators, json_int, json_kind,
                        json_scalar, kernel_of_sparse_columns, scalar_to_string)
-from .permgroup import GroupHandle, SubgroupHandle
+from .permgroup import GroupHandle, SubgroupHandle, _bit_indices
 
 Vec = dict[int, Cyc]           # sparse element of H
 TVec = dict[tuple, Cyc]        # sparse element of a tensor power of H
@@ -429,8 +429,7 @@ def build_group_algebra(G: GroupHandle) -> HopfAlgebraData:
 
 def subgroup_embedding(H: HopfAlgebraData, G: GroupHandle,
                        S: SubgroupHandle) -> "SubalgebraEmbedding":
-    idx = {g: i for i, g in enumerate(G.elements)}
-    rows = [{idx[s]: Cyc.one()} for s in S.elements]
+    rows = [{i: Cyc.one()} for i in _bit_indices(G.bitset(S.elements))]
     return SubalgebraEmbedding(H, rows)
 
 

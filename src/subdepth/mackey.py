@@ -57,27 +57,23 @@ class QSummandMultiset:
 
     def to_json(self, merged: list[tuple[SubgroupHandle, int]]) -> list[dict]:
         """The summands of ``merged``, which is ``self.merged()``, as JSON."""
-        out = []
-        for rep, mult in merged:
-            gens = rep.generating_set()
-            out.append({
-                "subgroup_generators": [list(p.images) for p in gens],
-                "multiplicity": mult,
-                "index": self.ambient.order // rep.order,
-            })
-        return out
+        return [{"subgroup_generators": [list(p.images) for p in rep.generating_set()],
+                 "multiplicity": mult,
+                 "index": self.ambient.order // rep.order}
+                for rep, mult in merged]
 
 
 def _mackey_step(G: GroupHandle, counts: dict[SubgroupHandle, int],
                  H: SubgroupHandle) -> dict[SubgroupHandle, int]:
     """Each Q_K of ``counts`` restricted to H, kept with K's multiplicity:
-    Q_K restricted to H is the sum over K\\G/H of Q_{K^x cap H}."""
-    out: dict[SubgroupHandle, int] = {}
+    Q_K restricted to H is the sum over K\\G/H of Q_{K^x cap H}, each
+    summand kept as its bitset, with one trusted handle per distinct one."""
+    out: dict[int, int] = {}
     for K, m in counts.items():
         for x in double_cosets(G, K, H).reps:
-            s = K.conjugate(x).intersect(H)
+            s = G.bitset(k.conjugate_by(x) for k in K.elements) & H.bits
             out[s] = out.get(s, 0) + m
-    return out
+    return {SubgroupHandle._of_bits(G, s): m for s, m in out.items()}
 
 
 def mackey_restrict(G: GroupHandle, K: SubgroupHandle,

@@ -134,6 +134,7 @@ class ConjClass(NamedTuple):
     rep: Permutation
     elements: tuple[Permutation, ...]
     size: int
+    bits: int                             # bitset of the element indices
 
 
 class GroupHandle:
@@ -147,7 +148,7 @@ class GroupHandle:
         self.order = len(self.elements)
         self._index = {g: i for i, g in enumerate(self.elements)}
         self._classes: Optional[list[ConjClass]] = None
-        self._class_of: Optional[dict[Permutation, int]] = None
+        self._class_of: Optional[list[int]] = None       # by element index
         self._subgroups: Optional[list["SubgroupHandle"]] = None
         self._double_cosets: dict = {}
         self._columns: Optional[list[list[int]]] = None
@@ -161,41 +162,36 @@ class GroupHandle:
         return Permutation.identity(self.degree)
 
     def exponent(self) -> int:
-        e = 1
-        for cls in self.conjugacy_classes():
-            e = lcm(e, cls.rep.order())
-        return e
+        return lcm(*(cls.rep.order() for cls in self.conjugacy_classes()))
 
     def conjugacy_classes(self) -> list[ConjClass]:
+        """The orbits of element indices under ``conjugation_action``, in
+        order of their least element, each with its members sorted."""
         if self._classes is None:
-            seen: set[Permutation] = set()
-            classes = []
-            class_of: dict[Permutation, int] = {}
-            gens = self.generators if self.generators else (self.identity,)
-            for g in self.elements:
-                if g in seen:
+            actions = self.conjugation_action()
+            classes: list[ConjClass] = []
+            class_of = [-1] * self.order
+            for i in range(self.order):
+                if class_of[i] >= 0:
                     continue
-                orbit = {g}
-                stack = [g]
-                while stack:
-                    x = stack.pop()
-                    for s in gens:
-                        y = x.conjugate_by(s)
-                        if y not in orbit:
-                            orbit.add(y)
-                            stack.append(y)
-                members = tuple(sorted(orbit))
-                for m in members:
-                    class_of[m] = len(classes)
-                classes.append(ConjClass(members[0], members, len(members)))
-                seen |= orbit
+                class_of[i] = len(classes)
+                orbit = [i]
+                for x in orbit:
+                    for act in actions:
+                        if class_of[act[x]] < 0:
+                            class_of[act[x]] = len(classes)
+                            orbit.append(act[x])
+                orbit.sort()
+                members = tuple(self.elements[x] for x in orbit)
+                classes.append(ConjClass(members[0], members, len(members),
+                                         sum(1 << x for x in orbit)))
             self._classes = classes
             self._class_of = class_of
         return self._classes
 
     def class_index(self, p: Permutation) -> int:
         self.conjugacy_classes()
-        return self._class_of[p]
+        return self._class_of[self._index[p]]
 
     def bitset(self, elements: Iterable[Permutation]) -> int:
         """The int bitset of the element indices of the distinct elements."""
@@ -206,7 +202,7 @@ class GroupHandle:
         return SubgroupHandle(self, elems)
 
     def trivial_subgroup(self) -> "SubgroupHandle":
-        return SubgroupHandle(self, [self.identity])
+        return SubgroupHandle._of_bits(self, 1)     # the identity is index 0
 
     def _cayley_columns(self) -> list[list[int]]:
         """The Cayley table on element indices, by columns: entry [j][i] is
@@ -235,7 +231,8 @@ class GroupHandle:
     def conjugation_action(self) -> list[list[int]]:
         """For each generator s, the map sending the index of x to the index
         of s^-1 x s: n ints per generator, computed once per group without
-        the Cayley table, for the orbit walk of ``conjugates``."""
+        the Cayley table: the one conjugation engine, read by the classes,
+        ``conjugates`` and ``depth_one_adjoint_test``."""
         if self._action is None:
             self._action = [[self._index[x.conjugate_by(s)] for x in self.elements]
                             for s in self.generators]
@@ -250,10 +247,16 @@ class GroupHandle:
         Cayley table, with each subgroup held as the int bitset of its
         element indices, and closes <S, g> one right coset of S at a time
         (Dimino's algorithm: Butler, Fundamental Algorithms for Permutation
-        Groups, LNCS 559, 1991).  Each handle proves its closure again on
-        the table when it computes its greedy generating set."""
+        Groups, LNCS 559, 1991).  Each handle gets its greedy generating set
+        computed on the table, which proves its closure."""
         if self._subgroups is None:
             cols = self._cayley_columns()
+
+            def on_table(bits: int) -> SubgroupHandle:
+                gens = _greedy_generators(_bit_indices(bits), lambda c: bits >> c & 1,
+                                          0, lambda a, g: cols[g][a])
+                return SubgroupHandle._of_bits(self, bits, tuple(self.elements[i] for i in gens))
+
             triv = self.trivial_subgroup()
             found = {triv.bits: triv}
             frontier = [triv]
@@ -271,8 +274,7 @@ class GroupHandle:
                             tried |= 1 << col[s]
                         bits = _dimino(cols, members, sub.bits, gens + [g])
                         if bits not in found:
-                            found[bits] = cand = SubgroupHandle._on_table(
-                                self, _bit_indices(bits), bits)
+                            found[bits] = cand = on_table(bits)
                             nxt.append(cand)
                 frontier = nxt
             self._subgroups = sorted(found.values(),
@@ -281,9 +283,9 @@ class GroupHandle:
 
     def conjugates(self, sub: "SubgroupHandle") -> dict[int, Permutation]:
         """bits -> g for every conjugate sub^g, as its bitset with a witness
-        g, found breadth first from (sub, 1) by conjugating with the
-        generators of G.  This is the one conjugate orbit: the classes of
-        subgroups, the core witness, the intersection chain and the Mackey
+        g, found breadth first from (sub, 1) by mapping bitsets through
+        ``conjugation_action``.  This is the one conjugate orbit: the classes
+        of subgroups, the core witness, the intersection chain and the Mackey
         merge all read it.
 
         The orbit is closed at the generators only: (sub^g)^s = sub^(g s),
@@ -311,14 +313,15 @@ class GroupHandle:
 
 
 class SubgroupHandle:
-    """A verified subgroup of a parent GroupHandle; ``bits``, the int bitset
-    of its element indices in the parent, is its identity."""
+    """A subgroup of a parent GroupHandle, validated at the input boundary
+    (``SubgroupHandle(G, elements)``) and trusted when derived
+    (``_of_bits``); ``bits``, the int bitset of its element indices in the
+    parent, is its identity."""
 
     def __init__(self, parent: GroupHandle, elements: Iterable[Permutation]):
         self.parent = parent
         elems = tuple(sorted(set(elements)))
-        index = parent._index
-        if not elems or not all(e in index for e in elems):
+        if not elems or not all(e in parent for e in elems):
             raise ValueError("subgroup elements must lie in the parent group")
         eset = set(elems)
         if parent.identity not in eset:
@@ -335,18 +338,17 @@ class SubgroupHandle:
         self._as_group: Optional[GroupHandle] = None
 
     @classmethod
-    def _on_table(cls, parent: GroupHandle, members: list[int], bits: int) -> "SubgroupHandle":
-        """The subgroup with the ascending element indices members and the
-        bitset bits, its closure proved on the parent's Cayley table."""
-        cols = parent._cayley_columns()
-        gens = _greedy_generators(members, lambda c: bits >> c & 1, 0,
-                                  lambda a, g: cols[g][a])
+    def _of_bits(cls, parent: GroupHandle, bits: int,
+                 gens: Optional[tuple] = None) -> "SubgroupHandle":
+        """A subgroup by construction, such as a conjugate or an intersection
+        of subgroups, with its greedy generating set gens if known; else that
+        set is taken lazily, which still proves closure."""
         self = object.__new__(cls)
         self.parent = parent
-        self.elements = tuple(parent.elements[i] for i in members)
-        self.order = len(members)
+        self.elements = tuple(parent.elements[i] for i in _bit_indices(bits))
+        self.order = len(self.elements)
         self.bits = bits
-        self._gens = tuple(parent.elements[i] for i in gens)
+        self._gens = gens
         self._as_group = None
         return self
 
@@ -357,6 +359,9 @@ class SubgroupHandle:
         """The greedy generating set: in element order, each element that is
         not yet generated by the earlier ones; the identity alone for the
         trivial subgroup."""
+        if self._gens is None:
+            self._gens = _greedy_generators(self.elements, set(self.elements).__contains__,
+                                            self.parent.identity, mul)
         return self._gens
 
     def as_group(self) -> GroupHandle:
@@ -364,13 +369,6 @@ class SubgroupHandle:
             self._as_group = GroupHandle(self.parent.degree, self.generating_set(),
                                          self.elements)
         return self._as_group
-
-    def conjugate(self, g: Permutation) -> "SubgroupHandle":
-        return SubgroupHandle(self.parent, [h.conjugate_by(g) for h in self.elements])
-
-    def intersect(self, other: "SubgroupHandle") -> "SubgroupHandle":
-        oset = set(other.elements)
-        return SubgroupHandle(self.parent, [h for h in self.elements if h in oset])
 
     def __eq__(self, other):
         return (isinstance(other, SubgroupHandle) and self.parent is other.parent
@@ -500,13 +498,13 @@ def core_and_witness(G: GroupHandle, H: SubgroupHandle) -> CoreWitness:
     conjugates = G.conjugates(H)
     del conjugates[H.bits]
     core = reduce(and_, conjugates, H.bits)
-    core_sub = SubgroupHandle(G, [G.elements[i] for i in _bit_indices(core)])
     conj_list = sorted(conjugates.items(), key=lambda cg: _bit_indices(cg[0]))
     r = 0
     while True:
         for combo in combinations(conj_list, r):
             if reduce(and_, (c for c, _ in combo), H.bits) == core:
-                return CoreWitness(core_sub, tuple(g for _, g in combo))
+                return CoreWitness(SubgroupHandle._of_bits(G, core),
+                                   tuple(g for _, g in combo))
         r += 1
 
 
@@ -583,14 +581,13 @@ def intersection_chain(G: GroupHandle, H: SubgroupHandle) -> IntersectionChain:
 
 def depth_one_adjoint_test(G: GroupHandle, H: SubgroupHandle) -> bool:
     """True iff conjugation by every generator of G fixes each conjugacy class
-    of H setwise (the adjoint action fixes every class sum of kH)."""
-    Hg = H.as_group()
-    gens = G.generators if G.generators else (G.identity,)
-    for cls in Hg.conjugacy_classes():
-        members = set(cls.elements)
-        for g in gens:
-            if {h.conjugate_by(g) for h in members} != members:
-                return False
+    of H setwise (the adjoint action fixes every class sum of kH): each
+    class, as a bitset of G, is mapped through ``G.conjugation_action()``."""
+    actions = G.conjugation_action()
+    for cls in H.as_group().conjugacy_classes():
+        bits = G.bitset(cls.elements)
+        if any(sum(1 << act[x] for x in _bit_indices(bits)) != bits for act in actions):
+            return False
     return True
 
 

@@ -75,12 +75,25 @@ def reference_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
     return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 
+def conjugate_subgroup(H: SubgroupHandle, g: Permutation) -> SubgroupHandle:
+    """H^g = {g^-1 h g : h in H} as a validated handle, the reference route
+    for the trusted conjugates of `src/`."""
+    return SubgroupHandle(H.parent, [h.conjugate_by(g) for h in H.elements])
+
+
+def intersect_subgroups(A: SubgroupHandle, B: SubgroupHandle) -> SubgroupHandle:
+    """A cap B as a validated handle, the reference route for the trusted
+    intersections of `src/`."""
+    bset = set(B.elements)
+    return SubgroupHandle(A.parent, [a for a in A.elements if a in bset])
+
+
 def reference_conjugates(G: GroupHandle, H: SubgroupHandle) -> dict[int, SubgroupHandle]:
     """bits -> H^g for every conjugate of H, found by conjugating with every
     g in G, the reference for the orbit walk of `GroupHandle.conjugates`."""
     out: dict[int, SubgroupHandle] = {}
     for g in G.elements:
-        c = H.conjugate(g)
+        c = conjugate_subgroup(H, g)
         out.setdefault(c.bits, c)
     return out
 
@@ -95,7 +108,8 @@ def reference_tensor_entries(G: GroupHandle, H: SubgroupHandle,
                 for i, g in enumerate(G.elements) if coset >> i & 1}
     entries = [((), H)]
     for _ in range(n - 1):
-        entries = [(label + (label_of[x],), K.conjugate(x).intersect(H))
+        entries = [(label + (label_of[x],),
+                    intersect_subgroups(conjugate_subgroup(K, x), H))
                    for label, K in entries for x in double_cosets(G, K, H).reps]
     return entries
 

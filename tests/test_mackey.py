@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (corpus_pairs_full, induce_class_function, make_a4, make_a5,
-                     make_s4, perm, reference_merged, reference_permutation_character,
+from helpers import (conjugate_subgroup, corpus_pairs_full, induce_class_function,
+                     intersect_subgroups, make_a4, make_a5, make_s4, perm,
+                     reference_merged, reference_permutation_character,
                      reference_tensor_entries)
 from subdepth import mackey
 from subdepth.chartab import permutation_character
@@ -202,7 +203,8 @@ def test_restriction_counts_match_the_flat_list(s4):
     subs = s4.subgroups()
     for K in subs[::3]:
         for H in subs[::4]:
-            flat = [K.conjugate(x).intersect(H) for x in double_cosets(s4, K, H).reps]
+            flat = [intersect_subgroups(conjugate_subgroup(K, x), H)
+                    for x in double_cosets(s4, K, H).reps]
             ms = mackey_restrict(s4, K, H)
             assert [(rep.bits, m) for rep, m in ms.merged()] == \
                 reference_merged(s4, flat)

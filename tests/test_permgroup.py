@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (make_a4, make_a5, make_s3, make_s4, make_s5, perm,
-                     reference_conjugates, reference_subgroups)
+from helpers import (conjugate_subgroup, make_a4, make_a5, make_s3, make_s4, make_s5,
+                     perm, reference_conjugates, reference_subgroups)
 from subdepth.corpus import corpus_groups, subgroups_up_to_conjugacy
+from subdepth.mackey import mackey_restrict, q_tensor_decomposition
 from subdepth.permgroup import (GroupTooLargeError, Permutation, SubgroupHandle,
                                 core_and_witness, depth_one_adjoint_test,
                                 double_cosets, enumerate_group, group_from_json,
@@ -161,16 +162,46 @@ def test_lattice_sizes_past_the_catalog(s5):
         assert sorted(i for _, members in found for i in members) == list(range(subgroups))
 
 
+def _derived_subgroups(G):
+    """The trusted handles that src/ derives from one subgroup H per class:
+    the core of H, the summands of Q^(x3) and of the Mackey restrictions of
+    every Q_K to H."""
+    reps = [H for H, _ in subgroups_up_to_conjugacy(G)]
+    for H in reps:
+        yield core_and_witness(G, H).core
+        yield from q_tensor_decomposition(G, H, 3).counts
+        for K in reps:
+            yield from mackey_restrict(G, K, H).counts
+
+
 def test_lattice_generating_sets_match_the_permutation_route():
-    # the handles of the lattice prove closure on the Cayley table; the
-    # greedy generating set and the bitset are those of a handle built from
+    # the handles of the lattice prove closure on the Cayley table, and the
+    # cores and Mackey summands take their greedy sets lazily; the greedy
+    # generating set and the bitset are those of a handle validated from
     # the elements
-    for _, G in corpus_groups(24):
-        for H in G.subgroups():
-            ref = SubgroupHandle(G, H.elements)
-            assert H.generating_set() == ref.generating_set()
-            assert H.bits == ref.bits
-            assert H.bits == sum(1 << i for i, g in enumerate(G.elements) if g in ref.elements)
+    derived = [H for _, G in corpus_groups(16) for H in _derived_subgroups(G)]
+    lattice = [H for _, G in corpus_groups(24) for H in G.subgroups()]
+    for H in lattice + derived:
+        ref = SubgroupHandle(H.parent, H.elements)
+        assert H == ref and H.order == ref.order
+        assert H.generating_set() == ref.generating_set()
+        assert H.bits == sum(1 << i for i, g in enumerate(H.parent.elements)
+                             if g in ref.elements)
+
+
+def test_classes_are_the_conjugation_orbits():
+    # each class is {x^-1 g x : x in G} for its least member g, with its
+    # members sorted, in order of g; its bitset and class_index agree
+    for _, G in [*corpus_groups(24), ("A5", make_a5())]:
+        classes = G.conjugacy_classes()
+        assert [c.rep for c in classes] == sorted(c.rep for c in classes)
+        assert sorted(g for c in classes for g in c.elements) == list(G.elements)
+        for i, cls in enumerate(classes):
+            orbit = {x.inverse() * cls.rep * x for x in G.elements}
+            assert cls.elements == tuple(sorted(orbit)) and cls.rep == cls.elements[0]
+            assert cls.size == len(orbit)
+            assert cls.bits == G.bitset(cls.elements)
+            assert all(G.class_index(g) == i for g in cls.elements)
 
 
 @pytest.mark.parametrize("name", ["S4", "Q8", "C2xD8", "A5"])
@@ -227,7 +258,7 @@ def test_conjugates_match_the_all_g_reference(name):
         orbit = G.conjugates(H)
         assert orbit.keys() == reference_conjugates(G, H).keys()
         for bits, g in orbit.items():
-            assert H.conjugate(g).bits == bits
+            assert conjugate_subgroup(H, g).bits == bits
 
 
 def test_core_and_witness_conjugates_at_the_generators(monkeypatch, a5):
@@ -276,13 +307,13 @@ def test_core_and_witness_ti_pair():
 def test_core_properties(s4):
     for H in s4.subgroups()[:12]:
         cw = core_and_witness(s4, H)
-        assert all(cw.core.conjugate(g) == cw.core for g in s4.generators)
+        assert all(conjugate_subgroup(cw.core, g) == cw.core for g in s4.generators)
         assert set(cw.core.elements) <= set(H.elements)
         # minimality: any shorter tuple cannot reach the core
         if cw.r >= 1:
             inter = set(H.elements)
             for g in cw.witness[:-1]:
-                inter &= set(H.conjugate(g).elements)
+                inter &= set(conjugate_subgroup(H, g).elements)
             assert len(inter) > cw.core.order
 
 

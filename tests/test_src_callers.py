@@ -20,6 +20,10 @@ a target of the benchmark's per-layer tracing.  The scan is by name:
 
 No `assert` statement appears in `src/`: `python -O` would skip it, and a
 failed check would exit 0.
+
+A validating `SubgroupHandle(...)` call appears in `src/` only inside
+`GroupHandle.subgroup_generated`, the input boundary: every other subgroup
+there is one by construction and takes the trusted `SubgroupHandle._of_bits`.
 """
 
 import ast
@@ -103,3 +107,24 @@ def test_src_has_no_assert_statement():
              for module, tree in _trees().items()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == [], "assert statements in src/: " + ", ".join(found)
+
+
+def _handle_calls(node: ast.AST) -> set[int]:
+    """Line numbers of the `SubgroupHandle(...)` calls under node."""
+    return {call.lineno for call in ast.walk(node) if isinstance(call, ast.Call)
+            and "SubgroupHandle" in (getattr(call.func, "id", None),
+                                     getattr(call.func, "attr", None))}
+
+
+def test_subgroup_handles_are_validated_only_at_the_input_boundary():
+    boundary, outside = set(), []
+    for module, tree in _trees().items():
+        calls = _handle_calls(tree)
+        for name, owner, node, _ in _definitions(tree):
+            if (owner, name) == ("GroupHandle", "subgroup_generated"):
+                boundary = _handle_calls(node)
+                calls -= boundary
+        outside += [f"{module}:{line}" for line in sorted(calls)]
+    assert len(boundary) == 1
+    assert outside == [], "SubgroupHandle(...) outside the input boundary: " + \
+        ", ".join(outside)
