@@ -15,7 +15,10 @@ BENCHMARK.json at its `run_seconds` S: PAIRS pairs per workload, the parent
 first in even pairs and the change first in odd ones.  The output holds, per
 workload and end-to-end metric, the median and inclusive quartiles of each
 side, in how many pairs the change read lower and higher, and the
-[parent, change] values of every pair.
+[parent, change] values of every pair.  As a host calibration, it also
+holds the min, median and max of 10 bare `python3 -c pass` start-ups taken
+before the first run and after the last, so a summary read on a slow
+stretch of the host says so.
 
     --seed-set W@N    PAIRS more pairs of workload W with --seed N (repeatable)
     --trace [N]       N `--trace 1` runs per side and workload (3 when N is
@@ -42,10 +45,12 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 PAIRS = 10
+STARTUPS = 10
 
 
 def git(*args: str) -> str:
@@ -74,6 +79,22 @@ def run_once(checkout_dir: str, workload: str, seconds: int, seed: int = 1,
         raise RuntimeError(f"{checkout_dir}: bench/run.py --workload {workload} exited "
                            f"{proc.returncode}: {proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def startup_seconds() -> list[float]:
+    """The wall time of each of STARTUPS bare interpreter start-ups."""
+    out = []
+    for _ in range(STARTUPS):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "pass"], check=True)
+        out.append(time.perf_counter() - t0)
+    return out
+
+
+def calibration(seconds: list[float]) -> dict:
+    """The min, median and max of the start-up times, in seconds."""
+    return {"min": round(min(seconds), 4), "median": round(statistics.median(seconds), 4),
+            "max": round(max(seconds), 4)}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -160,6 +181,8 @@ def main() -> int:
                   "even and the change first when i is odd; median and quartiles "
                   f"(inclusive method) over the {PAIRS} runs of each side",
         "claim": None,
+        "host_calibration": {"command": "python3 -c pass", "runs": STARTUPS,
+                             "before": calibration(startup_seconds())},
         "workloads": {},
     }
     workloads = [w["name"] for w in bench["workloads"]]
@@ -191,6 +214,7 @@ def main() -> int:
                             run_once(dirs[side], workload, seconds, trace=1)["metrics"])
                 result["trace"][f"{workload}@seed1"] = {
                     side: trace_medians(traced[side]) for side in SIDES}
+    result["host_calibration"]["after"] = calibration(startup_seconds())
     if args.claim:
         workload, _, metric = args.claim.partition(":")
         result["claim"] = {

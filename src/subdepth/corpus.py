@@ -132,32 +132,10 @@ def catalog(max_order: Optional[int] = None) -> tuple[tuple[str, GroupHandle], .
 _TABLES: dict[str, CharacterTable] = {}
 
 
-def corpus_groups(max_order: int) -> list[tuple[str, GroupHandle]]:
-    return list(catalog(max_order))
-
-
 def cached_table(name: str, G: GroupHandle) -> CharacterTable:
     if name not in _TABLES:
         _TABLES[name] = compute_character_table(G)
     return _TABLES[name]
-
-
-def subgroups_up_to_conjugacy(G: GroupHandle) -> list[tuple[SubgroupHandle, list[int]]]:
-    """(representative, positions in ``G.subgroups()`` of its members) for
-    each conjugacy class of subgroups, in order of the representative, which
-    is the member of least position and so of smallest element tuple.
-
-    A class is the orbit of bitsets that ``GroupHandle.conjugates`` walks."""
-    subs = G.subgroups()
-    position = {H.bits: i for i, H in enumerate(subs)}
-    classes = []
-    seen: set[int] = set()
-    for H in subs:
-        if H.bits not in seen:
-            orbit = G.conjugates(H)
-            seen.update(orbit)
-            classes.append((H, sorted(map(position.__getitem__, orbit))))
-    return classes
 
 
 @dataclass
@@ -249,10 +227,10 @@ def run_sweep(max_order: int) -> SweepReport:
     and eigenvalues of that matrix up to the permutation, the adjoint test
     and those class counts, so none changes."""
     rows: list[SweepRow] = []
-    for name, G in corpus_groups(max_order):
+    for name, G in catalog(max_order):
         tabG = cached_table(name, G)
         group_rows: list = [None] * len(G.subgroups())
-        for H, members in subgroups_up_to_conjugacy(G):
+        for H, members in G.subgroup_classes():
             a = analyze_pair(G, H, tabG)
             rep = a.depth
             conj_ok = rep.d_0 is None or rep.d_h is None or rep.d_0 <= rep.d_h

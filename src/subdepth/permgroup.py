@@ -150,6 +150,7 @@ class GroupHandle:
         self._classes: Optional[list[ConjClass]] = None
         self._class_of: Optional[list[int]] = None       # by element index
         self._subgroups: Optional[list["SubgroupHandle"]] = None
+        self._subgroup_classes: list = []
         self._double_cosets: dict = {}
         self._columns: Optional[list[list[int]]] = None
         self._action: Optional[list[list[int]]] = None
@@ -239,47 +240,64 @@ class GroupHandle:
         return self._action
 
     def subgroups(self) -> list["SubgroupHandle"]:
-        """All subgroups, found by closing known subgroups S under one extra
-        generator g; deterministic order (by order, then element tuple).
+        """All subgroups, found one conjugacy class at a time; deterministic
+        order (by order, then element tuple).
 
-        One g per right coset S g is closed: <S, s g> = <S, g> for s in S,
-        as each contains s and hence both s g and g.  The search runs on the
-        Cayley table, with each subgroup held as the int bitset of its
-        element indices, and closes <S, g> one right coset of S at a time
-        (Dimino's algorithm: Butler, Fundamental Algorithms for Permutation
-        Groups, LNCS 559, 1991).  Each handle gets its greedy generating set
-        computed on the table, which proves its closure."""
+        Only a class representative S is extended, by one g per right coset
+        S g: <S, s g> = <S, g> for s in S, as each contains s and hence both
+        s g and g.  The search runs on the Cayley table, with each subgroup
+        held as the int bitset of its element indices, and closes <S, g> one
+        right coset of S at a time (Dimino's algorithm: Butler, Fundamental
+        Algorithms for Permutation Groups, LNCS 559, 1991).  A new bitset
+        brings in its whole class, the orbit of ``conjugates``.  Its least
+        member is the representative, whose greedy generating set is computed
+        on the table, which proves its closure; the other members take
+        theirs lazily.
+
+        Every subgroup is found, by induction on the order from the trivial
+        one.  Take T != 1 and a maximal S' < T, so that T = <S', g>.  The
+        class of S' has a representative S = S'^y, and T^y = <S, g^y> is one
+        of the extensions of S, so the class of T is found."""
         if self._subgroups is None:
             cols = self._cayley_columns()
-
-            def on_table(bits: int) -> SubgroupHandle:
-                gens = _greedy_generators(_bit_indices(bits), lambda c: bits >> c & 1,
-                                          0, lambda a, g: cols[g][a])
-                return SubgroupHandle._of_bits(self, bits, tuple(self.elements[i] for i in gens))
-
             triv = self.trivial_subgroup()
-            found = {triv.bits: triv}
-            frontier = [triv]
-            while frontier:
-                nxt = []
-                for sub in frontier:
-                    members = _bit_indices(sub.bits)
-                    gens = [self._index[g] for g in sub.generating_set()]
-                    tried = sub.bits
-                    for g in range(self.order):
-                        if tried >> g & 1:
-                            continue
-                        col = cols[g]
-                        for s in members:
-                            tried |= 1 << col[s]
-                        bits = _dimino(cols, members, sub.bits, gens + [g])
-                        if bits not in found:
-                            found[bits] = cand = on_table(bits)
-                            nxt.append(cand)
-                frontier = nxt
-            self._subgroups = sorted(found.values(),
+            found = {triv.bits}
+            classes = [(triv, [triv.bits])]          # (representative, member bitsets)
+            for sub, _ in classes:
+                members = _bit_indices(sub.bits)
+                gens = [self._index[g] for g in sub.generating_set()]
+                tried = sub.bits
+                for g in range(self.order):
+                    if tried >> g & 1:
+                        continue
+                    col = cols[g]
+                    for s in members:
+                        tried |= 1 << col[s]
+                    bits = _dimino(cols, members, sub.bits, gens + [g])
+                    if bits not in found:
+                        orbit = self.conjugates(SubgroupHandle._of_bits(self, bits))
+                        found.update(orbit)
+                        rep = min(orbit, key=_bit_indices)
+                        tab = _greedy_generators(_bit_indices(rep), lambda c: rep >> c & 1,
+                                                 0, lambda a, x: cols[x][a])
+                        classes.append((SubgroupHandle._of_bits(
+                            self, rep, tuple(self.elements[i] for i in tab)), orbit))
+            self._subgroups = sorted((H if b == H.bits else SubgroupHandle._of_bits(self, b)
+                                      for H, orbit in classes for b in orbit),
                                      key=lambda s: (s.order, _bit_indices(s.bits)))
+            position = {H.bits: i for i, H in enumerate(self._subgroups)}
+            self._subgroup_classes = sorted(
+                ((H, sorted(map(position.__getitem__, orbit))) for H, orbit in classes),
+                key=lambda c: c[1])
         return self._subgroups
+
+    def subgroup_classes(self) -> list[tuple["SubgroupHandle", list[int]]]:
+        """(representative, positions in ``subgroups()`` of its members) for
+        each conjugacy class of subgroups, in order of the representative,
+        the member of least position; found by the search of ``subgroups``,
+        whose handles the representatives are."""
+        self.subgroups()
+        return self._subgroup_classes
 
     def conjugates(self, sub: "SubgroupHandle") -> dict[int, Permutation]:
         """bits -> g for every conjugate sub^g, as its bitset with a witness

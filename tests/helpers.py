@@ -9,8 +9,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from subdepth.corpus import (SweepRow, analyze_pair, cached_table, corpus_groups,
-                             subgroups_up_to_conjugacy)
+from subdepth.corpus import SweepRow, analyze_pair, cached_table, catalog
 from subdepth.chartab import _int_inner, _int_rows, _weighted_conjugates
 from subdepth.depthmat import EigenvalueSet
 from subdepth.exactalg import (_CYC_ONE, _CYC_ZERO, Cyc, ExactMatrix,
@@ -221,7 +220,7 @@ def equal_up_to_row_col_permutation(a: list[list[int]], b: list[list[int]]) -> b
 def corpus_pairs_full(max_order=24):
     """(name, G, H) for every subgroup of every catalog group."""
     out = []
-    for name, G in corpus_groups(max_order):
+    for name, G in catalog(max_order):
         for H in G.subgroups():
             out.append((name, G, H))
     return out
@@ -230,8 +229,8 @@ def corpus_pairs_full(max_order=24):
 def corpus_pairs_reps(max_order=24):
     """(name, G, H) with one subgroup per conjugacy class."""
     out = []
-    for name, G in corpus_groups(max_order):
-        for H, _ in subgroups_up_to_conjugacy(G):
+    for name, G in catalog(max_order):
+        for H, _ in G.subgroup_classes():
             out.append((name, G, H))
     return out
 
@@ -240,7 +239,7 @@ def reference_sweep_rows(max_order: int) -> list[SweepRow]:
     """The rows of `run_sweep` with `analyze_pair` run on every subgroup,
     where the sweep runs it once per conjugacy class of subgroups."""
     rows = []
-    for name, G in corpus_groups(max_order):
+    for name, G in catalog(max_order):
         for si, H in enumerate(G.subgroups()):
             a = analyze_pair(G, H, cached_table(name, G))
             rep = a.depth

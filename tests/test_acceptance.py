@@ -15,7 +15,7 @@ from helpers import (augmentation_core_ideal, cached_group_algebra,
                      reference_ideal_flags)
 from subdepth.chartab import permutation_character
 from subdepth.cli import AnalysisRequest, run
-from subdepth.corpus import corpus_groups
+from subdepth.corpus import catalog
 from subdepth.exactalg import Cyc, ExactMatrix, factor_rational_roots
 from subdepth.hopfcore import (annihilator_chain, idealizer_and_endQ,
                                integrals_and_modular, quotient_module,
@@ -264,12 +264,12 @@ def test_criterion_11_conjecture_sweep(sweep24, capsys):
 def test_criterion_12_property_suites(s3, a4, uq2, uq3):
     t0 = time.monotonic()
     # orthogonality of every computed character table
-    for name, G in corpus_groups(24):
+    for name, G in catalog(24):
         group_table(name, G).verify()
     # Hopf axioms of every constructed algebra in this run
     uq2[0].verify()
     uq3[0].verify()
-    for _, G in corpus_groups(12):
+    for _, G in catalog(12):
         cached_group_algebra(G).verify()
     # Nichols-Zoeller divisibility across the corpus
     for name, G, H in corpus_pairs_reps(16):

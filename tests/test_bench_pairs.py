@@ -71,3 +71,8 @@ def test_trace_medians_refuse_call_counts_that_differ():
     runs = [_traced(0.04, 8), _traced(0.04, 9), _traced(0.04, 8)]
     with pytest.raises(RuntimeError, match=r"hopfcore.verify.calls differs"):
         _bench_pairs().trace_medians(runs)
+
+
+def test_calibration_takes_min_median_and_max_of_the_startups():
+    got = _bench_pairs().calibration([0.05, 0.041234, 0.06, 0.044, 0.0456])
+    assert got == {"min": 0.0412, "median": 0.0456, "max": 0.06}

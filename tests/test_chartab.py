@@ -14,7 +14,7 @@ from subdepth.chartab import (CharacterTable, ClassFusion, _dixon_prime,
                               class_fusion, compute_character_table, inclusion_matrix,
                               permutation_character, table_from_json,
                               tables_agree_up_to_row_permutation)
-from subdepth.corpus import catalog, corpus_groups, direct_product
+from subdepth.corpus import catalog, direct_product
 from subdepth.exactalg import Cyc, minimal_polynomial
 from subdepth.permgroup import GroupHandle, SubgroupHandle, enumerate_group
 
@@ -58,7 +58,7 @@ def test_catalog_tables_to_order_16_are_frozen():
     # subgroup tables in sweep order, each distinct element set computed once
     digest = hashlib.sha256()
     seen: dict[tuple, str] = {}
-    for name, G in corpus_groups(16):
+    for name, G in catalog(16):
         for H in G.subgroups():
             key = (G.degree, H.elements)
             if key not in seen:
@@ -98,7 +98,7 @@ def test_larger_tables_are_frozen():
 
 
 def test_dixon_prime_is_one_mod_e_above_the_bound_and_prime_to_the_order():
-    groups = [G for _, G in corpus_groups(24)] + _large_groups()
+    groups = [G for _, G in catalog(24)] + _large_groups()
     for G in groups:
         e = G.exponent()
         p = _dixon_prime(e, G.order)
@@ -116,7 +116,7 @@ def _abelian_handles():
     in the subgroup generated before it is below its order."""
     out = []
     seen = set()
-    for name, G in corpus_groups(24):
+    for name, G in catalog(24):
         for label, K in [(name, G)] + [(f"{name} > {H.order}", H.as_group())
                                        for H in G.subgroups()]:
             key = (K.degree, tuple(K.elements))

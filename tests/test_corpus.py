@@ -4,7 +4,7 @@ import pytest
 
 from helpers import reference_conjugates, reference_sweep_rows
 from subdepth import corpus
-from subdepth.corpus import analyze_pair, catalog, corpus_groups
+from subdepth.corpus import analyze_pair, catalog
 
 
 def test_catalog_enumerates_only_the_groups_a_sweep_reads(monkeypatch):
@@ -17,12 +17,12 @@ def test_catalog_enumerates_only_the_groups_a_sweep_reads(monkeypatch):
 
     monkeypatch.setattr(corpus, "_GROUPS", {})
     monkeypatch.setattr(corpus, "enumerate_group", counted)
-    groups = corpus_groups(16)
+    groups = catalog(16)
     assert len(groups) == len(enumerated) == 30
     assert all(G.order <= 16 for _, G in groups)
     # the groups already enumerated are not enumerated again
     assert len(catalog()) == 43 and len(enumerated) == 43
-    assert catalog(16) == tuple(groups)
+    assert catalog(16) == groups
 
 
 def test_catalog_names_and_orders_keep_their_order():
@@ -40,9 +40,9 @@ def test_catalog_raises_when_an_enumerated_order_differs(monkeypatch):
     monkeypatch.setattr(corpus, "_GROUPS", {})
     monkeypatch.setattr(corpus, "_entries", lambda: tuple(entries))
     # C6 is stored as order 7, so a sweep to order 6 never enumerates it
-    assert "C6" not in dict(corpus_groups(6))
+    assert "C6" not in dict(catalog(6))
     with pytest.raises(AssertionError, match="^catalog group C6 has order 6, not the stored 7$"):
-        corpus_groups(7)
+        catalog(7)
 
 
 @pytest.mark.parametrize("max_order, classes", [(16, 174), (24, 255)])
@@ -71,9 +71,9 @@ def test_classes_of_subgroups_are_the_conjugate_orbits():
     # every subgroup lies in exactly one class, whose members are the
     # conjugates of its representative by every g, found without the orbit
     # walk of G.conjugates
-    for _, G in corpus_groups(24):
+    for _, G in catalog(24):
         subs = G.subgroups()
-        classes = corpus.subgroups_up_to_conjugacy(G)
+        classes = G.subgroup_classes()
         assert sorted(i for _, members in classes for i in members) == list(range(len(subs)))
         for H, members in classes:
             assert subs[members[0]] is H

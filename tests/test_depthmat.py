@@ -11,7 +11,7 @@ from helpers import (corpus_pairs_reps, evaluate_matrix, from_roots, group_table
                      reference_class_formula, reference_minimal_polynomial)
 from subdepth import chartab, corpus, depthmat
 from subdepth.chartab import InclusionMatrix, class_fusion, compute_character_table, inclusion_matrix
-from subdepth.corpus import analyze_pair, corpus_groups
+from subdepth.corpus import analyze_pair, catalog
 from subdepth.depthmat import (bipartite_dot, depth_report,
                                eigenvalues_via_class_formula,
                                ell_from_trivial_row, mckay_quiver)
@@ -64,7 +64,7 @@ def test_identity_inclusion(s3):
 def test_full_subgroup_pair_reuses_the_group_table(name):
     # the pair H = G takes tabG as its subgroup table; the report is the one
     # a freshly computed table of H gives
-    G = dict(corpus_groups(24))[name]
+    G = dict(catalog(24))[name]
     H = SubgroupHandle(G, G.elements)
     tabG = compute_character_table(G)
     fresh = inclusion_matrix(tabG, compute_character_table(H.as_group()),
@@ -127,7 +127,7 @@ def test_diameters_from_the_scans_equal_the_bfs_reference(M):
 
 
 def test_diameters_from_the_scans_equal_the_bfs_reference_on_the_sweep():
-    pairs = [(name, G, H) for name, G in corpus_groups(24) for H in G.subgroups()]
+    pairs = [(name, G, H) for name, G in catalog(24) for H in G.subgroups()]
     assert len(pairs) == 365
     for name, G, H in pairs:
         rep = analyze_pair(G, H, corpus.cached_table(name, G)).depth
@@ -226,7 +226,7 @@ def test_depth_layer_values_are_ints_on_the_sweep_and_the_path_matrix(sweep24):
     path = json.loads((GOLDEN / "path_matrix.json").read_text())["matrix"]
     _assert_int_depth_values(depth_report(
         InclusionMatrix(len(path), len(path[0]), tuple(map(tuple, path)))))
-    pairs = [(name, si, G, H) for name, G in corpus_groups(24)
+    pairs = [(name, si, G, H) for name, G in catalog(24)
              for si, H in enumerate(G.subgroups())]
     assert [(r.group, r.subgroup_index) for r in sweep24.rows] == [p[:2] for p in pairs]
     for name, _, G, H in pairs:
@@ -253,7 +253,7 @@ def test_class_formula_examples(s3, a5):
 
 def test_class_formula_equals_the_element_scan_reference_on_the_sweep():
     # the 365 pairs of the sweep to order 24
-    pairs = [(G, H) for _, G in corpus_groups(24) for H in G.subgroups()]
+    pairs = [(G, H) for _, G in catalog(24) for H in G.subgroups()]
     assert len(pairs) == 365
     seen = set()
     for G, H in pairs:

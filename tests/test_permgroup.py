@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from helpers import (conjugate_subgroup, make_a4, make_a5, make_s3, make_s4, make_s5,
                      perm, reference_conjugates, reference_subgroups)
-from subdepth.corpus import corpus_groups, subgroups_up_to_conjugacy
+from subdepth import permgroup
+from subdepth.corpus import catalog
 from subdepth.mackey import mackey_restrict, q_tensor_decomposition
 from subdepth.permgroup import (GroupTooLargeError, Permutation, SubgroupHandle,
                                 core_and_witness, depth_one_adjoint_test,
@@ -40,7 +41,7 @@ def _order_by_repeated_products(g):
 
 
 def test_order_is_the_repeated_product_order():
-    groups = [("S5", make_s5()), *corpus_groups(24)]
+    groups = [("S5", make_s5()), *catalog(24)]
     for name, G in groups:
         for g in G.elements:
             assert g.order() == _order_by_repeated_products(g), (name, g)
@@ -146,7 +147,7 @@ def test_subgroup_lattice_counts(s4, a5):
 @pytest.mark.parametrize("name", ["S4", "A4", "D16", "Q8", "C2xD8", "A5"])
 def test_subgroups_match_the_all_g_reference(name):
     # one closure per right coset finds the same subgroups in the same order
-    G = make_a5() if name == "A5" else dict(corpus_groups(24))[name]
+    G = make_a5() if name == "A5" else dict(catalog(24))[name]
     assert [H.elements for H in G.subgroups()] == \
         [H.elements for H in reference_subgroups(G)]
 
@@ -154,19 +155,42 @@ def test_subgroups_match_the_all_g_reference(name):
 def test_lattice_sizes_past_the_catalog(s5):
     psl27 = enumerate_group([perm(7, (1, 2, 3, 4, 5, 6, 7)), perm(7, (1, 2), (3, 6))])
     assert psl27.order == 168
-    for G, subgroups, classes in ((s5, 156, 19), (psl27, 179, 15)):
+    # A6 and S6 are regression values from this code, not from a table
+    a6 = enumerate_group([perm(6, (1, 2, 3)), perm(6, (2, 3, 4, 5, 6))])
+    s6 = enumerate_group([perm(6, (1, 2)), perm(6, (1, 2, 3, 4, 5, 6))])
+    assert (a6.order, s6.order) == (360, 720)
+    for G, subgroups, classes in ((s5, 156, 19), (psl27, 179, 15), (a6, 501, 22),
+                                  (s6, 1455, 56)):
         assert len(G.subgroups()) == subgroups
-        found = subgroups_up_to_conjugacy(G)
+        found = G.subgroup_classes()
         assert len(found) == classes
         # the member lists partition the lattice positions
         assert sorted(i for _, members in found for i in members) == list(range(subgroups))
+
+
+@pytest.mark.parametrize("make, closures", [(make_s4, 73), (make_s5, 496)])
+def test_the_search_closes_one_g_per_coset_of_each_class_representative(
+        monkeypatch, make, closures):
+    # sum of |G:S| - 1 over the representatives S; over every subgroup it
+    # would be 204 on S4 and 4169 on S5
+    calls = []
+    dimino = permgroup._dimino
+
+    def counted(*args):
+        calls.append(args)
+        return dimino(*args)
+
+    monkeypatch.setattr(permgroup, "_dimino", counted)
+    G = make()
+    reps = [H for H, _ in G.subgroup_classes()]
+    assert len(calls) == sum(G.order // H.order - 1 for H in reps) == closures
 
 
 def _derived_subgroups(G):
     """The trusted handles that src/ derives from one subgroup H per class:
     the core of H, the summands of Q^(x3) and of the Mackey restrictions of
     every Q_K to H."""
-    reps = [H for H, _ in subgroups_up_to_conjugacy(G)]
+    reps = [H for H, _ in G.subgroup_classes()]
     for H in reps:
         yield core_and_witness(G, H).core
         yield from q_tensor_decomposition(G, H, 3).counts
@@ -179,8 +203,8 @@ def test_lattice_generating_sets_match_the_permutation_route():
     # cores and Mackey summands take their greedy sets lazily; the greedy
     # generating set and the bitset are those of a handle validated from
     # the elements
-    derived = [H for _, G in corpus_groups(16) for H in _derived_subgroups(G)]
-    lattice = [H for _, G in corpus_groups(24) for H in G.subgroups()]
+    derived = [H for _, G in catalog(16) for H in _derived_subgroups(G)]
+    lattice = [H for _, G in catalog(24) for H in G.subgroups()]
     for H in lattice + derived:
         ref = SubgroupHandle(H.parent, H.elements)
         assert H == ref and H.order == ref.order
@@ -192,7 +216,7 @@ def test_lattice_generating_sets_match_the_permutation_route():
 def test_classes_are_the_conjugation_orbits():
     # each class is {x^-1 g x : x in G} for its least member g, with its
     # members sorted, in order of g; its bitset and class_index agree
-    for _, G in [*corpus_groups(24), ("A5", make_a5())]:
+    for _, G in [*catalog(24), ("A5", make_a5())]:
         classes = G.conjugacy_classes()
         assert [c.rep for c in classes] == sorted(c.rep for c in classes)
         assert sorted(g for c in classes for g in c.elements) == list(G.elements)
@@ -206,7 +230,7 @@ def test_classes_are_the_conjugation_orbits():
 
 @pytest.mark.parametrize("name", ["S4", "Q8", "C2xD8", "A5"])
 def test_cayley_table_and_conjugation_action_are_the_products(name):
-    G = make_a5() if name == "A5" else dict(corpus_groups(24))[name]
+    G = make_a5() if name == "A5" else dict(catalog(24))[name]
     cols = G._cayley_columns()
     for j, b in enumerate(G.elements):
         assert [G.elements[k] for k in cols[j]] == [a * b for a in G.elements]
@@ -253,7 +277,7 @@ def test_generating_set_is_greedy_and_generates(s4):
 @pytest.mark.parametrize("name", ["S4", "A4", "Q8", "C2xD8", "A5"])
 def test_conjugates_match_the_all_g_reference(name):
     # the generator orbit reaches every conjugate, each with a true witness
-    G = make_a5() if name == "A5" else dict(corpus_groups(24))[name]
+    G = make_a5() if name == "A5" else dict(catalog(24))[name]
     for H in G.subgroups():
         orbit = G.conjugates(H)
         assert orbit.keys() == reference_conjugates(G, H).keys()

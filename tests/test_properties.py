@@ -8,7 +8,7 @@ from helpers import (cached_group_algebra, corpus_pairs_reps,
                      faithfulness_cross_check, group_table, pair_report, perm,
                      reference_ideal_flags)
 from subdepth.chartab import permutation_character
-from subdepth.corpus import corpus_groups
+from subdepth.corpus import catalog
 from subdepth.depthmat import ell_from_trivial_row
 from subdepth.exactalg import Cyc
 from subdepth.hopfcore import (annihilator_chain, integrals_and_modular,
@@ -17,7 +17,7 @@ from subdepth.hopfcore import (annihilator_chain, integrals_and_modular,
 
 @pytest.fixture(scope="module")
 def corpus24():
-    return corpus_groups(24)
+    return catalog(24)
 
 
 def test_orthogonality_of_every_corpus_table(corpus24):
