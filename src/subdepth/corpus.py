@@ -56,26 +56,10 @@ def alternating(n: int) -> list[Permutation]:
 
 
 def quaternion() -> list[Permutation]:
-    """Q8 in its left regular representation on {1,-1,i,-i,j,-j,k,-k}."""
-    elems = [(1, "1"), (-1, "1"), (1, "i"), (-1, "i"),
-             (1, "j"), (-1, "j"), (1, "k"), (-1, "k")]
-    table = {("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
-             ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
-             ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
-             ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-             ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
-             ("i", "k"): (-1, "j")}
-
-    def mul(a, b):
-        sa, la = a
-        sb, lb = b
-        s, l = table[(la, lb)]
-        return (sa * sb * s, l)
-
-    def left_perm(g):
-        return Permutation([elems.index(mul(g, x)) + 1 for x in elems])
-
-    return [left_perm((1, "i")), left_perm((1, "j"))]
+    """Q8 in its left regular representation on {1,-1,i,-i,j,-j,k,-k}, the
+    points 1..8 in that order: left multiplication by i and by j."""
+    return [Permutation.from_cycles(8, [(1, 3, 2, 4), (5, 7, 6, 8)]),
+            Permutation.from_cycles(8, [(1, 5, 2, 6), (3, 8, 4, 7)])]
 
 
 def direct_product(gens_a: list[Permutation], deg_a: int,

@@ -91,7 +91,16 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+    """phi(n) = n prod (1 - 1/p) over the primes p | n, by trial division:
+    no cyclotomic polynomial is built."""
+    phi, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            phi -= phi // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return phi - phi // n if n > 1 else phi
 
 
 @lru_cache(maxsize=None)
@@ -139,6 +148,9 @@ class Cyc:
     def __init__(self, order: int, coeffs: Sequence[Rat]):
         if order < 1:
             raise ValueError("order must be positive")
+        # phi(n) >= sqrt(n / 2): refuse a short list before euler_phi's sqrt(n) steps
+        if 2 * len(coeffs) ** 2 < order:
+            raise ValueError(f"need more than {len(coeffs)} coefficients for order {order}")
         phi = euler_phi(order)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(coeffs)}")

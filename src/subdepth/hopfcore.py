@@ -19,7 +19,9 @@ decided by exact linear algebra over Q(zeta_n), through four shared pieces:
   columns;
 - one sparse linear map, `_apply_map`, for the product in H (over the rows
   mult[i] of the structure constants), with which `verify` also contracts
-  the structure constants to check associativity.
+  the structure constants to check associativity, for the projection onto
+  Q and the action of H on Q, and for the right actions of K, E and F in
+  `build_small_quantum_group`.
 
 Every sparse vector here is zero-free: the builders and `from_json` drop
 zero structure constants, sums go through `_vadd`, products of nonzero
@@ -442,8 +444,12 @@ def build_small_quantum_group(n: int):
     case is the 8-dimensional algebra with K^2 = 1, E^2 = F^2 = 0, EF = FE,
     KE = -EK, KF = -FK, whose printed relations are all rational.
 
-    The powers of q and right multiplication by E, `times_e` (the sparse
-    images of the basis), are built once.
+    Right multiplication by K, E and F (the sparse images of the basis) is
+    built once.  Each K^a E^b F^c other than 1 is x F, x E or x K for the
+    monomial x at position -1, -n or -n^2 in basis order, so `pbw_fill`
+    builds each row of the product by e_y (x g) = (e_y x) g, the coproduct
+    by Delta(x g) = Delta(x) Delta(g) and the antipode by S(x g) = S(g) S(x)
+    (Kassel, Quantum Groups, GTM 155, Ch. VI-IX).
 
     Returns (H, {"R1": <K,F>, "R2": <K,E>, "B": <K>}).
     """
@@ -485,62 +491,41 @@ def build_small_quantum_group(n: int):
         return out
 
     monomials = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
-    times_e = [e_image(*m) for m in monomials]     # right multiplication by E
+    # E^b F^c K = q^(2c-2b) K E^b F^c, and F^n = 0
+    times_k = [mono(a + 1, b, c, qpow(2 * c - 2 * b)) for (a, b, c) in monomials]
+    times_e = [e_image(*m) for m in monomials]
+    times_f = [mono(a, b, c + 1) if c + 1 < n else {} for (a, b, c) in monomials]
+    times = (times_k, times_e, times_f)
+    d = n ** 3
 
-    def mono_mul(m1: tuple[int, int, int], m2: tuple[int, int, int]) -> Vec:
-        a, b, c = m1
-        dd, e, f = m2
-        scal = qpow(2 * c * dd - 2 * b * dd)
-        cur: Vec = mono(a + dd, b, c, scal)
-        for _ in range(e):
-            cur = _apply_map(times_e, cur)
-            if not cur:
-                return {}
-        out: Vec = {}
-        for i, coeff in cur.items():
-            aa, rem = divmod(i, n * n)
-            bb, cc = divmod(rem, n)
-            if cc + f < n:
-                _vadd(out, midx(aa, bb, cc + f), coeff)
+    def pbw_fill(first, step) -> list:
+        # the value at every monomial, from first at 1 and step(value at x, g)
+        # at x g, for the generator g = 0, 1, 2 (K, E, F)
+        out = [first]
+        for i in range(1, d):
+            g = 2 if i % n else 1 if i % (n * n) else 0
+            out.append(step(out[i - (n * n, n, 1)[g]], g))
         return out
 
-    d = n ** 3
-    mult: list[list[Vec]] = [[mono_mul(m1, m2) for m2 in monomials] for m1 in monomials]
+    one = Cyc.one()
+    mult: list[list[Vec]] = [pbw_fill({x: one}, lambda v, g: _apply_map(times[g], v))
+                             for x in range(d)]
 
     # Delta(K) = K x K, Delta(E) = E x 1 + K x E, Delta(F) = F x K^-1 + 1 x F
-    one = Cyc.one()
-    dK: TVec = {(midx(1, 0, 0), midx(1, 0, 0)): one}
-    dE: TVec = {(midx(0, 1, 0), midx(0, 0, 0)): one, (midx(1, 0, 0), midx(0, 1, 0)): one}
-    dF: TVec = {(midx(0, 0, 1), midx(n - 1, 0, 0)): one, (midx(0, 0, 0), midx(0, 0, 1)): one}
-
-    comult: list[TVec] = []
-    for (a, b, c) in monomials:
-        acc: TVec = {(0, 0): Cyc.one()}
-        for _ in range(a):
-            acc = _tensor_mult(mult, acc, dK)
-        for _ in range(b):
-            acc = _tensor_mult(mult, acc, dE)
-        for _ in range(c):
-            acc = _tensor_mult(mult, acc, dF)
-        comult.append(acc)
+    deltas: tuple[TVec, ...] = (
+        {(midx(1, 0, 0), midx(1, 0, 0)): one},
+        {(midx(0, 1, 0), midx(0, 0, 0)): one, (midx(1, 0, 0), midx(0, 1, 0)): one},
+        {(midx(0, 0, 1), midx(n - 1, 0, 0)): one, (midx(0, 0, 0), midx(0, 0, 1)): one})
+    comult = pbw_fill({(0, 0): one}, lambda t, g: _tensor_mult(mult, t, deltas[g]))
 
     counit = [Cyc.one() if (b == 0 and c == 0) else Cyc.zero()
               for (a, b, c) in monomials]
 
-    sK = mono(n - 1, 0, 0)
-    sE = mono(n - 1, 1, 0, Cyc.rational(-1))
-
-    sF = _mult_vec(mult, mono(0, 0, 1, Cyc.rational(-1)), mono(1, 0, 0))
-    antipode: list[Vec] = []
-    for (a, b, c) in monomials:
-        acc: Vec = mono(0, 0, 0)
-        for _ in range(c):
-            acc = _mult_vec(mult, acc, sF)
-        for _ in range(b):
-            acc = _mult_vec(mult, acc, sE)
-        for _ in range(a):
-            acc = _mult_vec(mult, acc, sK)
-        antipode.append(acc)
+    # S(K) = K^-1, S(E) = -K^-1 E, S(F) = -F K
+    minus_one = Cyc.rational(-1)
+    antipodes = (mono(n - 1, 0, 0), mono(n - 1, 1, 0, minus_one),
+                 _apply_map(times_k, mono(0, 0, 1, minus_one)))
+    antipode = pbw_fill({0: one}, lambda v, g: _mult_vec(mult, antipodes[g], v))
 
     labels = [f"K^{a}E^{b}F^{c}" for (a, b, c) in monomials]
     H = HopfAlgebraData(d, field_order, labels, mult, mono(0, 0, 0),
@@ -657,9 +642,10 @@ def _augmentation(H: HopfAlgebraData, R: SubalgebraEmbedding) -> list[Vec]:
 
 
 class QuotientModule:
-    """The right module coalgebra H/R+H with its projection, action matrices,
-    induced coproduct and counit; the module-coalgebra axioms are verified on
-    construction."""
+    """The right module coalgebra H/R+H with its projection ``proj`` (the
+    `_projector` of R+H), action, induced coproduct and counit; action[h][b]
+    is the image of the b-th basis vector of Q under e_h.  The
+    module-coalgebra axioms are verified on construction."""
 
     def __init__(self, hopf: HopfAlgebraData, emb: SubalgebraEmbedding):
         self.hopf = hopf
@@ -671,35 +657,22 @@ class QuotientModule:
         self.dim_q = len(self.section)
         if self.dim_q * emb.dim != H.dim:
             raise AssertionError("dim Q * dim R != dim H")
-        self._sec_index = {j: b for b, j in enumerate(self.section)}
-        # action matrices, sparse {(row, col): scalar} per H-basis element
-        self.action: list[dict[tuple[int, int], Cyc]] = []
-        for h in range(H.dim):
-            mat: dict[tuple[int, int], Cyc] = {}
-            for b, j in enumerate(self.section):
-                for rr, c in self.project(H.mult[j][h]).items():
-                    mat[(rr, b)] = c
-            self.action.append(mat)
-        self.counit_q = [H.counit_vec(H.basis_vec(j)) for j in self.section]
-        project_at = _projector(space).__getitem__
+        self.proj = _projector(space)
+        self.action: list[list[Vec]] = [[self.project(H.mult[j][h]) for j in self.section]
+                                        for h in range(H.dim)]
+        self.counit_q = [H.counit[j] for j in self.section]
+        project_at = self.proj.__getitem__
         self.coproduct_q: list[TVec] = [
-            _tensor_image(H.comult_vec(H.basis_vec(j)), project_at, project_at)
-            for j in self.section]
+            _tensor_image(H.comult[j], project_at, project_at) for j in self.section]
         self._verify()
 
     def project(self, v: Vec) -> Vec:
-        """H -> Q: reduce modulo R+H, coordinates on the section basis."""
-        return _project(self.rpH, self._sec_index, v)
+        """H -> Q: v modulo R+H, coordinates on the section basis."""
+        return _apply_map(self.proj, v)
 
     def act(self, q: Vec, h: Vec) -> Vec:
-        out: Vec = {}
-        for hi, hc in h.items():
-            mat = self.action[hi]
-            for (rr, cc), m in mat.items():
-                qq = q.get(cc)
-                if qq is not None and not qq.is_zero():
-                    _vadd(out, rr, hc * m * qq)
-        return out
+        # q h = sum h_i (q e_i), q e_i the image of q under the images action[i]
+        return _apply_map({i: _apply_map(self.action[i], q) for i in h}, h)
 
     def _verify(self) -> None:
         """Prove that the projection pi intertwines right multiplication with
@@ -727,18 +700,17 @@ class QuotientModule:
 
         def act_at(qh: tuple[int, int]) -> Vec:
             # the basis vector q of Q acted on by the basis element h
-            return self.act({qh[0]: Cyc.one()}, H.basis_vec(qh[1]))
+            return self.action[qh[1]][qh[0]]
 
         for i in range(H.dim):
-            pi = self.project(H.basis_vec(i))
             for h in gens:
-                lhs = self.project(H.mult_vec(H.basis_vec(i), H.basis_vec(h)))
-                rhs = self.act(pi, H.basis_vec(h))
+                lhs = self.project(H.mult[i][h])
+                rhs = self.act(self.proj[i], H.basis_vec(h))
                 if lhs != rhs:
                     raise AssertionError("projection does not intertwine the action")
         for b in range(self.dim_q):
             for h in gens:
-                qh = self.act({b: Cyc.one()}, H.basis_vec(h))
+                qh = self.action[h][b]
                 eps_qh = _apply_form(self.counit_q, qh)
                 if not (eps_qh - self.counit_q[b] * H.counit[h]).is_zero():
                     raise AssertionError("counit of Q is not H-linear")
@@ -768,7 +740,7 @@ class TensorPowerModule:
     base: QuotientModule
     n: int
     dim: int
-    action: list[dict[tuple[int, int], Cyc]]   # per H-basis element
+    action: list[list[Vec]]   # basis images per H-basis element, as Q.action
 
     def times_q(self) -> "TensorPowerModule":
         """The next power Q^x(n+1), from rho_(n+1)(h) = sum rho_n(h_1) x rho_1(h_2)
@@ -778,18 +750,15 @@ class TensorPowerModule:
         digit of a basis index."""
         Q = self.base
         dq = Q.dim_q
-        dim = self.dim * dq
-        action = []
-        for h in range(Q.hopf.dim):
-            mat: dict[tuple[int, int], Cyc] = {}
-            for (a, b), c in Q.hopf.comult[h].items():
-                last = Q.action[b]
-                for (r1, c1), v1 in self.action[a].items():
-                    cv = c * v1
-                    for (r2, c2), v2 in last.items():
-                        _vadd(mat, (r1 * dq + r2, c1 * dq + c2), cv * v2)
-            action.append(mat)
-        return TensorPowerModule(Q, self.n + 1, dim, action)
+
+        def image(delta: TVec, b1: int, b2: int) -> Vec:
+            # sum rho_n(h_1) e_b1 x rho_1(h_2) e_b2, at the index b1 * dq + b2
+            tv = _tensor_image(delta, lambda h1: self.action[h1][b1],
+                               lambda h2: Q.action[h2][b2])
+            return {r1 * dq + r2: v for (r1, r2), v in tv.items()}
+        action = [[image(delta, b1, b2) for b1 in range(self.dim) for b2 in range(dq)]
+                  for delta in Q.hopf.comult]
+        return TensorPowerModule(Q, self.n + 1, self.dim * dq, action)
 
 
 def tensor_power_action(Q: QuotientModule, n: int) -> TensorPowerModule:
@@ -797,7 +766,7 @@ def tensor_power_action(Q: QuotientModule, n: int) -> TensorPowerModule:
     coproduct step at a time (`TensorPowerModule.times_q`)."""
     if n < 1:
         raise ValueError("tensor power must be >= 1")
-    tp = TensorPowerModule(Q, 1, Q.dim_q, [dict(m) for m in Q.action])
+    tp = TensorPowerModule(Q, 1, Q.dim_q, Q.action)
     for _ in range(n - 1):
         tp = tp.times_q()
     return tp
@@ -898,11 +867,11 @@ def _kernel_space(columns: list[dict]) -> RowSpace:
     return space
 
 
-def _annihilator(action: list[dict[tuple[int, int], Cyc]], dim: int) -> RowSpace:
-    """The h in H that act as zero, from the sparse dim x dim action matrix
-    of each H-basis element, as a subspace."""
-    return _kernel_space([{r * dim + c: v for (r, c), v in mat.items()}
-                          for mat in action])
+def _annihilator(action: list[list[Vec]], dim: int) -> RowSpace:
+    """The h in H that act as zero, from the images of the dim basis vectors
+    under each H-basis element, as a subspace."""
+    return _kernel_space([{b * dim + r: v for b, img in enumerate(images)
+                           for r, v in img.items()} for images in action])
 
 
 def _annihilator_step(H: HopfAlgebraData, proj_n: list[Vec],
@@ -1058,8 +1027,7 @@ def integrals_and_modular(H: HopfAlgebraData, R: SubalgebraEmbedding,
     # restriction of m_H to R, computed on the R basis by linearity
     frobenius = all((_apply_form(m_H, b) - m_R[i]).is_zero()
                     for i, b in enumerate(R.basis))
-    q_ints = _invariants(H, Q.dim_q,
-                         lambda b, g: Q.act({b: Cyc.one()}, H.basis_vec(g)))
+    q_ints = _invariants(H, Q.dim_q, lambda b, g: Q.action[g][b])
     if bool(q_ints) != frobenius:
         raise AssertionError(
             "existence of a nonzero integral in Q disagrees with m_H|_R = m_R")
@@ -1080,10 +1048,7 @@ def _frobenius_terms(H: HopfAlgebraData, lam: Vec) -> TVec:
     a subalgebra containing 1, since for two such h and k
     sum hk Lambda_1 x S(Lambda_2) = (h x 1) sum Lambda_1 x S(Lambda_2) k
     = sum Lambda_1 x S(Lambda_2) hk."""
-    terms: TVec = {}
-    for (x, y), c in H.comult_vec(lam).items():
-        for z, s in H.antipode[y].items():
-            _vadd(terms, (x, z), c * s)
+    terms = _tensor_image(H.comult_vec(lam), H.basis_vec, H.antipode.__getitem__)
     for g in H.generators:
         left = H.tensor_mult({(g, k): c for k, c in H.unit.items()}, terms)
         right = H.tensor_mult(terms, {(k, g): c for k, c in H.unit.items()})
@@ -1106,8 +1071,9 @@ def module_hom_basis(Q: QuotientModule, tp: TensorPowerModule,
     H = Q.hopf
     homs: list[list[Vec]] = [[{} for _ in range(tp.dim)] for _ in range(tp.dim)]
     for (x, z), c in terms.items():
-        for (j, b), a in tp.action[x].items():
-            _vadd(homs[j][b], z, c * a)
+        for b, img in enumerate(tp.action[x]):
+            for j, a in img.items():
+                _vadd(homs[j][b], z, c * a)
     space = RowSpace(tp.dim * H.dim)
     for images in homs:
         space.add({b * H.dim + k: v for b, img in enumerate(images) for k, v in img.items()})

@@ -471,23 +471,24 @@ def iterated_comult(H, i, n) -> dict:
     return terms
 
 
-def reference_tensor_power_action(Q, n) -> list[dict]:
-    """The action matrices of H on Q^xn, each Delta^(n-1)(h) applied slot by
-    slot: the reference for `tensor_power_action`."""
+def reference_tensor_power_action(Q, n) -> list[list[dict]]:
+    """The action of H on Q^xn, as the images of its basis under each
+    H-basis element, each Delta^(n-1)(h) applied slot by slot: the reference
+    for `tensor_power_action`."""
     H = Q.hopf
     dq = Q.dim_q
     action = []
     for h in range(H.dim):
-        mat = {}
+        images = [{} for _ in range(dq ** n)]
         for tup, c in iterated_comult(H, h, n).items():
-            # tensor product of the n slot actions
+            # tensor product of the n slot actions, entries (rows, columns)
             partial = {((), ()): c}
             for slot in range(n):
                 nxt = {}
-                amat = Q.action[tup[slot]]
                 for (rt, ct), pc in partial.items():
-                    for (r, cc2), v in amat.items():
-                        _vadd(nxt, (rt + (r,), ct + (cc2,)), pc * v)
+                    for col, img in enumerate(Q.action[tup[slot]]):
+                        for r, v in img.items():
+                            _vadd(nxt, (rt + (r,), ct + (col,)), pc * v)
                 partial = nxt
             for (rt, ct), v in partial.items():
                 r = 0
@@ -495,8 +496,8 @@ def reference_tensor_power_action(Q, n) -> list[dict]:
                 for k in range(n):
                     r = r * dq + rt[k]
                     cidx = cidx * dq + ct[k]
-                _vadd(mat, (r, cidx), v)
-        action.append(mat)
+                _vadd(images[cidx], r, v)
+        action.append(images)
     return action
 
 
@@ -511,11 +512,11 @@ def reference_annihilator(Q: QuotientModule, n: int) -> RowSpace:
 def tensor_power_character(tp: TensorPowerModule) -> list[Cyc]:
     """The trace of the action of each H-basis element on Q^xn."""
     out = []
-    for mat in tp.action:
+    for images in tp.action:
         tr = Cyc.zero()
-        for (r, c), v in mat.items():
-            if r == c:
-                tr = tr + v
+        for b, img in enumerate(images):
+            if b in img:
+                tr = tr + img[b]
         out.append(tr)
     return out
 
@@ -633,12 +634,12 @@ def reference_module_hom_basis(Q, tp) -> list[list[dict]]:
     columns: list[dict[int, Cyc]] = [dict() for _ in range(dqn * d)]
     # equation positions: (b, h, m) -> ((b * H.dim) + h) * d + m
     for h in range(d):
-        amat = tp.action[h]
-        for (c_row, b_col), v in amat.items():
-            # term + A_h[c_row, b_col] * f_{c_row, m} at positions (b_col, h, m)
-            for m in range(d):
-                pos = (b_col * d + h) * d + m
-                _vadd(columns[c_row * d + m], pos, v)
+        for b_col, img in enumerate(tp.action[h]):
+            for c_row, v in img.items():
+                # term + A_h[c_row, b_col] * f_{c_row, m} at positions (b_col, h, m)
+                for m in range(d):
+                    pos = (b_col * d + h) * d + m
+                    _vadd(columns[c_row * d + m], pos, v)
     for h in range(d):
         for b in range(dqn):
             for k in range(d):

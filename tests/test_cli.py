@@ -309,6 +309,19 @@ def test_hopf_mode_rejects_uq3_declared_over_q(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_hopf_mode_refuses_a_short_scalar_of_a_large_order(tmp_path, capsys, uq2):
+    # the coefficient count is checked before Phi_720720 would be built
+    H8, subs8 = uq2
+    data = H8.to_json(subalgebras={"R": subs8["R2"]})
+    data["counit"][0] = "720720:[1]"
+    path = tmp_path / "uq2.json"
+    path.write_text(json.dumps(data))
+    assert main(["hopf", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Hopf JSON field 'counit': ")
+    assert "Traceback" not in err
+
+
 def test_character_table_failure_is_an_error(s2s3_file, monkeypatch, capsys):
     # S3 is nonabelian, so its table goes through Dixon-Schneider at one
     # prime; a square root mod p that is never found fails the degree check

@@ -35,6 +35,20 @@ def test_cyclotomic_polynomials():
     assert euler_phi(60) == 16
 
 
+def test_euler_phi_is_the_degree_of_the_cyclotomic_polynomial():
+    assert all(euler_phi(n) == len(cyclotomic_polynomial(n)) - 1 for n in range(1, 401))
+
+
+@pytest.mark.parametrize("s", ["100000:[1]", "720720:[1]", "720720:[1,0]",
+                               "1000000000000000003:[1]"])
+def test_a_short_scalar_is_refused_before_its_cyclotomic_polynomial(s):
+    # a list of the wrong length is refused without building Phi_n
+    built = cyclotomic_polynomial.cache_info().currsize
+    with pytest.raises(ValueError, match=r"coefficients for order \d+"):
+        scalar_from_string(s)
+    assert cyclotomic_polynomial.cache_info().currsize == built
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 12])
 def test_root_of_unity_has_order_n(n):
     z = Cyc.root_of_unity(n)

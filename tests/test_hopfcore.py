@@ -19,7 +19,7 @@ from subdepth.corpus import catalog
 from subdepth.exactalg import Cyc, RowSpace, scalar_from_string
 from subdepth.hopfcore import (HopfAlgebraData, SubalgebraEmbedding,
                                TensorPowerModule, _apply_map, _frobenius_terms, _ideal,
-                               _is_hopf_ideal, _is_two_sided, _projector,
+                               _is_hopf_ideal, _is_two_sided, _project, _projector,
                                _right_integrals,
                                annihilator_chain, build_group_algebra,
                                build_small_quantum_group, idealizer_and_endQ,
@@ -388,6 +388,22 @@ def test_quotient_eight_dim(uq2):
     det = (p1.get(0, Cyc.zero()) * pf.get(1, Cyc.zero())
            - p1.get(1, Cyc.zero()) * pf.get(0, Cyc.zero()))
     assert not det.is_zero()
+
+
+@pytest.mark.parametrize("case", ["kS3", "uq2", "uq3 R1"])
+def test_quotient_action_holds_the_images_of_the_basis(case, request):
+    # action[h][b] is the image of the b-th basis vector of Q under e_h, and
+    # the projector reduces modulo R+H as RowSpace.reduce does
+    for H, R in _closure_pairs(case, request):
+        Q = quotient_module(H, R)
+        sec_index = {j: b for b, j in enumerate(Q.section)}
+        for x in range(H.dim):
+            assert Q.project({x: Cyc.one()}) == _project(Q.rpH, sec_index, {x: Cyc.one()})
+        for h in range(H.dim):
+            assert len(Q.action[h]) == Q.dim_q
+            for b in range(Q.dim_q):
+                assert Q.action[h][b] == Q.project(H.mult[Q.section[b]][h])
+                assert Q.act({b: Cyc.one()}, H.basis_vec(h)) == Q.action[h][b]
 
 
 def test_nichols_zoeller_bookkeeping(s4, uq2, uq3):

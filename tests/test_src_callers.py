@@ -33,9 +33,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "subdepth"
 
 # kept without a caller in src/, besides dunders, which Python calls:
-# ExactMatrix (a class here covers its methods), solve_kernel and rref, while
-# the benchmark's tracing names solve_kernel and rref as targets
-ALLOWED = {"ExactMatrix", "solve_kernel", "rref"}
+# ExactMatrix (a class here covers its methods); solve_kernel and rref need
+# no entry, as the benchmark's tracing names them as targets
+ALLOWED = {"ExactMatrix"}
 
 
 def _trees() -> dict[str, ast.Module]:
