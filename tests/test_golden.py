@@ -10,10 +10,13 @@ annihilator and trace chains build no tensor power; the `subdepth chartab`
 tables of S4 and A5 before the Dixon-Schneider and minimal-polynomial
 kernels were reworked; the `subdepth mackey` reports (JSON and stdout) on
 A4<A5 at power 6, and at power 4 with the restriction of a subgroup K of
-order 6, before the tensor powers were kept as counted multisets.
+order 6, before the tensor powers were kept as counted multisets; the
+`subdepth hopf` report on uq5 (dim 125, over Q(zeta_5)) before `Cyc`
+arithmetic was cached.
 Every later change must reproduce them exactly.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -83,6 +86,20 @@ def test_make_hopf_input_is_golden(n, tmp_path):
     subprocess.run([sys.executable, str(script), n, str(out)],
                    check=True, capture_output=True)
     assert out.read_bytes() == (GOLDEN / f"uq{n}.json").read_bytes()
+
+
+def test_hopf_uq5_json_is_golden(tmp_path, capsys):
+    # the 2.3 MB input is built by the script rather than stored; its
+    # SHA-256 pins the script's output as well
+    data = tmp_path / "uq5.json"
+    script = GOLDEN.parent.parent / "scripts" / "make_hopf_input.py"
+    subprocess.run([sys.executable, str(script), "5", str(data)],
+                   check=True, capture_output=True)
+    assert hashlib.sha256(data.read_bytes()).hexdigest() == (
+        "33833be46b0985f4b04086eee7d3c7cbecd9624568eb743224840710d702bda6")
+    out = tmp_path / "rep.json"
+    assert main(["hopf", str(data), "--json", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "hopf_uq5.json").read_bytes()
 
 
 @pytest.mark.parametrize("group, golden", [
