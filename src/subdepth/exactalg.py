@@ -141,6 +141,13 @@ class Cyc:
     arithmetic lifts both operands to Q(zeta_lcm) first.  Arithmetic runs on
     ints only; ``coeffs`` reads the coordinates nums[i] / den, each an
     ``int`` when integral and a ``Fraction`` otherwise.
+
+    Arithmetic of order > 1 runs in four kernels, each an ``lru_cache`` of
+    at most CYC_CACHE_SIZE entries keyed by the normal forms of its
+    operands: the product, a rational times a cyclotomic, the sum and
+    difference (after mixed orders are lifted), and ``inverse``.  Rational
+    operands take the order-1 paths first and never reach a cache: the int
+    fast paths, ``_ratio`` and the rational branch of ``_linear``.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -286,43 +293,18 @@ class Cyc:
             p, q = r.nums[0], r.den
             if p == 1 == q:
                 return z
-            return _cyc_q(z.order, tuple(p * x for x in z.nums), q * z.den)
+            return _cyc_scale(p, q, z.order, z.nums, z.den)
         a, b = Cyc._pair(self, other)
-        # one integer convolution, then x^m -> x^m mod Phi_n for m >= phi
-        phi = len(a.nums)
-        conv = [0] * (2 * phi - 1)
-        for i, x in enumerate(a.nums):
-            if x:
-                for j, y in enumerate(b.nums, i):
-                    conv[j] += x * y
-        table = _xpow_table(a.order)
-        for m in range(phi, 2 * phi - 1):
-            c = conv[m]
-            if c:
-                for j, t in enumerate(table[m]):
-                    if t:
-                        conv[j] += c * t
-        return _cyc_q(a.order, tuple(conv[:phi]), a.den * b.den)
+        return _cyc_product(a.order, a.nums, a.den, b.nums, b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        n = self.order
-        if n == 1:
+        if self.order == 1:
             return _ratio(self.den, self.nums[0])
-        # z = w / den for w in Z[zeta_n] with coordinates nums, and
-        # z^-1 = den r / N(w) for r the product of the Galois conjugates
-        # sigma_k(w), zeta -> zeta^k, over k in (Z/n)* other than 1; the norm
-        # N(w) = w r is an integer, nonzero as Phi_n is irreducible over Q
-        r = _CYC_ONE
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                r = r * Cyc.from_power_sum(
-                    n, {i * k % n: c for i, c in enumerate(self.nums) if c})
-        norm = r * _cyc(n, self.nums, 1)
-        return r * _ratio(self.den, norm.nums[0])
+        return _cyc_inverse(self.order, self.nums, self.den)
 
     def __truediv__(self, other) -> "Cyc":
         return self * as_cyc(other).inverse()
@@ -430,14 +412,74 @@ def _ratio(p: int, q: int) -> Cyc:
 
 def _linear(a: Cyc, b: Cyc, op) -> Cyc:
     # a + b or a - b for op add or sub: numerators over a shared denominator
-    # combine directly, others cross-multiply
+    # combine directly, others cross-multiply; rationals here, the rest in
+    # the cached kernel at the common order
     if a.order != b.order:
         a, b = Cyc._pair(a, b)
     da, db = a.den, b.den
-    if da == db:
-        return _cyc_q(a.order, tuple(map(op, a.nums, b.nums)), da)
-    return _cyc_q(a.order, tuple(op(x * db, y * da) for x, y in zip(a.nums, b.nums)),
-                  da * db)
+    if a.order == 1:
+        if da == db:
+            return _cyc_q(1, (op(a.nums[0], b.nums[0]),), da)
+        return _cyc_q(1, (op(a.nums[0] * db, b.nums[0] * da),), da * db)
+    return _cyc_linear(op, a.order, a.nums, da, b.nums, db)
+
+
+# The kernels of order > 1 arithmetic, each a pure function of the normal
+# forms of its operands, cached by them: Cyc is immutable and every result
+# is in its unique normal form, so a cached value is the value the kernel
+# computes.  The Hopf engine multiplies a few hundred distinct values tens of
+# thousands of times.  Rational arithmetic never reaches them.  The one cap
+# holds every operand set of the 27-dim quantum group's reports (at most 423
+# per kernel) and bounds the memory of larger ones: on the 125-dim one it
+# evicts, keeps about 72% of products and sums as hits, and costs about 3 MB.
+CYC_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=CYC_CACHE_SIZE)
+def _cyc_product(order: int, anums: tuple, aden: int, bnums: tuple, bden: int) -> Cyc:
+    # one integer convolution, then x^m -> x^m mod Phi_n for m >= phi
+    phi = len(anums)
+    conv = [0] * (2 * phi - 1)
+    for i, x in enumerate(anums):
+        if x:
+            for j, y in enumerate(bnums, i):
+                conv[j] += x * y
+    table = _xpow_table(order)
+    for m in range(phi, 2 * phi - 1):
+        c = conv[m]
+        if c:
+            for j, t in enumerate(table[m]):
+                if t:
+                    conv[j] += c * t
+    return _cyc_q(order, tuple(conv[:phi]), aden * bden)
+
+
+@lru_cache(maxsize=CYC_CACHE_SIZE)
+def _cyc_scale(p: int, q: int, order: int, nums: tuple, den: int) -> Cyc:
+    # the rational p / q times nums / den: it scales the numerators
+    return _cyc_q(order, tuple(p * x for x in nums), q * den)
+
+
+@lru_cache(maxsize=CYC_CACHE_SIZE)
+def _cyc_linear(op, order: int, anums: tuple, aden: int, bnums: tuple, bden: int) -> Cyc:
+    if aden == bden:
+        return _cyc_q(order, tuple(map(op, anums, bnums)), aden)
+    return _cyc_q(order, tuple(op(x * bden, y * aden) for x, y in zip(anums, bnums)),
+                  aden * bden)
+
+
+@lru_cache(maxsize=CYC_CACHE_SIZE)
+def _cyc_inverse(n: int, nums: tuple, den: int) -> Cyc:
+    # z = w / den for w in Z[zeta_n] with coordinates nums, and
+    # z^-1 = den r / N(w) for r the product of the Galois conjugates
+    # sigma_k(w), zeta -> zeta^k, over k in (Z/n)* other than 1; the norm
+    # N(w) = w r is an integer, nonzero as Phi_n is irreducible over Q
+    r = _CYC_ONE
+    for k in range(2, n):
+        if gcd(k, n) == 1:
+            r = r * Cyc.from_power_sum(n, {i * k % n: c for i, c in enumerate(nums) if c})
+    norm = r * _cyc(n, nums, 1)
+    return r * _ratio(den, norm.nums[0])
 
 
 _HASH_MODULUS = sys.hash_info.modulus

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from subdepth import exactalg
 from subdepth.exactalg import (Cyc, ExactMatrix, MalformedSequenceError, RowSpace,
                                cyclotomic_polynomial, euler_phi,
                                factor_rational_roots, is_indecomposable,
                                kernel_of_sparse_columns, minimal_polynomial,
                                pattern_stabilization_index, scalar_from_string,
                                as_cyc, scalar_to_string, solve_kernel)
+from subdepth.hopfcore import (annihilator_chain, build_group_algebra, quotient_module,
+                               subgroup_embedding)
 
 from helpers import (conjugate, derivative, evaluate_matrix,
                      exact_pattern_stabilization_index, from_roots, matpow,
@@ -376,6 +379,49 @@ def test_results_are_in_normal_form_and_match_the_fraction_reference(data):
     # value above order 1
     lifted = a.lift(2 * n)
     assert lifted.den == a.den and gcd(lifted.den, *lifted.nums) == 1
+
+
+# -- the kernel caches -----------------------------------------------------------
+
+KERNELS = (exactalg._cyc_product, exactalg._cyc_scale, exactalg._cyc_linear,
+           exactalg._cyc_inverse)
+irrational = st.sampled_from([3, 4, 5, 8, 12]).flatmap(
+    lambda n: cyc_elements(orders=[n]).filter(lambda z: z.order > 1))
+
+
+@given(irrational, st.data())
+@settings(max_examples=100, deadline=None)
+def test_cached_kernels_give_the_reference_on_a_miss_and_on_a_hit(a, data):
+    n = a.order
+    b = data.draw(cyc_elements(orders=[n]).filter(lambda z: z.order > 1))
+    r = data.draw(small_rationals.filter(lambda x: x != 1))
+    cases = [
+        (exactalg._cyc_product, lambda: a * b, reference_product(a, b)),
+        (exactalg._cyc_scale, lambda: r * a, [r * x for x in a.coeffs]),
+        (exactalg._cyc_linear, lambda: a + b, [Fraction(x) + y for x, y in zip(a.coeffs, b.coeffs)]),
+        (exactalg._cyc_linear, lambda: a - b, [Fraction(x) - y for x, y in zip(a.coeffs, b.coeffs)]),
+        (exactalg._cyc_inverse, a.inverse, list(reference_inverse(a).lift(n).coeffs)),
+    ]
+    for kernel, compute, want in cases:
+        kernel.cache_clear()
+        miss = compute()
+        assert kernel.cache_info()[:2] == (0, 1)
+        hit = compute()
+        assert kernel.cache_info()[:2] == (1, 1)
+        assert hit is miss
+        assert_normal_form(miss)
+        assert list(miss.lift(n).coeffs) == want
+
+
+def test_rational_arithmetic_leaves_the_kernel_caches_alone(s4):
+    # the group algebra over Q, its quotient modules and their annihilator
+    # chains (whose elimination adds fractions) hold order-1 scalars only,
+    # whose arithmetic runs before and without the caches
+    before = [kernel.cache_info() for kernel in KERNELS]
+    H = build_group_algebra(s4)
+    for S, _ in s4.subgroup_classes():
+        annihilator_chain(quotient_module(H, subgroup_embedding(H, s4, S)))
+    assert [kernel.cache_info() for kernel in KERNELS] == before
 
 
 def test_arithmetic_on_denominators_builds_no_fraction(monkeypatch):
