@@ -55,10 +55,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from math import gcd
 from typing import Optional, Sequence
 
-from .exactalg import (Cyc, RowSpace, algebra_generators, json_int, json_kind,
-                       json_scalar, kernel_of_sparse_columns, scalar_to_string)
+from .exactalg import (Cyc, RowSpace, _coords_in_subfield, algebra_generators, json_int,
+                       json_kind, json_scalar, kernel_of_sparse_columns, scalar_to_string)
 from .permgroup import GroupHandle, SubgroupHandle, _bit_indices
 
 Vec = dict[int, Cyc]           # sparse element of H
@@ -150,10 +151,12 @@ _json_int = partial(json_int, "Hopf JSON")
 
 
 def _json_scalar(field: str, value, n: int) -> Cyc:
-    # input check for Hopf JSON: a scalar must lie in Q(zeta_n) for the
-    # declared field_order n, that is, its canonical order must divide n
+    # input check for Hopf JSON: a scalar written at order m must lie in
+    # Q(zeta_n) for the declared field_order n, that is, in
+    # Q(zeta_n) cap Q(zeta_m) = Q(zeta_gcd(n, m)): one subfield test, and no
+    # search for the conductor
     c = json_scalar("Hopf JSON", field, value)
-    if n % c.order and n % c.canonical().order:
+    if n % c.order and _coords_in_subfield(c, gcd(n, c.order)) is None:
         raise ValueError(f"Hopf JSON field '{field}': {value!r} does not lie in "
                          f"Q(zeta_{n}) for field_order {n}")
     return c

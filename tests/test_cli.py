@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from subdepth import chartab, cli, mackey
+from subdepth import chartab, cli, exactalg, hopfcore, mackey
 from subdepth.cli import AnalysisRequest, main, run
 from subdepth.mackey import BudgetExceededError
 from subdepth.permgroup import GroupHandle
@@ -320,6 +320,43 @@ def test_hopf_mode_refuses_a_short_scalar_of_a_large_order(tmp_path, capsys, uq2
     err = capsys.readouterr().err
     assert err.startswith("error: Hopf JSON field 'counit': ")
     assert "Traceback" not in err
+
+
+def test_hopf_mode_tests_a_long_scalar_in_one_subfield(tmp_path, capsys, uq2, monkeypatch):
+    # Q(zeta_1) cap Q(zeta_10000) = Q(zeta_gcd(1, 10000)): one subfield test
+    # refuses the 8 KB scalar, with no search for its conductor
+    calls = []
+
+    def counting(z, d):
+        calls.append(d)
+        return exactalg._coords_in_subfield(z, d)
+
+    monkeypatch.setattr(hopfcore, "_coords_in_subfield", counting)
+    H8, subs8 = uq2
+    data = H8.to_json(subalgebras={"R": subs8["R2"]})
+    assert data["field_order"] == 1
+    data["counit"][0] = "10000:[0,1" + ",0" * 3998 + "]"
+    path = tmp_path / "uq2.json"
+    path.write_text(json.dumps(data))
+    assert main(["hopf", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Hopf JSON field 'counit': ")
+    assert "Traceback" not in err
+    assert calls == [1]
+
+
+def test_hopf_mode_accepts_a_scalar_written_at_order_6(tmp_path, capsys):
+    # Q(zeta_6) = Q(zeta_3), and zeta_3 = zeta_6 - 1: a + b zeta_3 written
+    # at order 6 is "6:[a-b,b]", and the uq3 report stays the golden one
+    data = json.loads((ROOT / "tests" / "golden" / "uq3.json").read_text())
+    entry = next(e for e in data["mult"] if e[3].startswith("3:"))
+    a, b = exactalg.scalar_from_string(entry[3]).coeffs
+    entry[3] = f"6:[{a - b},{b}]"
+    assert exactalg.scalar_from_string(entry[3]).order == 6
+    path, out = tmp_path / "uq3.json", tmp_path / "rep.json"
+    path.write_text(json.dumps(data))
+    assert main(["hopf", str(path), "--json", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / "hopf_uq3.json").read_bytes()
 
 
 def test_character_table_failure_is_an_error(s2s3_file, monkeypatch, capsys):
