@@ -22,10 +22,11 @@ stretch of the host says so.
 
     --seed-set W@N    PAIRS more pairs of workload W with --seed N (repeatable)
     --trace [N]       N `--trace 1` runs per side and workload (3 when N is
-                      left out), alternating sides as the pairs do; the median
-                      of each per-layer metric is stored beside the pairs, and
-                      a `.calls` count that differs between the runs of one
-                      side is an error
+                      left out), alternating sides as the pairs do, right
+                      after that workload's pairs, so both read the host in
+                      the same stretch; the median of each per-layer metric
+                      is stored beside the pairs, and a `.calls` count that
+                      differs between the runs of one side is an error
     --claim W:METRIC  the claimed gain, checked on every set of W: the change
                       lower in at least 9 of 10 pairs, and the parent median
                       minus the change median above the parent's quartile gap
@@ -136,6 +137,34 @@ def trace_medians(runs: list[dict]) -> dict:
     return out
 
 
+def measure(dirs: dict[str, str], sets: list[tuple[str, int]], seconds: int,
+            metrics: list[str], trace: int) -> tuple[dict, dict]:
+    """The summaries of PAIRS alternating pairs for each (workload, seed)
+    set, keyed "W@seedN", and the traced medians of each side, keyed
+    "W@seed1".  The sets of one workload run together, in the order of
+    their first appearance, and its `trace` traced runs per side (seed 1)
+    follow them at once."""
+    summaries: dict = {}
+    traces: dict = {}
+    for workload in dict.fromkeys(w for w, _ in sets):
+        for seed in (s for w, s in sets if w == workload):
+            runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+            for i in range(PAIRS):
+                for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                    runs[side].append(run_once(dirs[side], workload, seconds, seed))
+                print(f"{workload}@seed{seed}: pair {i + 1} of {PAIRS}", file=sys.stderr)
+            summaries[f"{workload}@seed{seed}"] = summarize(runs, metrics)
+        if trace:
+            traced: dict[str, list[dict]] = {side: [] for side in SIDES}
+            for i in range(trace):
+                for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                    traced[side].append(
+                        run_once(dirs[side], workload, seconds, trace=1)["metrics"])
+            traces[f"{workload}@seed1"] = {side: trace_medians(traced[side])
+                                           for side in SIDES}
+    return summaries, traces
+
+
 def claim_holds(entry: dict) -> bool:
     """Whether a summarized metric shows a gain (lower is better): the
     change lower in at least nine tenths of the pairs, and the medians
@@ -185,8 +214,7 @@ def main() -> int:
                              "before": calibration(startup_seconds())},
         "workloads": {},
     }
-    workloads = [w["name"] for w in bench["workloads"]]
-    sets = [(w, 1) for w in workloads]
+    sets = [(w["name"], 1) for w in bench["workloads"]]
     for spec in args.seed_set:
         workload, _, seed = spec.partition("@")
         sets.append((workload, int(seed)))
@@ -194,26 +222,12 @@ def main() -> int:
         dirs = {side: os.path.join(tmp, side) for side in SIDES}
         for side in SIDES:
             checkout(revs[side], dirs[side])
-        for workload, seed in sets:
-            runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-            for i in range(PAIRS):
-                for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    runs[side].append(run_once(dirs[side], workload, seconds, seed))
-                print(f"{workload}@seed{seed}: pair {i + 1} of {PAIRS}", file=sys.stderr)
-            result["workloads"][f"{workload}@seed{seed}"] = summarize(runs, metrics)
-        if args.trace:
-            result["method"] += (f"; {args.trace} runs per side and workload with --trace 1, "
-                                 "alternating sides, whose per-layer medians are under "
-                                 "'trace'")
-            result["trace"] = {}
-            for workload in workloads:
-                traced: dict[str, list[dict]] = {side: [] for side in SIDES}
-                for i in range(args.trace):
-                    for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                        traced[side].append(
-                            run_once(dirs[side], workload, seconds, trace=1)["metrics"])
-                result["trace"][f"{workload}@seed1"] = {
-                    side: trace_medians(traced[side]) for side in SIDES}
+        result["workloads"], traces = measure(dirs, sets, seconds, metrics, args.trace)
+    if args.trace:
+        result["method"] += (f"; {args.trace} runs per side and workload with --trace 1, "
+                             "alternating sides, right after that workload's pairs, "
+                             "whose per-layer medians are under 'trace'")
+        result["trace"] = traces
     result["host_calibration"]["after"] = calibration(startup_seconds())
     if args.claim:
         workload, _, metric = args.claim.partition(":")

@@ -76,3 +76,30 @@ def test_trace_medians_refuse_call_counts_that_differ():
 def test_calibration_takes_min_median_and_max_of_the_startups():
     got = _bench_pairs().calibration([0.05, 0.041234, 0.06, 0.044, 0.0456])
     assert got == {"min": 0.0412, "median": 0.0456, "max": 0.06}
+
+
+def test_traced_runs_follow_the_pairs_of_their_workload(monkeypatch):
+    module = _bench_pairs()
+    calls = []
+
+    def run_once(checkout_dir, workload, seconds, seed=1, trace=0):
+        calls.append((workload, seed, trace, checkout_dir))
+        return {"metrics": _traced(0.1, 8)} if trace else _line(0.1)
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    monkeypatch.setattr(module, "PAIRS", 2)
+    summaries, traces = module.measure(
+        {"parent": "p", "change": "c"}, [("a", 1), ("b", 1), ("b", 7)], 30, ["wall_s"], 2)
+    # the seed-7 pairs of b run before b's traced runs, each block alternating
+    # sides: parent first in even pairs and runs, change first in odd ones
+    assert calls == [
+        ("a", 1, 0, "p"), ("a", 1, 0, "c"), ("a", 1, 0, "c"), ("a", 1, 0, "p"),
+        ("a", 1, 1, "p"), ("a", 1, 1, "c"), ("a", 1, 1, "c"), ("a", 1, 1, "p"),
+        ("b", 1, 0, "p"), ("b", 1, 0, "c"), ("b", 1, 0, "c"), ("b", 1, 0, "p"),
+        ("b", 7, 0, "p"), ("b", 7, 0, "c"), ("b", 7, 0, "c"), ("b", 7, 0, "p"),
+        ("b", 1, 1, "p"), ("b", 1, 1, "c"), ("b", 1, 1, "c"), ("b", 1, 1, "p"),
+    ]
+    assert list(summaries) == ["a@seed1", "b@seed1", "b@seed7"]
+    assert list(traces) == ["a@seed1", "b@seed1"]
+    assert traces["b@seed1"]["change"] == {"hopfcore.verify.s": 0.1,
+                                           "hopfcore.verify.calls": 8}
