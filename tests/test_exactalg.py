@@ -395,11 +395,12 @@ def test_cached_kernels_give_the_reference_on_a_miss_and_on_a_hit(a, data):
     n = a.order
     b = data.draw(cyc_elements(orders=[n]).filter(lambda z: z.order > 1))
     r = data.draw(small_rationals.filter(lambda x: x != 1))
+    pairs = list(zip(a.coeffs, b.coeffs))
     cases = [
         (exactalg._cyc_product, lambda: a * b, reference_product(a, b)),
         (exactalg._cyc_scale, lambda: r * a, [r * x for x in a.coeffs]),
-        (exactalg._cyc_linear, lambda: a + b, [Fraction(x) + y for x, y in zip(a.coeffs, b.coeffs)]),
-        (exactalg._cyc_linear, lambda: a - b, [Fraction(x) - y for x, y in zip(a.coeffs, b.coeffs)]),
+        (exactalg._cyc_linear, lambda: a + b, [Fraction(x) + y for x, y in pairs]),
+        (exactalg._cyc_linear, lambda: a - b, [Fraction(x) - y for x, y in pairs]),
         (exactalg._cyc_inverse, a.inverse, list(reference_inverse(a).lift(n).coeffs)),
     ]
     for kernel, compute, want in cases:
